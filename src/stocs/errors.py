@@ -39,6 +39,10 @@ class NegativeProbabilityError(InstanceValidationError):
     pass
 
 
+class NonFiniteProbabilityError(InstanceValidationError):
+    """A probability is NaN or infinite."""
+
+
 class ProbabilityLengthMismatchError(InstanceValidationError):
     pass
 
@@ -85,6 +89,10 @@ class CptCoverageError(InstanceValidationError):
     """Conditional-table rows must cover each parent combination exactly once."""
 
 
+class ExpressionTooDeepError(InstanceValidationError):
+    """An expression nests too deeply to parse, check or compile."""
+
+
 # ---------------------------------------------------------------------------
 # evaluation / semantics
 # ---------------------------------------------------------------------------
@@ -124,6 +132,10 @@ class OracleCapExceededError(StocsError):
 
 class NonpositiveBranchProbabilityError(StocsError):
     pass
+
+
+class InstanceTooDeepError(StocsError):
+    """The search would recurse past the interpreter's recursion limit."""
 
 
 class BadEpsilonError(StocsError):

@@ -24,6 +24,7 @@ from .errors import (
     BadExpressionTypeError,
     ChainedComparisonError,
     ExpressionSyntaxError,
+    ExpressionTooDeepError,
 )
 
 __all__ = [
@@ -264,9 +265,13 @@ def parse_expression(text: str) -> Expr:
     """Parse ``text`` into an expression tree.
 
     Raises ExpressionSyntaxError (with a character offset) on malformed
-    input, including chained comparisons.
+    input, including chained comparisons, and ExpressionTooDeepError when
+    parentheses nest past the interpreter's recursion limit.
     """
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ExpressionTooDeepError("expression nests too deeply to parse") from None
 
 
 def infer_type(node: Expr) -> str:
@@ -306,11 +311,15 @@ def infer_type(node: Expr) -> str:
 
 
 def _walk(node: Expr) -> Iterator[Expr]:
-    yield node
-    for field in ("left", "right", "operand"):
-        child = getattr(node, field, None)
-        if child is not None:
-            yield from _walk(child)
+    """Pre-order walk with an explicit stack, so long operator chains fit."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        for field in ("operand", "right", "left"):
+            child = getattr(node, field, None)
+            if child is not None:
+                stack.append(child)
 
 
 def variables_in(node: Expr) -> list[str]:
@@ -320,52 +329,6 @@ def variables_in(node: Expr) -> list[str]:
         if isinstance(sub, VariableRef):
             seen.setdefault(sub.name)
     return list(seen)
-
-
-def compile_expression(node: Expr, index_of: dict[str, int]) -> Callable:
-    """Compile to a closure evaluating over an environment list.
-
-    The environment is a list indexed by variable position; only positions
-    named in the expression are read. Comparison results are Python bools,
-    which arithmetic treats as 0/1.
-    """
-    if isinstance(node, IntLiteral):
-        v = node.value
-        return lambda env: v
-    if isinstance(node, VariableRef):
-        i = index_of[node.name]
-        return lambda env: env[i]
-    if isinstance(node, Neg):
-        f = compile_expression(node.operand, index_of)
-        return lambda env: -f(env)
-    if isinstance(node, Not):
-        f = compile_expression(node.operand, index_of)
-        return lambda env: not f(env)
-    left = compile_expression(node.left, index_of)
-    right = compile_expression(node.right, index_of)
-    if isinstance(node, Add):
-        return lambda env: left(env) + right(env)
-    if isinstance(node, Sub):
-        return lambda env: left(env) - right(env)
-    if isinstance(node, Mul):
-        return lambda env: left(env) * right(env)
-    if isinstance(node, Eq):
-        return lambda env: left(env) == right(env)
-    if isinstance(node, Ne):
-        return lambda env: left(env) != right(env)
-    if isinstance(node, Lt):
-        return lambda env: left(env) < right(env)
-    if isinstance(node, Le):
-        return lambda env: left(env) <= right(env)
-    if isinstance(node, Gt):
-        return lambda env: left(env) > right(env)
-    if isinstance(node, Ge):
-        return lambda env: left(env) >= right(env)
-    if isinstance(node, And):
-        return lambda env: bool(left(env)) and bool(right(env))
-    if isinstance(node, Or):
-        return lambda env: bool(left(env)) or bool(right(env))
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 _LEVEL_OR = 1
@@ -378,6 +341,8 @@ _LEVEL_NEG = 7
 _LEVEL_ATOM = 8
 
 _CMP_TEXT = {Eq: "=", Ne: "!=", Lt: "<", Le: "<=", Gt: ">", Ge: ">="}
+_PY_CMP_TEXT = {**_CMP_TEXT, Eq: "=="}
+_CHAIN_TEXT = {Add: "+", Sub: "-", Mul: "*", And: "and", Or: "or"}
 
 
 def _level(node: Expr) -> int:
@@ -398,30 +363,66 @@ def _level(node: Expr) -> int:
     return _LEVEL_OR
 
 
-def format_expression(node: Expr) -> str:
-    """Print with minimal parentheses; parse_expression inverts it."""
+def _render(node: Expr, name_text: Callable[[str], str],
+            cmp_text: dict[type, str]) -> str:
+    """Print with minimal parentheses by the precedence levels above.
+
+    Left-associative chains are walked iteratively, so a long sum needs
+    neither recursion nor parentheses.
+    """
     def wrap(child: Expr, minimum: int) -> str:
-        text = format_expression(child)
+        text = render(child)
         return f"({text})" if _level(child) < minimum else text
 
-    if isinstance(node, IntLiteral):
-        return str(node.value)
-    if isinstance(node, VariableRef):
-        return node.name
-    if isinstance(node, Neg):
-        return "-" + wrap(node.operand, _LEVEL_NEG)
-    if isinstance(node, Not):
-        return "not " + wrap(node.operand, _LEVEL_NOT)
-    level = _level(node)
-    if isinstance(node, (Add, Sub, Mul)):
-        op = {Add: "+", Sub: "-", Mul: "*"}[type(node)]
+    def render(node: Expr) -> str:
+        if isinstance(node, IntLiteral):
+            return str(node.value)
+        if isinstance(node, VariableRef):
+            return name_text(node.name)
+        if isinstance(node, Neg):
+            return "-" + wrap(node.operand, _LEVEL_NEG)
+        if isinstance(node, Not):
+            return "not " + wrap(node.operand, _LEVEL_NOT)
+        level = _level(node)
+        if type(node) in cmp_text:
+            op = cmp_text[type(node)]
+            return f"{wrap(node.left, level + 1)} {op} {wrap(node.right, level + 1)}"
+        if type(node) not in _CHAIN_TEXT:
+            raise TypeError(f"not an expression node: {node!r}")
         # left-associative: equal level allowed on the left only
-        return f"{wrap(node.left, level)} {op} {wrap(node.right, level + 1)}"
-    if isinstance(node, (Eq, Ne, Lt, Le, Gt, Ge)):
-        op = _CMP_TEXT[type(node)]
-        return f"{wrap(node.left, level + 1)} {op} {wrap(node.right, level + 1)}"
-    op = "and" if isinstance(node, And) else "or"
-    return f"{wrap(node.left, level)} {op} {wrap(node.right, level + 1)}"
+        tail = []
+        while type(node) in _CHAIN_TEXT and _level(node) == level:
+            tail.append(f" {_CHAIN_TEXT[type(node)]} {wrap(node.right, level + 1)}")
+            node = node.left
+        return wrap(node, level) + "".join(reversed(tail))
+
+    return render(node)
+
+
+def format_expression(node: Expr) -> str:
+    """Print with minimal parentheses; parse_expression inverts it."""
+    return _render(node, lambda name: name, _CMP_TEXT)
+
+
+def compile_expression(node: Expr, index_of: dict[str, int]) -> Callable:
+    """Compile to one generated ``lambda env: ...`` over an environment list.
+
+    The environment is a list indexed by variable position; only positions
+    named in the expression are read. Python's precedence levels order the
+    operators as the expression language does, so the generated source uses
+    format_expression's minimal parentheses. Comparison results are Python
+    bools, which arithmetic treats as 0/1; ``and``/``or`` see only boolean
+    operands in a well-typed expression, so they return bools too.
+
+    Raises ExpressionTooDeepError when the source nests too deeply for
+    Python's compiler.
+    """
+    try:
+        source = "lambda env: " + _render(node, lambda name: f"env[{index_of[name]}]",
+                                          _PY_CMP_TEXT)
+        return eval(compile(source, "<constraint>", "eval"), {"__builtins__": {}})
+    except (SyntaxError, RecursionError, MemoryError) as e:
+        raise ExpressionTooDeepError(f"expression nests too deeply to compile: {e}") from None
 
 
 def interval_range(node: Expr, domain_of: dict[str, tuple[int, ...]]) -> tuple[int, int]:

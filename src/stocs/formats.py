@@ -22,6 +22,7 @@ UTF-8 with LF newlines.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from typing import Any
 
@@ -77,14 +78,27 @@ def _num_list(obj: Any, what: str) -> list[float]:
     for v in obj:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise FormatError(f"{what} must contain numbers, got {v!r}")
-        out.append(float(v))
+        try:
+            number = float(v)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise FormatError(f"{what} must contain finite numbers, got {v!r}")
+        out.append(number)
     return out
 
 
 def _rescale(probs: list[float]) -> list[float]:
-    total = sum(probs)
-    if total <= 0.0 or any(p < 0.0 for p in probs):
+    if any(p < 0.0 for p in probs):
         return probs  # leave it to validation to refuse
+    total = sum(probs)
+    if not math.isfinite(total):
+        # the entries are finite, so only the sum overflowed: scale first
+        peak = max(probs)
+        probs = [p / peak for p in probs]
+        total = sum(probs)
+    if total <= 0.0:
+        return probs
     return [p / total for p in probs]
 
 

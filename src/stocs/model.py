@@ -13,6 +13,7 @@ concurrent searches.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -28,10 +29,12 @@ from .errors import (
     DuplicateNameError,
     DuplicateScopeVariableError,
     EmptyDomainError,
+    ExpressionTooDeepError,
     InstanceValidationError,
     MissingDistributionError,
     NegativeProbabilityError,
     NonBooleanConstraintError,
+    NonFiniteProbabilityError,
     OutOfDomainValueError,
     ProbabilitiesOnDecisionError,
     ProbabilityLengthMismatchError,
@@ -258,6 +261,8 @@ def _check_distribution(probs, domain: tuple[int, ...], what: str) -> tuple[floa
     values = []
     for p in probs:
         p = float(p)
+        if not math.isfinite(p):
+            raise NonFiniteProbabilityError(f"{what}: non-finite probability {p}")
         if p < 0.0:
             raise NegativeProbabilityError(f"{what}: negative probability {p}")
         values.append(p)
@@ -340,6 +345,13 @@ def _validate_cpt(var: VariableSpec, variables: tuple[VariableSpec, ...],
     return ConditionalTable(var.name, parents, checked)
 
 
+def _infer_type(node: _expr.Expr, label: str) -> str:
+    try:
+        return _expr.infer_type(node)
+    except RecursionError:
+        raise ExpressionTooDeepError(f"{label}: expression nests too deeply to check") from None
+
+
 def _validate_constraint(raw: Constraint, variables: tuple[VariableSpec, ...],
                          index_of: dict[str, int], label: str) -> Constraint:
     if (raw.allowed is None) == (raw.expression is None):
@@ -350,7 +362,7 @@ def _validate_constraint(raw: Constraint, variables: tuple[VariableSpec, ...],
         for name in names:
             if name not in index_of:
                 raise UnknownScopeVariableError(f"{label}: unknown variable {name!r}", name)
-        if _expr.infer_type(raw.expression) != "bool":
+        if _infer_type(raw.expression, label) != "bool":
             raise NonBooleanConstraintError(
                 f"{label}: expression {_expr.format_expression(raw.expression)!r} is not boolean"
             )
@@ -415,7 +427,7 @@ def validate_instance(raw: Instance) -> Instance:
         for name in _expr.variables_in(objective.expression):
             if name not in index_of:
                 raise UnknownScopeVariableError(f"objective: unknown variable {name!r}", name)
-        _expr.infer_type(objective.expression)
+        _infer_type(objective.expression, "objective")
         violation = float(objective.violation_value)
         domain_of = {v.name: v.domain for v in variables}
         low, _ = _expr.interval_range(objective.expression, domain_of)

@@ -8,13 +8,20 @@ run in two modes:
   decide - answer "is some policy >= theta" with a witness, pruning
            against locally required thresholds.
 
+A decision node stops scanning its values once one suffices: in decide
+mode once a value meets the local requirement, in max mode once a value
+reaches satisfaction 1.0. The latter is the oracle's own stop rule, so
+the argmax stays the oracle's first depth-first optimum.
+
 Forward checking additionally prunes future variables after each
 assignment: every constraint with exactly one unassigned scope variable
 filters that variable's values. A wiped-out future decision domain kills
 the branch; pruned probability mass on future stochastic variables gives
 the upper bound prod(remaining mass), used to abandon hopeless branches.
 Under conditional tables the mass bound is disabled (pruned mass is no
-longer branch-independent) and only domain wipeout remains.
+longer branch-independent) and only domain wipeout remains. A value left
+in a domain has passed every constraint that ends at its variable, so
+forward checking never checks those constraints again on assignment.
 
 Decide mode keeps a lower and an upper accumulator per chance node. The
 locally required threshold only caps how much of a child's exact value
@@ -31,9 +38,14 @@ change, only the work done (and the witness in decide mode).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
-from .errors import NonpositiveBranchProbabilityError, ThetaOutOfRangeError
+from .errors import (
+    InstanceTooDeepError,
+    NonpositiveBranchProbabilityError,
+    ThetaOutOfRangeError,
+)
 from .model import (
     PROB_TOL,
     ConditionalTable,
@@ -57,6 +69,12 @@ __all__ = [
     "bt_max", "fc_max", "bt_decide", "fc_decide",
     "required_threshold", "strip_zero_probability_values",
 ]
+
+
+# the recursion takes two frames per variable (value and its decision or
+# chance step); the margin covers the caller and the per-node helpers
+_FRAMES_PER_DEPTH = 2
+_FRAME_MARGIN = 100
 
 
 @dataclass(frozen=True)
@@ -100,6 +118,12 @@ class _Search:
                  value_order: str | None):
         if value_order not in (None, "domain", "ub"):
             raise ValueError(f"unknown value_order {value_order!r}")
+        frames = _FRAMES_PER_DEPTH * instance.n + _FRAME_MARGIN
+        if frames > sys.getrecursionlimit():
+            raise InstanceTooDeepError(
+                f"{instance.n} variables need about {frames} stack frames to search, "
+                f"above the recursion limit of {sys.getrecursionlimit()}"
+            )
         self.inst = instance
         self.fc = fc
         self.rules = rules
@@ -211,14 +235,20 @@ class _Search:
             self.active_count[j] += 1
 
     def _enter(self, depth: int, value: int) -> str:
-        """Assign env[depth]=value, check completed constraints, fire FC."""
+        """Assign env[depth]=value, check completed constraints, fire FC.
+
+        Under forward checking the constraints completed here need no
+        check: each fired when its second-to-last variable was assigned
+        (unary ones were pruned up front) and removed every value that
+        violates it, so a value still in the domain satisfies them all.
+        """
         self.stats.nodes_visited += 1
         self.env[depth] = value
+        if self.fc:
+            return self._forward_check(depth)
         for c in self.inst.check_at[depth]:
             if not c.fn(self.env):
                 return "violated"
-        if self.fc:
-            return self._forward_check(depth)
         return "ok"
 
     def _decision_values(self, depth: int) -> list[int]:
@@ -229,9 +259,8 @@ class _Search:
         scored = []
         for pos, w in enumerate(values):
             mark = len(self.trail)
-            self.env[depth] = w
-            violated = any(not c.fn(self.env) for c in self.inst.check_at[depth])
-            if not violated and self._forward_check(depth) == "ok":
+            self.env[depth] = w  # unpruned, so no completed constraint fails
+            if self._forward_check(depth) == "ok":
                 bound = self._ub(depth)
             else:
                 bound = 0.0
@@ -257,7 +286,8 @@ class _Search:
         best = -1.0
         best_value: int | None = None
         best_child: PolicyNode | None = None
-        for w in self._decision_values(depth):
+        values = self._decision_values(depth)
+        for pos, w in enumerate(values):
             mark = len(self.trail)
             status = self._enter(depth, w)
             score: float | None
@@ -274,6 +304,11 @@ class _Search:
             self.env[depth] = None
             if score is not None and score > best:
                 best, best_value, best_child = score, w, child
+            if best >= 1.0 and self.rules.decision_stop:
+                # nothing scores higher; the oracle stops at 1.0 the same way
+                if pos + 1 < len(values):
+                    self.stats.decision_prunes += 1
+                break
         if best_value is None or best <= 0.0:
             # nothing scores: normalize to the first depth-first subtree so
             # the argmax matches plain backtracking and the oracle exactly

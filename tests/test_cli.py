@@ -6,10 +6,19 @@ import shutil
 import pytest
 
 import stocs.cli
-from stocs import ChanceNode, DecisionNode, Leaf, __version__, serialize_policy
+from stocs import (
+    ChanceNode,
+    DecisionNode,
+    Leaf,
+    __version__,
+    expr_constraint,
+    serialize_policy,
+)
+from stocs.expr import Ge, IntLiteral, Sub, VariableRef
 from stocs.cli import CSV_HEADER, main
 from stocs.semantics import SearchStats
 from stocs.solver import DecideResult
+from conftest import make_instance
 
 
 def run(capsys, *argv):
@@ -279,3 +288,55 @@ class TestArgumentHandling:
         argv = ("solve", str(instances_dir / "conditional.scsp"),
                 "--algorithm", "fc", "--theta", "0.9", "--stats")
         assert run(capsys, *argv) == run(capsys, *argv)
+
+
+class TestBadInputIsTyped:
+    """Bad input exits 2 with an error line, never 0 or 3."""
+
+    @staticmethod
+    def write(tmp_path, variables, constraints):
+        path = tmp_path / "bad.scsp"
+        doc = {"theta": 0.5, "variables": variables,
+               "constraints": [{"type": "expr", "text": t} for t in constraints]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def test_nan_probability(self, capsys, tmp_path):
+        path = self.write(tmp_path, [
+            {"name": "x", "kind": "decision", "domain": [0, 1]},
+            {"name": "s", "kind": "stochastic", "domain": [0, 1],
+             "probabilities": [float("nan"), 1.0]},
+        ], ["x = s"])
+        for extra in ((), ("--renormalize",)):
+            code, out, err = run(capsys, "solve", path, "--mode", "max", *extra)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and "finite" in err
+
+    def test_instance_too_deep_to_search(self, capsys, tmp_path):
+        variables = [{"name": f"x{i}", "kind": "decision", "domain": [0, 1]}
+                     for i in range(1200)]
+        path = self.write(tmp_path, variables, ["x0 = 1"])
+        for mode in ("max", "decide"):
+            code, out, err = run(capsys, "solve", path, "--mode", mode)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and "recursion limit" in err
+
+    def test_expression_too_deep_to_parse(self, capsys, tmp_path):
+        path = self.write(tmp_path, [{"name": "x", "kind": "decision", "domain": [0, 1]}],
+                          ["(" * 400 + "x" + ")" * 400 + " = 1"])
+        code, out, err = run(capsys, "solve", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "too deeply" in err
+
+    def test_expression_too_deep_to_compile(self, capsys, monkeypatch):
+        # a - (a - (...)) nests 249 parentheses, above CPython's limit of 200;
+        # the text parser cannot read it back, so the instance is built here
+        node = VariableRef("a")
+        for _ in range(250):
+            node = Sub(VariableRef("a"), node)
+        inst = make_instance([("a", "d", (0, 1))],
+                             [expr_constraint(Ge(node, IntLiteral(0)))])
+        monkeypatch.setattr(stocs.cli, "load_instance", lambda path, renormalize: inst)
+        code, out, err = run(capsys, "solve", "deep.scsp", "--mode", "max")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: expression nests too deeply to compile")

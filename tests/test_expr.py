@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +8,8 @@ from stocs.errors import (
     BadExpressionTypeError,
     ChainedComparisonError,
     ExpressionSyntaxError,
+    ExpressionTooDeepError,
+    StocsError,
 )
 from stocs.expr import (
     Add,
@@ -117,6 +121,95 @@ class TestEvaluation:
     def test_variables_in_first_occurrence_order(self):
         got = variables_in(parse_expression("y + x * y - z"))
         assert got == ["y", "x", "z"]
+
+    def test_long_sum_compiles(self):
+        # 300 left-associative terms need no parentheses at all
+        text = " + ".join(f"v{i % 7}" for i in range(300)) + " >= 900"
+        node = parse_expression(text)
+        fn = compile_expression(node, {f"v{i}": i for i in range(7)})
+        env = [0, 1, 2, 3, 4, 5, 6]
+        assert fn(env) == (sum(env[i % 7] for i in range(300)) >= 900)
+        assert fn([3] * 7) is True
+        assert fn([2] * 7) is False
+
+    def test_too_deep_for_the_compiler_is_a_typed_error(self):
+        # a - (a - (a - ...)): 249 nested parentheses, above CPython's 200
+        node = x("a")
+        for _ in range(250):
+            node = Sub(x("a"), node)
+        with pytest.raises(ExpressionTooDeepError) as info:
+            compile_expression(Ge(node, IntLiteral(0)), {"a": 0})
+        assert isinstance(info.value, StocsError)
+
+    def test_too_deep_for_the_parser_is_a_typed_error(self):
+        with pytest.raises(ExpressionTooDeepError):
+            parse_expression("(" * 400 + "x" + ")" * 400 + " = 1")
+
+
+# A tree-walking reference for the generated code: booleans count as 0/1 in
+# arithmetic and comparisons, and the connectives take booleans.
+_ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+               Eq: operator.eq, Ne: operator.ne, Lt: operator.lt,
+               Le: operator.le, Gt: operator.gt, Ge: operator.ge}
+
+
+def _reference(node, env):
+    if isinstance(node, IntLiteral):
+        return node.value
+    if isinstance(node, VariableRef):
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -int(_reference(node.operand, env))
+    if isinstance(node, Not):
+        return not _reference(node.operand, env)
+    left = _reference(node.left, env)
+    if isinstance(node, And):
+        return left and _reference(node.right, env)
+    if isinstance(node, Or):
+        return left or _reference(node.right, env)
+    return _ARITHMETIC[type(node)](int(left), int(_reference(node.right, env)))
+
+
+VARIABLES = ("a", "b", "c")
+_int_atoms = st.one_of(
+    st.integers(min_value=-20, max_value=20).map(IntLiteral),  # negatives via the API
+    st.sampled_from(VARIABLES).map(VariableRef),
+)
+
+
+def _typed(children):
+    # children draws (kind, node) pairs; arithmetic and comparisons take
+    # either kind, the connectives take booleans (an integer x becomes x != 0)
+    nodes = children.map(lambda kn: kn[1])
+    bools = children.map(lambda kn: kn[1] if kn[0] == "bool" else Ne(kn[1], IntLiteral(0)))
+    pair = st.tuples(nodes, nodes)
+    arithmetic = st.one_of(*(pair.map(lambda t, k=k: k(*t)) for k in (Add, Sub, Mul)),
+                           nodes.map(Neg))
+    comparison = st.one_of(*(pair.map(lambda t, k=k: k(*t))
+                             for k in (Eq, Ne, Lt, Le, Gt, Ge)))
+    connective = st.one_of(bools.map(Not),
+                           st.tuples(bools, bools).map(lambda t: And(*t)),
+                           st.tuples(bools, bools).map(lambda t: Or(*t)))
+    return st.one_of(arithmetic.map(lambda n: ("int", n)),
+                     st.one_of(comparison, connective).map(lambda n: ("bool", n)))
+
+
+typed_expressions = st.recursive(
+    st.one_of(_int_atoms.map(lambda n: ("int", n)),
+              st.tuples(_int_atoms, _int_atoms).map(lambda t: ("bool", Eq(*t)))),
+    _typed, max_leaves=30)
+
+
+class TestGeneratedCode:
+    @given(typed_expressions, st.lists(st.integers(-6, 6), min_size=3, max_size=3))
+    def test_matches_the_reference_evaluator(self, kind_node, values):
+        kind, node = kind_node
+        assert infer_type(node) == kind
+        fn = compile_expression(node, {name: i for i, name in enumerate(VARIABLES)})
+        got = fn(values)
+        expected = _reference(node, dict(zip(VARIABLES, values)))
+        assert got == expected
+        assert isinstance(got, bool) == (kind == "bool")
 
 
 names = st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True).filter(

@@ -1,5 +1,8 @@
 import json
 import random
+import re
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +131,31 @@ class TestParseInstance:
         inst = parse_instance(json.dumps(doc), renormalize=True)
         assert inst.variables[1].cpt.rows[(0,)] == (0.75, 0.25)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "1e400", "huge-int"])
+    def test_non_finite_probabilities_rejected(self, bad):
+        text = MINIMAL.replace('"probabilities": [0.5, 0.5]',
+                               f'"probabilities": [{bad}, 1.0]')
+        for renormalize in (False, True):
+            with pytest.raises(FormatError, match="finite"):
+                parse_instance(text, renormalize=renormalize)
+
+    def test_non_finite_cpt_row_rejected(self):
+        doc = json.loads(MINIMAL)
+        doc["variables"][1] = {
+            "name": "s", "kind": "stochastic", "domain": [0, 1],
+            "cpt": {"parents": ["x"],
+                    "rows": [{"given": [0], "probabilities": [1.0, 0.0]},
+                             {"given": [1], "probabilities": [float("nan"), 1.0]}]}}
+        with pytest.raises(FormatError, match="finite"):
+            parse_instance(json.dumps(doc), renormalize=True)
+
+    def test_renormalize_survives_an_overflowing_sum(self):
+        doc = json.loads(MINIMAL)
+        doc["variables"][1]["probabilities"] = [1e308, 1e308]
+        inst = parse_instance(json.dumps(doc), renormalize=True)
+        assert inst.variables[1].probabilities == (0.5, 0.5)
+
     def test_shipped_instances_load(self, instances_dir):
         names = {p.stem for p in instances_dir.glob("*.scsp")}
         assert names == {"a", "b", "fc_demo", "production", "conditional",
@@ -194,3 +222,38 @@ class TestPolicyFormat:
     def test_malformed_policies(self, doc):
         with pytest.raises(MalformedPolicyError):
             parse_policy(doc)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadmeSnippets:
+    """Every JSON example in the README parses as the format it documents."""
+
+    @staticmethod
+    def snippets():
+        blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"),
+                            flags=re.S)
+        return [json.loads(block) for block in blocks]
+
+    def test_every_kind_of_snippet_is_present(self):
+        kinds = {next(k for k in ("variables", "kind", "type") if k in doc)
+                 for doc in self.snippets()}
+        assert kinds == {"variables", "kind", "type"}
+
+    def test_snippets_parse_without_warnings(self):
+        for doc in self.snippets():
+            if "variables" in doc:  # a whole instance
+                text = json.dumps(doc)
+            elif "kind" in doc:  # one variable: give it its parents
+                parents = [{"name": p, "kind": "stochastic", "domain": [0, 1],
+                            "probabilities": [0.5, 0.5]}
+                           for p in doc.get("cpt", {}).get("parents", [])]
+                text = json.dumps({"theta": 0.5, "variables": parents + [doc]})
+            else:  # one constraint over instance a's variables
+                instance = json.loads(MINIMAL)
+                instance["constraints"] = [doc]
+                text = json.dumps(instance)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", FormatWarning)
+                parse_instance(text)

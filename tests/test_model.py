@@ -25,10 +25,12 @@ from stocs.errors import (
     DuplicateNameError,
     DuplicateScopeVariableError,
     EmptyDomainError,
+    ExpressionTooDeepError,
     InstanceValidationError,
     MissingDistributionError,
     NegativeProbabilityError,
     NonBooleanConstraintError,
+    NonFiniteProbabilityError,
     OutOfDomainValueError,
     ProbabilitiesOnDecisionError,
     ProbabilityLengthMismatchError,
@@ -82,6 +84,11 @@ class TestValidation:
             build([VariableSpec("s", "stochastic", (0, 1),
                                 probabilities=(1.2, -0.2))])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_probability(self, bad):
+        with pytest.raises(NonFiniteProbabilityError):
+            build([VariableSpec("s", "stochastic", (0, 1), probabilities=(bad, 1.0))])
+
     def test_probability_length_mismatch(self):
         with pytest.raises(ProbabilityLengthMismatchError):
             build([VariableSpec("s", "stochastic", (0, 1, 2),
@@ -127,6 +134,12 @@ class TestValidation:
             build([VariableSpec("x", "decision", (0, 1))],
                   [expr_constraint("x = z")])
 
+    def test_expression_too_deep_to_check(self):
+        # the parser reads long sums in a loop; the type check recurses
+        too_long = expr_constraint(" + ".join(["x"] * 1500) + " >= 0")
+        with pytest.raises(ExpressionTooDeepError):
+            build([VariableSpec("x", "decision", (0, 1))], [too_long])
+
     def test_idempotent(self, instance_a):
         assert validate_instance(instance_a) == instance_a
 
@@ -158,6 +171,13 @@ class TestConditionalTables:
     def test_every_row_sums_to_one(self):
         cpt = ConditionalTable("s", ("x",), {(0,): (1.0, 0.0), (1,): (0.3, 0.3)})
         with pytest.raises(BadProbabilitySumError):
+            build([VariableSpec("x", "decision", (0, 1)),
+                   VariableSpec("s", "stochastic", (0, 1), cpt=cpt)])
+
+    def test_non_finite_row_rejected(self):
+        cpt = ConditionalTable("s", ("x",), {(0,): (1.0, 0.0),
+                                             (1,): (float("nan"), 1.0)})
+        with pytest.raises(NonFiniteProbabilityError):
             build([VariableSpec("x", "decision", (0, 1)),
                    VariableSpec("s", "stochastic", (0, 1), cpt=cpt)])
 

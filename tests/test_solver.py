@@ -13,12 +13,17 @@ from stocs import (
     fc_decide,
     fc_max,
     first_policy,
+    load_instance,
     oracle_max_satisfaction,
     policy_satisfaction,
     required_threshold,
     strip_zero_probability_values,
 )
-from stocs.errors import NonpositiveBranchProbabilityError, ThetaOutOfRangeError
+from stocs.errors import (
+    InstanceTooDeepError,
+    NonpositiveBranchProbabilityError,
+    ThetaOutOfRangeError,
+)
 from stocs.solver import _Search
 from conftest import make_instance
 
@@ -56,6 +61,31 @@ class TestMaxMode:
             expected = oracle_max_satisfaction(inst).policy
             assert bt_max(inst).policy == expected
             assert fc_max(inst).policy == expected
+
+    def test_stops_at_one_like_the_oracle(self):
+        # x=0 fails only on s=0, which has probability 1e-10; x=1 always
+        # holds and sums to 1.0000000001. Every method stops at x=0.
+        inst = make_instance(
+            [("x", "d", (0, 1)), ("s", "s", (0, 1, 2), (1e-10, 0.5, 0.5))],
+            [expr_constraint("x = 1 or s != 0")])
+        expected = oracle_max_satisfaction(inst).policy
+        assert expected.chosen_value == 0
+        assert bt_max(inst).policy == expected
+        assert fc_max(inst).policy == expected
+
+    def test_production_stops_at_one_with_fewer_nodes(self, instances_dir):
+        inst = load_instance(instances_dir / "production.scsp")
+        full = PruneRules(decision_stop=False)
+        # node counts without the stop: bt 480, fc 285
+        for solve, nodes in ((bt_max, 360), (fc_max, 265)):
+            got = solve(inst)
+            assert got.probability == 1.0
+            assert got.stats.nodes_visited == nodes
+            assert got.stats.decision_prunes > 0
+            assert got.policy == solve(inst, rules=full).policy
+        unstopped = bt_max(inst, rules=full)
+        assert unstopped.stats.nodes_visited == 480
+        assert unstopped.stats.decision_prunes == 0
 
 
 class TestDecideMode:
@@ -195,6 +225,28 @@ class TestPruneRules:
                            fc_wipeout=False, fc_mass=False)
         assert fc_max(instance_c, rules=rules).probability == pytest.approx(0.5)
         assert fc_decide(instance_c, rules=rules).satisfiable
+
+
+class TestDepthLimit:
+    @staticmethod
+    def chain(n):
+        # a fair coin, then n - 1 decisions, the first of which copies it
+        variables = [("s", "s", (0, 1), (0.5, 0.5))]
+        variables += [(f"x{i}", "d", (0, 1)) for i in range(n - 1)]
+        return make_instance(variables, [expr_constraint("x0 = s")])
+
+    def test_too_deep_is_a_typed_error(self):
+        inst = self.chain(1200)
+        for solve in (bt_max, fc_max, bt_decide, fc_decide):
+            with pytest.raises(InstanceTooDeepError):
+                solve(inst)
+
+    def test_within_the_limit_solves(self):
+        inst = self.chain(300)
+        for solve in (bt_max, fc_max):
+            assert solve(inst).probability == 1.0
+        for solve in (bt_decide, fc_decide):
+            assert solve(inst).satisfiable
 
 
 class TestRequiredThreshold:
