@@ -41,8 +41,6 @@ from .expr import (
 )
 from .extensions import (
     OptimizeResult,
-    bt_max_conditional,
-    conditional_scenario_probability,
     optimize_chance_constrained,
     optimize_expected,
     policy_expected_value,
@@ -95,7 +93,6 @@ from .solver import (
     fc_decide,
     fc_max,
     required_threshold,
-    strip_zero_probability_values,
 )
 
 __all__ = [
@@ -112,13 +109,12 @@ __all__ = [
     "ORACLE_CAP",
     # solver
     "PruneRules", "DecideResult", "required_threshold", "bt_max", "fc_max",
-    "bt_decide", "fc_decide", "strip_zero_probability_values",
+    "bt_decide", "fc_decide",
     # approx
     "Interval", "SampleEstimate", "HeuristicPolicy", "restricted_tree_bounds",
     "most_probable_scenario_policy", "monte_carlo_policy_eval", "WILSON_Z",
     # extensions
-    "OptimizeResult", "conditional_scenario_probability", "bt_max_conditional",
-    "policy_expected_value", "optimize_expected", "optimize_chance_constrained",
+    "OptimizeResult", "policy_expected_value", "optimize_expected", "optimize_chance_constrained",
     # expressions
     "Expr", "parse_expression", "format_expression", "compile_expression",
     "infer_type", "variables_in",

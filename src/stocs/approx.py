@@ -33,6 +33,7 @@ from .semantics import (
     DecisionNode,
     Leaf,
     PolicyNode,
+    _check_depth,
     _expect_chance,
     _expect_decision,
     policy_satisfaction,
@@ -88,6 +89,7 @@ def restricted_tree_bounds(instance: Instance, epsilon: float | None = None,
         if not isinstance(top_k, int) or top_k < 1:
             raise BadKError(f"top_k {top_k!r} must be a positive integer")
 
+    _check_depth(instance)
     if any(not c.fn([]) for c in instance.constant_compiled):
         return Interval(0.0, 0.0)
     env: list = [None] * instance.n
@@ -173,6 +175,7 @@ def most_probable_scenario_policy(instance: Instance) -> HeuristicPolicy:
     the decisions are kept regardless of observations. The reported
     satisfaction is exact (recomputed on the full tree).
     """
+    _check_depth(instance)
     pinned = _most_probable_values(instance)
     env: list = [None] * instance.n
     if any(not c.fn(env) for c in instance.constant_compiled):

@@ -135,7 +135,7 @@ class NonpositiveBranchProbabilityError(StocsError):
 
 
 class InstanceTooDeepError(StocsError):
-    """The search would recurse past the interpreter's recursion limit."""
+    """A search or tree walk would recurse past the interpreter's recursion limit."""
 
 
 class BadEpsilonError(StocsError):

@@ -274,6 +274,16 @@ def parse_expression(text: str) -> Expr:
         raise ExpressionTooDeepError("expression nests too deeply to parse") from None
 
 
+def _spine(node: Expr, kinds: tuple[type, ...]) -> tuple[list[Expr], Expr]:
+    """The nodes of a left-associative chain, top down, and its leftmost
+    operand: a loop over long chains instead of one recursion per operator."""
+    spine = []
+    while isinstance(node, kinds):
+        spine.append(node)
+        node = node.left
+    return spine, node
+
+
 def infer_type(node: Expr) -> str:
     """Return "int" or "bool" for a well-typed expression.
 
@@ -283,8 +293,10 @@ def infer_type(node: Expr) -> str:
     if isinstance(node, (IntLiteral, VariableRef)):
         return "int"
     if isinstance(node, (Add, Sub, Mul)):
-        infer_type(node.left)
-        infer_type(node.right)
+        spine, leftmost = _spine(node, (Add, Sub, Mul))
+        infer_type(leftmost)
+        for parent in reversed(spine):
+            infer_type(parent.right)
         return "int"
     if isinstance(node, Neg):
         infer_type(node.operand)
@@ -294,10 +306,12 @@ def infer_type(node: Expr) -> str:
         infer_type(node.right)
         return "bool"
     if isinstance(node, (And, Or)):
-        for side in (node.left, node.right):
+        spine, leftmost = _spine(node, (And, Or))
+        # operands in left-to-right order, each with the node that joins it
+        for parent, side in [(spine[-1], leftmost)] + [(p, p.right) for p in reversed(spine)]:
             if infer_type(side) != "bool":
                 raise BadExpressionTypeError(
-                    f"{type(node).__name__.lower()} needs boolean operands, "
+                    f"{type(parent).__name__.lower()} needs boolean operands, "
                     f"got {format_expression(side)!r}"
                 )
         return "bool"
@@ -439,15 +453,19 @@ def interval_range(node: Expr, domain_of: dict[str, tuple[int, ...]]) -> tuple[i
     if isinstance(node, Neg):
         lo, hi = interval_range(node.operand, domain_of)
         return -hi, -lo
-    if isinstance(node, (Eq, Ne, Lt, Le, Gt, Ge, Not)):
+    if isinstance(node, (Eq, Ne, Lt, Le, Gt, Ge, Not, And, Or)):
         return 0, 1
-    if isinstance(node, (And, Or)):
-        return 0, 1
-    a, b = interval_range(node.left, domain_of)
-    c, d = interval_range(node.right, domain_of)
-    if isinstance(node, Add):
-        return a + c, b + d
-    if isinstance(node, Sub):
-        return a - d, b - c
-    corners = (a * c, a * d, b * c, b * d)
-    return min(corners), max(corners)
+    if not isinstance(node, (Add, Sub, Mul)):
+        raise TypeError(f"not an expression node: {node!r}")
+    spine, leftmost = _spine(node, (Add, Sub, Mul))
+    a, b = interval_range(leftmost, domain_of)
+    for parent in reversed(spine):
+        c, d = interval_range(parent.right, domain_of)
+        if isinstance(parent, Add):
+            a, b = a + c, b + d
+        elif isinstance(parent, Sub):
+            a, b = a - d, b - c
+        else:
+            corners = (a * c, a * d, b * c, b * d)
+            a, b = min(corners), max(corners)
+    return a, b

@@ -2,10 +2,10 @@
 
 Conditional tables drop the independence assumption; scenario
 probabilities become chain products of table rows selected by earlier
-values. The search engine already reads branch weights through
-Instance.distribution, so the conditional solver is the plain solver
-(forward checking then keeps only its wipeout prune, since pruned mass is
-no longer branch-independent).
+values (semantics.scenario_probability). The solvers read branch weights
+through Instance.distribution, so bt_max and the others handle tables
+as they are (forward checking then keeps only its wipeout prune, since
+pruned mass is no longer branch-independent).
 
 optimize_expected maximizes the expected objective value, where leaves
 violating a constraint score the objective's violation_value. That
@@ -18,16 +18,9 @@ does it by exhaustive policy enumeration and is exponential.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from . import expr as _expr
-from .errors import (
-    MissingAssignmentError,
-    MissingParentValueError,
-    NoFeasiblePolicyError,
-    NoObjectiveError,
-    OutOfDomainValueError,
-)
+from .errors import NoFeasiblePolicyError, NoObjectiveError
 from .model import PROB_TOL, Instance
 from .semantics import (
     ORACLE_CAP,
@@ -35,16 +28,15 @@ from .semantics import (
     DecisionNode,
     Leaf,
     PolicyNode,
-    SatisfactionResult,
+    _check_depth,
+    _policy_value,
     enumerate_policies,
     first_policy,
     policy_satisfaction,
 )
-from .solver import bt_max
 
 __all__ = [
     "OptimizeResult",
-    "conditional_scenario_probability", "bt_max_conditional",
     "policy_expected_value", "optimize_expected", "optimize_chance_constrained",
 ]
 
@@ -54,49 +46,6 @@ class OptimizeResult:
     policy: PolicyNode
     expected_value: float
     satisfaction: float
-
-
-def conditional_scenario_probability(instance: Instance, scenario: Mapping[str, int],
-                                     decisions: Mapping[str, int] | None = None) -> float:
-    """Chain-rule probability of a stochastic outcome.
-
-    Conditional variables read their parents from the scenario and, for
-    decision parents, from ``decisions``. Without tables this equals the
-    independent scenario probability.
-    """
-    decisions = decisions or {}
-    env: list = [None] * instance.n
-    for i, var in enumerate(instance.variables):
-        source = scenario if var.kind == "stochastic" else decisions
-        if var.name in source:
-            value = source[var.name]
-            if value not in var.domain:
-                raise OutOfDomainValueError(f"{var.name}={value} not in domain {var.domain}")
-            env[i] = value
-    product = 1.0
-    for i in instance.stochastic_indices:
-        var = instance.variables[i]
-        if env[i] is None:
-            raise MissingAssignmentError(f"scenario misses stochastic variable {var.name}")
-        if var.cpt is not None:
-            for p in var.cpt.parents:
-                if env[instance.index_of[p]] is None:
-                    raise MissingParentValueError(
-                        f"{var.name} needs a value for its parent {p}"
-                    )
-        probs = instance.distribution(i, env)
-        product *= probs[var.domain.index(env[i])]
-    return product
-
-
-def bt_max_conditional(instance: Instance) -> SatisfactionResult:
-    """Exact maximal satisfaction under conditional tables.
-
-    The recursion is bt_max with branch weights looked up from the row
-    selected by the partial assignment; on table-free instances it is
-    bt_max exactly.
-    """
-    return bt_max(instance)
 
 
 def _compiled_objective(instance: Instance):
@@ -109,38 +58,7 @@ def _compiled_objective(instance: Instance):
 def policy_expected_value(instance: Instance, policy: PolicyNode) -> float:
     """Expected objective value of a policy, violation_value on bad leaves."""
     objective, violation = _compiled_objective(instance)
-    if any(not c.fn([]) for c in instance.constant_compiled):
-        return violation
-    env: list = [None] * instance.n
-
-    def walk(depth: int, node: PolicyNode) -> float:
-        if depth == instance.n:
-            return float(objective(env))
-        var = instance.variables[depth]
-        if var.kind == "decision":
-            assert isinstance(node, DecisionNode)
-            env[depth] = node.chosen_value
-            if any(not c.fn(env) for c in instance.check_at[depth]):
-                env[depth] = None
-                return violation
-            value = walk(depth + 1, node.child)
-            env[depth] = None
-            return value
-        assert isinstance(node, ChanceNode)
-        probs = instance.distribution(depth, env)
-        total = 0.0
-        for w, q, child in zip(var.domain, probs, node.children):
-            if q == 0.0:
-                continue
-            env[depth] = w
-            if any(not c.fn(env) for c in instance.check_at[depth]):
-                total += q * violation
-            else:
-                total += q * walk(depth + 1, child)
-            env[depth] = None
-        return total
-
-    return walk(0, policy)
+    return _policy_value(instance, policy, objective, violation)
 
 
 def optimize_expected(instance: Instance) -> OptimizeResult:
@@ -150,6 +68,7 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
     Also reports the winning policy's satisfaction probability.
     """
     objective, violation = _compiled_objective(instance)
+    _check_depth(instance)
     if any(not c.fn([]) for c in instance.constant_compiled):
         policy = first_policy(instance)
         return OptimizeResult(policy, violation, 0.0)

@@ -286,11 +286,7 @@ def serialize_policy(policy: PolicyNode) -> str:
 
 
 def parse_policy(text: str) -> PolicyNode:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"not valid JSON: {e.msg}", e.lineno, e.colno) from None
-
+    """Read a policy from JSON; one nested too deeply is malformed."""
     def decode(obj: Any) -> PolicyNode:
         if not isinstance(obj, dict):
             raise MalformedPolicyError(f"policy node must be an object, got {obj!r}")
@@ -315,4 +311,9 @@ def parse_policy(text: str) -> PolicyNode:
             return ChanceNode(obj["variable"], tuple(decode(c) for c in children))
         raise MalformedPolicyError(f"unknown policy node kind {kind!r}")
 
-    return decode(doc)
+    try:
+        return decode(json.loads(text))
+    except json.JSONDecodeError as e:
+        raise FormatError(f"not valid JSON: {e.msg}", e.lineno, e.colno) from None
+    except RecursionError:
+        raise MalformedPolicyError("policy nests too deeply to read") from None

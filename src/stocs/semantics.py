@@ -5,6 +5,8 @@ stochastic outcomes observed before it in the variable order. Its
 satisfaction is the probability mass of the leaves whose complete
 assignments satisfy every constraint. An instance is satisfiable when
 some policy reaches satisfaction >= theta (non-strict, with 1e-9 slack).
+Scenario probabilities follow the chain rule (a plain product without
+conditional tables), and one walker scores any given policy.
 
 The oracle enumerates every policy and is the ground truth the search
 algorithms are tested against. It is deliberately naive and guarded by a
@@ -14,16 +16,18 @@ policy-count cap.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 from .errors import (
+    InstanceTooDeepError,
     MalformedPolicyError,
     MissingAssignmentError,
+    MissingParentValueError,
     OracleCapExceededError,
     OutOfDomainValueError,
     PartialAssignmentError,
-    StocsError,
 )
 from .model import PROB_TOL, Instance
 
@@ -36,6 +40,7 @@ __all__ = [
 ]
 
 ORACLE_CAP = 10 ** 6
+_FRAME_MARGIN = 100  # stack frames for a recursion's caller and helpers
 
 
 @dataclass(frozen=True)
@@ -98,25 +103,36 @@ def _env_from_mapping(instance: Instance, assignment: Mapping[str, int],
     return env
 
 
-def scenario_probability(instance: Instance, scenario: Mapping[str, int]) -> float:
-    """Probability of a complete stochastic outcome under independence.
+def scenario_probability(instance: Instance, scenario: Mapping[str, int],
+                         decisions: Mapping[str, int] | None = None) -> float:
+    """Chain-rule probability of a complete stochastic outcome.
 
-    The conditional-table version lives in the extensions module.
+    Conditional variables read their parents from the scenario and, for
+    decision parents, from ``decisions``. Without tables this is the
+    product of the outcome's independent probabilities.
     """
-    if instance.has_cpts:
-        raise StocsError(
-            "instance has conditional tables; use conditional_scenario_probability"
-        )
+    decisions = decisions or {}
+    env: list = [None] * instance.n
+    for i, var in enumerate(instance.variables):
+        source = scenario if var.kind == "stochastic" else decisions
+        if var.name in source:
+            value = source[var.name]
+            if value not in var.domain:
+                raise OutOfDomainValueError(f"{var.name}={value} not in domain {var.domain}")
+            env[i] = value
     product = 1.0
     for i in instance.stochastic_indices:
         var = instance.variables[i]
-        if var.name not in scenario:
+        if env[i] is None:
             raise MissingAssignmentError(f"scenario misses stochastic variable {var.name}")
-        value = scenario[var.name]
-        if value not in var.domain:
-            raise OutOfDomainValueError(f"{var.name}={value} not in domain {var.domain}")
-        assert var.probabilities is not None
-        product *= var.probabilities[var.domain.index(value)]
+        if var.cpt is not None:
+            for p in var.cpt.parents:
+                if env[instance.index_of[p]] is None:
+                    raise MissingParentValueError(
+                        f"{var.name} needs a value for its parent {p}"
+                    )
+        probs = instance.distribution(i, env)
+        product *= probs[var.domain.index(env[i])]
     return product
 
 
@@ -153,29 +169,43 @@ def _expect_chance(instance: Instance, depth: int, node: PolicyNode) -> ChanceNo
     return node
 
 
-def policy_satisfaction(instance: Instance, policy: PolicyNode) -> float:
-    """Probability mass of the policy's satisfying leaves.
+def _check_depth(instance: Instance, frames_per_variable: int = 1) -> None:
+    """Raise InstanceTooDeepError when a recursion taking ``frames_per_variable``
+    frames per variable would pass the recursion limit (never raised here)."""
+    frames = frames_per_variable * instance.n + _FRAME_MARGIN
+    limit = sys.getrecursionlimit()
+    if frames > limit:
+        raise InstanceTooDeepError(
+            f"{instance.n} variables need about {frames} stack frames, "
+            f"above the recursion limit of {limit}"
+        )
+
+
+def _policy_value(instance: Instance, policy: PolicyNode, objective,
+                  violation: float) -> float:
+    """Expected leaf value of a given policy: ``objective(env)`` (1.0 when
+    None) on leaves satisfying every constraint, ``violation`` on the rest.
 
     Constraints are checked as soon as their last scope variable gets a
-    value, so subtrees below a violated constraint contribute 0 without
-    being walked (their structure is not inspected).
+    value, so subtrees below a violated constraint are not walked.
     """
+    _check_depth(instance)
     if any(not c.fn([]) for c in instance.constant_compiled):
-        return 0.0
+        return violation
     env: list = [None] * instance.n
 
-    def sat(depth: int, node: PolicyNode) -> float:
+    def walk(depth: int, node: PolicyNode) -> float:
         if depth == instance.n:
             if not isinstance(node, Leaf):
                 raise MalformedPolicyError(f"expected a leaf at depth {depth}, got {node!r}")
-            return 1.0
+            return 1.0 if objective is None else float(objective(env))
         var = instance.variables[depth]
         if var.kind == "decision":
             dec = _expect_decision(instance, depth, node)
             env[depth] = dec.chosen_value
             if any(not c.fn(env) for c in instance.check_at[depth]):
-                return 0.0
-            return sat(depth + 1, dec.child)
+                return violation
+            return walk(depth + 1, dec.child)
         chance = _expect_chance(instance, depth, node)
         probs = instance.distribution(depth, env)
         total = 0.0
@@ -184,12 +214,18 @@ def policy_satisfaction(instance: Instance, policy: PolicyNode) -> float:
                 continue
             env[depth] = value
             if any(not c.fn(env) for c in instance.check_at[depth]):
-                continue
-            total += q * sat(depth + 1, child)
+                total += q * violation
+            else:
+                total += q * walk(depth + 1, child)
         env[depth] = None
         return total
 
-    return sat(0, policy)
+    return walk(0, policy)
+
+
+def policy_satisfaction(instance: Instance, policy: PolicyNode) -> float:
+    """Probability mass of the policy's satisfying leaves."""
+    return _policy_value(instance, policy, None, 0.0)
 
 
 def _subpolicies(instance: Instance, depth: int) -> Iterator[PolicyNode]:
@@ -215,6 +251,7 @@ def enumerate_policies(instance: Instance, cap: int = ORACLE_CAP) -> Iterator[Po
     Earlier variables vary slowest, so the stream order matches the
     tie-breaking rule used by the search algorithms.
     """
+    _check_depth(instance)
     count = instance.policy_count
     if count > cap:
         raise OracleCapExceededError(count, cap)

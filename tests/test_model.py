@@ -11,7 +11,9 @@ from stocs import (
     Objective,
     VariableSpec,
     ViolationValueWarning,
+    bt_max,
     expr_constraint,
+    optimize_expected,
     parse_expression,
     stage_blocks,
     table_constraint,
@@ -38,6 +40,7 @@ from stocs.errors import (
     UnknownScopeVariableError,
     UnsortedDomainError,
 )
+from stocs.expr import Add, Ge, IntLiteral, VariableRef
 from conftest import make_instance
 
 
@@ -135,10 +138,21 @@ class TestValidation:
                   [expr_constraint("x = z")])
 
     def test_expression_too_deep_to_check(self):
-        # the parser reads long sums in a loop; the type check recurses
-        too_long = expr_constraint(" + ".join(["x"] * 1500) + " >= 0")
+        # long left-associative sums are checked in a loop, so a 1,500-term
+        # constraint and objective validate and solve
+        x = VariableSpec("x", "decision", (0, 1))
+        long_sum = " + ".join(["x"] * 1500)
+        inst = build([x], [expr_constraint(long_sum + " >= 1500")],
+                     objective=Objective(parse_expression(long_sum)))
+        got = bt_max(inst)
+        assert (got.probability, got.policy.chosen_value) == (1.0, 1)
+        assert optimize_expected(inst).expected_value == 1500.0
+        # the check still recurses into right operands: x + (x + (...))
+        node = VariableRef("x")
+        for _ in range(1500):
+            node = Add(VariableRef("x"), node)
         with pytest.raises(ExpressionTooDeepError):
-            build([VariableSpec("x", "decision", (0, 1))], [too_long])
+            build([x], [expr_constraint(Ge(node, IntLiteral(0)))])
 
     def test_idempotent(self, instance_a):
         assert validate_instance(instance_a) == instance_a

@@ -7,6 +7,7 @@ from stocs import (
     ChanceNode,
     DecisionNode,
     Leaf,
+    Objective,
     check_assignment,
     enumerate_policies,
     expr_constraint,
@@ -14,6 +15,8 @@ from stocs import (
     induced_assignment,
     is_satisfiable_oracle,
     oracle_max_satisfaction,
+    parse_expression,
+    policy_expected_value,
     policy_satisfaction,
     scenario_probability,
     scenarios,
@@ -33,6 +36,17 @@ TOL = 1e-9
 
 def rigid_a(value):
     return DecisionNode("x", value, ChanceNode("s", (Leaf(), Leaf())))
+
+
+def scored_a():
+    # instance a with an objective, so that both walks can score it
+    return make_instance(
+        [("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5))],
+        [expr_constraint("x = s")],
+        objective=Objective(parse_expression("10 * x")))
+
+
+SCORES = (policy_satisfaction, policy_expected_value)
 
 
 def recourse_b():
@@ -101,21 +115,25 @@ class TestPolicySatisfaction:
             [expr_constraint("x != s")])
         assert policy_satisfaction(inst, rigid_a(0)) == pytest.approx(0.5)
 
-    def test_wrong_variable_order(self, instance_a):
+    # malformed policies fail in both walks over a given policy
+    def test_wrong_variable_order(self):
         bad = ChanceNode("s", (DecisionNode("x", 0, Leaf()),
                                DecisionNode("x", 0, Leaf())))
-        with pytest.raises(MalformedPolicyError):
-            policy_satisfaction(instance_a, bad)
+        for score in SCORES:
+            with pytest.raises(MalformedPolicyError):
+                score(scored_a(), bad)
 
-    def test_wrong_branch_count(self, instance_a):
+    def test_wrong_branch_count(self):
         bad = DecisionNode("x", 0, ChanceNode("s", (Leaf(),)))
-        with pytest.raises(MalformedPolicyError):
-            policy_satisfaction(instance_a, bad)
+        for score in SCORES:
+            with pytest.raises(MalformedPolicyError):
+                score(scored_a(), bad)
 
-    def test_chosen_value_outside_domain(self, instance_a):
+    def test_chosen_value_outside_domain(self):
         bad = DecisionNode("x", 5, ChanceNode("s", (Leaf(), Leaf())))
-        with pytest.raises(MalformedPolicyError):
-            policy_satisfaction(instance_a, bad)
+        for score in SCORES:
+            with pytest.raises(MalformedPolicyError):
+                score(scored_a(), bad)
 
     def test_matches_scenario_sum_formulation(self):
         rng = random.Random(23)

@@ -6,6 +6,7 @@ from gen import random_instance
 from stocs import (
     DecisionNode,
     Leaf,
+    Objective,
     PruneRules,
     bt_decide,
     bt_max,
@@ -14,10 +15,14 @@ from stocs import (
     fc_max,
     first_policy,
     load_instance,
+    most_probable_scenario_policy,
+    optimize_expected,
     oracle_max_satisfaction,
+    parse_expression,
+    policy_expected_value,
     policy_satisfaction,
     required_threshold,
-    strip_zero_probability_values,
+    restricted_tree_bounds,
 )
 from stocs.errors import (
     InstanceTooDeepError,
@@ -47,20 +52,23 @@ class TestMaxMode:
                     got.probability, abs=TOL)
 
     def test_agrees_with_oracle(self):
-        rng = random.Random(17)
-        for _ in range(40):
-            inst = random_instance(rng)
-            expected = oracle_max_satisfaction(inst).probability
-            assert bt_max(inst).probability == pytest.approx(expected, abs=TOL)
-            assert fc_max(inst).probability == pytest.approx(expected, abs=TOL)
+        # zero_prob: some stochastic values have probability 0
+        for zero_prob in (False, True):
+            rng = random.Random(17)
+            for _ in range(40):
+                inst = random_instance(rng, zero_prob=zero_prob)
+                expected = oracle_max_satisfaction(inst).probability
+                assert bt_max(inst).probability == pytest.approx(expected, abs=TOL)
+                assert fc_max(inst).probability == pytest.approx(expected, abs=TOL)
 
     def test_argmax_matches_oracle_tie_breaking(self):
-        rng = random.Random(29)
-        for _ in range(25):
-            inst = random_instance(rng, max_vars=4)
-            expected = oracle_max_satisfaction(inst).policy
-            assert bt_max(inst).policy == expected
-            assert fc_max(inst).policy == expected
+        for zero_prob in (False, True):
+            rng = random.Random(29)
+            for _ in range(25):
+                inst = random_instance(rng, max_vars=4, zero_prob=zero_prob)
+                expected = oracle_max_satisfaction(inst).policy
+                assert bt_max(inst).policy == expected
+                assert fc_max(inst).policy == expected
 
     def test_stops_at_one_like_the_oracle(self):
         # x=0 fails only on s=0, which has probability 1e-10; x=1 always
@@ -233,13 +241,21 @@ class TestDepthLimit:
         # a fair coin, then n - 1 decisions, the first of which copies it
         variables = [("s", "s", (0, 1), (0.5, 0.5))]
         variables += [(f"x{i}", "d", (0, 1)) for i in range(n - 1)]
-        return make_instance(variables, [expr_constraint("x0 = s")])
+        return make_instance(variables, [expr_constraint("x0 = s")],
+                             objective=Objective(parse_expression("x0")))
 
     def test_too_deep_is_a_typed_error(self):
         inst = self.chain(1200)
-        for solve in (bt_max, fc_max, bt_decide, fc_decide):
+        policy = first_policy(inst)
+        # the searches, then every other recursive walk
+        for run in (bt_max, fc_max, bt_decide, fc_decide,
+                    lambda inst: policy_satisfaction(inst, policy),
+                    lambda inst: policy_expected_value(inst, policy),
+                    lambda inst: restricted_tree_bounds(inst, epsilon=0.1),
+                    most_probable_scenario_policy, optimize_expected,
+                    oracle_max_satisfaction):
             with pytest.raises(InstanceTooDeepError):
-                solve(inst)
+                run(inst)
 
     def test_within_the_limit_solves(self):
         inst = self.chain(300)
@@ -296,33 +312,6 @@ class TestSearchState:
         assert first.probability == second.probability
         assert first.policy == second.policy
         assert first.stats.as_dict() == second.stats.as_dict()
-
-
-class TestZeroProbabilityValues:
-    def test_kept_by_default_and_strippable(self):
-        rng = random.Random(73)
-        for _ in range(20):
-            inst = random_instance(rng, zero_prob=True)
-            slim = strip_zero_probability_values(inst)
-            assert slim.scenario_count <= inst.scenario_count
-            assert bt_max(slim).probability == pytest.approx(
-                bt_max(inst).probability, abs=TOL)
-
-    def test_drop_flag_returns_a_policy_over_full_domains(self):
-        inst = make_instance(
-            [("x", "d", (0, 1)), ("s", "s", (0, 1, 2), (0.5, 0.5, 0.0))],
-            [expr_constraint("x = s")], theta=0.5)
-        got = fc_max(inst, drop_zero_prob=True)
-        assert got.probability == pytest.approx(0.5)
-        # the re-expanded policy must still branch over all three values
-        assert policy_satisfaction(inst, got.policy) == pytest.approx(0.5)
-
-    def test_verdicts_unchanged_by_dropping(self):
-        rng = random.Random(79)
-        for _ in range(15):
-            inst = random_instance(rng, zero_prob=True)
-            assert (fc_decide(inst, drop_zero_prob=True).satisfiable
-                    == fc_decide(inst).satisfiable)
 
 
 class TestValueOrderHeuristic:
