@@ -29,13 +29,11 @@ from .errors import (
 )
 from .model import Instance
 from .semantics import (
-    ChanceNode,
-    DecisionNode,
-    Leaf,
     PolicyNode,
     _check_depth,
     _expect_chance,
     _expect_decision,
+    _rigid_policies,
     policy_satisfaction,
 )
 
@@ -198,13 +196,7 @@ def most_probable_scenario_policy(instance: Instance) -> HeuristicPolicy:
             "the most probable scenario admits no satisfying decisions"
         )
 
-    policy: PolicyNode = Leaf()
-    for depth in range(instance.n - 1, -1, -1):
-        var = instance.variables[depth]
-        if var.kind == "decision":
-            policy = DecisionNode(var.name, env[depth], policy)
-        else:
-            policy = ChanceNode(var.name, (policy,) * len(var.domain))
+    policy = _rigid_policies(instance, env)[0]
     return HeuristicPolicy(policy, policy_satisfaction(instance, policy))
 
 

@@ -1,13 +1,18 @@
 """Constraint expression language: AST, parser, type checker, evaluator.
 
-Grammar, lowest to highest precedence:
+Four node types: ``IntLiteral``, ``VariableRef``, ``Unary(op, operand)``
+with op ``-`` or ``not``, and ``Binary(op, left, right)`` whose op is the
+surface token. One table, ``_BINARY_LEVEL``, gives each binary operator its
+precedence level; the parser, the printer, the type checker and the
+interval bound all read it. Lowest to highest precedence:
 
     or < and < not < comparison (non-associative) < additive (left)
        < multiplicative (left) < unary minus < atoms
 
 Comparison operators are spelled ``= != < <= > >=``; keywords are lowercase.
 Chained comparisons like ``a < b < c`` are rejected. Atoms are integer
-literals, identifiers, and parenthesized expressions.
+literals, identifiers, and parenthesized expressions. The parser climbs
+precedence levels, about three stack frames per redundant parenthesis.
 
 Booleans count as the integers 0/1 inside arithmetic and comparisons, which
 lets objectives use indicator terms like ``10 * (x = s)``. The operands of
@@ -28,8 +33,7 @@ from .errors import (
 )
 
 __all__ = [
-    "Expr", "IntLiteral", "VariableRef", "Add", "Sub", "Mul", "Neg",
-    "Eq", "Ne", "Lt", "Le", "Gt", "Ge", "And", "Or", "Not",
+    "Expr", "IntLiteral", "VariableRef", "Unary", "Binary",
     "parse_expression", "infer_type", "variables_in", "compile_expression",
     "format_expression", "interval_range",
 ]
@@ -51,82 +55,30 @@ class VariableRef(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
+class Unary(Expr):
+    op: str  # "-" or "not"
     operand: Expr
 
 
 @dataclass(frozen=True)
-class Eq(Expr):
+class Binary(Expr):
+    op: str  # a key of _BINARY_LEVEL
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class Ne(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Lt(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Le(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Gt(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Ge(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class And(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Or(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Not(Expr):
-    operand: Expr
-
-
-_COMPARISONS = {"=": Eq, "!=": Ne, "<": Lt, "<=": Le, ">": Gt, ">=": Ge}
+# Precedence level of each binary operator, as in the README's table.
+_BINARY_LEVEL = {
+    "or": 1, "and": 2,
+    "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6,
+}
+_LEVEL_NOT = 3
+_LEVEL_CMP = _BINARY_LEVEL["="]
+_LEVEL_NEG = 7
+_LEVEL_ATOM = 8
+_CONNECTIVES = tuple(op for op, level in _BINARY_LEVEL.items() if level < _LEVEL_NOT)
+_ARITHMETIC = tuple(op for op, level in _BINARY_LEVEL.items() if level > _LEVEL_CMP)
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -169,77 +121,34 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op: str) -> None:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ExpressionSyntaxError(f"expected {op!r}", tok.pos)
-        self.advance()
-
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in ops
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and tok.text == word
-
     def parse(self) -> Expr:
-        node = self.parse_or()
+        node = self.parse_binary(1)
         tok = self.peek()
         if tok.kind != "end":
             raise ExpressionSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return node
 
-    def parse_or(self) -> Expr:
-        node = self.parse_and()
-        while self.at_keyword("or"):
-            self.advance()
-            node = Or(node, self.parse_and())
+    def parse_binary(self, minimum: int) -> Expr:
+        """Operators of level >= ``minimum``, left-associative; a second
+        comparison in a row is a ChainedComparisonError."""
+        node = self.parse_unary(minimum)
+        # only operator tokens and the keywords and/or spell a key of the table
+        while (level := _BINARY_LEVEL.get(self.peek().text, 0)) >= minimum:
+            op = self.advance().text
+            node = Binary(op, node, self.parse_binary(level + 1))
+            if level == _LEVEL_CMP and _BINARY_LEVEL.get(self.peek().text) == _LEVEL_CMP:
+                raise ChainedComparisonError("chained comparison", self.peek().pos)
         return node
 
-    def parse_and(self) -> Expr:
-        node = self.parse_not()
-        while self.at_keyword("and"):
+    def parse_unary(self, minimum: int) -> Expr:
+        tok = self.peek()
+        # below its own level `not` is no operand: `x + not y` is an error
+        if tok.text == "not" and minimum <= _LEVEL_NOT:
             self.advance()
-            node = And(node, self.parse_not())
-        return node
-
-    def parse_not(self) -> Expr:
-        if self.at_keyword("not"):
+            return Unary("not", self.parse_binary(_LEVEL_NOT))
+        if tok.text == "-":
             self.advance()
-            return Not(self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        node = self.parse_additive()
-        if self.at_op(*_COMPARISONS):
-            op = self.advance()
-            node = _COMPARISONS[op.text](node, self.parse_additive())
-            # non-associative: a second comparison operator is an error
-            if self.at_op(*_COMPARISONS):
-                tok = self.peek()
-                raise ChainedComparisonError("chained comparison", tok.pos)
-        return node
-
-    def parse_additive(self) -> Expr:
-        node = self.parse_multiplicative()
-        while self.at_op("+", "-"):
-            op = self.advance()
-            right = self.parse_multiplicative()
-            node = Add(node, right) if op.text == "+" else Sub(node, right)
-        return node
-
-    def parse_multiplicative(self) -> Expr:
-        node = self.parse_unary()
-        while self.at_op("*"):
-            self.advance()
-            node = Mul(node, self.parse_unary())
-        return node
-
-    def parse_unary(self) -> Expr:
-        if self.at_op("-"):
-            self.advance()
-            return Neg(self.parse_unary())
+            return Unary("-", self.parse_unary(_LEVEL_NEG))
         return self.parse_atom()
 
     def parse_atom(self) -> Expr:
@@ -252,10 +161,12 @@ class _Parser:
                 raise ExpressionSyntaxError(f"unexpected keyword {tok.text!r}", tok.pos)
             self.advance()
             return VariableRef(tok.text)
-        if tok.kind == "op" and tok.text == "(":
+        if tok.text == "(":
             self.advance()
-            node = self.parse_or()
-            self.expect_op(")")
+            node = self.parse_binary(1)
+            if self.peek().text != ")":
+                raise ExpressionSyntaxError("expected ')'", self.peek().pos)
+            self.advance()
             return node
         shown = tok.text if tok.kind != "end" else "end of input"
         raise ExpressionSyntaxError(f"expected expression, found {shown}", tok.pos)
@@ -274,11 +185,23 @@ def parse_expression(text: str) -> Expr:
         raise ExpressionTooDeepError("expression nests too deeply to parse") from None
 
 
-def _spine(node: Expr, kinds: tuple[type, ...]) -> tuple[list[Expr], Expr]:
-    """The nodes of a left-associative chain, top down, and its leftmost
-    operand: a loop over long chains instead of one recursion per operator."""
+def _level(node: Expr) -> int:
+    """Precedence level of a node; TypeError for anything else."""
+    if isinstance(node, Binary) and node.op in _BINARY_LEVEL:
+        return _BINARY_LEVEL[node.op]
+    if isinstance(node, Unary) and node.op in ("-", "not"):
+        return _LEVEL_NEG if node.op == "-" else _LEVEL_NOT
+    if isinstance(node, (IntLiteral, VariableRef)):
+        return _LEVEL_ATOM
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _spine(node: Expr, ops: tuple[str, ...]) -> tuple[list[Binary], Expr]:
+    """The nodes of a left-associative chain of ``ops``, top down, and its
+    leftmost operand: a loop over long chains instead of one recursion per
+    operator."""
     spine = []
-    while isinstance(node, kinds):
+    while isinstance(node, Binary) and node.op in ops:
         spine.append(node)
         node = node.left
     return spine, node
@@ -290,38 +213,31 @@ def infer_type(node: Expr) -> str:
     Arithmetic and comparisons accept both kinds (booleans act as 0/1);
     ``and``/``or``/``not`` insist on boolean operands.
     """
-    if isinstance(node, (IntLiteral, VariableRef)):
+    level = _level(node)
+    if level == _LEVEL_ATOM:
         return "int"
-    if isinstance(node, (Add, Sub, Mul)):
-        spine, leftmost = _spine(node, (Add, Sub, Mul))
-        infer_type(leftmost)
-        for parent in reversed(spine):
-            infer_type(parent.right)
-        return "int"
-    if isinstance(node, Neg):
-        infer_type(node.operand)
-        return "int"
-    if isinstance(node, (Eq, Ne, Lt, Le, Gt, Ge)):
-        infer_type(node.left)
-        infer_type(node.right)
-        return "bool"
-    if isinstance(node, (And, Or)):
-        spine, leftmost = _spine(node, (And, Or))
-        # operands in left-to-right order, each with the node that joins it
-        for parent, side in [(spine[-1], leftmost)] + [(p, p.right) for p in reversed(spine)]:
-            if infer_type(side) != "bool":
-                raise BadExpressionTypeError(
-                    f"{type(parent).__name__.lower()} needs boolean operands, "
-                    f"got {format_expression(side)!r}"
-                )
-        return "bool"
-    if isinstance(node, Not):
-        if infer_type(node.operand) != "bool":
+    if isinstance(node, Unary):
+        operand = infer_type(node.operand)
+        if node.op == "-":
+            return "int"
+        if operand != "bool":
             raise BadExpressionTypeError(
                 f"not needs a boolean operand, got {format_expression(node.operand)!r}"
             )
         return "bool"
-    raise TypeError(f"not an expression node: {node!r}")
+    if level == _LEVEL_CMP:
+        infer_type(node.left)
+        infer_type(node.right)
+        return "bool"
+    ops = _ARITHMETIC if node.op in _ARITHMETIC else _CONNECTIVES
+    spine, leftmost = _spine(node, ops)
+    # operands in left-to-right order, each with the node that joins it
+    for parent, side in [(spine[-1], leftmost)] + [(p, p.right) for p in reversed(spine)]:
+        if infer_type(side) != "bool" and ops == _CONNECTIVES:
+            raise BadExpressionTypeError(
+                f"{parent.op} needs boolean operands, got {format_expression(side)!r}"
+            )
+    return "int" if ops == _ARITHMETIC else "bool"
 
 
 def _walk(node: Expr) -> Iterator[Expr]:
@@ -345,41 +261,9 @@ def variables_in(node: Expr) -> list[str]:
     return list(seen)
 
 
-_LEVEL_OR = 1
-_LEVEL_AND = 2
-_LEVEL_NOT = 3
-_LEVEL_CMP = 4
-_LEVEL_ADD = 5
-_LEVEL_MUL = 6
-_LEVEL_NEG = 7
-_LEVEL_ATOM = 8
-
-_CMP_TEXT = {Eq: "=", Ne: "!=", Lt: "<", Le: "<=", Gt: ">", Ge: ">="}
-_PY_CMP_TEXT = {**_CMP_TEXT, Eq: "=="}
-_CHAIN_TEXT = {Add: "+", Sub: "-", Mul: "*", And: "and", Or: "or"}
-
-
-def _level(node: Expr) -> int:
-    if isinstance(node, (IntLiteral, VariableRef)):
-        return _LEVEL_ATOM
-    if isinstance(node, Neg):
-        return _LEVEL_NEG
-    if isinstance(node, Mul):
-        return _LEVEL_MUL
-    if isinstance(node, (Add, Sub)):
-        return _LEVEL_ADD
-    if isinstance(node, (Eq, Ne, Lt, Le, Gt, Ge)):
-        return _LEVEL_CMP
-    if isinstance(node, Not):
-        return _LEVEL_NOT
-    if isinstance(node, And):
-        return _LEVEL_AND
-    return _LEVEL_OR
-
-
-def _render(node: Expr, name_text: Callable[[str], str],
-            cmp_text: dict[type, str]) -> str:
-    """Print with minimal parentheses by the precedence levels above.
+def _render(node: Expr, name_text: Callable[[str], str], python: bool) -> str:
+    """Print with minimal parentheses by the precedence levels above; with
+    ``python``, ``=`` is spelled ``==``.
 
     Left-associative chains are walked iteratively, so a long sum needs
     neither recursion nor parentheses.
@@ -393,20 +277,16 @@ def _render(node: Expr, name_text: Callable[[str], str],
             return str(node.value)
         if isinstance(node, VariableRef):
             return name_text(node.name)
-        if isinstance(node, Neg):
-            return "-" + wrap(node.operand, _LEVEL_NEG)
-        if isinstance(node, Not):
-            return "not " + wrap(node.operand, _LEVEL_NOT)
         level = _level(node)
-        if type(node) in cmp_text:
-            op = cmp_text[type(node)]
+        if isinstance(node, Unary):
+            return ("-" if node.op == "-" else "not ") + wrap(node.operand, level)
+        if level == _LEVEL_CMP:
+            op = "==" if python and node.op == "=" else node.op
             return f"{wrap(node.left, level + 1)} {op} {wrap(node.right, level + 1)}"
-        if type(node) not in _CHAIN_TEXT:
-            raise TypeError(f"not an expression node: {node!r}")
         # left-associative: equal level allowed on the left only
         tail = []
-        while type(node) in _CHAIN_TEXT and _level(node) == level:
-            tail.append(f" {_CHAIN_TEXT[type(node)]} {wrap(node.right, level + 1)}")
+        while isinstance(node, Binary) and _BINARY_LEVEL.get(node.op) == level:
+            tail.append(f" {node.op} {wrap(node.right, level + 1)}")
             node = node.left
         return wrap(node, level) + "".join(reversed(tail))
 
@@ -415,7 +295,7 @@ def _render(node: Expr, name_text: Callable[[str], str],
 
 def format_expression(node: Expr) -> str:
     """Print with minimal parentheses; parse_expression inverts it."""
-    return _render(node, lambda name: name, _CMP_TEXT)
+    return _render(node, lambda name: name, python=False)
 
 
 def compile_expression(node: Expr, index_of: dict[str, int]) -> Callable:
@@ -433,7 +313,7 @@ def compile_expression(node: Expr, index_of: dict[str, int]) -> Callable:
     """
     try:
         source = "lambda env: " + _render(node, lambda name: f"env[{index_of[name]}]",
-                                          _PY_CMP_TEXT)
+                                          python=True)
         return eval(compile(source, "<constraint>", "eval"), {"__builtins__": {}})
     except (SyntaxError, RecursionError, MemoryError) as e:
         raise ExpressionTooDeepError(f"expression nests too deeply to compile: {e}") from None
@@ -445,25 +325,24 @@ def interval_range(node: Expr, domain_of: dict[str, tuple[int, ...]]) -> tuple[i
     Used to warn when an objective's violation value beats every achievable
     objective value. Sound but not tight (interval arithmetic).
     """
+    level = _level(node)
     if isinstance(node, IntLiteral):
         return node.value, node.value
     if isinstance(node, VariableRef):
         dom = domain_of[node.name]
         return dom[0], dom[-1]
-    if isinstance(node, Neg):
+    if level <= _LEVEL_CMP:  # comparisons, not, and, or
+        return 0, 1
+    if isinstance(node, Unary):
         lo, hi = interval_range(node.operand, domain_of)
         return -hi, -lo
-    if isinstance(node, (Eq, Ne, Lt, Le, Gt, Ge, Not, And, Or)):
-        return 0, 1
-    if not isinstance(node, (Add, Sub, Mul)):
-        raise TypeError(f"not an expression node: {node!r}")
-    spine, leftmost = _spine(node, (Add, Sub, Mul))
+    spine, leftmost = _spine(node, _ARITHMETIC)
     a, b = interval_range(leftmost, domain_of)
     for parent in reversed(spine):
         c, d = interval_range(parent.right, domain_of)
-        if isinstance(parent, Add):
+        if parent.op == "+":
             a, b = a + c, b + d
-        elif isinstance(parent, Sub):
+        elif parent.op == "-":
             a, b = a - d, b - c
         else:
             corners = (a * c, a * d, b * c, b * d)

@@ -30,8 +30,8 @@ from .semantics import (
     PolicyNode,
     _check_depth,
     _policy_value,
+    _rigid_policies,
     enumerate_policies,
-    first_policy,
     policy_satisfaction,
 )
 
@@ -69,23 +69,24 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
     """
     objective, violation = _compiled_objective(instance)
     _check_depth(instance)
+    first = _rigid_policies(instance)
     if any(not c.fn([]) for c in instance.constant_compiled):
-        policy = first_policy(instance)
-        return OptimizeResult(policy, violation, 0.0)
-    env: list = [None] * instance.n
+        return OptimizeResult(first[0], violation, 0.0)
+    n = instance.n
+    env: list = [None] * n
 
     def walk(depth: int) -> tuple[float, PolicyNode]:
-        if depth == instance.n:
+        if depth == n:
             return float(objective(env)), Leaf()
         var = instance.variables[depth]
         if var.kind == "decision":
             best = None
             best_value = var.domain[0]
-            best_child: PolicyNode = first_policy(instance, depth + 1)
+            best_child = first[depth + 1]
             for w in var.domain:
                 env[depth] = w
                 if any(not c.fn(env) for c in instance.check_at[depth]):
-                    value, child = violation, first_policy(instance, depth + 1)
+                    value, child = violation, first[depth + 1]
                 else:
                     value, child = walk(depth + 1)
                 env[depth] = None
@@ -98,12 +99,12 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
         children = []
         for w, q in zip(var.domain, probs):
             if q == 0.0:
-                children.append(first_policy(instance, depth + 1))
+                children.append(first[depth + 1])
                 continue
             env[depth] = w
             if any(not c.fn(env) for c in instance.check_at[depth]):
                 total += q * violation
-                children.append(first_policy(instance, depth + 1))
+                children.append(first[depth + 1])
             else:
                 value, child = walk(depth + 1)
                 total += q * value

@@ -72,16 +72,20 @@ def _int_list(obj: Any, what: str) -> list[int]:
     return out
 
 
+def _as_float(v: int | float) -> float:
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf
+
+
 def _num_list(obj: Any, what: str) -> list[float]:
     _require(obj, list, what)
     out = []
     for v in obj:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise FormatError(f"{what} must contain numbers, got {v!r}")
-        try:
-            number = float(v)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
+        number = _as_float(v)
         if not math.isfinite(number):
             raise FormatError(f"{what} must contain finite numbers, got {v!r}")
         out.append(number)
@@ -208,6 +212,8 @@ def parse_instance(text: str, renormalize: bool = False) -> Instance:
         violation = obj.get("violation_value", 0.0)
         if not isinstance(violation, (int, float)) or isinstance(violation, bool):
             raise FormatError(f"violation_value must be a number, got {violation!r}")
+        if not math.isfinite(_as_float(violation)):
+            raise FormatError(f"violation_value must be finite, got {violation!r}")
         objective = Objective(
             _expr.parse_expression(_require(obj["text"], str, "objective text")),
             float(violation),

@@ -95,10 +95,10 @@ class Constraint:
 
 @dataclass(frozen=True)
 class Objective:
-    """Integer-valued expression to maximize in expectation.
+    """Expression to maximize in expectation; a boolean one scores 0/1.
 
-    Leaves that violate some constraint score violation_value instead of
-    the expression's value.
+    Leaves that violate some constraint score violation_value (finite)
+    instead of the expression's value.
     """
     expression: _expr.Expr
     violation_value: float = 0.0
@@ -429,6 +429,8 @@ def validate_instance(raw: Instance) -> Instance:
                 raise UnknownScopeVariableError(f"objective: unknown variable {name!r}", name)
         _infer_type(objective.expression, "objective")
         violation = float(objective.violation_value)
+        if not math.isfinite(violation):
+            raise InstanceValidationError(f"objective: non-finite violation_value {violation}")
         domain_of = {v.name: v.domain for v in variables}
         low, _ = _expr.interval_range(objective.expression, domain_of)
         if violation > low:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import (
     InstanceTooDeepError,
@@ -316,16 +316,27 @@ def induced_assignment(instance: Instance, policy: PolicyNode,
     return env
 
 
+def _rigid_policies(instance: Instance,
+                    values: Sequence[int | None] | None = None) -> list[PolicyNode]:
+    """The rigid policy from every depth 0..n down, in one backward pass:
+    decision variable i takes ``values[i]`` (default: its first domain value)
+    whatever was observed, and entry d + 1 is every child of entry d."""
+    table: list[PolicyNode] = [Leaf()]
+    for depth in range(instance.n - 1, -1, -1):
+        var = instance.variables[depth]
+        if var.kind == "decision":
+            value = var.domain[0] if values is None else values[depth]
+            table.append(DecisionNode(var.name, value, table[-1]))
+        else:
+            table.append(ChanceNode(var.name, (table[-1],) * len(var.domain)))
+    table.reverse()
+    return table
+
+
 def first_policy(instance: Instance, depth: int = 0) -> PolicyNode:
     """The first policy in enumeration order from ``depth`` down.
 
     Decision variables take their first domain value; chance nodes branch
     over the full domain with identical subtrees.
     """
-    tree: PolicyNode = Leaf()
-    for var in reversed(instance.variables[depth:]):
-        if var.kind == "decision":
-            tree = DecisionNode(var.name, var.domain[0], tree)
-        else:
-            tree = ChanceNode(var.name, (tree,) * len(var.domain))
-    return tree
+    return _rigid_policies(instance)[depth]

@@ -50,6 +50,7 @@ from .semantics import (
     SatisfactionResult,
     SearchStats,
     _check_depth,
+    _rigid_policies,
     first_policy,
 )
 
@@ -99,7 +100,7 @@ class _Search:
 
     def __init__(self, instance: Instance, fc: bool, rules: PruneRules,
                  value_order: str | None):
-        if value_order not in (None, "domain", "ub"):
+        if value_order not in (None, "ub"):
             raise ValueError(f"unknown value_order {value_order!r}")
         # two frames per variable: the value and its decision or chance step
         _check_depth(instance, frames_per_variable=2)
@@ -114,7 +115,7 @@ class _Search:
         self.pruned: list[set[int]] = [set() for _ in range(n)]
         self.active_count = [len(v.domain) for v in instance.variables]
         self.trail: list[tuple[int, int]] = []
-        self.first = [first_policy(instance, d) for d in range(n + 1)]
+        self.first = _rigid_policies(instance)
         self.root_dead = any(not c.fn(self.env) for c in instance.constant_compiled)
         if fc and not self.root_dead:
             # unary prunes hold for the whole search: drop them from the trail
@@ -422,7 +423,7 @@ def _run_max(instance: Instance, fc: bool, rules: PruneRules | None,
              value_order: str | None) -> SatisfactionResult:
     search = _Search(instance, fc, rules or PruneRules(), value_order)
     if search.root_dead:
-        return SatisfactionResult(0.0, first_policy(instance), search.stats)
+        return SatisfactionResult(0.0, search.first[0], search.stats)
     value, policy = search.max_value(0)
     return SatisfactionResult(min(1.0, max(value, 0.0)), policy, search.stats)
 

@@ -14,7 +14,7 @@ from stocs import (
     expr_constraint,
     serialize_policy,
 )
-from stocs.expr import Ge, IntLiteral, Sub, VariableRef
+from stocs.expr import Binary, IntLiteral, VariableRef
 from stocs.cli import CSV_HEADER, main
 from stocs.semantics import SearchStats
 from stocs.solver import DecideResult
@@ -356,6 +356,19 @@ class TestBadInputIsTyped:
             assert (code, out) == (2, "")
             assert err.startswith("error: ") and "finite" in err
 
+    def test_nan_violation_value(self, capsys, tmp_path):
+        path = tmp_path / "bad.scsp"
+        path.write_text(json.dumps({
+            "theta": 0.5,
+            "variables": [{"name": "x", "kind": "decision", "domain": [0, 1]},
+                          {"name": "s", "kind": "stochastic", "domain": [0, 1],
+                           "probabilities": [0.5, 0.5]}],
+            "constraints": [{"type": "expr", "text": "x = s"}],
+            "objective": {"text": "x", "violation_value": float("nan")}}), encoding="utf-8")
+        code, out, err = run(capsys, "optimize", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "finite" in err
+
     def test_instance_too_deep_to_search(self, capsys, tmp_path):
         variables = [{"name": f"x{i}", "kind": "decision", "domain": [0, 1]}
                      for i in range(1200)]
@@ -382,6 +395,13 @@ class TestBadInputIsTyped:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "too deeply" in err
 
+    def test_redundant_parentheses_parse_and_solve(self, capsys, tmp_path):
+        # about three stack frames per parenthesis: 200 fit under the limit of 1000
+        path = self.write(tmp_path, [{"name": "x", "kind": "decision", "domain": [0, 1]}],
+                          ["(" * 200 + "x" + ")" * 200 + " = 1"])
+        code, out, err = run(capsys, "solve", path, "--mode", "max")
+        assert (code, out, err) == (0, "MAX p=1.000000000\n", "")
+
     def test_expression_too_deep_to_parse(self, capsys, tmp_path):
         path = self.write(tmp_path, [{"name": "x", "kind": "decision", "domain": [0, 1]}],
                           ["(" * 400 + "x" + ")" * 400 + " = 1"])
@@ -394,9 +414,9 @@ class TestBadInputIsTyped:
         # the text parser cannot read it back, so the instance is built here
         node = VariableRef("a")
         for _ in range(250):
-            node = Sub(VariableRef("a"), node)
+            node = Binary("-", VariableRef("a"), node)
         inst = make_instance([("a", "d", (0, 1))],
-                             [expr_constraint(Ge(node, IntLiteral(0)))])
+                             [expr_constraint(Binary(">=", node, IntLiteral(0)))])
         monkeypatch.setattr(stocs.cli, "load_instance", lambda path, renormalize: inst)
         code, out, err = run(capsys, "solve", "deep.scsp", "--mode", "max")
         assert (code, out) == (2, "")

@@ -1,4 +1,6 @@
 import operator
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,24 +14,17 @@ from stocs.errors import (
     StocsError,
 )
 from stocs.expr import (
-    Add,
-    And,
-    Eq,
-    Ge,
-    Gt,
+    _BINARY_LEVEL,
+    _LEVEL_NEG,
+    _LEVEL_NOT,
+    Binary,
     IntLiteral,
-    Le,
-    Lt,
-    Mul,
-    Ne,
-    Neg,
-    Not,
-    Or,
-    Sub,
+    Unary,
     VariableRef,
     compile_expression,
     format_expression,
     infer_type,
+    interval_range,
     parse_expression,
     variables_in,
 )
@@ -42,33 +37,34 @@ def x(name):
 class TestParsing:
     def test_arithmetic_comparison(self):
         got = parse_expression("x + 2*y <= 7")
-        assert got == Le(Add(x("x"), Mul(IntLiteral(2), x("y"))), IntLiteral(7))
+        assert got == Binary("<=", Binary("+", x("x"), Binary("*", IntLiteral(2), x("y"))),
+                             IntLiteral(7))
 
     def test_boolean_connectives(self):
         got = parse_expression("not (x = y) and z = 1")
-        assert got == And(Not(Eq(x("x"), x("y"))), Eq(x("z"), IntLiteral(1)))
+        assert got == Binary("and", Unary("not", Binary("=", x("x"), x("y"))),
+                             Binary("=", x("z"), IntLiteral(1)))
 
     def test_or_binds_looser_than_and(self):
         got = parse_expression("a = 1 or b = 1 and c = 1")
-        assert isinstance(got, Or)
-        assert isinstance(got.right, And)
+        assert got.op == "or"
+        assert got.right.op == "and"
 
     def test_additive_left_associative(self):
         got = parse_expression("a - b - c")
-        assert got == Sub(Sub(x("a"), x("b")), x("c"))
+        assert got == Binary("-", Binary("-", x("a"), x("b")), x("c"))
 
     def test_multiplicative_binds_tighter(self):
         got = parse_expression("a - b * c")
-        assert got == Sub(x("a"), Mul(x("b"), x("c")))
+        assert got == Binary("-", x("a"), Binary("*", x("b"), x("c")))
 
     def test_unary_minus_binds_tightest(self):
         got = parse_expression("-a * b")
-        assert got == Mul(Neg(x("a")), x("b"))
+        assert got == Binary("*", Unary("-", x("a")), x("b"))
 
     def test_all_comparison_operators(self):
-        for text, node in [("a = b", Eq), ("a != b", Ne), ("a < b", Lt),
-                           ("a <= b", Le), ("a > b", Gt), ("a >= b", Ge)]:
-            assert parse_expression(text) == node(x("a"), x("b"))
+        for op in ("=", "!=", "<", "<=", ">", ">="):
+            assert parse_expression(f"a {op} b") == Binary(op, x("a"), x("b"))
 
     def test_chained_comparison_rejected(self):
         with pytest.raises(ChainedComparisonError) as info:
@@ -85,6 +81,38 @@ class TestParsing:
         # NOT is just an identifier, so this is two adjacent atoms
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("NOT x = 1 AND y = 2")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_precedence_table_matches_the_operator_table():
+    section = README.read_text(encoding="utf-8").split("## Expression language")[1]
+    section = section.split("\n## ")[0]
+    binary, prefix = {}, {}
+    for level, operators, associativity in re.findall(
+            r"^\| (\d+) \| (.+?) \| (.+?) \|$", section, flags=re.M):
+        if associativity == "prefix":
+            target = prefix
+        else:
+            target = binary
+            cmp = int(level) == _BINARY_LEVEL["="]
+            assert associativity == ("non-associative" if cmp else "left"), level
+        for op in re.findall(r"`([^`]+)`", operators):
+            target[op] = int(level)
+    assert binary == _BINARY_LEVEL
+    assert prefix == {"not": _LEVEL_NOT, "-": _LEVEL_NEG}
+
+
+@pytest.mark.parametrize("node", [Binary("^", x("a"), x("b")), Unary("!", x("a")),
+                                  Binary("+", x("a"), "b")],
+                         ids=["binary", "unary", "operand"])
+def test_unknown_node_is_a_type_error(node):
+    for reader in (format_expression, infer_type,
+                   lambda n: interval_range(n, {"a": (0, 1)}),
+                   lambda n: compile_expression(n, {"a": 0})):
+        with pytest.raises(TypeError, match="not an expression node"):
+            reader(node)
 
 
 class TestTypes:
@@ -136,9 +164,9 @@ class TestEvaluation:
         # a - (a - (a - ...)): 249 nested parentheses, above CPython's 200
         node = x("a")
         for _ in range(250):
-            node = Sub(x("a"), node)
+            node = Binary("-", x("a"), node)
         with pytest.raises(ExpressionTooDeepError) as info:
-            compile_expression(Ge(node, IntLiteral(0)), {"a": 0})
+            compile_expression(Binary(">=", node, IntLiteral(0)), {"a": 0})
         assert isinstance(info.value, StocsError)
 
     def test_too_deep_for_the_parser_is_a_typed_error(self):
@@ -148,9 +176,15 @@ class TestEvaluation:
 
 # A tree-walking reference for the generated code: booleans count as 0/1 in
 # arithmetic and comparisons, and the connectives take booleans.
-_ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
-               Eq: operator.eq, Ne: operator.ne, Lt: operator.lt,
-               Le: operator.le, Gt: operator.gt, Ge: operator.ge}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+# the operator table's levels sort its operators into the three kinds
+_CMP_LEVEL = _BINARY_LEVEL["="]
+INT_OPS = [op for op, level in _BINARY_LEVEL.items() if level > _CMP_LEVEL]
+COMPARISON_OPS = [op for op, level in _BINARY_LEVEL.items() if level == _CMP_LEVEL]
+CONNECTIVE_OPS = [op for op, level in _BINARY_LEVEL.items() if level < _CMP_LEVEL]
 
 
 def _reference(node, env):
@@ -158,16 +192,15 @@ def _reference(node, env):
         return node.value
     if isinstance(node, VariableRef):
         return env[node.name]
-    if isinstance(node, Neg):
-        return -int(_reference(node.operand, env))
-    if isinstance(node, Not):
-        return not _reference(node.operand, env)
+    if isinstance(node, Unary):
+        operand = _reference(node.operand, env)
+        return -int(operand) if node.op == "-" else not operand
     left = _reference(node.left, env)
-    if isinstance(node, And):
+    if node.op == "and":
         return left and _reference(node.right, env)
-    if isinstance(node, Or):
+    if node.op == "or":
         return left or _reference(node.right, env)
-    return _ARITHMETIC[type(node)](int(left), int(_reference(node.right, env)))
+    return _ARITHMETIC[node.op](int(left), int(_reference(node.right, env)))
 
 
 VARIABLES = ("a", "b", "c")
@@ -177,26 +210,26 @@ _int_atoms = st.one_of(
 )
 
 
+def _binary(ops, operands):
+    return st.tuples(st.sampled_from(ops), operands, operands).map(lambda t: Binary(*t))
+
+
 def _typed(children):
     # children draws (kind, node) pairs; arithmetic and comparisons take
     # either kind, the connectives take booleans (an integer x becomes x != 0)
     nodes = children.map(lambda kn: kn[1])
-    bools = children.map(lambda kn: kn[1] if kn[0] == "bool" else Ne(kn[1], IntLiteral(0)))
-    pair = st.tuples(nodes, nodes)
-    arithmetic = st.one_of(*(pair.map(lambda t, k=k: k(*t)) for k in (Add, Sub, Mul)),
-                           nodes.map(Neg))
-    comparison = st.one_of(*(pair.map(lambda t, k=k: k(*t))
-                             for k in (Eq, Ne, Lt, Le, Gt, Ge)))
-    connective = st.one_of(bools.map(Not),
-                           st.tuples(bools, bools).map(lambda t: And(*t)),
-                           st.tuples(bools, bools).map(lambda t: Or(*t)))
+    bools = children.map(lambda kn: kn[1] if kn[0] == "bool"
+                         else Binary("!=", kn[1], IntLiteral(0)))
+    arithmetic = st.one_of(_binary(INT_OPS, nodes), nodes.map(lambda n: Unary("-", n)))
+    connective = st.one_of(_binary(CONNECTIVE_OPS, bools), bools.map(lambda n: Unary("not", n)))
     return st.one_of(arithmetic.map(lambda n: ("int", n)),
-                     st.one_of(comparison, connective).map(lambda n: ("bool", n)))
+                     st.one_of(_binary(COMPARISON_OPS, nodes), connective)
+                     .map(lambda n: ("bool", n)))
 
 
 typed_expressions = st.recursive(
     st.one_of(_int_atoms.map(lambda n: ("int", n)),
-              st.tuples(_int_atoms, _int_atoms).map(lambda t: ("bool", Eq(*t)))),
+              st.tuples(_int_atoms, _int_atoms).map(lambda t: ("bool", Binary("=", *t)))),
     _typed, max_leaves=30)
 
 
@@ -221,21 +254,9 @@ atoms = st.one_of(
 
 
 def _compound(children):
-    binary = st.tuples(children, children)
     return st.one_of(
-        binary.map(lambda t: Add(*t)),
-        binary.map(lambda t: Sub(*t)),
-        binary.map(lambda t: Mul(*t)),
-        children.map(Neg),
-        binary.map(lambda t: Eq(*t)),
-        binary.map(lambda t: Ne(*t)),
-        binary.map(lambda t: Lt(*t)),
-        binary.map(lambda t: Le(*t)),
-        binary.map(lambda t: Gt(*t)),
-        binary.map(lambda t: Ge(*t)),
-        binary.map(lambda t: And(*t)),
-        binary.map(lambda t: Or(*t)),
-        children.map(Not),
+        _binary(list(_BINARY_LEVEL), children),
+        st.tuples(st.sampled_from(("-", "not")), children).map(lambda t: Unary(*t)),
     )
 
 

@@ -140,6 +140,14 @@ class TestParseInstance:
             with pytest.raises(FormatError, match="finite"):
                 parse_instance(text, renormalize=renormalize)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "huge-int"])
+    def test_non_finite_violation_value_rejected(self, bad):
+        text = MINIMAL.replace('"constraints"',
+                               f'"objective": {{"text": "x", "violation_value": {bad}}}, "constraints"')
+        with pytest.raises(FormatError, match="finite"):
+            parse_instance(text)
+
     def test_non_finite_cpt_row_rejected(self):
         doc = json.loads(MINIMAL)
         doc["variables"][1] = {

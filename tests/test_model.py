@@ -40,7 +40,7 @@ from stocs.errors import (
     UnknownScopeVariableError,
     UnsortedDomainError,
 )
-from stocs.expr import Add, Ge, IntLiteral, VariableRef
+from stocs.expr import Binary, IntLiteral, VariableRef
 from conftest import make_instance
 
 
@@ -150,9 +150,9 @@ class TestValidation:
         # the check still recurses into right operands: x + (x + (...))
         node = VariableRef("x")
         for _ in range(1500):
-            node = Add(VariableRef("x"), node)
+            node = Binary("+", VariableRef("x"), node)
         with pytest.raises(ExpressionTooDeepError):
-            build([x], [expr_constraint(Ge(node, IntLiteral(0)))])
+            build([x], [expr_constraint(Binary(">=", node, IntLiteral(0)))])
 
     def test_idempotent(self, instance_a):
         assert validate_instance(instance_a) == instance_a
@@ -245,6 +245,14 @@ class TestObjectiveWarning:
     def test_warns_when_violation_can_beat_the_objective(self):
         objective = Objective(parse_expression("x + s"), violation_value=100.0)
         with pytest.warns(ViolationValueWarning):
+            make_instance(
+                [("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5))],
+                [expr_constraint("x = s")], objective=objective)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_violation_value(self, bad):
+        objective = Objective(parse_expression("x + s"), violation_value=bad)
+        with pytest.raises(InstanceValidationError, match="non-finite violation_value"):
             make_instance(
                 [("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5))],
                 [expr_constraint("x = s")], objective=objective)

@@ -14,6 +14,7 @@ from stocs import (
     first_policy,
     induced_assignment,
     is_satisfiable_oracle,
+    load_instance,
     oracle_max_satisfaction,
     parse_expression,
     policy_expected_value,
@@ -29,6 +30,7 @@ from stocs.errors import (
     OutOfDomainValueError,
     PartialAssignmentError,
 )
+from stocs.semantics import _rigid_policies
 from conftest import make_instance
 
 TOL = 1e-9
@@ -215,3 +217,24 @@ class TestOracle:
 
 def test_first_policy_takes_first_domain_values(instance_a):
     assert first_policy(instance_a) == rigid_a(0)
+
+
+def test_rigid_policy_table_shares_subtrees(instances_dir):
+    def fresh(inst, depth):  # one tree per depth, built from the definition
+        tree = Leaf()
+        for var in reversed(inst.variables[depth:]):
+            if var.kind == "decision":
+                tree = DecisionNode(var.name, var.domain[0], tree)
+            else:
+                tree = ChanceNode(var.name, (tree,) * len(var.domain))
+        return tree
+
+    for path in sorted(instances_dir.glob("*.scsp")):
+        inst = load_instance(path)
+        table = _rigid_policies(inst)
+        assert len(table) == inst.n + 1
+        for depth, tree in enumerate(table):
+            assert tree == fresh(inst, depth) == first_policy(inst, depth)
+        for tree, below in zip(table, table[1:]):
+            children = tree.children if isinstance(tree, ChanceNode) else (tree.child,)
+            assert all(child is below for child in children)
