@@ -34,6 +34,7 @@ from .model import (
     Instance,
     Objective,
     VariableSpec,
+    _as_float,
     validate_instance,
 )
 from .semantics import ChanceNode, DecisionNode, Leaf, PolicyNode
@@ -70,13 +71,6 @@ def _int_list(obj: Any, what: str) -> list[int]:
             raise FormatError(f"{what} must contain integers, got {v!r}")
         out.append(v)
     return out
-
-
-def _as_float(v: int | float) -> float:
-    try:
-        return float(v)
-    except OverflowError:  # an integer beyond the float range
-        return math.inf
 
 
 def _num_list(obj: Any, what: str) -> list[float]:
@@ -212,17 +206,18 @@ def parse_instance(text: str, renormalize: bool = False) -> Instance:
         violation = obj.get("violation_value", 0.0)
         if not isinstance(violation, (int, float)) or isinstance(violation, bool):
             raise FormatError(f"violation_value must be a number, got {violation!r}")
-        if not math.isfinite(_as_float(violation)):
+        violation_value = _as_float(violation)
+        if not math.isfinite(violation_value):
             raise FormatError(f"violation_value must be finite, got {violation!r}")
         objective = Objective(
             _expr.parse_expression(_require(obj["text"], str, "objective text")),
-            float(violation),
+            violation_value,
         )
     name = doc.get("name", "")
     return validate_instance(Instance(
         variables=variables,
         constraints=constraints,
-        theta=float(theta),
+        theta=_as_float(theta),
         objective=objective,
         name=_require(name, str, "name"),
     ))

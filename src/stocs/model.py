@@ -154,12 +154,8 @@ class Instance:
         return len(self.variables)
 
     @cached_property
-    def is_stochastic(self) -> tuple[bool, ...]:
-        return tuple(v.kind == "stochastic" for v in self.variables)
-
-    @cached_property
     def stochastic_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.is_stochastic) if s)
+        return tuple(i for i, v in enumerate(self.variables) if v.kind == "stochastic")
 
     @cached_property
     def has_cpts(self) -> bool:
@@ -179,13 +175,6 @@ class Instance:
                 count *= len(v.domain)
             else:
                 count **= len(v.domain)
-        return count
-
-    @cached_property
-    def scenario_count(self) -> int:
-        count = 1
-        for i in self.stochastic_indices:
-            count *= len(self.variables[i].domain)
         return count
 
     def distribution(self, index: int, env: Sequence) -> tuple[float, ...]:
@@ -247,6 +236,14 @@ class Instance:
         return tuple(c for c in self.compiled if not c.scope_idx)
 
 
+def _as_float(v) -> float:
+    """float(v), with an integer beyond the float range mapped to inf."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
 def _check_name(name, what: str) -> str:
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise InstanceValidationError(f"{what} name {name!r} is not an identifier")
@@ -260,7 +257,7 @@ def _check_distribution(probs, domain: tuple[int, ...], what: str) -> tuple[floa
         )
     values = []
     for p in probs:
-        p = float(p)
+        p = _as_float(p)
         if not math.isfinite(p):
             raise NonFiniteProbabilityError(f"{what}: non-finite probability {p}")
         if p < 0.0:
@@ -411,7 +408,7 @@ def validate_instance(raw: Instance) -> Instance:
         for v in variables
     )
 
-    theta = float(raw.theta)
+    theta = _as_float(raw.theta)
     if not 0.0 <= theta <= 1.0:
         raise ThetaOutOfRangeError(f"theta {theta!r} outside [0, 1]")
 
@@ -428,7 +425,7 @@ def validate_instance(raw: Instance) -> Instance:
             if name not in index_of:
                 raise UnknownScopeVariableError(f"objective: unknown variable {name!r}", name)
         _infer_type(objective.expression, "objective")
-        violation = float(objective.violation_value)
+        violation = _as_float(objective.violation_value)
         if not math.isfinite(violation):
             raise InstanceValidationError(f"objective: non-finite violation_value {violation}")
         domain_of = {v.name: v.domain for v in variables}

@@ -15,10 +15,13 @@ the argmax stays the oracle's first depth-first optimum.
 
 Forward checking additionally prunes future variables after each
 assignment: every constraint with exactly one unassigned scope variable
-filters that variable's values. A wiped-out future decision domain kills
-the branch; pruned probability mass on future stochastic variables gives
-the upper bound prod(remaining mass), used to abandon hopeless branches.
-Under conditional tables the mass bound is disabled (pruned mass is no
+filters that variable's values. Each variable j keeps live[j], the
+ascending domain positions still allowed, and mass[j], their probability
+mass (1.0 until a prune, then summed once in domain order). A prune
+pushes (j, old live, old mass) on one trail and backtracking pops it back.
+A wiped-out future decision domain kills the branch; the product of the
+future masses bounds any policy's satisfaction and abandons hopeless
+branches. Under conditional tables the masses stay 1.0 (pruned mass is no
 longer branch-independent) and only domain wipeout remains. A value left
 in a domain has passed every constraint that ends at its variable, so
 forward checking never checks those constraints again on assignment.
@@ -38,10 +41,11 @@ change, only the work done (and the witness in decide mode).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import NonpositiveBranchProbabilityError, ThetaOutOfRangeError
-from .model import PROB_TOL, CompiledConstraint, Instance, VariableSpec
+from .model import PROB_TOL, CompiledConstraint, Instance, VariableSpec, _as_float
 from .semantics import (
     ChanceNode,
     DecisionNode,
@@ -105,92 +109,74 @@ class _Search:
         # two frames per variable: the value and its decision or chance step
         _check_depth(instance, frames_per_variable=2)
         self.inst = instance
+        self.n = n = instance.n
         self.fc = fc
         self.rules = rules
         self.order_by_ub = value_order == "ub"
         self.use_mass = fc and not instance.has_cpts
         self.stats = SearchStats()
-        n = instance.n
         self.env: list = [None] * n
-        self.pruned: list[set[int]] = [set() for _ in range(n)]
-        self.active_count = [len(v.domain) for v in instance.variables]
-        self.trail: list[tuple[int, int]] = []
+        self.live = [tuple(range(len(v.domain))) for v in instance.variables]
+        self.mass = [1.0] * n
+        self.trail: list[tuple[int, tuple[int, ...], float]] = []
         self.first = _rigid_policies(instance)
         self.root_dead = any(not c.fn(self.env) for c in instance.constant_compiled)
         if fc and not self.root_dead:
             # unary prunes hold for the whole search: drop them from the trail
-            self.root_dead = self._forward_check(instance.unary_compiled) != "ok"
+            self.root_dead = not self._forward_check(instance.unary_compiled)
             self.trail.clear()
 
     # ------------------------------------------------------------------
     # forward-checking bookkeeping
     # ------------------------------------------------------------------
 
-    def _remaining_mass(self, j: int) -> float:
-        var = self.inst.variables[j]
-        if not self.pruned[j]:
-            return 1.0
-        assert var.probabilities is not None
-        return sum(q for w, q in zip(var.domain, var.probabilities) if w not in self.pruned[j])
-
     def _ub(self, depth: int) -> float:
         """Upper bound on any policy's satisfaction below ``depth``."""
-        if not self.use_mass:
-            return 1.0
-        bound = 1.0
-        for j in self.inst.stochastic_indices:
-            if j > depth:
-                bound *= self._remaining_mass(j)
-        return bound
+        return math.prod(self.mass[depth + 1:])
 
-    def _forward_check(self, constraints: tuple[CompiledConstraint, ...]) -> str:
+    def _forward_check(self, constraints: tuple[CompiledConstraint, ...]) -> bool:
         """Prune the last scope variable of each constraint, on the trail.
 
         Called with the constraints that a new assignment leaves one
         variable short (fc_fire_at), and once up front with the unary ones.
-        Returns "ok", "wipeout" (future decision domain emptied) or "mass"
-        (future stochastic variable lost all its probability mass).
+        False when a future decision domain empties (fc_wipeout) or a
+        future stochastic variable loses all its probability mass (fc_mass).
         """
+        env = self.env
         for c in constraints:
             j = c.last_idx
             var = self.inst.variables[j]
-            pruned_j = self.pruned[j]
-            changed = False
-            for w in var.domain:
-                if w in pruned_j:
-                    continue
-                self.env[j] = w
-                ok = c.fn(self.env)
-                self.env[j] = None
-                if not ok:
-                    pruned_j.add(w)
-                    self.active_count[j] -= 1
-                    self.trail.append((j, w))
-                    changed = True
-            if not changed:
+            old = self.live[j]
+            kept = []
+            for pos in old:
+                env[j] = var.domain[pos]
+                if c.fn(env):
+                    kept.append(pos)
+            env[j] = None
+            if len(kept) == len(old):
                 continue
-            if self.active_count[j] == 0:
-                if var.kind == "decision":
-                    if self.rules.fc_wipeout:
-                        self.stats.fc_wipeouts += 1
-                        return "wipeout"
-                elif self.rules.fc_mass:
-                    # zero mass under any distribution, conditional or not
-                    self.stats.fc_mass_prunes += 1
-                    return "mass"
-            elif (var.kind == "stochastic" and self.use_mass and self.rules.fc_mass
-                    and self._remaining_mass(j) <= 0.0):
+            self.trail.append((j, old, self.mass[j]))
+            self.live[j] = kept = tuple(kept)
+            if var.kind == "decision":
+                if not kept and self.rules.fc_wipeout:
+                    self.stats.fc_wipeouts += 1
+                    return False
+                continue
+            if self.use_mass:
+                self.mass[j] = sum(var.probabilities[pos] for pos in kept)
+            # an empty domain has zero mass under any distribution
+            if self.rules.fc_mass and (not kept or self.mass[j] <= 0.0):
                 self.stats.fc_mass_prunes += 1
-                return "mass"
-        return "ok"
+                return False
+        return True
 
     def _undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            j, w = self.trail.pop()
-            self.pruned[j].discard(w)
-            self.active_count[j] += 1
+        trail = self.trail
+        while len(trail) > mark:
+            j, live, mass = trail.pop()
+            self.live[j], self.mass[j] = live, mass
 
-    def _enter(self, depth: int, value: int) -> str:
+    def _enter(self, depth: int, value: int) -> bool:
         """Assign env[depth]=value, check completed constraints, fire FC.
 
         Under forward checking the constraints completed here need no
@@ -204,22 +190,19 @@ class _Search:
             return self._forward_check(self.inst.fc_fire_at[depth])
         for c in self.inst.check_at[depth]:
             if not c.fn(self.env):
-                return "violated"
-        return "ok"
+                return False
+        return True
 
     def _decision_values(self, depth: int) -> list[int]:
-        var = self.inst.variables[depth]
-        values = [w for w in var.domain if w not in self.pruned[depth]]
+        domain = self.inst.variables[depth].domain
+        values = [domain[pos] for pos in self.live[depth]]
         if not self.order_by_ub or not self.use_mass or len(values) < 2:
             return values
         scored = []
         for pos, w in enumerate(values):
             mark = len(self.trail)
-            self.env[depth] = w  # unpruned, so no completed constraint fails
-            if self._forward_check(self.inst.fc_fire_at[depth]) == "ok":
-                bound = self._ub(depth)
-            else:
-                bound = 0.0
+            self.env[depth] = w  # live, so no completed constraint fails
+            bound = self._ub(depth) if self._forward_check(self.inst.fc_fire_at[depth]) else 0.0
             self._undo(mark)
             self.env[depth] = None
             scored.append((-bound, pos, w))
@@ -231,7 +214,7 @@ class _Search:
     # ------------------------------------------------------------------
 
     def max_value(self, depth: int) -> tuple[float, PolicyNode]:
-        if depth == self.inst.n:
+        if depth == self.n:
             return 1.0, Leaf()
         var = self.inst.variables[depth]
         if var.kind == "decision":
@@ -245,10 +228,9 @@ class _Search:
         values = self._decision_values(depth)
         for pos, w in enumerate(values):
             mark = len(self.trail)
-            status = self._enter(depth, w)
             score: float | None
             child: PolicyNode | None
-            if status != "ok":
+            if not self._enter(depth, w):
                 score, child = 0.0, None
             elif (self.use_mass and self.rules.fc_mass and best >= 0.0
                     and self._ub(depth) <= best):
@@ -275,20 +257,16 @@ class _Search:
 
     def _max_chance(self, depth: int, var: VariableSpec) -> tuple[float, PolicyNode]:
         probs = self.inst.distribution(depth, self.env)
-        children: list[PolicyNode] = []
+        children = [self.first[depth + 1]] * len(probs)
         total = 0.0
-        for w, q in zip(var.domain, probs):
-            if q == 0.0 or w in self.pruned[depth]:
-                children.append(self.first[depth + 1])
+        for i in self.live[depth]:
+            q = probs[i]
+            if q == 0.0:
                 continue
             mark = len(self.trail)
-            status = self._enter(depth, w)
-            if status != "ok":
-                children.append(self.first[depth + 1])
-            else:
-                score, child = self.max_value(depth + 1)
+            if self._enter(depth, var.domain[i]):
+                score, children[i] = self.max_value(depth + 1)
                 total += q * score
-                children.append(child)
             self._undo(mark)
             self.env[depth] = None
         return total, ChanceNode(var.name, tuple(children))
@@ -303,7 +281,7 @@ class _Search:
     #   conclusiveness: lo >= required or hi < required
 
     def decide_value(self, depth: int, required: float) -> tuple[float, float, PolicyNode]:
-        if depth == self.inst.n:
+        if depth == self.n:
             return 1.0, 1.0, Leaf()
         var = self.inst.variables[depth]
         if var.kind == "decision":
@@ -320,8 +298,7 @@ class _Search:
         values = self._decision_values(depth)
         for pos, w in enumerate(values):
             mark = len(self.trail)
-            status = self._enter(depth, w)
-            if status != "ok":
+            if not self._enter(depth, w):
                 lo, hi, child = 0.0, 0.0, None
             else:
                 bound = self._ub(depth)
@@ -360,6 +337,7 @@ class _Search:
         a_lo = 0.0
         a_hi = 0.0
         abort_hi = None
+        live = self.live[depth]
         for i, (w, q) in enumerate(zip(var.domain, probs)):
             if self.rules.chance_abort:
                 if a_lo >= required:
@@ -370,12 +348,11 @@ class _Search:
                     self.stats.chance_prunes += 1
                     abort_hi = a_hi + suffix[i]
                     break
-            if q == 0.0 or w in self.pruned[depth]:
+            if q == 0.0 or i not in live:
                 continue  # exact 0 contribution, default child stands
             child_required = required_threshold(required, q, a_hi, suffix[i + 1])
             mark = len(self.trail)
-            status = self._enter(depth, w)
-            if status != "ok":
+            if not self._enter(depth, w):
                 lo, hi = 0.0, 0.0
             else:
                 bound = self._ub(depth)
@@ -403,8 +380,8 @@ class _Search:
             if q == 0.0 or lo >= hi:
                 continue
             mark = len(self.trail)
-            status = self._enter(depth, w)
-            assert status == "ok", "straddling branch was explored before"
+            entered = self._enter(depth, w)
+            assert entered, "straddling branch was explored before"
             exact, child = self.max_value(depth + 1)
             self._undo(mark)
             self.env[depth] = None
@@ -430,7 +407,7 @@ def _run_max(instance: Instance, fc: bool, rules: PruneRules | None,
 
 def _run_decide(instance: Instance, fc: bool, theta_override: float | None,
                 rules: PruneRules | None, value_order: str | None) -> DecideResult:
-    theta = instance.theta if theta_override is None else float(theta_override)
+    theta = instance.theta if theta_override is None else _as_float(theta_override)
     if not 0.0 <= theta <= 1.0:
         raise ThetaOutOfRangeError(f"theta {theta!r} outside [0, 1]")
     required = max(0.0, theta - PROB_TOL)

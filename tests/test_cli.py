@@ -129,42 +129,94 @@ class TestSolve:
         assert err.startswith("warning: ")
 
 
-# (instance, algorithm, mode, (nodes, chance_prunes, decision_prunes,
-# fc_wipeouts, fc_mass_prunes)): the search's work on every shipped
-# instance, so a refactor that changes what the search does shows here
+# (instance, algorithm, mode, prune rule switched off by --no-prune-<rule>,
+# (nodes, chance_prunes, decision_prunes, fc_wipeouts, fc_mass_prunes)): the
+# search's work on every shipped instance, so a refactor that changes what
+# the search does shows here; fc with one rule off pins the wipeout and
+# mass counters where the default rules do not reach them
 GOLDEN_STATS = [
-    ("a", "bt", "max", (6, 0, 0, 0, 0)),
-    ("a", "bt", "decide", (2, 1, 1, 0, 0)),
-    ("a", "fc", "max", (3, 0, 0, 0, 1)),
-    ("a", "fc", "decide", (2, 1, 1, 0, 0)),
-    ("b", "bt", "max", (5, 0, 1, 0, 0)),
-    ("b", "bt", "decide", (2, 1, 1, 0, 0)),
-    ("b", "fc", "max", (4, 0, 0, 0, 0)),
-    ("b", "fc", "decide", (2, 1, 0, 0, 0)),
-    ("conditional", "bt", "max", (14, 0, 0, 0, 0)),
-    ("conditional", "bt", "decide", (10, 1, 1, 0, 0)),
-    ("conditional", "fc", "max", (10, 0, 0, 0, 0)),
-    ("conditional", "fc", "decide", (8, 1, 1, 0, 0)),
-    ("fc_demo", "bt", "max", (8, 0, 0, 0, 0)),
-    ("fc_demo", "bt", "decide", (6, 1, 0, 0, 0)),
-    ("fc_demo", "fc", "max", (6, 0, 0, 0, 0)),
-    ("fc_demo", "fc", "decide", (4, 0, 0, 0, 1)),
-    ("objective", "bt", "max", (5, 0, 1, 0, 0)),
-    ("objective", "bt", "decide", (2, 1, 1, 0, 0)),
-    ("objective", "fc", "max", (4, 0, 0, 0, 0)),
-    ("objective", "fc", "decide", (2, 1, 0, 0, 0)),
-    ("production", "bt", "max", (360, 0, 10, 0, 0)),
-    ("production", "bt", "decide", (119, 12, 14, 0, 0)),
-    ("production", "fc", "max", (265, 0, 10, 0, 0)),
-    ("production", "fc", "decide", (80, 4, 8, 0, 3)),
+    ("a", "bt", "max", None, (6, 0, 0, 0, 0)),
+    ("a", "bt", "decide", None, (2, 1, 1, 0, 0)),
+    ("a", "fc", "max", None, (3, 0, 0, 0, 1)),
+    ("a", "fc", "decide", None, (2, 1, 1, 0, 0)),
+    ("b", "bt", "max", None, (5, 0, 1, 0, 0)),
+    ("b", "bt", "decide", None, (2, 1, 1, 0, 0)),
+    ("b", "fc", "max", None, (4, 0, 0, 0, 0)),
+    ("b", "fc", "decide", None, (2, 1, 0, 0, 0)),
+    ("conditional", "bt", "max", None, (14, 0, 0, 0, 0)),
+    ("conditional", "bt", "decide", None, (10, 1, 1, 0, 0)),
+    ("conditional", "fc", "max", None, (10, 0, 0, 0, 0)),
+    ("conditional", "fc", "decide", None, (8, 1, 1, 0, 0)),
+    ("fc_demo", "bt", "max", None, (8, 0, 0, 0, 0)),
+    ("fc_demo", "bt", "decide", None, (6, 1, 0, 0, 0)),
+    ("fc_demo", "fc", "max", None, (6, 0, 0, 0, 0)),
+    ("fc_demo", "fc", "decide", None, (4, 0, 0, 0, 1)),
+    ("objective", "bt", "max", None, (5, 0, 1, 0, 0)),
+    ("objective", "bt", "decide", None, (2, 1, 1, 0, 0)),
+    ("objective", "fc", "max", None, (4, 0, 0, 0, 0)),
+    ("objective", "fc", "decide", None, (2, 1, 0, 0, 0)),
+    ("production", "bt", "max", None, (360, 0, 10, 0, 0)),
+    ("production", "bt", "decide", None, (119, 12, 14, 0, 0)),
+    ("production", "fc", "max", None, (265, 0, 10, 0, 0)),
+    ("production", "fc", "decide", None, (80, 4, 8, 0, 3)),
+    ("a", "fc", "max", "decision-stop", (3, 0, 0, 0, 1)),
+    ("a", "fc", "max", "chance-abort", (3, 0, 0, 0, 1)),
+    ("a", "fc", "max", "fc-wipeout", (3, 0, 0, 0, 1)),
+    ("a", "fc", "max", "fc-mass", (4, 0, 0, 0, 0)),
+    ("a", "fc", "decide", "decision-stop", (4, 1, 0, 0, 0)),
+    ("a", "fc", "decide", "chance-abort", (2, 0, 1, 0, 0)),
+    ("a", "fc", "decide", "fc-wipeout", (2, 1, 1, 0, 0)),
+    ("a", "fc", "decide", "fc-mass", (2, 1, 1, 0, 0)),
+    ("b", "fc", "max", "decision-stop", (4, 0, 0, 0, 0)),
+    ("b", "fc", "max", "chance-abort", (4, 0, 0, 0, 0)),
+    ("b", "fc", "max", "fc-wipeout", (4, 0, 0, 0, 0)),
+    ("b", "fc", "max", "fc-mass", (4, 0, 0, 0, 0)),
+    ("b", "fc", "decide", "decision-stop", (2, 1, 0, 0, 0)),
+    ("b", "fc", "decide", "chance-abort", (4, 0, 0, 0, 0)),
+    ("b", "fc", "decide", "fc-wipeout", (2, 1, 0, 0, 0)),
+    ("b", "fc", "decide", "fc-mass", (2, 1, 0, 0, 0)),
+    ("conditional", "fc", "max", "decision-stop", (10, 0, 0, 0, 0)),
+    ("conditional", "fc", "max", "chance-abort", (10, 0, 0, 0, 0)),
+    ("conditional", "fc", "max", "fc-wipeout", (10, 0, 0, 0, 0)),
+    ("conditional", "fc", "max", "fc-mass", (10, 0, 0, 0, 0)),
+    ("conditional", "fc", "decide", "decision-stop", (9, 2, 0, 0, 0)),
+    ("conditional", "fc", "decide", "chance-abort", (8, 0, 1, 0, 0)),
+    ("conditional", "fc", "decide", "fc-wipeout", (8, 1, 1, 0, 0)),
+    ("conditional", "fc", "decide", "fc-mass", (8, 1, 1, 0, 0)),
+    ("fc_demo", "fc", "max", "decision-stop", (6, 0, 0, 0, 0)),
+    ("fc_demo", "fc", "max", "chance-abort", (6, 0, 0, 0, 0)),
+    ("fc_demo", "fc", "max", "fc-wipeout", (6, 0, 0, 0, 0)),
+    ("fc_demo", "fc", "max", "fc-mass", (6, 0, 0, 0, 0)),
+    ("fc_demo", "fc", "decide", "decision-stop", (4, 0, 0, 0, 1)),
+    ("fc_demo", "fc", "decide", "chance-abort", (4, 0, 0, 0, 1)),
+    ("fc_demo", "fc", "decide", "fc-wipeout", (4, 0, 0, 0, 1)),
+    ("fc_demo", "fc", "decide", "fc-mass", (4, 1, 0, 0, 0)),
+    ("objective", "fc", "max", "decision-stop", (4, 0, 0, 0, 0)),
+    ("objective", "fc", "max", "chance-abort", (4, 0, 0, 0, 0)),
+    ("objective", "fc", "max", "fc-wipeout", (4, 0, 0, 0, 0)),
+    ("objective", "fc", "max", "fc-mass", (4, 0, 0, 0, 0)),
+    ("objective", "fc", "decide", "decision-stop", (2, 1, 0, 0, 0)),
+    ("objective", "fc", "decide", "chance-abort", (4, 0, 0, 0, 0)),
+    ("objective", "fc", "decide", "fc-wipeout", (2, 1, 0, 0, 0)),
+    ("objective", "fc", "decide", "fc-mass", (2, 1, 0, 0, 0)),
+    ("production", "fc", "max", "decision-stop", (285, 0, 0, 0, 20)),
+    ("production", "fc", "max", "chance-abort", (265, 0, 10, 0, 0)),
+    ("production", "fc", "max", "fc-wipeout", (265, 0, 10, 0, 0)),
+    ("production", "fc", "max", "fc-mass", (265, 0, 10, 0, 0)),
+    ("production", "fc", "decide", "decision-stop", (197, 45, 0, 0, 19)),
+    ("production", "fc", "decide", "chance-abort", (90, 0, 8, 0, 3)),
+    ("production", "fc", "decide", "fc-wipeout", (80, 4, 8, 0, 3)),
+    ("production", "fc", "decide", "fc-mass", (92, 12, 14, 0, 0)),
 ]
 
 
-@pytest.mark.parametrize("name, algorithm, mode, counts", GOLDEN_STATS,
-                         ids=["-".join(g[:3]) for g in GOLDEN_STATS])
-def test_stats_match_golden(capsys, instances_dir, name, algorithm, mode, counts):
+@pytest.mark.parametrize(
+    "name, algorithm, mode, rule, counts", GOLDEN_STATS,
+    ids=["-".join(g[:3]) + (f"-no-prune-{g[3]}" if g[3] else "") for g in GOLDEN_STATS])
+def test_stats_match_golden(capsys, instances_dir, name, algorithm, mode, rule, counts):
+    flags = (f"--no-prune-{rule}",) if rule else ()
     code, out, err = run(capsys, "solve", str(instances_dir / f"{name}.scsp"),
-                         "--algorithm", algorithm, "--mode", mode, "--stats")
+                         "--algorithm", algorithm, "--mode", mode, "--stats", *flags)
     assert (code, err) == (0, "")
     nodes, chance, decision, wipeouts, mass = counts
     assert out.splitlines()[-1] == (
@@ -368,6 +420,15 @@ class TestBadInputIsTyped:
         code, out, err = run(capsys, "optimize", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "finite" in err
+
+    def test_huge_integer_theta(self, capsys, tmp_path):
+        path = tmp_path / "bad.scsp"
+        path.write_text('{"theta": 1' + "0" * 400 + ', "variables": '
+                        '[{"name": "x", "kind": "decision", "domain": [0, 1]}]}',
+                        encoding="utf-8")
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: theta inf outside [0, 1]")
 
     def test_instance_too_deep_to_search(self, capsys, tmp_path):
         variables = [{"name": f"x{i}", "kind": "decision", "domain": [0, 1]}

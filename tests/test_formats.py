@@ -23,6 +23,7 @@ from stocs.errors import (
     FormatError,
     MalformedPolicyError,
     ProbabilitiesOnDecisionError,
+    ThetaOutOfRangeError,
 )
 
 MINIMAL = """
@@ -81,6 +82,12 @@ class TestParseInstance:
         doc = json.loads(MINIMAL)
         doc["theta"] = "half"
         with pytest.raises(FormatError):
+            parse_instance(json.dumps(doc))
+
+    def test_huge_integer_theta_is_out_of_range(self):
+        doc = json.loads(MINIMAL)
+        doc["theta"] = 10**400
+        with pytest.raises(ThetaOutOfRangeError):
             parse_instance(json.dumps(doc))
 
     def test_domain_values_must_be_integers(self):

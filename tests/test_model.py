@@ -111,6 +111,20 @@ class TestValidation:
         with pytest.raises(ThetaOutOfRangeError):
             build([VariableSpec("x", "decision", (0, 1))], theta=theta)
 
+    def test_huge_integer_theta_is_out_of_range(self):
+        with pytest.raises(ThetaOutOfRangeError):
+            build([VariableSpec("x", "decision", (0, 1))], theta=10**400)
+
+    def test_huge_integer_probability_is_non_finite(self):
+        with pytest.raises(NonFiniteProbabilityError):
+            build([VariableSpec("s", "stochastic", (0, 1), probabilities=(10**400, 1))])
+
+    def test_huge_integer_cpt_row_is_non_finite(self):
+        cpt = ConditionalTable("s", ("x",), {(0,): (10**400, 1), (1,): (0.5, 0.5)})
+        with pytest.raises(NonFiniteProbabilityError):
+            build([VariableSpec("x", "decision", (0, 1)),
+                   VariableSpec("s", "stochastic", (0, 1), cpt=cpt)])
+
     def test_table_arity_mismatch(self):
         with pytest.raises(ArityMismatchError):
             build([VariableSpec("x", "decision", (0, 1)),
@@ -256,6 +270,11 @@ class TestObjectiveWarning:
             make_instance(
                 [("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5))],
                 [expr_constraint("x = s")], objective=objective)
+
+    def test_huge_integer_violation_value(self):
+        objective = Objective(parse_expression("x"), 10**400)
+        with pytest.raises(InstanceValidationError, match="non-finite violation_value"):
+            make_instance([("x", "d", (0, 1))], objective=objective)
 
     def test_silent_when_violation_is_low_enough(self, recwarn):
         objective = Objective(parse_expression("x + s"), violation_value=-1.0)

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from gen import random_instance
+from gen import random_cpt_instance, random_instance
 from stocs import (
     DecisionNode,
     Leaf,
@@ -33,6 +34,23 @@ from stocs.solver import _Search
 from conftest import make_instance
 
 TOL = 1e-9
+
+
+class _CheckedSearch(_Search):
+    """A search that checks its forward-checking state at every node."""
+
+    def _enter(self, depth, value):
+        assert self.env[depth:] == [None] * (self.n - depth)
+        for j, var in enumerate(self.inst.variables):
+            live = self.live[j]
+            full = tuple(range(len(var.domain)))
+            assert isinstance(live, tuple) and set(live) <= set(full)
+            assert list(live) == sorted(set(live))
+            if self.use_mass and var.kind == "stochastic" and live != full:
+                assert self.mass[j] == sum(var.probabilities[pos] for pos in live)
+            else:
+                assert self.mass[j] == 1.0
+        return super()._enter(depth, value)
 
 
 class TestMaxMode:
@@ -118,6 +136,10 @@ class TestDecideMode:
     def test_theta_override_validated(self, instance_a):
         with pytest.raises(ThetaOutOfRangeError):
             bt_decide(instance_a, theta_override=1.5)
+
+    def test_huge_integer_theta_override_is_out_of_range(self, instance_a):
+        with pytest.raises(ThetaOutOfRangeError):
+            fc_decide(instance_a, theta_override=10**400)
 
     def test_witnesses_meet_the_threshold(self):
         rng = random.Random(53)
@@ -292,19 +314,40 @@ class TestRequiredThreshold:
 class TestSearchState:
     def test_trail_restores_domains_exactly(self, fc_demo):
         search = _Search(fc_demo, fc=True, rules=PruneRules(), value_order=None)
-        pruned_before = [set(p) for p in search.pruned]
-        counts_before = list(search.active_count)
+        live_before = list(search.live)
+        mass_before = list(search.mass)
         search.max_value(0)
-        assert search.pruned == pruned_before
-        assert search.active_count == counts_before
+        assert search.live == live_before
+        assert search.mass == mass_before
         assert search.trail == []
         assert search.env == [None, None]
 
     def test_trail_restores_after_decide(self, production):
         search = _Search(production, fc=True, rules=PruneRules(), value_order=None)
         search.decide_value(0, production.theta)
-        assert all(not p for p in search.pruned)
+        assert search.live == [tuple(range(len(v.domain))) for v in production.variables]
+        assert search.mass == [1.0] * production.n
         assert search.trail == []
+
+    def test_live_positions_and_mass_stay_consistent(self):
+        rng = random.Random(59)
+        instances = [random_instance(rng, zero_prob=i % 2 == 0) for i in range(24)]
+        instances += [random_cpt_instance(rng) for _ in range(12)]
+        all_rules = [PruneRules(*bits) for bits in itertools.product((True, False), repeat=4)]
+        for inst, rules, order, mode in itertools.product(
+                instances, all_rules, (None, "ub"), ("max", "decide")):
+            search = _CheckedSearch(inst, fc=True, rules=rules, value_order=order)
+            if search.root_dead:
+                continue
+            after_unary = (list(search.live), list(search.mass))
+            assert search.trail == []
+            if mode == "max":
+                search.max_value(0)
+            else:
+                search.decide_value(0, max(0.0, inst.theta - 1e-9))
+            assert (search.live, search.mass) == after_unary
+            assert search.trail == []
+            assert search.env == [None] * inst.n
 
     def test_searches_do_not_leak_between_runs(self, instance_c):
         first = fc_max(instance_c)
