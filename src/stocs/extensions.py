@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import expr as _expr
 from .errors import NoFeasiblePolicyError, NoObjectiveError
-from .model import PROB_TOL, Instance
+from .model import PROB_TOL, Instance, _check_theta
 from .semantics import (
     ORACLE_CAP,
     ChanceNode,
@@ -124,7 +124,7 @@ def optimize_chance_constrained(instance: Instance, theta: float | None = None,
     the tree); exponential and guarded by the oracle cap. Ties go to the
     first feasible policy in enumeration order.
     """
-    threshold = instance.theta if theta is None else float(theta)
+    threshold = instance.theta if theta is None else _check_theta(theta)
     _compiled_objective(instance)  # fail fast without an objective
     best: OptimizeResult | None = None
     for policy in enumerate_policies(instance, cap=cap):

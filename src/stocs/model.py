@@ -244,6 +244,14 @@ def _as_float(v) -> float:
         return math.inf
 
 
+def _check_theta(theta) -> float:
+    """theta as a float in [0, 1]; NaN and out-of-range values are rejected."""
+    theta = _as_float(theta)
+    if not 0.0 <= theta <= 1.0:
+        raise ThetaOutOfRangeError(f"theta {theta!r} outside [0, 1]")
+    return theta
+
+
 def _check_name(name, what: str) -> str:
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise InstanceValidationError(f"{what} name {name!r} is not an identifier")
@@ -408,9 +416,7 @@ def validate_instance(raw: Instance) -> Instance:
         for v in variables
     )
 
-    theta = _as_float(raw.theta)
-    if not 0.0 <= theta <= 1.0:
-        raise ThetaOutOfRangeError(f"theta {theta!r} outside [0, 1]")
+    theta = _check_theta(raw.theta)
 
     constraints = tuple(
         _validate_constraint(c, variables, index_of, f"constraint {i}")

@@ -29,7 +29,7 @@ from .errors import (
     OutOfDomainValueError,
     PartialAssignmentError,
 )
-from .model import PROB_TOL, Instance
+from .model import PROB_TOL, Instance, _check_theta
 
 __all__ = [
     "Leaf", "DecisionNode", "ChanceNode", "PolicyNode",
@@ -71,6 +71,7 @@ class SearchStats:
     decision_prunes: int = 0
     fc_wipeouts: int = 0
     fc_mass_prunes: int = 0
+    probes: int = 0  # forward checks that rank decision values, not nodes
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -79,6 +80,7 @@ class SearchStats:
             "decision_prunes": self.decision_prunes,
             "fc_wipeouts": self.fc_wipeouts,
             "fc_mass_prunes": self.fc_mass_prunes,
+            "probes": self.probes,
         }
 
 
@@ -280,7 +282,7 @@ def oracle_max_satisfaction(instance: Instance, cap: int = ORACLE_CAP) -> Satisf
 
 def is_satisfiable_oracle(instance: Instance, theta: float | None = None,
                           cap: int = ORACLE_CAP) -> bool:
-    threshold = instance.theta if theta is None else theta
+    threshold = instance.theta if theta is None else _check_theta(theta)
     return oracle_max_satisfaction(instance, cap=cap).probability >= threshold - PROB_TOL
 
 

@@ -26,6 +26,11 @@ longer branch-independent) and only domain wipeout remains. A value left
 in a domain has passed every constraint that ends at its variable, so
 forward checking never checks those constraints again on assignment.
 
+Forward checking also tries decision values by descending mass bound, ties
+in domain order, probing each (assign, forward check, undo) where a fired
+constraint ends at a stochastic variable: elsewhere the bound cannot move.
+Equal scores still go to the lower domain position, as in domain order.
+
 Decide mode keeps a lower and an upper accumulator per chance node. The
 locally required threshold only caps how much of a child's exact value
 gets computed, so a child may report an interval rather than a point;
@@ -44,8 +49,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonpositiveBranchProbabilityError, ThetaOutOfRangeError
-from .model import PROB_TOL, CompiledConstraint, Instance, VariableSpec, _as_float
+from .errors import NonpositiveBranchProbabilityError
+from .model import PROB_TOL, CompiledConstraint, Instance, VariableSpec, _check_theta
 from .semantics import (
     ChanceNode,
     DecisionNode,
@@ -102,18 +107,17 @@ def required_threshold(parent_required: float, branch_probability: float | None 
 class _Search:
     """One search over one instance; owns all mutable state."""
 
-    def __init__(self, instance: Instance, fc: bool, rules: PruneRules,
-                 value_order: str | None):
-        if value_order not in (None, "ub"):
-            raise ValueError(f"unknown value_order {value_order!r}")
+    def __init__(self, instance: Instance, fc: bool, rules: PruneRules):
         # two frames per variable: the value and its decision or chance step
         _check_depth(instance, frames_per_variable=2)
         self.inst = instance
         self.n = n = instance.n
         self.fc = fc
         self.rules = rules
-        self.order_by_ub = value_order == "ub"
         self.use_mass = fc and not instance.has_cpts
+        stochastic = [v.kind == "stochastic" for v in instance.variables]
+        self.probe_at = [self.use_mass and any(stochastic[c.last_idx] for c in fire)
+                         for fire in instance.fc_fire_at]
         self.stats = SearchStats()
         self.env: list = [None] * n
         self.live = [tuple(range(len(v.domain))) for v in instance.variables]
@@ -193,21 +197,25 @@ class _Search:
                 return False
         return True
 
-    def _decision_values(self, depth: int) -> list[int]:
+    def _decision_positions(self, depth: int) -> tuple[int, ...] | list[int]:
+        """Live domain positions of a decision, highest mass bound first."""
+        live = self.live[depth]
+        if not self.probe_at[depth] or len(live) < 2:
+            return live
         domain = self.inst.variables[depth].domain
-        values = [domain[pos] for pos in self.live[depth]]
-        if not self.order_by_ub or not self.use_mass or len(values) < 2:
-            return values
+        fire = self.inst.fc_fire_at[depth]
         scored = []
-        for pos, w in enumerate(values):
+        for pos in live:
             mark = len(self.trail)
-            self.env[depth] = w  # live, so no completed constraint fails
-            bound = self._ub(depth) if self._forward_check(self.inst.fc_fire_at[depth]) else 0.0
+            self.env[depth] = domain[pos]  # live, so no completed constraint fails
+            self.stats.probes += 1
+            # bounds that may reach 1.0 tie, so decision_stop keeps domain order
+            bound = min(self._ub(depth), 1.0 - PROB_TOL) if self._forward_check(fire) else 0.0
             self._undo(mark)
-            self.env[depth] = None
-            scored.append((-bound, pos, w))
+            scored.append((-bound, pos))
+        self.env[depth] = None
         scored.sort()
-        return [w for _, _, w in scored]
+        return [pos for _, pos in scored]
 
     # ------------------------------------------------------------------
     # max mode
@@ -223,37 +231,35 @@ class _Search:
 
     def _max_decision(self, depth: int, var: VariableSpec) -> tuple[float, PolicyNode]:
         best = -1.0
-        best_value: int | None = None
+        best_pos = -1
         best_child: PolicyNode | None = None
-        values = self._decision_values(depth)
-        for pos, w in enumerate(values):
+        positions = self._decision_positions(depth)
+        for k, pos in enumerate(positions):
             mark = len(self.trail)
-            score: float | None
-            child: PolicyNode | None
-            if not self._enter(depth, w):
+            if not self._enter(depth, var.domain[pos]):
                 score, child = 0.0, None
             elif (self.use_mass and self.rules.fc_mass and best >= 0.0
-                    and self._ub(depth) <= best):
+                    and self._ub(depth) <= (best if pos > best_pos else best - PROB_TOL)):
+                # cannot win; slack for a lower position, whose bound can round below its score
                 self.stats.fc_mass_prunes += 1
-                score, child = None, None  # cannot strictly improve; skip
+                score, child = -1.0, None
             else:
                 score, child = self.max_value(depth + 1)
             self._undo(mark)
             self.env[depth] = None
-            if score is not None and score > best:
-                best, best_value, best_child = score, w, child
+            if score > best or (score == best and pos < best_pos):
+                best, best_pos, best_child = score, pos, child
             if best >= 1.0 and self.rules.decision_stop:
                 # nothing scores higher; the oracle stops at 1.0 the same way
-                if pos + 1 < len(values):
+                if k + 1 < len(positions):
                     self.stats.decision_prunes += 1
                 break
-        if best_value is None or best <= 0.0:
+        if best <= 0.0:
             # nothing scores: normalize to the first depth-first subtree so
             # the argmax matches plain backtracking and the oracle exactly
             return 0.0, DecisionNode(var.name, var.domain[0], self.first[depth + 1])
-        if best_child is None:
-            best_child = self.first[depth + 1]
-        return best, DecisionNode(var.name, best_value, best_child)
+        # a positive best came from max_value, which always returns a child
+        return best, DecisionNode(var.name, var.domain[best_pos], best_child)
 
     def _max_chance(self, depth: int, var: VariableSpec) -> tuple[float, PolicyNode]:
         probs = self.inst.distribution(depth, self.env)
@@ -291,14 +297,14 @@ class _Search:
     def _decide_decision(self, depth: int, var: VariableSpec,
                          required: float) -> tuple[float, float, PolicyNode]:
         best_lo = -1.0
-        best_value: int | None = None
+        best_pos = -1
         best_child: PolicyNode | None = None
         node_hi = 0.0
         stopped = False
-        values = self._decision_values(depth)
-        for pos, w in enumerate(values):
+        positions = self._decision_positions(depth)
+        for k, pos in enumerate(positions):
             mark = len(self.trail)
-            if not self._enter(depth, w):
+            if not self._enter(depth, var.domain[pos]):
                 lo, hi, child = 0.0, 0.0, None
             else:
                 bound = self._ub(depth)
@@ -311,19 +317,19 @@ class _Search:
             self._undo(mark)
             self.env[depth] = None
             if lo > best_lo:
-                best_lo, best_value, best_child = lo, w, child
+                best_lo, best_pos, best_child = lo, pos, child
             node_hi = max(node_hi, hi)
             if lo >= required and self.rules.decision_stop:
-                if pos + 1 < len(values):
+                if k + 1 < len(positions):
                     self.stats.decision_prunes += 1
                     stopped = True
                 break
-        if best_value is None:
+        if best_pos < 0:
             return 0.0, 0.0, DecisionNode(var.name, var.domain[0], self.first[depth + 1])
         if best_child is None:
             best_child = self.first[depth + 1]
         hi = 1.0 if stopped else max(node_hi, best_lo)
-        return best_lo, hi, DecisionNode(var.name, best_value, best_child)
+        return best_lo, hi, DecisionNode(var.name, var.domain[best_pos], best_child)
 
     def _decide_chance(self, depth: int, var: VariableSpec,
                        required: float) -> tuple[float, float, PolicyNode]:
@@ -396,9 +402,8 @@ class _Search:
         return a_lo, a_lo, node
 
 
-def _run_max(instance: Instance, fc: bool, rules: PruneRules | None,
-             value_order: str | None) -> SatisfactionResult:
-    search = _Search(instance, fc, rules or PruneRules(), value_order)
+def _run_max(instance: Instance, fc: bool, rules: PruneRules | None) -> SatisfactionResult:
+    search = _Search(instance, fc, rules or PruneRules())
     if search.root_dead:
         return SatisfactionResult(0.0, search.first[0], search.stats)
     value, policy = search.max_value(0)
@@ -406,15 +411,13 @@ def _run_max(instance: Instance, fc: bool, rules: PruneRules | None,
 
 
 def _run_decide(instance: Instance, fc: bool, theta_override: float | None,
-                rules: PruneRules | None, value_order: str | None) -> DecideResult:
-    theta = instance.theta if theta_override is None else _as_float(theta_override)
-    if not 0.0 <= theta <= 1.0:
-        raise ThetaOutOfRangeError(f"theta {theta!r} outside [0, 1]")
+                rules: PruneRules | None) -> DecideResult:
+    theta = instance.theta if theta_override is None else _check_theta(theta_override)
     required = max(0.0, theta - PROB_TOL)
     if required <= 0.0:
         # every policy qualifies; hand back the first depth-first one
         return DecideResult(True, first_policy(instance), SearchStats())
-    search = _Search(instance, fc, rules or PruneRules(), value_order)
+    search = _Search(instance, fc, rules or PruneRules())
     if search.root_dead:
         return DecideResult(False, None, search.stats)
     lo, _, policy = search.decide_value(0, required)
@@ -423,27 +426,23 @@ def _run_decide(instance: Instance, fc: bool, theta_override: float | None,
     return DecideResult(False, None, search.stats)
 
 
-def bt_max(instance: Instance, rules: PruneRules | None = None,
-           value_order: str | None = None) -> SatisfactionResult:
+def bt_max(instance: Instance, rules: PruneRules | None = None) -> SatisfactionResult:
     """Exact maximal satisfaction by plain depth-first recursion, CPTs included."""
-    return _run_max(instance, False, rules, value_order)
+    return _run_max(instance, False, rules)
 
 
-def fc_max(instance: Instance, rules: PruneRules | None = None,
-           value_order: str | None = None) -> SatisfactionResult:
+def fc_max(instance: Instance, rules: PruneRules | None = None) -> SatisfactionResult:
     """Exact maximal satisfaction with forward checking."""
-    return _run_max(instance, True, rules, value_order)
+    return _run_max(instance, True, rules)
 
 
 def bt_decide(instance: Instance, theta_override: float | None = None,
-              rules: PruneRules | None = None,
-              value_order: str | None = None) -> DecideResult:
+              rules: PruneRules | None = None) -> DecideResult:
     """Threshold decision by backtracking with threshold pruning."""
-    return _run_decide(instance, False, theta_override, rules, value_order)
+    return _run_decide(instance, False, theta_override, rules)
 
 
 def fc_decide(instance: Instance, theta_override: float | None = None,
-              rules: PruneRules | None = None,
-              value_order: str | None = None) -> DecideResult:
+              rules: PruneRules | None = None) -> DecideResult:
     """Threshold decision with forward checking."""
-    return _run_decide(instance, True, theta_override, rules, value_order)
+    return _run_decide(instance, True, theta_override, rules)

@@ -149,16 +149,16 @@ GOLDEN_STATS = [
     ("conditional", "fc", "decide", None, (8, 1, 1, 0, 0)),
     ("fc_demo", "bt", "max", None, (8, 0, 0, 0, 0)),
     ("fc_demo", "bt", "decide", None, (6, 1, 0, 0, 0)),
-    ("fc_demo", "fc", "max", None, (6, 0, 0, 0, 0)),
-    ("fc_demo", "fc", "decide", None, (4, 0, 0, 0, 1)),
+    ("fc_demo", "fc", "max", None, (4, 0, 0, 0, 1)),
+    ("fc_demo", "fc", "decide", None, (3, 0, 1, 0, 0)),
     ("objective", "bt", "max", None, (5, 0, 1, 0, 0)),
     ("objective", "bt", "decide", None, (2, 1, 1, 0, 0)),
     ("objective", "fc", "max", None, (4, 0, 0, 0, 0)),
     ("objective", "fc", "decide", None, (2, 1, 0, 0, 0)),
     ("production", "bt", "max", None, (360, 0, 10, 0, 0)),
     ("production", "bt", "decide", None, (119, 12, 14, 0, 0)),
-    ("production", "fc", "max", None, (265, 0, 10, 0, 0)),
-    ("production", "fc", "decide", None, (80, 4, 8, 0, 3)),
+    ("production", "fc", "max", None, (36, 0, 6, 0, 0)),
+    ("production", "fc", "decide", None, (39, 5, 10, 0, 0)),
     ("a", "fc", "max", "decision-stop", (3, 0, 0, 0, 1)),
     ("a", "fc", "max", "chance-abort", (3, 0, 0, 0, 1)),
     ("a", "fc", "max", "fc-wipeout", (3, 0, 0, 0, 1)),
@@ -183,14 +183,14 @@ GOLDEN_STATS = [
     ("conditional", "fc", "decide", "chance-abort", (8, 0, 1, 0, 0)),
     ("conditional", "fc", "decide", "fc-wipeout", (8, 1, 1, 0, 0)),
     ("conditional", "fc", "decide", "fc-mass", (8, 1, 1, 0, 0)),
-    ("fc_demo", "fc", "max", "decision-stop", (6, 0, 0, 0, 0)),
-    ("fc_demo", "fc", "max", "chance-abort", (6, 0, 0, 0, 0)),
-    ("fc_demo", "fc", "max", "fc-wipeout", (6, 0, 0, 0, 0)),
+    ("fc_demo", "fc", "max", "decision-stop", (4, 0, 0, 0, 1)),
+    ("fc_demo", "fc", "max", "chance-abort", (4, 0, 0, 0, 1)),
+    ("fc_demo", "fc", "max", "fc-wipeout", (4, 0, 0, 0, 1)),
     ("fc_demo", "fc", "max", "fc-mass", (6, 0, 0, 0, 0)),
     ("fc_demo", "fc", "decide", "decision-stop", (4, 0, 0, 0, 1)),
-    ("fc_demo", "fc", "decide", "chance-abort", (4, 0, 0, 0, 1)),
-    ("fc_demo", "fc", "decide", "fc-wipeout", (4, 0, 0, 0, 1)),
-    ("fc_demo", "fc", "decide", "fc-mass", (4, 1, 0, 0, 0)),
+    ("fc_demo", "fc", "decide", "chance-abort", (3, 0, 1, 0, 0)),
+    ("fc_demo", "fc", "decide", "fc-wipeout", (3, 0, 1, 0, 0)),
+    ("fc_demo", "fc", "decide", "fc-mass", (3, 0, 1, 0, 0)),
     ("objective", "fc", "max", "decision-stop", (4, 0, 0, 0, 0)),
     ("objective", "fc", "max", "chance-abort", (4, 0, 0, 0, 0)),
     ("objective", "fc", "max", "fc-wipeout", (4, 0, 0, 0, 0)),
@@ -199,14 +199,14 @@ GOLDEN_STATS = [
     ("objective", "fc", "decide", "chance-abort", (4, 0, 0, 0, 0)),
     ("objective", "fc", "decide", "fc-wipeout", (2, 1, 0, 0, 0)),
     ("objective", "fc", "decide", "fc-mass", (2, 1, 0, 0, 0)),
-    ("production", "fc", "max", "decision-stop", (285, 0, 0, 0, 20)),
-    ("production", "fc", "max", "chance-abort", (265, 0, 10, 0, 0)),
-    ("production", "fc", "max", "fc-wipeout", (265, 0, 10, 0, 0)),
-    ("production", "fc", "max", "fc-mass", (265, 0, 10, 0, 0)),
-    ("production", "fc", "decide", "decision-stop", (197, 45, 0, 0, 19)),
-    ("production", "fc", "decide", "chance-abort", (90, 0, 8, 0, 3)),
-    ("production", "fc", "decide", "fc-wipeout", (80, 4, 8, 0, 3)),
-    ("production", "fc", "decide", "fc-mass", (92, 12, 14, 0, 0)),
+    ("production", "fc", "max", "decision-stop", (60, 0, 0, 0, 24)),
+    ("production", "fc", "max", "chance-abort", (36, 0, 6, 0, 0)),
+    ("production", "fc", "max", "fc-wipeout", (36, 0, 6, 0, 0)),
+    ("production", "fc", "max", "fc-mass", (36, 0, 6, 0, 0)),
+    ("production", "fc", "decide", "decision-stop", (147, 45, 0, 0, 35)),
+    ("production", "fc", "decide", "chance-abort", (36, 0, 6, 0, 0)),
+    ("production", "fc", "decide", "fc-wipeout", (39, 5, 10, 0, 0)),
+    ("production", "fc", "decide", "fc-mass", (39, 5, 10, 0, 0)),
 ]
 
 

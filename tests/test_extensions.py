@@ -13,6 +13,7 @@ from stocs import (
     enumerate_policies,
     expr_constraint,
     fc_max,
+    load_instance,
     optimize_chance_constrained,
     optimize_expected,
     parse_expression,
@@ -26,6 +27,7 @@ from stocs.errors import (
     MissingParentValueError,
     NoFeasiblePolicyError,
     NoObjectiveError,
+    ThetaOutOfRangeError,
 )
 from conftest import make_instance
 
@@ -194,6 +196,13 @@ class TestChanceConstrainedOptimize:
         got = optimize_chance_constrained(inst, theta=1.0)
         assert got.expected_value == pytest.approx(10.0, abs=TOL)
         assert got.satisfaction >= 1.0 - TOL
+
+    @pytest.mark.parametrize("theta", [1.5, -0.5, float("nan"), 10**400],
+                             ids=["1.5", "-0.5", "nan", "10**400"])
+    def test_theta_outside_the_unit_interval(self, instances_dir, theta):
+        inst = load_instance(instances_dir / "objective.scsp")
+        with pytest.raises(ThetaOutOfRangeError):
+            optimize_chance_constrained(inst, theta=theta)
 
     def test_infeasible_threshold(self, instance_a):
         inst = with_objective(instance_a, "10 * (x = s)")

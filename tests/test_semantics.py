@@ -29,6 +29,7 @@ from stocs.errors import (
     OracleCapExceededError,
     OutOfDomainValueError,
     PartialAssignmentError,
+    ThetaOutOfRangeError,
 )
 from stocs.semantics import _rigid_policies
 from conftest import make_instance
@@ -200,6 +201,13 @@ class TestOracle:
 
     def test_not_satisfiable_above_the_maximum(self, instance_a):
         assert is_satisfiable_oracle(instance_a, theta=0.6) is False
+
+    @pytest.mark.parametrize("theta", [1.5, -0.5, float("nan"), 10**400],
+                             ids=["1.5", "-0.5", "nan", "10**400"])
+    def test_theta_outside_the_unit_interval(self, instances_dir, theta):
+        inst = load_instance(instances_dir / "objective.scsp")
+        with pytest.raises(ThetaOutOfRangeError):
+            is_satisfiable_oracle(inst, theta=theta)
 
     def test_theta_zero_is_always_satisfiable(self):
         rng = random.Random(5)

@@ -5,6 +5,7 @@ import pytest
 
 from gen import random_cpt_instance, random_instance
 from stocs import (
+    Constraint,
     DecisionNode,
     Leaf,
     Objective,
@@ -34,6 +35,7 @@ from stocs.solver import _Search
 from conftest import make_instance
 
 TOL = 1e-9
+ALL_RULES = [PruneRules(*bits) for bits in itertools.product((True, False), repeat=4)]
 
 
 class _CheckedSearch(_Search):
@@ -51,6 +53,13 @@ class _CheckedSearch(_Search):
             else:
                 assert self.mass[j] == 1.0
         return super()._enter(depth, value)
+
+    def _decision_positions(self, depth):
+        state = (list(self.trail), list(self.live), list(self.mass), list(self.env))
+        positions = super()._decision_positions(depth)
+        assert (self.trail, self.live, self.mass, self.env) == state
+        assert sorted(positions) == list(self.live[depth])
+        return positions
 
 
 class TestMaxMode:
@@ -102,8 +111,8 @@ class TestMaxMode:
     def test_production_stops_at_one_with_fewer_nodes(self, instances_dir):
         inst = load_instance(instances_dir / "production.scsp")
         full = PruneRules(decision_stop=False)
-        # node counts without the stop: bt 480, fc 285
-        for solve, nodes in ((bt_max, 360), (fc_max, 265)):
+        # node counts without the stop: bt 480, fc 60
+        for solve, nodes in ((bt_max, 360), (fc_max, 36)):
             got = solve(inst)
             assert got.probability == 1.0
             assert got.stats.nodes_visited == nodes
@@ -191,10 +200,12 @@ class TestDecideMode:
 
 class TestForwardChecking:
     def test_mass_bound_abandons_the_weak_branch(self, fc_demo):
-        got = fc_decide(fc_demo)
+        # x=1 keeps more of s's mass and is tried first; without the stop
+        # x=0 is tried next and leaves only 0.5 of it, below 0.6: cut
+        # before expanding s
+        got = fc_decide(fc_demo, rules=PruneRules(decision_stop=False))
         assert got.satisfiable
         assert policy_satisfaction(fc_demo, got.policy) == pytest.approx(0.7)
-        # x=0 leaves only 0.5 of s's mass, below 0.6: cut before expanding s
         assert got.stats.fc_mass_prunes >= 1
 
     def test_strictly_fewer_nodes_than_backtracking(self, fc_demo):
@@ -313,7 +324,7 @@ class TestRequiredThreshold:
 
 class TestSearchState:
     def test_trail_restores_domains_exactly(self, fc_demo):
-        search = _Search(fc_demo, fc=True, rules=PruneRules(), value_order=None)
+        search = _Search(fc_demo, fc=True, rules=PruneRules())
         live_before = list(search.live)
         mass_before = list(search.mass)
         search.max_value(0)
@@ -323,7 +334,7 @@ class TestSearchState:
         assert search.env == [None, None]
 
     def test_trail_restores_after_decide(self, production):
-        search = _Search(production, fc=True, rules=PruneRules(), value_order=None)
+        search = _Search(production, fc=True, rules=PruneRules())
         search.decide_value(0, production.theta)
         assert search.live == [tuple(range(len(v.domain))) for v in production.variables]
         assert search.mass == [1.0] * production.n
@@ -333,10 +344,8 @@ class TestSearchState:
         rng = random.Random(59)
         instances = [random_instance(rng, zero_prob=i % 2 == 0) for i in range(24)]
         instances += [random_cpt_instance(rng) for _ in range(12)]
-        all_rules = [PruneRules(*bits) for bits in itertools.product((True, False), repeat=4)]
-        for inst, rules, order, mode in itertools.product(
-                instances, all_rules, (None, "ub"), ("max", "decide")):
-            search = _CheckedSearch(inst, fc=True, rules=rules, value_order=order)
+        for inst, rules, mode in itertools.product(instances, ALL_RULES, ("max", "decide")):
+            search = _CheckedSearch(inst, fc=True, rules=rules)
             if search.root_dead:
                 continue
             after_unary = (list(search.live), list(search.mass))
@@ -357,17 +366,65 @@ class TestSearchState:
         assert first.stats.as_dict() == second.stats.as_dict()
 
 
+def _table(scope, rows):
+    return Constraint(scope=scope, allowed=frozenset(rows))
+
+
 class TestValueOrderHeuristic:
+    """Forward checking tries decision values by descending mass bound."""
+
     def test_ub_ordering_never_changes_results(self):
         rng = random.Random(83)
-        for _ in range(25):
-            inst = random_instance(rng)
-            plain = fc_max(inst)
-            ordered = fc_max(inst, value_order="ub")
-            assert ordered.probability == pytest.approx(plain.probability, abs=TOL)
-            assert (fc_decide(inst, value_order="ub").satisfiable
-                    == fc_decide(inst).satisfiable)
+        instances = [random_instance(rng, zero_prob=i % 2 == 0) for i in range(30)]
+        instances += [random_cpt_instance(rng) for _ in range(10)]
+        for inst in instances:
+            for rules in ALL_RULES:
+                plain = bt_max(inst, rules=rules)
+                ordered = fc_max(inst, rules=rules)
+                assert ordered.probability == plain.probability
+                assert ordered.policy == plain.policy
 
-    def test_unknown_order_rejected(self, instance_a):
-        with pytest.raises(ValueError):
-            fc_max(instance_a, value_order="entropy")
+    def test_equal_scores_go_to_the_lower_value(self):
+        # x=0 leaves half of s's mass and x=1 all of it, so x=1 is tried
+        # first; both score exactly 0.5 and domain order picks x=0
+        inst = make_instance(
+            [("x", "d", (0, 1)), ("s", "s", (0, 1, 2), (0.25, 0.25, 0.5)),
+             ("y", "d", (0, 1)), ("t", "s", (0, 1), (0.5, 0.5))],
+            [expr_constraint("x = 1 or s = 2"), expr_constraint("x = 0 or t = y")])
+        assert _Search(inst, fc=True, rules=PruneRules())._decision_positions(0) == [1, 0]
+        got = fc_max(inst)
+        assert got.probability == 0.5
+        assert got.policy.chosen_value == 0
+        assert got.policy == bt_max(inst).policy == oracle_max_satisfaction(inst).policy
+
+    def test_bound_rounding_below_its_score_keeps_the_lower_value(self):
+        # Reduced from a random instance. v2=1 keeps only v7=3, so its bound
+        # is 0.8099307040328204, one ulp below the 0.8099307040328205 both
+        # v2=1 and v2=4 score; v2=4 (bound 1.0) is tried first. Pruning v2=1
+        # on bound <= best would return v2=4.
+        inst = make_instance(
+            [("v2", "d", (1, 2, 4)), ("v3", "d", (3, 4)),
+             ("v5", "s", (2, 3, 4),
+              (0.05618855976413179, 0.3013619661915633, 0.642449474044305)),
+             ("v6", "s", (1, 4), (0.4594565809670797, 0.5405434190329202)),
+             ("v7", "s", (3, 5), (0.8099307040328204, 0.19006929596717964))],
+            [_table(("v2", "v7"), {(1, 3), (2, 3), (2, 5), (4, 3), (4, 5)}),
+             _table(("v7", "v6", "v2"), {(3, 1, 1), (3, 1, 4), (3, 4, 1), (3, 4, 4),
+                                         (5, 1, 1), (5, 1, 2), (5, 4, 1)}),
+             _table(("v3", "v7"), {(3, 3), (4, 3)})])
+        got = fc_max(inst)
+        assert got.probability == 0.8099307040328205
+        assert got.policy.chosen_value == 1
+        assert got.policy == bt_max(inst).policy
+
+    def test_values_that_may_reach_one_keep_domain_order(self):
+        # x=1 drops the zero-probability s=1, so its bound sums the other two
+        # to 1.0000000000000002, above x=0's untouched 1.0. Both score that
+        # sum and stop the scan, so x=0 must still be tried first.
+        inst = make_instance(
+            [("x", "d", (0, 1)),
+             ("s", "s", (0, 1, 2), (2.7976789021724163e-10, 0.0, 0.9999999997202322))],
+            [expr_constraint("x = 0 or s != 1")])
+        expected = oracle_max_satisfaction(inst).policy
+        assert expected.chosen_value == 0
+        assert fc_max(inst).policy == bt_max(inst).policy == expected
