@@ -37,9 +37,12 @@ from .solver import PruneRules, bt_decide, bt_max, fc_decide, fc_max
 
 __all__ = ["RunRecord", "main"]
 
+# the counters in the STATS line and the bench CSV: column -> SearchStats.as_dict key
+COUNTERS = {"nodes": "nodes_visited", "chance_prunes": "chance_prunes",
+            "decision_prunes": "decision_prunes", "fc_wipeouts": "fc_wipeouts",
+            "fc_mass_prunes": "fc_mass_prunes"}
 CSV_HEADER = ("instance", "algorithm", "mode", "theta", "verdict", "probability",
-              "nodes", "chance_prunes", "decision_prunes", "fc_wipeouts",
-              "fc_mass_prunes", "ms", "version", "seed")
+              *COUNTERS, "ms", "version", "seed")
 
 
 @dataclass
@@ -57,11 +60,10 @@ class RunRecord:
     seed: str = ""
 
     def row(self) -> list[str]:
-        s = self.stats
+        counts = self.stats.as_dict()
         return [self.instance, self.algorithm, self.mode, _fmt(self.theta),
-                self.verdict, self.probability, str(s.nodes_visited),
-                str(s.chance_prunes), str(s.decision_prunes),
-                str(s.fc_wipeouts), str(s.fc_mass_prunes),
+                self.verdict, self.probability,
+                *(str(counts[key]) for key in COUNTERS.values()),
                 f"{self.ms:.3f}", __version__, self.seed]
 
 
@@ -89,9 +91,8 @@ def _rules(args: argparse.Namespace) -> PruneRules:
 
 
 def _print_stats(stats: SearchStats) -> None:
-    print(f"STATS nodes={stats.nodes_visited} chance_prunes={stats.chance_prunes}"
-          f" decision_prunes={stats.decision_prunes} fc_wipeouts={stats.fc_wipeouts}"
-          f" fc_mass_prunes={stats.fc_mass_prunes}")
+    counts = stats.as_dict()
+    print("STATS " + " ".join(f"{column}={counts[key]}" for column, key in COUNTERS.items()))
 
 
 def _write_policy(path: str, policy) -> None:

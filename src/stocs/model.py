@@ -219,6 +219,18 @@ class Instance:
         return tuple(tuple(g) for g in groups)
 
     @cached_property
+    def contexts(self) -> tuple[tuple[int, ...], ...]:
+        """Per depth d, each i < d in a constraint scope or CPT with some j >= d."""
+        scopes = [c.scope_idx for c in self.compiled]
+        scopes += [(*(self.index_of[p] for p in v.cpt.parents), j)
+                   for j, v in enumerate(self.variables) if v.cpt is not None]
+        reach = list(range(self.n))  # the last variable each one shares a scope with
+        for scope in scopes:
+            for i in scope:
+                reach[i] = max(reach[i], scope[-1])
+        return tuple(tuple(i for i in range(d) if reach[i] >= d) for d in range(self.n))
+
+    @cached_property
     def fc_fire_at(self) -> tuple[tuple[CompiledConstraint, ...], ...]:
         """Constraints that reach one unassigned variable at each depth."""
         groups: list[list[CompiledConstraint]] = [[] for _ in range(self.n)]

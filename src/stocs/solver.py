@@ -29,7 +29,8 @@ forward checking never checks those constraints again on assignment.
 Forward checking also tries decision values by descending mass bound, ties
 in domain order, probing each (assign, forward check, undo) where a fired
 constraint ends at a stochastic variable: elsewhere the bound cannot move.
-Equal scores still go to the lower domain position, as in domain order.
+Equal scores still go to the lower domain position, as in domain order. A
+value whose probe fails scores 0 without being entered again.
 
 Decide mode keeps a lower and an upper accumulator per chance node. The
 locally required threshold only caps how much of a child's exact value
@@ -40,14 +41,27 @@ A naive single-accumulator scheme is unsound there: an early-stopped
 sibling's surplus above its local requirement can be exactly what a
 later shortfall needs.
 
-Prune rules can be disabled independently; verdicts and values never
-change, only the work done (and the witness in decide mode).
+Both modes cache subtree results by context (AND/OR search with caching).
+The context of depth d (Instance.contexts) holds each earlier variable that
+shares a constraint scope with, or is a CPT parent of, a variable at depth
+>= d. The subtree below d, its live domains and masses included, depends
+on nothing else, so one key serves bt and fc; depths whose context is the
+whole prefix never repeat a key and skip the cache. A max-mode hit is the
+first-found optimum of an identical subproblem, so values and argmax
+policies do not change. Decide mode stores (lo, hi, policy) and reuses it
+only when conclusive (lo >= required or hi < required); an exact max-mode
+entry answers as (v, v, policy). A search stores at most CACHE_ENTRIES.
+
+Prune rules and the cache can be disabled independently; verdicts and
+values never change, only the work done (and the witness in decide mode).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import NonpositiveBranchProbabilityError
 from .model import PROB_TOL, CompiledConstraint, Instance, VariableSpec, _check_theta
@@ -69,6 +83,9 @@ __all__ = [
     "required_threshold",
 ]
 
+# subtree results one search stores at most; past it the search stops storing
+CACHE_ENTRIES = 100_000
+
 
 @dataclass(frozen=True)
 class PruneRules:
@@ -76,6 +93,7 @@ class PruneRules:
     chance_abort: bool = True    # cut a chance node when settled either way
     fc_wipeout: bool = True      # cut on future decision domain wipeout
     fc_mass: bool = True         # use the probability-mass upper bound
+    cache: bool = True           # reuse subtree results keyed on their context
 
 
 @dataclass(frozen=True)
@@ -124,6 +142,12 @@ class _Search:
         self.mass = [1.0] * n
         self.trail: list[tuple[int, tuple[int, ...], float]] = []
         self.first = _rigid_policies(instance)
+        # a context that is the whole prefix never repeats a key: no cache there
+        self.key_at = [None if not rules.cache or len(ctx) == d
+                       else itemgetter(*ctx) if ctx else (lambda env: ())
+                       for d, ctx in enumerate(instance.contexts)]
+        self.memo: list[dict] = [{} for _ in range(n)]
+        self.room = CACHE_ENTRIES
         self.root_dead = any(not c.fn(self.env) for c in instance.constant_compiled)
         if fc and not self.root_dead:
             # unary prunes hold for the whole search: drop them from the trail
@@ -197,25 +221,30 @@ class _Search:
                 return False
         return True
 
-    def _decision_positions(self, depth: int) -> tuple[int, ...] | list[int]:
-        """Live domain positions of a decision, highest mass bound first."""
+    def _decision_positions(self, depth: int) -> tuple[Sequence[int], Sequence[int]]:
+        """Live domain positions of a decision, highest mass bound first,
+        and the positions whose probe failed: they score 0 without entry."""
         live = self.live[depth]
         if not self.probe_at[depth] or len(live) < 2:
-            return live
+            return live, ()
         domain = self.inst.variables[depth].domain
         fire = self.inst.fc_fire_at[depth]
         scored = []
+        dead = []
         for pos in live:
             mark = len(self.trail)
             self.env[depth] = domain[pos]  # live, so no completed constraint fails
             self.stats.probes += 1
+            ok = self._forward_check(fire)
             # bounds that may reach 1.0 tie, so decision_stop keeps domain order
-            bound = min(self._ub(depth), 1.0 - PROB_TOL) if self._forward_check(fire) else 0.0
+            bound = min(self._ub(depth), 1.0 - PROB_TOL) if ok else 0.0
             self._undo(mark)
             scored.append((-bound, pos))
+            if not ok:
+                dead.append(pos)
         self.env[depth] = None
         scored.sort()
-        return [pos for _, pos in scored]
+        return [pos for _, pos in scored], dead
 
     # ------------------------------------------------------------------
     # max mode
@@ -224,19 +253,32 @@ class _Search:
     def max_value(self, depth: int) -> tuple[float, PolicyNode]:
         if depth == self.n:
             return 1.0, Leaf()
+        get_key = self.key_at[depth]
+        if get_key is not None:
+            key = get_key(self.env)
+            hit = self.memo[depth].get(key)
+            # a decide entry (lo, hi, policy) need not hold the argmax
+            if hit is not None and len(hit) == 2:
+                self.stats.cache_hits += 1
+                return hit
         var = self.inst.variables[depth]
         if var.kind == "decision":
-            return self._max_decision(depth, var)
-        return self._max_chance(depth, var)
+            result = self._max_decision(depth, var)
+        else:
+            result = self._max_chance(depth, var)
+        if get_key is not None and self.room:
+            self.room -= 1
+            self.memo[depth][key] = result
+        return result
 
     def _max_decision(self, depth: int, var: VariableSpec) -> tuple[float, PolicyNode]:
         best = -1.0
         best_pos = -1
         best_child: PolicyNode | None = None
-        positions = self._decision_positions(depth)
+        positions, dead = self._decision_positions(depth)
         for k, pos in enumerate(positions):
             mark = len(self.trail)
-            if not self._enter(depth, var.domain[pos]):
+            if pos in dead or not self._enter(depth, var.domain[pos]):
                 score, child = 0.0, None
             elif (self.use_mass and self.rules.fc_mass and best >= 0.0
                     and self._ub(depth) <= (best if pos > best_pos else best - PROB_TOL)):
@@ -289,10 +331,23 @@ class _Search:
     def decide_value(self, depth: int, required: float) -> tuple[float, float, PolicyNode]:
         if depth == self.n:
             return 1.0, 1.0, Leaf()
+        get_key = self.key_at[depth]
+        if get_key is not None:
+            key = get_key(self.env)
+            hit = self.memo[depth].get(key)
+            # an exact max-mode result, or one conclusive for this requirement
+            if hit is not None and (len(hit) == 2 or hit[0] >= required or hit[1] < required):
+                self.stats.cache_hits += 1
+                return (hit[0], *hit) if len(hit) == 2 else hit
         var = self.inst.variables[depth]
         if var.kind == "decision":
-            return self._decide_decision(depth, var, required)
-        return self._decide_chance(depth, var, required)
+            result = self._decide_decision(depth, var, required)
+        else:
+            result = self._decide_chance(depth, var, required)
+        if get_key is not None and self.room:
+            self.room -= 1
+            self.memo[depth][key] = result
+        return result
 
     def _decide_decision(self, depth: int, var: VariableSpec,
                          required: float) -> tuple[float, float, PolicyNode]:
@@ -301,10 +356,10 @@ class _Search:
         best_child: PolicyNode | None = None
         node_hi = 0.0
         stopped = False
-        positions = self._decision_positions(depth)
+        positions, dead = self._decision_positions(depth)
         for k, pos in enumerate(positions):
             mark = len(self.trail)
-            if not self._enter(depth, var.domain[pos]):
+            if pos in dead or not self._enter(depth, var.domain[pos]):
                 lo, hi, child = 0.0, 0.0, None
             else:
                 bound = self._ub(depth)

@@ -15,6 +15,7 @@ from stocs import (
     Instance,
     Leaf,
     VariableSpec,
+    expr_constraint,
     validate_instance,
 )
 
@@ -129,6 +130,24 @@ def random_cpt_instance(rng: random.Random, min_vars: int = 3,
             constraints=base.constraints,
             theta=base.theta,
         ))
+
+
+def inventory_instance(periods: int, theta: float = 0.5) -> Instance:
+    """Order x_t in {0, 1}, see demand s_t in {0, 1, 2}, keep stock
+    k_t = k_(t-1) + x_t - s_t in {0, ..., 3}, starting from 1.
+
+    Each constraint links neighbouring periods only, so from the second
+    period on every context is one stock variable.
+    """
+    variables, constraints = [], []
+    for t in range(1, periods + 1):
+        variables += [VariableSpec(f"x{t}", "decision", (0, 1)),
+                      VariableSpec(f"s{t}", "stochastic", (0, 1, 2),
+                                   probabilities=(0.3, 0.5, 0.2)),
+                      VariableSpec(f"k{t}", "decision", (0, 1, 2, 3))]
+        before = "1" if t == 1 else f"k{t - 1}"
+        constraints.append(expr_constraint(f"k{t} = {before} + x{t} - s{t}"))
+    return validate_instance(Instance(tuple(variables), tuple(constraints), theta))
 
 
 def random_policy(rng: random.Random, instance: Instance, depth: int = 0):

@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 import pytest
 
 from conftest import make_instance
-from gen import random_cpt_instance, random_instance, random_policy, swap_pair
+from gen import (
+    inventory_instance,
+    random_cpt_instance,
+    random_instance,
+    random_policy,
+    swap_pair,
+)
 from stocs import (
     ChanceNode,
     DecisionNode,
@@ -130,6 +136,7 @@ def test_criterion_2_every_reported_policy_rescores(suite1, capsys):
 RULE_OFF = (
     (PruneRules(decision_stop=False), (bt_decide, fc_decide)),
     (PruneRules(chance_abort=False), (bt_decide, fc_decide)),
+    (PruneRules(cache=False), (bt_decide, fc_decide)),
     (PruneRules(fc_wipeout=False), (fc_decide,)),
     (PruneRules(fc_mass=False), (fc_decide,)),
 )
@@ -154,6 +161,15 @@ def test_criterion_3_prune_rules_sound_and_fc_cheaper(suite1, instances_dir,
         demo = load_instance(instances_dir / "fc_demo.scsp")
         assert (fc_decide(demo).stats.nodes_visited
                 < bt_decide(demo).stats.nodes_visited)
+        # each inventory context is one stock variable: the cache pays
+        inventory = inventory_instance(4)
+        for algorithm in (bt_max, fc_max, bt_decide, fc_decide):
+            cached = algorithm(inventory).stats
+            uncached = algorithm(inventory, rules=PruneRules(cache=False)).stats
+            assert cached.cache_hits > 0
+            assert cached.nodes_visited < uncached.nodes_visited
+        assert (fc_max(inventory).stats.nodes_visited
+                <= bt_max(inventory).stats.nodes_visited)
 
 
 def test_criterion_4_bounds_sandwich_the_true_maximum(suite1, capsys):

@@ -1,10 +1,12 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
-from gen import random_cpt_instance, random_instance
+from gen import inventory_instance, random_cpt_instance, random_instance
 from stocs import (
+    ConditionalTable,
     Constraint,
     DecisionNode,
     Leaf,
@@ -25,12 +27,14 @@ from stocs import (
     policy_satisfaction,
     required_threshold,
     restricted_tree_bounds,
+    serialize_policy,
 )
 from stocs.errors import (
     InstanceTooDeepError,
     NonpositiveBranchProbabilityError,
     ThetaOutOfRangeError,
 )
+from stocs import solver
 from stocs.solver import _Search
 from conftest import make_instance
 
@@ -56,10 +60,11 @@ class _CheckedSearch(_Search):
 
     def _decision_positions(self, depth):
         state = (list(self.trail), list(self.live), list(self.mass), list(self.env))
-        positions = super()._decision_positions(depth)
+        positions, dead = super()._decision_positions(depth)
         assert (self.trail, self.live, self.mass, self.env) == state
         assert sorted(positions) == list(self.live[depth])
-        return positions
+        assert set(dead) <= set(positions)
+        return positions, dead
 
 
 class TestMaxMode:
@@ -242,10 +247,21 @@ class TestForwardChecking:
         assert not got.satisfiable
         assert got.stats.fc_wipeouts >= 1
 
+    def test_a_failed_probe_counts_once(self):
+        # probing x=1 wipes out y. x=0 keeps half of s's mass, too little to
+        # stop the scan, so x=1 comes up again: its wipeout counts once
+        inst = make_instance(
+            [("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5)), ("y", "d", (0, 1))],
+            [expr_constraint("x = 1 or s = 1"), expr_constraint("x = 0 or y = 2")])
+        for got in (fc_max(inst), fc_decide(inst, 0.6)):
+            assert got.stats.probes == 2
+            assert got.stats.fc_wipeouts == 1
+        assert fc_max(inst).probability == 0.5
+
 
 class TestPruneRules:
     @pytest.mark.parametrize("rule", ["decision_stop", "chance_abort",
-                                      "fc_wipeout", "fc_mass"])
+                                      "fc_wipeout", "fc_mass", "cache"])
     def test_each_rule_only_changes_stats(self, rule):
         rng = random.Random(71)
         rules = PruneRules(**{rule: False})
@@ -263,7 +279,7 @@ class TestPruneRules:
 
     def test_all_rules_off_still_exact(self, instance_c):
         rules = PruneRules(decision_stop=False, chance_abort=False,
-                           fc_wipeout=False, fc_mass=False)
+                           fc_wipeout=False, fc_mass=False, cache=False)
         assert fc_max(instance_c, rules=rules).probability == pytest.approx(0.5)
         assert fc_decide(instance_c, rules=rules).satisfiable
 
@@ -391,7 +407,7 @@ class TestValueOrderHeuristic:
             [("x", "d", (0, 1)), ("s", "s", (0, 1, 2), (0.25, 0.25, 0.5)),
              ("y", "d", (0, 1)), ("t", "s", (0, 1), (0.5, 0.5))],
             [expr_constraint("x = 1 or s = 2"), expr_constraint("x = 0 or t = y")])
-        assert _Search(inst, fc=True, rules=PruneRules())._decision_positions(0) == [1, 0]
+        assert _Search(inst, fc=True, rules=PruneRules())._decision_positions(0) == ([1, 0], [])
         got = fc_max(inst)
         assert got.probability == 0.5
         assert got.policy.chosen_value == 0
@@ -428,3 +444,84 @@ class TestValueOrderHeuristic:
         expected = oracle_max_satisfaction(inst).policy
         assert expected.chosen_value == 0
         assert fc_max(inst).policy == bt_max(inst).policy == expected
+
+
+class TestContextCache:
+    """Reusing subtree results by their context changes work, never answers."""
+
+    def test_cache_never_changes_results(self):
+        rng = random.Random(71)
+        instances = [random_instance(rng, max_vars=8, zero_prob=i % 2 == 0) for i in range(20)]
+        instances += [random_cpt_instance(rng) for _ in range(10)]
+        instances.append(inventory_instance(2))
+        hits = 0
+        for inst, rules in itertools.product(instances, ALL_RULES):
+            uncached = replace(rules, cache=False)
+            for run_max, run_decide in ((bt_max, bt_decide), (fc_max, fc_decide)):
+                got, want = run_max(inst, rules=rules), run_max(inst, rules=uncached)
+                assert got.probability == want.probability
+                assert serialize_policy(got.policy) == serialize_policy(want.policy)
+                hits += got.stats.cache_hits
+                for theta in (0.2, 0.5, 0.8, want.probability):
+                    got = run_decide(inst, theta, rules=rules)
+                    assert got.satisfiable == run_decide(inst, theta, rules=uncached).satisfiable
+                    if got.satisfiable:
+                        assert policy_satisfaction(inst, got.policy) >= theta - TOL
+                    hits += got.stats.cache_hits
+        assert hits > 0
+
+    def test_inventory_contexts_are_one_stock_variable(self):
+        inst = inventory_instance(3)
+        # x1 s1 k1 | x2 s2 k2 | x3 s3 k3
+        assert inst.contexts == ((), (0,), (0, 1), (2,), (2, 3), (2, 3, 4),
+                                 (5,), (5, 6), (5, 6, 7))
+
+    def test_cpt_parents_belong_to_the_context(self):
+        # c reaches s only through s's table, never through a constraint. A
+        # context without CPT parents would key x on nothing and hand c=1
+        # the x=0 that c=0 chose.
+        table = ConditionalTable("s", ("c",), {(0,): (0.9, 0.1), (1,): (0.3, 0.7)})
+        inst = make_instance(
+            [("c", "s", (0, 1), (0.5, 0.5)), ("x", "d", (0, 1)), ("s", "s", (0, 1), table)],
+            [expr_constraint("x = s")])
+        assert inst.contexts == ((), (0,), (0, 1))
+        expected = oracle_max_satisfaction(inst)
+        assert expected.probability == pytest.approx(0.8, abs=TOL)
+        for solve in (bt_max, fc_max):
+            got = solve(inst)
+            assert got.probability == pytest.approx(expected.probability, abs=TOL)
+            assert got.policy == expected.policy
+
+    def test_decide_reuses_only_conclusive_entries(self):
+        # x touches nothing, so depth 1 caches under the empty context. For
+        # 0.4, y=0 (score 0.5) suffices and stops the scan: (0.5, 1.0). That
+        # entry settles neither way for 0.8, which must search on to y=1.
+        inst = make_instance(
+            [("x", "d", (0, 1)), ("y", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5))],
+            [expr_constraint("y = 1 or s = 0")])
+        for fc in (False, True):
+            search = _Search(inst, fc, PruneRules())
+            search.env[0] = 0
+            assert search.decide_value(1, 0.4)[:2] == (0.5, 1.0)
+            lo, hi, policy = search.decide_value(1, 0.8)
+            assert (lo, hi, policy.chosen_value) == (1.0, 1.0, 1)
+            assert search.decide_value(1, 0.3)[:2] == (1.0, 1.0)
+            assert search.stats.cache_hits >= 1
+
+    def test_entry_cap_holds(self, monkeypatch):
+        inst = inventory_instance(3)
+        uncached = PruneRules(cache=False)
+        monkeypatch.setattr(solver, "CACHE_ENTRIES", 5)
+        for fc, run_max, run_decide in ((False, bt_max, bt_decide), (True, fc_max, fc_decide)):
+            search = _Search(inst, fc, PruneRules())
+            value, policy = search.max_value(0)
+            assert sum(map(len, search.memo)) == 5
+            want = run_max(inst, rules=uncached)
+            assert (value, policy) == (want.probability, want.policy)
+            assert run_max(inst).policy == want.policy
+            for theta in (want.probability - 0.05, want.probability + 0.05):
+                search = _Search(inst, fc, PruneRules())
+                search.decide_value(0, theta)
+                assert sum(map(len, search.memo)) <= 5
+                assert (run_decide(inst, theta).satisfiable
+                        == run_decide(inst, theta, rules=uncached).satisfiable)
