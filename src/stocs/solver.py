@@ -50,10 +50,11 @@ whole prefix never repeat a key and skip the cache. A max-mode hit is the
 first-found optimum of an identical subproblem, so values and argmax
 policies do not change. Decide mode stores (lo, hi, policy) and reuses it
 only when conclusive (lo >= required or hi < required); an exact max-mode
-entry answers as (v, v, policy). A search stores at most CACHE_ENTRIES.
+entry answers as (v, v, policy). A search stores at most CACHE_ENTRIES
+distinct keys (0 turns the cache off); overwriting a key is free.
 
-Prune rules and the cache can be disabled independently; verdicts and
-values never change, only the work done (and the witness in decide mode).
+Prune rules can be disabled independently; verdicts and values never
+change, only the work done (and the witness in decide mode).
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ __all__ = [
     "required_threshold",
 ]
 
-# subtree results one search stores at most; past it the search stops storing
+# distinct keys one search stores at most; past it only known keys get stored
 CACHE_ENTRIES = 100_000
 
 
@@ -93,7 +94,6 @@ class PruneRules:
     chance_abort: bool = True    # cut a chance node when settled either way
     fc_wipeout: bool = True      # cut on future decision domain wipeout
     fc_mass: bool = True         # use the probability-mass upper bound
-    cache: bool = True           # reuse subtree results keyed on their context
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ class _Search:
         self.trail: list[tuple[int, tuple[int, ...], float]] = []
         self.first = _rigid_policies(instance)
         # a context that is the whole prefix never repeats a key: no cache there
-        self.key_at = [None if not rules.cache or len(ctx) == d
+        self.key_at = [None if len(ctx) == d
                        else itemgetter(*ctx) if ctx else (lambda env: ())
                        for d, ctx in enumerate(instance.contexts)]
         self.memo: list[dict] = [{} for _ in range(n)]
@@ -246,6 +246,13 @@ class _Search:
         scored.sort()
         return [pos for _, pos in scored], dead
 
+    def _store(self, depth: int, key: tuple, old: tuple | None, result: tuple) -> tuple:
+        """Cache a result under its key; only a new key spends room."""
+        if old is not None or self.room:
+            self.room -= old is None
+            self.memo[depth][key] = result
+        return result
+
     # ------------------------------------------------------------------
     # max mode
     # ------------------------------------------------------------------
@@ -253,23 +260,21 @@ class _Search:
     def max_value(self, depth: int) -> tuple[float, PolicyNode]:
         if depth == self.n:
             return 1.0, Leaf()
-        get_key = self.key_at[depth]
-        if get_key is not None:
-            key = get_key(self.env)
-            hit = self.memo[depth].get(key)
-            # a decide entry (lo, hi, policy) need not hold the argmax
-            if hit is not None and len(hit) == 2:
-                self.stats.cache_hits += 1
-                return hit
         var = self.inst.variables[depth]
-        if var.kind == "decision":
-            result = self._max_decision(depth, var)
-        else:
-            result = self._max_chance(depth, var)
-        if get_key is not None and self.room:
-            self.room -= 1
-            self.memo[depth][key] = result
-        return result
+        get_key = self.key_at[depth]
+        if get_key is None:
+            if var.kind == "decision":
+                return self._max_decision(depth, var)
+            return self._max_chance(depth, var)
+        key = get_key(self.env)
+        hit = self.memo[depth].get(key)
+        # a decide entry (lo, hi, policy) need not hold the argmax
+        if hit is not None and len(hit) == 2:
+            self.stats.cache_hits += 1
+            return hit
+        result = (self._max_decision(depth, var) if var.kind == "decision"
+                  else self._max_chance(depth, var))
+        return self._store(depth, key, hit, result)
 
     def _max_decision(self, depth: int, var: VariableSpec) -> tuple[float, PolicyNode]:
         best = -1.0
@@ -331,23 +336,21 @@ class _Search:
     def decide_value(self, depth: int, required: float) -> tuple[float, float, PolicyNode]:
         if depth == self.n:
             return 1.0, 1.0, Leaf()
-        get_key = self.key_at[depth]
-        if get_key is not None:
-            key = get_key(self.env)
-            hit = self.memo[depth].get(key)
-            # an exact max-mode result, or one conclusive for this requirement
-            if hit is not None and (len(hit) == 2 or hit[0] >= required or hit[1] < required):
-                self.stats.cache_hits += 1
-                return (hit[0], *hit) if len(hit) == 2 else hit
         var = self.inst.variables[depth]
-        if var.kind == "decision":
-            result = self._decide_decision(depth, var, required)
-        else:
-            result = self._decide_chance(depth, var, required)
-        if get_key is not None and self.room:
-            self.room -= 1
-            self.memo[depth][key] = result
-        return result
+        get_key = self.key_at[depth]
+        if get_key is None:
+            if var.kind == "decision":
+                return self._decide_decision(depth, var, required)
+            return self._decide_chance(depth, var, required)
+        key = get_key(self.env)
+        hit = self.memo[depth].get(key)
+        # an exact max-mode result, or one conclusive for this requirement
+        if hit is not None and (len(hit) == 2 or hit[0] >= required or hit[1] < required):
+            self.stats.cache_hits += 1
+            return (hit[0], *hit) if len(hit) == 2 else hit
+        result = (self._decide_decision(depth, var, required) if var.kind == "decision"
+                  else self._decide_chance(depth, var, required))
+        return self._store(depth, key, hit, result)
 
     def _decide_decision(self, depth: int, var: VariableSpec,
                          required: float) -> tuple[float, float, PolicyNode]:

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from stocs import Instance, VariableSpec, expr_constraint, validate_instance
+from stocs import Instance, VariableSpec, expr_constraint, solver, validate_instance
 
 INSTANCES_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -33,6 +33,13 @@ def make_instance(variables, constraints=(), theta=0.5, name="", objective=None)
         objective=objective,
         name=name,
     ))
+
+
+def uncached(run, *args, **kwargs):
+    """Call a search with the context cache off: it may store no entry."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "CACHE_ENTRIES", 0)
+        return run(*args, **kwargs)
 
 
 @pytest.fixture

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -36,7 +35,7 @@ from stocs.errors import (
 )
 from stocs import solver
 from stocs.solver import _Search
-from conftest import make_instance
+from conftest import make_instance, uncached
 
 TOL = 1e-9
 ALL_RULES = [PruneRules(*bits) for bits in itertools.product((True, False), repeat=4)]
@@ -261,7 +260,7 @@ class TestForwardChecking:
 
 class TestPruneRules:
     @pytest.mark.parametrize("rule", ["decision_stop", "chance_abort",
-                                      "fc_wipeout", "fc_mass", "cache"])
+                                      "fc_wipeout", "fc_mass"])
     def test_each_rule_only_changes_stats(self, rule):
         rng = random.Random(71)
         rules = PruneRules(**{rule: False})
@@ -277,9 +276,10 @@ class TestPruneRules:
                 assert (bt_decide(inst, theta_override=theta, rules=rules).satisfiable
                         == bt_decide(inst, theta_override=theta).satisfiable)
 
-    def test_all_rules_off_still_exact(self, instance_c):
+    def test_all_rules_off_still_exact(self, instance_c, monkeypatch):
+        monkeypatch.setattr(solver, "CACHE_ENTRIES", 0)
         rules = PruneRules(decision_stop=False, chance_abort=False,
-                           fc_wipeout=False, fc_mass=False, cache=False)
+                           fc_wipeout=False, fc_mass=False)
         assert fc_max(instance_c, rules=rules).probability == pytest.approx(0.5)
         assert fc_decide(instance_c, rules=rules).satisfiable
 
@@ -456,15 +456,14 @@ class TestContextCache:
         instances.append(inventory_instance(2))
         hits = 0
         for inst, rules in itertools.product(instances, ALL_RULES):
-            uncached = replace(rules, cache=False)
             for run_max, run_decide in ((bt_max, bt_decide), (fc_max, fc_decide)):
-                got, want = run_max(inst, rules=rules), run_max(inst, rules=uncached)
+                got, want = run_max(inst, rules=rules), uncached(run_max, inst, rules=rules)
                 assert got.probability == want.probability
                 assert serialize_policy(got.policy) == serialize_policy(want.policy)
                 hits += got.stats.cache_hits
                 for theta in (0.2, 0.5, 0.8, want.probability):
                     got = run_decide(inst, theta, rules=rules)
-                    assert got.satisfiable == run_decide(inst, theta, rules=uncached).satisfiable
+                    assert got.satisfiable == uncached(run_decide, inst, theta, rules=rules).satisfiable
                     if got.satisfiable:
                         assert policy_satisfaction(inst, got.policy) >= theta - TOL
                     hits += got.stats.cache_hits
@@ -509,19 +508,28 @@ class TestContextCache:
             assert search.stats.cache_hits >= 1
 
     def test_entry_cap_holds(self, monkeypatch):
+        # decide mode overwrites entries it could not reuse (at 0.97, bt does
+        # so with 3 keys stored); an overwrite spends no room, so a capped
+        # search holds exactly min(cap, keys an uncapped search stores)
         inst = inventory_instance(3)
-        uncached = PruneRules(cache=False)
-        monkeypatch.setattr(solver, "CACHE_ENTRIES", 5)
-        for fc, run_max, run_decide in ((False, bt_max, bt_decide), (True, fc_max, fc_decide)):
+        thetas = (None, 0.87, 0.97)
+
+        def stored(fc, theta):
             search = _Search(inst, fc, PruneRules())
-            value, policy = search.max_value(0)
-            assert sum(map(len, search.memo)) == 5
-            want = run_max(inst, rules=uncached)
-            assert (value, policy) == (want.probability, want.policy)
-            assert run_max(inst).policy == want.policy
-            for theta in (want.probability - 0.05, want.probability + 0.05):
-                search = _Search(inst, fc, PruneRules())
+            if theta is None:
+                search.max_value(0)
+            else:
                 search.decide_value(0, theta)
-                assert sum(map(len, search.memo)) <= 5
-                assert (run_decide(inst, theta).satisfiable
-                        == run_decide(inst, theta, rules=uncached).satisfiable)
+            return sum(map(len, search.memo))
+
+        full = {(fc, theta): stored(fc, theta) for fc in (False, True) for theta in thetas}
+        for cap in (5, 20):
+            monkeypatch.setattr(solver, "CACHE_ENTRIES", cap)
+            for (fc, theta), keys in full.items():
+                assert stored(fc, theta) == min(cap, keys)
+            for run_max, run_decide in ((bt_max, bt_decide), (fc_max, fc_decide)):
+                got, want = run_max(inst), uncached(run_max, inst)
+                assert (got.probability, got.policy) == (want.probability, want.policy)
+                for theta in thetas[1:]:
+                    assert (run_decide(inst, theta).satisfiable
+                            == uncached(run_decide, inst, theta).satisfiable)
