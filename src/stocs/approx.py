@@ -11,14 +11,23 @@ The sampler is fully specified so results are reproducible: a splitmix64
 generator produces 64-bit words from the seed, each word becomes a uniform
 u in [0,1) via (word >> 11) * 2**-53, and each stochastic value is drawn
 by inverse CDF over the domain in domain order (first value whose
-cumulative probability exceeds u).
+cumulative probability exceeds u). Every sample draws one word per
+stochastic variable, in variable order.
+
+The sampling walk is compiled per path on first visit. Under a fixed
+policy, everything a sample does at a chance node except the draw
+depends only on the path to it: node validation, the distribution, its
+cumulative table and the constraint checks. So the first sample to reach
+a path does that work and stores the outcome in a trie of paths; later
+samples only draw, bisect the cumulative table and follow the trie.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import accumulate
 
 from .errors import (
     BadEpsilonError,
@@ -92,18 +101,19 @@ def restricted_tree_bounds(instance: Instance, epsilon: float | None = None,
         return Interval(0.0, 0.0)
     env: list = [None] * instance.n
 
-    def violated(depth: int) -> bool:
-        return any(not c.fn(env) for c in instance.check_at[depth])
-
     def walk(depth: int) -> tuple[float, float]:
         if depth == instance.n:
             return 1.0, 1.0
         var = instance.variables[depth]
+        checks = instance.check_at[depth]
         if var.kind == "decision":
             lb = ub = 0.0
             for w in var.domain:
                 env[depth] = w
-                if not violated(depth):
+                for c in checks:
+                    if not c.fn(env):
+                        break
+                else:
                     child_lb, child_ub = walk(depth + 1)
                     lb = max(lb, child_lb)
                     ub = max(ub, child_ub)
@@ -123,7 +133,10 @@ def restricted_tree_bounds(instance: Instance, epsilon: float | None = None,
                 unexplored += q
                 continue
             env[depth] = w
-            if not violated(depth):
+            for c in checks:
+                if not c.fn(env):
+                    break
+            else:
                 child_lb, child_ub = walk(depth + 1)
                 lb += q * child_lb
                 ub += q * child_ub
@@ -201,16 +214,119 @@ def most_probable_scenario_policy(instance: Instance) -> HeuristicPolicy:
 
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 increment and mixing constants
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_UNIT = 2.0 ** -53
 
 
-def _splitmix64(seed: int) -> Iterator[int]:
-    state = seed & _MASK64
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
+class _State:
+    """One chance node reached along one path from the root.
+
+    ``cum`` is the node's cumulative probability table and ``branches``
+    holds, per value index, the built ``(next state or None, ok)`` pair,
+    or None until a sample first takes that value. Entry ``len(cum)``
+    aliases the last positive index: a draw at or above the table's total
+    (a rounding gap) takes that value. ``values`` are the env entries the
+    path sets from the parent state's depth up to this one.
+    """
+
+    __slots__ = ("cum", "branches", "last", "depth", "children", "ok", "parent", "values")
+
+    def __init__(self, cum, last, depth, children, ok, parent, values):
+        self.cum = cum
+        self.branches = [None] * (len(cum) + 1)
+        self.last = last
+        self.depth = depth
+        self.children = children
+        self.ok = ok
+        self.parent = parent
+        self.values = values
+
+
+class _PathTrie:
+    """A policy's sampling walk, compiled per path on first visit.
+
+    Under a fixed policy the environment at a chance node depends only on
+    the path from the root, so node validation, the distribution, the
+    cumulative table and the constraint checks run once per path, in the
+    same order and at the same sample as a plain walk would run them.
+    States are keyed by path, so policies that share subtrees still get
+    one state per path. ``states`` counts the states built.
+    """
+
+    def __init__(self, instance: Instance, policy: PolicyNode):
+        self.instance = instance
+        self.tables: dict[tuple, tuple[list, int]] = {}  # per distinct distribution row
+        self.states = 0
+        self.root = self._walk(0, policy, [None] * instance.n, True, None)
+
+    def _walk(self, depth: int, node: PolicyNode, env: list, ok: bool,
+              parent: _State | None) -> tuple[_State | None, bool]:
+        """Follow the decision chain from ``depth`` to the next chance node
+        (a new state) or the end of the order, checking constraints in
+        depth order until one fails."""
+        instance = self.instance
+        start = parent.depth if parent is not None else 0
+        variables = instance.variables
+        while depth < instance.n and variables[depth].kind == "decision":
+            dec = _expect_decision(instance, depth, node)
+            env[depth] = dec.chosen_value
+            ok = ok and all(c.fn(env) for c in instance.check_at[depth])
+            node = dec.child
+            depth += 1
+        if depth == instance.n:
+            return None, ok and all(c.fn(env) for c in instance.constant_compiled)
+        chance = _expect_chance(instance, depth, node)
+        probs = instance.distribution(depth, env)
+        table = self.tables.get(probs)
+        if table is None:
+            last = max(i for i, q in enumerate(probs) if q > 0.0)
+            table = self.tables[probs] = (list(accumulate(probs)), last)
+        self.states += 1
+        state = _State(table[0], table[1], depth, chance.children, ok, parent,
+                       tuple(env[start:depth]))
+        return state, ok
+
+    def grow(self, state: _State, i: int) -> tuple[_State | None, bool]:
+        """Build the branch a sample takes at ``state`` with draw index ``i``."""
+        index = state.last if i == len(state.cum) else i
+        instance = self.instance
+        env: list = [None] * instance.n
+        s = state
+        while s is not None:
+            env[s.depth - len(s.values):s.depth] = s.values
+            s = s.parent
+        depth = state.depth
+        env[depth] = instance.variables[depth].domain[index]
+        ok = state.ok and all(c.fn(env) for c in instance.check_at[depth])
+        branch = self._walk(depth + 1, state.children[index], env, ok, state)
+        state.branches[index] = branch
+        if index == state.last:
+            state.branches[-1] = branch
+        return branch
+
+    def wins(self, n: int, seed: int) -> int:
+        """Satisfying samples among n, drawing one splitmix64 word from
+        ``seed`` per stochastic variable in every sample."""
+        root_state, root_ok = self.root
+        grow = self.grow
+        golden, mix1, mix2, mask, unit = _GOLDEN, _MIX1, _MIX2, _MASK64, _UNIT  # locals: hot loop
+        word = seed
+        wins = 0
+        for _ in range(n):
+            state, ok = root_state, root_ok
+            while state is not None:
+                word = (word + golden) & mask
+                z = ((word ^ (word >> 30)) * mix1) & mask
+                z = ((z ^ (z >> 27)) * mix2) & mask
+                i = bisect_right(state.cum, ((z ^ (z >> 31)) >> 11) * unit)
+                branch = state.branches[i]
+                if branch is None:
+                    branch = grow(state, i)
+                state, ok = branch
+            wins += ok
+        return wins
 
 
 def _wilson(wins: int, n: int) -> tuple[float, float]:
@@ -244,35 +360,7 @@ def monte_carlo_policy_eval(instance: Instance, policy: PolicyNode, n: int,
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadSampleCountError(f"sample count {n!r} must be a positive integer")
     seed = int(seed) & _MASK64
-    words = _splitmix64(seed)
-    env: list = [None] * instance.n
-    wins = 0
-    for _ in range(n):
-        node = policy
-        satisfied = True
-        for depth, var in enumerate(instance.variables):
-            if var.kind == "decision":
-                dec = _expect_decision(instance, depth, node)
-                env[depth] = dec.chosen_value
-                node = dec.child
-            else:
-                chance = _expect_chance(instance, depth, node)
-                probs = instance.distribution(depth, env)
-                u = (next(words) >> 11) * 2.0 ** -53
-                cumulative = 0.0
-                index = max(i for i, q in enumerate(probs) if q > 0.0)
-                for i, q in enumerate(probs):
-                    cumulative += q
-                    if q > 0.0 and u < cumulative:
-                        index = i
-                        break
-                env[depth] = var.domain[index]
-                node = chance.children[index]
-            if satisfied and any(not c.fn(env) for c in instance.check_at[depth]):
-                satisfied = False  # keep walking so every sample draws one word per stochastic variable
-        if satisfied and all(c.fn(env) for c in instance.constant_compiled):
-            wins += 1
-        env = [None] * instance.n
+    wins = _PathTrie(instance, policy).wins(n, seed)
     estimate = wins / n
     ci_low, ci_high = _wilson(wins, n)
     return SampleEstimate(estimate, n, ci_low, ci_high, seed)

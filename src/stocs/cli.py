@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 import time
 import warnings
@@ -212,7 +213,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 2 if bad_files else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="stocs",
         description="Solve stochastic constraint satisfaction problems.",

@@ -23,10 +23,10 @@ from . import expr as _expr
 from .errors import NoFeasiblePolicyError, NoObjectiveError
 from .model import PROB_TOL, Instance, _check_theta
 from .semantics import (
+    LEAF,
     ORACLE_CAP,
     ChanceNode,
     DecisionNode,
-    Leaf,
     PolicyNode,
     _check_depth,
     _policy_value,
@@ -77,16 +77,19 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
 
     def walk(depth: int) -> tuple[float, PolicyNode]:
         if depth == n:
-            return float(objective(env)), Leaf()
+            return float(objective(env)), LEAF
         var = instance.variables[depth]
+        checks = instance.check_at[depth]
         if var.kind == "decision":
             best = None
             best_value = var.domain[0]
             best_child = first[depth + 1]
             for w in var.domain:
                 env[depth] = w
-                if any(not c.fn(env) for c in instance.check_at[depth]):
-                    value, child = violation, first[depth + 1]
+                for c in checks:
+                    if not c.fn(env):
+                        value, child = violation, first[depth + 1]
+                        break
                 else:
                     value, child = walk(depth + 1)
                 env[depth] = None
@@ -102,9 +105,11 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
                 children.append(first[depth + 1])
                 continue
             env[depth] = w
-            if any(not c.fn(env) for c in instance.check_at[depth]):
-                total += q * violation
-                children.append(first[depth + 1])
+            for c in checks:
+                if not c.fn(env):
+                    total += q * violation
+                    children.append(first[depth + 1])
+                    break
             else:
                 value, child = walk(depth + 1)
                 total += q * value

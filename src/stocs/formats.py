@@ -37,7 +37,7 @@ from .model import (
     _as_float,
     validate_instance,
 )
-from .semantics import ChanceNode, DecisionNode, Leaf, PolicyNode
+from .semantics import LEAF, ChanceNode, DecisionNode, Leaf, PolicyNode
 
 __all__ = [
     "FormatWarning",
@@ -293,7 +293,7 @@ def parse_policy(text: str) -> PolicyNode:
             raise MalformedPolicyError(f"policy node must be an object, got {obj!r}")
         kind = obj.get("kind")
         if kind == "leaf":
-            return Leaf()
+            return LEAF
         if kind == "decision":
             if not isinstance(obj.get("variable"), str):
                 raise MalformedPolicyError("decision node needs a variable name")

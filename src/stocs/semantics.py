@@ -63,6 +63,8 @@ class ChanceNode:
 
 PolicyNode = Union[Leaf, DecisionNode, ChanceNode]
 
+LEAF = Leaf()  # the one leaf every policy builder shares
+
 
 @dataclass
 class SearchStats:
@@ -207,18 +209,22 @@ def _policy_value(instance: Instance, policy: PolicyNode, objective,
         if var.kind == "decision":
             dec = _expect_decision(instance, depth, node)
             env[depth] = dec.chosen_value
-            if any(not c.fn(env) for c in instance.check_at[depth]):
-                return violation
+            for c in instance.check_at[depth]:
+                if not c.fn(env):
+                    return violation
             return walk(depth + 1, dec.child)
         chance = _expect_chance(instance, depth, node)
         probs = instance.distribution(depth, env)
+        checks = instance.check_at[depth]
         total = 0.0
         for value, q, child in zip(var.domain, probs, chance.children):
             if q == 0.0:
                 continue
             env[depth] = value
-            if any(not c.fn(env) for c in instance.check_at[depth]):
-                total += q * violation
+            for c in checks:
+                if not c.fn(env):
+                    total += q * violation
+                    break
             else:
                 total += q * walk(depth + 1, child)
         env[depth] = None
@@ -234,7 +240,7 @@ def policy_satisfaction(instance: Instance, policy: PolicyNode) -> float:
 
 def _subpolicies(instance: Instance, depth: int) -> Iterator[PolicyNode]:
     if depth == instance.n:
-        yield Leaf()
+        yield LEAF
         return
     var = instance.variables[depth]
     if var.kind == "decision":
@@ -325,7 +331,7 @@ def _rigid_policies(instance: Instance,
     """The rigid policy from every depth 0..n down, in one backward pass:
     decision variable i takes ``values[i]`` (default: its first domain value)
     whatever was observed, and entry d + 1 is every child of entry d."""
-    table: list[PolicyNode] = [Leaf()]
+    table: list[PolicyNode] = [LEAF]
     for depth in range(instance.n - 1, -1, -1):
         var = instance.variables[depth]
         if var.kind == "decision":

@@ -67,9 +67,9 @@ from operator import itemgetter
 from .errors import NonpositiveBranchProbabilityError
 from .model import PROB_TOL, CompiledConstraint, Instance, VariableSpec, _check_theta
 from .semantics import (
+    LEAF,
     ChanceNode,
     DecisionNode,
-    Leaf,
     PolicyNode,
     SatisfactionResult,
     SearchStats,
@@ -259,7 +259,7 @@ class _Search:
 
     def max_value(self, depth: int) -> tuple[float, PolicyNode]:
         if depth == self.n:
-            return 1.0, Leaf()
+            return 1.0, LEAF
         var = self.inst.variables[depth]
         get_key = self.key_at[depth]
         if get_key is None:
@@ -335,7 +335,7 @@ class _Search:
 
     def decide_value(self, depth: int, required: float) -> tuple[float, float, PolicyNode]:
         if depth == self.n:
-            return 1.0, 1.0, Leaf()
+            return 1.0, 1.0, LEAF
         var = self.inst.variables[depth]
         get_key = self.key_at[depth]
         if get_key is None:

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
-from gen import random_instance
+from gen import inventory_instance, random_instance
 from stocs import (
     ChanceNode,
     ConditionalTable,
     DecisionNode,
     Leaf,
+    SampleEstimate,
+    approx,
     expr_constraint,
+    fc_max,
     monte_carlo_policy_eval,
     most_probable_scenario_policy,
     oracle_max_satisfaction,
@@ -19,6 +22,7 @@ from stocs.errors import (
     BadEpsilonError,
     BadKError,
     BadSampleCountError,
+    MalformedPolicyError,
     NoHeuristicPolicyError,
     UnsupportedConditionalParentsError,
 )
@@ -201,3 +205,118 @@ class TestMonteCarlo:
         policy = DecisionNode("x", 0, ChanceNode("s", (Leaf(), Leaf())))
         with pytest.raises(BadSampleCountError):
             monte_carlo_policy_eval(instance_a, policy, n, seed=1)
+
+
+def _cpt_case():
+    cpt = ConditionalTable("s2", ("s1",), {(0,): (0.7, 0.2, 0.1), (1,): (0.1, 0.3, 0.6),
+                                           (2,): (0.25, 0.25, 0.5)})
+    inst = make_instance(
+        [("s1", "s", (0, 1, 2), (0.5, 0.3, 0.2)), ("x", "d", (0, 1, 2)),
+         ("s2", "s", (0, 1, 2), cpt)],
+        [expr_constraint("x = s2 or x + s1 = 3")])
+    return inst, fc_max(inst).policy
+
+
+def _zero_case():
+    # zero mass on the first s1 value and on the last s2 value; the branch
+    # behind s1 = 0 is malformed (x = 7) and must never be walked
+    inst = make_instance(
+        [("s1", "s", (0, 1, 2), (0.0, 0.3, 0.7)), ("x", "d", (0, 1, 2)),
+         ("s2", "s", (0, 1, 2), (0.25, 0.75, 0.0))],
+        [expr_constraint("x = s2")])
+    tail = ChanceNode("s2", (Leaf(), Leaf(), Leaf()))
+    policy = ChanceNode("s1", (DecisionNode("x", 7, tail),
+                               DecisionNode("x", 0, tail), DecisionNode("x", 1, tail)))
+    return inst, policy
+
+
+def _shared_case():
+    # fc_max fills dead branches with one shared default subtree
+    inst = inventory_instance(3)
+    return inst, fc_max(inst).policy
+
+
+def _chance_paths(instance, node, depth=0):
+    """Chance nodes counted once per path from the root, and once per object."""
+    if depth == instance.n:
+        return 0, set()
+    if isinstance(node, DecisionNode):
+        return _chance_paths(instance, node.child, depth + 1)
+    paths, ids = 1, {id(node)}
+    for child in node.children:
+        more, more_ids = _chance_paths(instance, child, depth + 1)
+        paths += more
+        ids |= more_ids
+    return paths, ids
+
+
+class TestSampledWalkGoldens:
+    """Estimates pinned bit for bit; they predate the per-path compiled walk."""
+
+    @pytest.mark.parametrize("case, n, seed, want", [
+        (_cpt_case, 1000, 3, (0.859, 0.8360535139205308, 0.8791988734436608)),
+        (_cpt_case, 2500, 2 ** 64 + 11, (0.86, 0.8458452567781073, 0.8730501004400096)),
+        (_zero_case, 1000, 3, (0.607, 0.5763739066807299, 0.6368071669904916)),
+        (_zero_case, 2500, 2 ** 64 + 11, (0.5856, 0.5661727654447772, 0.6047645750493083)),
+        (_zero_case, 1, 3, (0.0, 0.0, 0.7934506882081973)),
+        (_zero_case, 1, 2, (1.0, 0.2065493117918027, 1.0)),
+        (_shared_case, 1000, 3, (0.916, 0.8971749504561966, 0.9316411864337859)),
+        (_shared_case, 2500, 2 ** 64 + 11, (0.9272, 0.9163470257984593, 0.9367421314337062)),
+        (_shared_case, 1, 4, (0.0, 0.0, 0.7934506882081973)),
+        (_shared_case, 1, 5, (1.0, 0.2065493117918027, 1.0)),
+    ])
+    def test_estimate_is_bit_identical(self, case, n, seed, want):
+        inst, policy = case()
+        got = monte_carlo_policy_eval(inst, policy, n, seed)
+        assert got == SampleEstimate(want[0], n, want[1], want[2], seed & (2 ** 64 - 1))
+
+    def test_shared_case_really_shares_subtrees(self):
+        inst, policy = _shared_case()
+        paths, ids = _chance_paths(inst, policy)
+        assert len(ids) < paths
+
+
+class TestSampledWalkTrie:
+    def test_malformed_node_below_a_violated_constraint_still_raises(self):
+        inst = make_instance(
+            [("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5)), ("y", "d", (0, 1))],
+            [expr_constraint("x = 1")])
+        # x = 0 violates the constraint at depth 0; the walk goes on anyway
+        policy = DecisionNode("x", 0, ChanceNode("s", (DecisionNode("y", 0, Leaf()),
+                                                       DecisionNode("y", 5, Leaf()))))
+        with pytest.raises(MalformedPolicyError,
+                           match=r"^decision y=5 not in domain \(0, 1\)$"):
+            monte_carlo_policy_eval(inst, policy, 200, seed=1)
+
+    @pytest.mark.parametrize("case", [_cpt_case, _zero_case, _shared_case])
+    def test_states_never_exceed_the_chance_paths(self, case):
+        inst, policy = case()
+        one = approx._PathTrie(inst, policy)
+        one.wins(1, 9)
+        # one sample walks one path: a state per stochastic variable
+        assert one.states == len(inst.stochastic_indices)
+        many = approx._PathTrie(inst, policy)
+        many.wins(4000, 9)
+        paths, _ = _chance_paths(inst, policy)
+        assert many.states <= paths
+
+    def test_shared_subtrees_get_one_state_per_path(self):
+        inst, policy = _shared_case()
+        trie = approx._PathTrie(inst, policy)
+        trie.wins(4000, 9)
+        paths, ids = _chance_paths(inst, policy)
+        # every path of this policy has positive probability and gets sampled
+        assert trie.states == paths > len(ids)
+
+    def test_draw_past_the_total_takes_the_last_positive_value(self):
+        inst = make_instance(
+            [("s", "s", (0, 1, 2), (0.25, 0.75, 0.0)), ("x", "d", (0, 1, 2))],
+            [expr_constraint("x = s")])
+        policy = ChanceNode("s", tuple(DecisionNode("x", v, Leaf()) for v in (0, 1, 2)))
+        trie = approx._PathTrie(inst, policy)
+        state, ok = trie.root
+        branch = trie.grow(state, len(state.cum))
+        assert branch == (None, True)  # s = 1 with x = 1, not the zero-mass s = 2
+        # the past-the-total slot and the value's own slot share one branch
+        assert state.branches[1] is state.branches[3] is branch
+        assert state.branches[2] is None
