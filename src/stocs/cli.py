@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
+import os
 import sys
 import time
 import warnings
@@ -97,7 +97,21 @@ def _print_stats(stats: SearchStats) -> None:
 
 
 def _write_policy(path: str, policy) -> None:
-    Path(path).write_text(serialize_policy(policy) + "\n", encoding="utf-8")
+    # Overwrite in place, then cut off the tail of a longer old file. Opening
+    # with O_TRUNC instead makes ext4 start writeback of the file on close
+    # (its replace-via-truncate heuristic): 0.1-0.5 ms per write, disk-bound
+    # and uneven from one write to the next, against about 5 us this way.
+    data = (serialize_policy(policy) + "\n").encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        old_size = os.fstat(fd).st_size  # 0 for a device or a pipe
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if old_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -213,9 +227,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 2 if bad_files else 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="stocs",
         description="Solve stochastic constraint satisfaction problems.",

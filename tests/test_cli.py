@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 import shutil
 
@@ -77,6 +78,22 @@ class TestSolve:
         assert code == 0
         # witness must meet the instance threshold of 0.6
         assert float(out.split("=")[1]) >= 0.6
+
+    def test_policy_out_replaces_longer_file(self, capsys, instances_dir, tmp_path):
+        target = tmp_path / "witness.json"
+        fresh = tmp_path / "fresh.json"
+        target.write_text("x" * 100_000, encoding="utf-8")
+        for path in (target, fresh):
+            code, _, _ = run(capsys, "solve", str(instances_dir / "fc_demo.scsp"),
+                             "--algorithm", "fc", "--policy-out", str(path))
+            assert code == 0
+        assert target.read_bytes() == fresh.read_bytes()
+        assert fresh.read_text(encoding="utf-8").endswith("}\n")
+
+    def test_policy_out_to_device(self, capsys, instances_dir):
+        code, out, err = run(capsys, "solve", str(instances_dir / "fc_demo.scsp"),
+                             "--algorithm", "fc", "--policy-out", os.devnull)
+        assert (code, out, err) == (0, "SAT p>=0.600000000\n", "")
 
     def test_no_policy_written_on_unsat(self, capsys, instances_dir, tmp_path):
         target = tmp_path / "witness.json"
