@@ -1,7 +1,8 @@
 """Approximation procedures: interval bounds, a scenario heuristic, sampling.
 
 restricted_tree_bounds explores only high-probability stochastic branches
-and turns the skipped mass into an interval around the true maximum.
+and turns the skipped mass into an interval around the true maximum; equal
+subtrees are bounded once, keyed as in the search (Instance.key_at).
 most_probable_scenario_policy solves the deterministic problem obtained by
 pinning every stochastic variable to its likeliest value and lifts the
 result into a rigid policy. monte_carlo_policy_eval estimates a given
@@ -36,7 +37,7 @@ from .errors import (
     NoHeuristicPolicyError,
     UnsupportedConditionalParentsError,
 )
-from .model import Instance
+from .model import Instance, _as_float
 from .semantics import (
     PolicyNode,
     _check_depth,
@@ -45,6 +46,7 @@ from .semantics import (
     _rigid_policies,
     policy_satisfaction,
 )
+from .solver import _remember
 
 __all__ = [
     "Interval", "SampleEstimate", "HeuristicPolicy", "WILSON_Z",
@@ -89,21 +91,28 @@ def restricted_tree_bounds(instance: Instance, epsilon: float | None = None,
     if (epsilon is None) == (top_k is None):
         raise BadEpsilonError("give exactly one of epsilon or top_k")
     if epsilon is not None:
-        epsilon = float(epsilon)
-        if not 0.0 <= epsilon <= 1.0 or math.isnan(epsilon):
+        try:
+            epsilon = _as_float(epsilon)
+        except (TypeError, ValueError):
+            raise BadEpsilonError(f"epsilon {epsilon!r} is not a number") from None
+        if not 0.0 <= epsilon <= 1.0:  # NaN too
             raise BadEpsilonError(f"epsilon {epsilon!r} outside [0, 1]")
-    else:
-        if not isinstance(top_k, int) or top_k < 1:
-            raise BadKError(f"top_k {top_k!r} must be a positive integer")
+    elif not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1:
+        raise BadKError(f"top_k {top_k!r} must be a positive integer")
 
     _check_depth(instance)
     if any(not c.fn([]) for c in instance.constant_compiled):
         return Interval(0.0, 0.0)
     env: list = [None] * instance.n
+    key_at = instance.key_at
+    memo: dict = {}
 
     def walk(depth: int) -> tuple[float, float]:
         if depth == instance.n:
             return 1.0, 1.0
+        key = None if key_at[depth] is None else (depth, key_at[depth](env))
+        if key in memo:
+            return memo[key]
         var = instance.variables[depth]
         checks = instance.check_at[depth]
         if var.kind == "decision":
@@ -118,7 +127,7 @@ def restricted_tree_bounds(instance: Instance, epsilon: float | None = None,
                     lb = max(lb, child_lb)
                     ub = max(ub, child_ub)
                 env[depth] = None
-            return lb, ub
+            return _remember(memo, key, (lb, ub))
 
         probs = instance.distribution(depth, env)
         if epsilon is not None:
@@ -141,7 +150,7 @@ def restricted_tree_bounds(instance: Instance, epsilon: float | None = None,
                 lb += q * child_lb
                 ub += q * child_ub
             env[depth] = None
-        return lb, ub + unexplored
+        return _remember(memo, key, (lb, ub + unexplored))
 
     lb, ub = walk(0)
     lb = min(1.0, max(0.0, lb))

@@ -22,7 +22,9 @@ lets objectives use indicator terms like ``10 * (x = s)``. The operands of
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter, mul
 from typing import Callable, Iterator
 
 from .errors import (
@@ -35,7 +37,7 @@ from .errors import (
 __all__ = [
     "Expr", "IntLiteral", "VariableRef", "Unary", "Binary",
     "parse_expression", "infer_type", "variables_in", "compile_expression",
-    "format_expression", "interval_range",
+    "format_expression", "interval_range", "key_getters",
 ]
 
 
@@ -317,6 +319,85 @@ def compile_expression(node: Expr, index_of: dict[str, int]) -> Callable:
         return eval(compile(source, "<constraint>", "eval"), {"__builtins__": {}})
     except (SyntaxError, RecursionError, MemoryError) as e:
         raise ExpressionTooDeepError(f"expression nests too deeply to compile: {e}") from None
+
+
+def _sum_terms(node: Expr, sign: int, out: list) -> list:
+    """Append the (coefficient, term) pairs of ``sign * node`` to ``out``:
+    ``+``, ``-``, unary minus and products with a literal side distribute,
+    literals drop out, and any other node is one term."""
+    stack = [(sign, node)]
+    while stack:
+        c, node = stack.pop()
+        if isinstance(node, Binary) and node.op in ("+", "-"):
+            stack += [(c, node.left), (-c if node.op == "-" else c, node.right)]
+        elif isinstance(node, Unary) and node.op == "-":
+            stack.append((-c, node.operand))
+        elif isinstance(node, Binary) and node.op == "*" and isinstance(node.left, IntLiteral):
+            stack.append((c * node.left.value, node.right))
+        elif isinstance(node, Binary) and node.op == "*" and isinstance(node.right, IntLiteral):
+            stack.append((c * node.right.value, node.left))
+        elif not isinstance(node, IntLiteral):
+            out.append((c, node))
+    return out
+
+
+def key_getters(n: int, index_of: dict[str, int], scopes: list, expressions: list) -> tuple:
+    """Per-depth subtree keys of a walk over n variables (Instance.key_at).
+
+    The key at depth d fixes all that the subtree below d reads of env[:d].
+    At its depths each (positions, depths) of ``scopes`` adds the raw values
+    of its assigned positions, and each (node, depths) of ``expressions``:
+    for a linear node (``+``, ``-``, unary minus, products with a literal;
+    a comparison as left - right) the integer sum of its assigned variable
+    terms and the keys of its other terms; for any other, its operands'.
+    A getter is None where the key is the whole prefix (it never repeats).
+    """
+    raw: list[set[int]] = [set() for _ in range(n)]
+    sums: list[set[tuple[tuple[int, ...], tuple[int, ...]]]] = [set() for _ in range(n)]
+
+    def add(node: Expr, depths: range) -> None:
+        if _level(node) == _LEVEL_CMP:
+            terms = _sum_terms(node.right, -1, _sum_terms(node.left, 1, []))
+        else:
+            terms = _sum_terms(node, 1, [])
+            if terms == [(1, node)] and not isinstance(node, VariableRef):  # key each operand
+                spine, leftmost = _spine(node, (node.op,))
+                for operand in [getattr(node, "operand", leftmost)] + [p.right for p in spine]:
+                    add(operand, depths)
+                return
+        coefs: dict[int, int] = {}
+        for c, term in terms:
+            if isinstance(term, VariableRef):
+                i = index_of[term.name]
+                coefs[i] = coefs.get(i, 0) + c
+            else:
+                add(term, depths)
+        order = sorted(i for i, c in coefs.items() if c)
+        for d in depths:
+            k = bisect_left(order, d)  # the assigned variables
+            if k == 1:
+                raw[d].add(order[0])
+            elif k:
+                sums[d].add((tuple(order[:k]), tuple([coefs[i] for i in order[:k]])))
+
+    for node, depths in expressions:
+        add(node, depths)
+    for positions, depths in scopes:
+        for i in positions:
+            for d in range(max(i + 1, depths.start), depths.stop):
+                raw[d].add(i)
+    table: list = []
+    for d in range(n):
+        parts = [itemgetter(*sorted(raw[d]))] if raw[d] else []
+        parts += [_sum_getter(*form) for form in sorted(sums[d]) if not raw[d].issuperset(form[0])]
+        table.append(None if len(raw[d]) == d else parts[0] if len(parts) == 1
+                     else lambda env, parts=parts: tuple([part(env) for part in parts]))
+    return tuple(table)
+
+
+def _sum_getter(positions: tuple[int, ...], coefs: tuple[int, ...]) -> Callable:
+    get = itemgetter(*positions)
+    return lambda env: sum(map(mul, coefs, get(env)))
 
 
 def interval_range(node: Expr, domain_of: dict[str, tuple[int, ...]]) -> tuple[int, int]:

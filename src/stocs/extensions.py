@@ -10,9 +10,11 @@ pruned mass is no longer branch-independent).
 optimize_expected maximizes the expected objective value, where leaves
 violating a constraint score the objective's violation_value. That
 penalized expectation decomposes over the tree (max at decisions,
-weighted sum at chance nodes). Maximizing expectation subject to
-satisfaction >= theta does not decompose; optimize_chance_constrained
-does it by exhaustive policy enumeration and is exponential.
+weighted sum at chance nodes), so equal subtrees are solved once, keyed as
+in the search plus the objective's assigned part. Maximizing expectation
+subject to satisfaction >= theta does not decompose;
+optimize_chance_constrained does it by exhaustive policy enumeration and
+is exponential.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .semantics import (
     enumerate_policies,
     policy_satisfaction,
 )
+from .solver import _remember
 
 __all__ = [
     "OptimizeResult",
@@ -74,10 +77,15 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
         return OptimizeResult(first[0], violation, 0.0)
     n = instance.n
     env: list = [None] * n
+    key_at = instance._key_table(instance.objective)
+    memo: dict = {}
 
     def walk(depth: int) -> tuple[float, PolicyNode]:
         if depth == n:
             return float(objective(env)), LEAF
+        key = None if key_at[depth] is None else (depth, key_at[depth](env))
+        if key in memo:
+            return memo[key]
         var = instance.variables[depth]
         checks = instance.check_at[depth]
         if var.kind == "decision":
@@ -96,7 +104,7 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
                 if best is None or value > best:
                     best, best_value, best_child = value, w, child
             assert best is not None
-            return best, DecisionNode(var.name, best_value, best_child)
+            return _remember(memo, key, (best, DecisionNode(var.name, best_value, best_child)))
         probs = instance.distribution(depth, env)
         total = 0.0
         children = []
@@ -115,7 +123,7 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
                 total += q * value
                 children.append(child)
             env[depth] = None
-        return total, ChanceNode(var.name, tuple(children))
+        return _remember(memo, key, (total, ChanceNode(var.name, tuple(children))))
 
     expected, policy = walk(0)
     return OptimizeResult(policy, expected, policy_satisfaction(instance, policy))

@@ -219,16 +219,25 @@ class Instance:
         return tuple(tuple(g) for g in groups)
 
     @cached_property
-    def contexts(self) -> tuple[tuple[int, ...], ...]:
-        """Per depth d, each i < d in a constraint scope or CPT with some j >= d."""
-        scopes = [c.scope_idx for c in self.compiled]
-        scopes += [(*(self.index_of[p] for p in v.cpt.parents), j)
+    def key_at(self) -> tuple:
+        """Per-depth subtree keys of the walks that check the constraints."""
+        return self._key_table(None)
+
+    def _key_table(self, objective: Objective | None) -> tuple:
+        """expr.key_getters over each table, CPT and expression at the depths
+        it spans, and over the objective at every depth: each leaf scores it."""
+        scopes, expressions = [], []
+        for c in self.compiled:
+            depths = range(c.scope_idx[0] + 1 if c.scope_idx else 0, c.last_idx + 1)
+            if c.source.expression is None:
+                scopes.append((c.scope_idx, depths))
+            else:
+                expressions.append((c.source.expression, depths))
+        scopes += [([self.index_of[p] for p in v.cpt.parents], range(j + 1))
                    for j, v in enumerate(self.variables) if v.cpt is not None]
-        reach = list(range(self.n))  # the last variable each one shares a scope with
-        for scope in scopes:
-            for i in scope:
-                reach[i] = max(reach[i], scope[-1])
-        return tuple(tuple(i for i in range(d) if reach[i] >= d) for d in range(self.n))
+        if objective is not None:
+            expressions.append((objective.expression, range(self.n)))
+        return _expr.key_getters(self.n, self.index_of, scopes, expressions)
 
     @cached_property
     def fc_fire_at(self) -> tuple[tuple[CompiledConstraint, ...], ...]:

@@ -41,17 +41,17 @@ A naive single-accumulator scheme is unsound there: an early-stopped
 sibling's surplus above its local requirement can be exactly what a
 later shortfall needs.
 
-Both modes cache subtree results by context (AND/OR search with caching).
-The context of depth d (Instance.contexts) holds each earlier variable that
-shares a constraint scope with, or is a CPT parent of, a variable at depth
->= d. The subtree below d, its live domains and masses included, depends
-on nothing else, so one key serves bt and fc; depths whose context is the
-whole prefix never repeat a key and skip the cache. A max-mode hit is the
-first-found optimum of an identical subproblem, so values and argmax
+Both modes cache subtree results by key (AND/OR search with caching).
+The key of depth d (Instance.key_at) holds what the subtree below d reads
+of the assigned prefix: raw values for tables and CPT parents, the assigned
+part of each linear sum. Equal keys mean an identical subproblem, its live
+domains and masses included, so one key serves bt and fc; depths keyed on
+the whole prefix never repeat a key and skip the cache. A max-mode hit is
+the first-found optimum of an identical subproblem, so values and argmax
 policies do not change. Decide mode stores (lo, hi, policy) and reuses it
 only when conclusive (lo >= required or hi < required); an exact max-mode
-entry answers as (v, v, policy). A search stores at most CACHE_ENTRIES
-distinct keys (0 turns the cache off); overwriting a key is free.
+entry answers as (v, v, policy). A walk stores at most CACHE_ENTRIES
+distinct keys (0 turns every cache off); overwriting a key is free.
 
 Prune rules can be disabled independently; verdicts and values never
 change, only the work done (and the witness in decide mode).
@@ -62,7 +62,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import NonpositiveBranchProbabilityError
 from .model import PROB_TOL, CompiledConstraint, Instance, VariableSpec, _check_theta
@@ -84,8 +83,15 @@ __all__ = [
     "required_threshold",
 ]
 
-# distinct keys one search stores at most; past it only known keys get stored
+# distinct keys one walk stores at most; past it only known keys get stored
 CACHE_ENTRIES = 100_000
+
+
+def _remember(memo: dict, key: tuple | None, result: tuple) -> tuple:
+    """Store a subtree result under its key (None: not cached) if room or known."""
+    if key is not None and (len(memo) < CACHE_ENTRIES or key in memo):
+        memo[key] = result
+    return result
 
 
 @dataclass(frozen=True)
@@ -142,12 +148,8 @@ class _Search:
         self.mass = [1.0] * n
         self.trail: list[tuple[int, tuple[int, ...], float]] = []
         self.first = _rigid_policies(instance)
-        # a context that is the whole prefix never repeats a key: no cache there
-        self.key_at = [None if len(ctx) == d
-                       else itemgetter(*ctx) if ctx else (lambda env: ())
-                       for d, ctx in enumerate(instance.contexts)]
-        self.memo: list[dict] = [{} for _ in range(n)]
-        self.room = CACHE_ENTRIES
+        self.key_at = instance.key_at
+        self.memo: dict = {}
         self.root_dead = any(not c.fn(self.env) for c in instance.constant_compiled)
         if fc and not self.root_dead:
             # unary prunes hold for the whole search: drop them from the trail
@@ -246,13 +248,6 @@ class _Search:
         scored.sort()
         return [pos for _, pos in scored], dead
 
-    def _store(self, depth: int, key: tuple, old: tuple | None, result: tuple) -> tuple:
-        """Cache a result under its key; only a new key spends room."""
-        if old is not None or self.room:
-            self.room -= old is None
-            self.memo[depth][key] = result
-        return result
-
     # ------------------------------------------------------------------
     # max mode
     # ------------------------------------------------------------------
@@ -266,15 +261,14 @@ class _Search:
             if var.kind == "decision":
                 return self._max_decision(depth, var)
             return self._max_chance(depth, var)
-        key = get_key(self.env)
-        hit = self.memo[depth].get(key)
+        key = depth, get_key(self.env)
+        hit = self.memo.get(key)
         # a decide entry (lo, hi, policy) need not hold the argmax
         if hit is not None and len(hit) == 2:
             self.stats.cache_hits += 1
             return hit
-        result = (self._max_decision(depth, var) if var.kind == "decision"
-                  else self._max_chance(depth, var))
-        return self._store(depth, key, hit, result)
+        return _remember(self.memo, key, self._max_decision(depth, var)
+                         if var.kind == "decision" else self._max_chance(depth, var))
 
     def _max_decision(self, depth: int, var: VariableSpec) -> tuple[float, PolicyNode]:
         best = -1.0
@@ -342,15 +336,14 @@ class _Search:
             if var.kind == "decision":
                 return self._decide_decision(depth, var, required)
             return self._decide_chance(depth, var, required)
-        key = get_key(self.env)
-        hit = self.memo[depth].get(key)
+        key = depth, get_key(self.env)
+        hit = self.memo.get(key)
         # an exact max-mode result, or one conclusive for this requirement
         if hit is not None and (len(hit) == 2 or hit[0] >= required or hit[1] < required):
             self.stats.cache_hits += 1
             return (hit[0], *hit) if len(hit) == 2 else hit
-        result = (self._decide_decision(depth, var, required) if var.kind == "decision"
-                  else self._decide_chance(depth, var, required))
-        return self._store(depth, key, hit, result)
+        return _remember(self.memo, key, self._decide_decision(depth, var, required)
+                         if var.kind == "decision" else self._decide_chance(depth, var, required))
 
     def _decide_decision(self, depth: int, var: VariableSpec,
                          required: float) -> tuple[float, float, PolicyNode]:

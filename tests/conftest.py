@@ -36,7 +36,8 @@ def make_instance(variables, constraints=(), theta=0.5, name="", objective=None)
 
 
 def uncached(run, *args, **kwargs):
-    """Call a search with the context cache off: it may store no entry."""
+    """Call a search, optimize_expected or restricted_tree_bounds with the
+    subtree cache off: it may store no entry."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "CACHE_ENTRIES", 0)
         return run(*args, **kwargs)

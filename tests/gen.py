@@ -14,10 +14,14 @@ from stocs import (
     DecisionNode,
     Instance,
     Leaf,
+    Objective,
     VariableSpec,
+    compile_expression,
     expr_constraint,
+    parse_expression,
     validate_instance,
 )
+from stocs.expr import interval_range
 
 MAX_POLICIES = 2000
 MAX_WORK = 20000  # policy count times scenario count
@@ -148,6 +152,65 @@ def inventory_instance(periods: int, theta: float = 0.5) -> Instance:
         before = "1" if t == 1 else f"k{t - 1}"
         constraints.append(expr_constraint(f"k{t} = {before} + x{t} - s{t}"))
     return validate_instance(Instance(tuple(variables), tuple(constraints), theta))
+
+
+def _linear_text(rng: random.Random, names: list[str]) -> str:
+    """A sum of 1-4 terms over ``names``: variables with literal
+    coefficients, negations, products of two variables and 0/1 atoms."""
+    text = ""
+    for name in rng.sample(names, rng.randint(1, min(4, len(names)))):
+        term = rng.choice((name, name, f"{name} * {rng.choice(names)}",
+                           f"({name} = {rng.randint(0, 2)})", f"-{name}"))
+        c = rng.choice((1, 1, 2, 3))
+        term = rng.choice((term, f"{c} * {term}", f"{term} * {c}")) if c > 1 else term
+        text += f" {rng.choice('+-')} {term}" if text else term
+    return text
+
+
+def _linear_constraint_text(rng: random.Random, names: list[str], env: dict) -> str:
+    """A comparison of a sum with a constant that ``env`` meets or nearly
+    meets, now and then joined to another by ``or``/``and`` or negated."""
+    def comparison() -> str:
+        lhs = _linear_text(rng, names)
+        value = compile_expression(parse_expression(lhs), {name: i for i, name in enumerate(env)})
+        target = value(list(env.values())) + rng.randint(-1, 1)
+        return f"{lhs} {rng.choice(('<=', '>=', '>=', '<=', '!=', '=', '<', '>'))} {target}"
+
+    roll = rng.random()
+    if roll < 0.15:
+        return f"{comparison()} or {comparison()}"
+    if roll < 0.25:
+        return f"{comparison()} and {comparison()}"
+    if roll < 0.3:
+        return f"not ({comparison()})"
+    return comparison()
+
+
+def random_linear_instance(rng: random.Random, min_vars: int = 3,
+                           max_vars: int = 6) -> Instance:
+    """Like random_instance, with linear expression constraints and a linear
+    objective over small integer domains; about one in three also keeps a
+    random table."""
+    while True:
+        base = random_instance(rng, min_vars, max_vars)
+        shifts = [rng.choice((-1, 0, 0, 1, 5)) for _ in base.variables]
+        variables = tuple(VariableSpec(v.name, v.kind, tuple(w + shift for w in v.domain),
+                                       probabilities=v.probabilities)
+                          for v, shift in zip(base.variables, shifts))
+        names = [v.name for v in variables]
+        env = {v.name: rng.choice(v.domain) for v in variables}
+        constraints = [expr_constraint(_linear_constraint_text(rng, names, env))
+                       for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            constraints.append(random_table(rng, variables))
+        objective = parse_expression(_linear_text(rng, names))
+        low, _ = interval_range(objective, {v.name: v.domain for v in variables})
+        return validate_instance(Instance(
+            variables=variables,
+            constraints=tuple(constraints),
+            theta=base.theta,
+            objective=Objective(objective, low - rng.randint(1, 5)),
+        ))
 
 
 def random_policy(rng: random.Random, instance: Instance, depth: int = 0):

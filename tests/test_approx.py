@@ -58,12 +58,12 @@ class TestRestrictedTreeBounds:
         with pytest.raises(BadEpsilonError):
             restricted_tree_bounds(instance_a, epsilon=0.1, top_k=2)
 
-    @pytest.mark.parametrize("epsilon", [-0.1, 1.1, float("nan")])
+    @pytest.mark.parametrize("epsilon", [-0.1, 1.1, float("nan"), "abc", 10**400, [0.1]])
     def test_epsilon_range(self, instance_a, epsilon):
         with pytest.raises(BadEpsilonError):
             restricted_tree_bounds(instance_a, epsilon=epsilon)
 
-    @pytest.mark.parametrize("k", [0, -3])
+    @pytest.mark.parametrize("k", [0, -3, True, 1.0, "2"])
     def test_k_must_be_positive(self, instance_a, k):
         with pytest.raises(BadKError):
             restricted_tree_bounds(instance_a, top_k=k)

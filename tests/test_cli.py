@@ -172,10 +172,10 @@ GOLDEN_STATS = [
     ("objective", "bt", "decide", None, (2, 1, 1, 0, 0)),
     ("objective", "fc", "max", None, (4, 0, 0, 0, 0)),
     ("objective", "fc", "decide", None, (2, 1, 0, 0, 0)),
-    ("production", "bt", "max", None, (360, 0, 10, 0, 0)),
-    ("production", "bt", "decide", None, (119, 12, 14, 0, 0)),
-    ("production", "fc", "max", None, (36, 0, 6, 0, 0)),
-    ("production", "fc", "decide", None, (39, 5, 10, 0, 0)),
+    ("production", "bt", "max", None, (70, 0, 4, 0, 0)),
+    ("production", "bt", "decide", None, (68, 6, 8, 0, 0)),
+    ("production", "fc", "max", None, (16, 0, 6, 0, 0)),
+    ("production", "fc", "decide", None, (24, 1, 10, 0, 0)),
     ("a", "fc", "max", "decision-stop", (3, 0, 0, 0, 1)),
     ("a", "fc", "max", "chance-abort", (3, 0, 0, 0, 1)),
     ("a", "fc", "max", "fc-wipeout", (3, 0, 0, 0, 1)),
@@ -216,14 +216,14 @@ GOLDEN_STATS = [
     ("objective", "fc", "decide", "chance-abort", (4, 0, 0, 0, 0)),
     ("objective", "fc", "decide", "fc-wipeout", (2, 1, 0, 0, 0)),
     ("objective", "fc", "decide", "fc-mass", (2, 1, 0, 0, 0)),
-    ("production", "fc", "max", "decision-stop", (60, 0, 0, 0, 24)),
-    ("production", "fc", "max", "chance-abort", (36, 0, 6, 0, 0)),
-    ("production", "fc", "max", "fc-wipeout", (36, 0, 6, 0, 0)),
-    ("production", "fc", "max", "fc-mass", (36, 0, 6, 0, 0)),
-    ("production", "fc", "decide", "decision-stop", (147, 45, 0, 0, 35)),
-    ("production", "fc", "decide", "chance-abort", (36, 0, 6, 0, 0)),
-    ("production", "fc", "decide", "fc-wipeout", (39, 5, 10, 0, 0)),
-    ("production", "fc", "decide", "fc-mass", (39, 5, 10, 0, 0)),
+    ("production", "fc", "max", "decision-stop", (40, 0, 0, 0, 24)),
+    ("production", "fc", "max", "chance-abort", (16, 0, 6, 0, 0)),
+    ("production", "fc", "max", "fc-wipeout", (16, 0, 6, 0, 0)),
+    ("production", "fc", "max", "fc-mass", (16, 0, 6, 0, 0)),
+    ("production", "fc", "decide", "decision-stop", (74, 9, 0, 0, 23)),
+    ("production", "fc", "decide", "chance-abort", (16, 0, 6, 0, 0)),
+    ("production", "fc", "decide", "fc-wipeout", (24, 1, 10, 0, 0)),
+    ("production", "fc", "decide", "fc-mass", (24, 1, 10, 0, 0)),
 ]
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gen import inventory_instance, random_cpt_instance, random_instance
+from gen import inventory_instance, random_cpt_instance, random_instance, random_linear_instance
 from stocs import (
     ConditionalTable,
     Constraint,
@@ -115,15 +115,15 @@ class TestMaxMode:
     def test_production_stops_at_one_with_fewer_nodes(self, instances_dir):
         inst = load_instance(instances_dir / "production.scsp")
         full = PruneRules(decision_stop=False)
-        # node counts without the stop: bt 480, fc 60
-        for solve, nodes in ((bt_max, 360), (fc_max, 36)):
+        # node counts without the stop: bt 100, fc 40
+        for solve, nodes in ((bt_max, 70), (fc_max, 16)):
             got = solve(inst)
             assert got.probability == 1.0
             assert got.stats.nodes_visited == nodes
             assert got.stats.decision_prunes > 0
             assert got.policy == solve(inst, rules=full).policy
         unstopped = bt_max(inst, rules=full)
-        assert unstopped.stats.nodes_visited == 480
+        assert unstopped.stats.nodes_visited == 100
         assert unstopped.stats.decision_prunes == 0
 
 
@@ -469,11 +469,60 @@ class TestContextCache:
                     hits += got.stats.cache_hits
         assert hits > 0
 
-    def test_inventory_contexts_are_one_stock_variable(self):
-        inst = inventory_instance(3)
-        # x1 s1 k1 | x2 s2 k2 | x3 s3 k3
-        assert inst.contexts == ((), (0,), (0, 1), (2,), (2, 3), (2, 3, 4),
-                                 (5,), (5, 6), (5, 6, 7))
+    def test_cache_never_changes_linear_results(self):
+        # linear constraints and objectives key on the assigned part of each
+        # sum, so all three walkers reuse subtrees where raw values differ
+        rng = random.Random(29)
+        instances = [random_linear_instance(rng, max_vars=7) for _ in range(80)]
+        hits = 0
+        for inst in instances:
+            for run_max, run_decide in ((bt_max, bt_decide), (fc_max, fc_decide)):
+                got, want = run_max(inst), uncached(run_max, inst)
+                assert got.probability == want.probability
+                assert serialize_policy(got.policy) == serialize_policy(want.policy)
+                hits += got.stats.cache_hits
+                for theta in (0.2, 0.5, 0.8, want.probability):
+                    got = run_decide(inst, theta)
+                    assert got.satisfiable == uncached(run_decide, inst, theta).satisfiable
+                    if got.satisfiable:
+                        assert policy_satisfaction(inst, got.policy) >= theta - TOL
+            got, want = optimize_expected(inst), uncached(optimize_expected, inst)
+            assert (got.expected_value, got.satisfaction) == (want.expected_value, want.satisfaction)
+            assert serialize_policy(got.policy) == serialize_policy(want.policy)
+            for mode in ({"epsilon": 0.1}, {"epsilon": 0.3}, {"top_k": 1}, {"top_k": 2}):
+                assert (restricted_tree_bounds(inst, **mode)
+                        == uncached(restricted_tree_bounds, inst, **mode))
+        assert hits > 0
+        assert any(key is not None for inst in instances for key in inst._key_table(inst.objective))
+
+    def test_keys_fold_the_assigned_part_of_each_sum(self, instances_dir):
+        def keys(inst, env):
+            return [None if key is None else key(env) for key in inst.key_at]
+
+        # x1 s1 x2 s2 under x1 >= s1 and x1 - s1 + x2 >= s2: below depth 2
+        # the subtree reads the prefix only through x1 - s1 (+ x2)
+        production = load_instance(instances_dir / "production.scsp")
+        assert keys(production, [500, 200, 300, None]) == [None, None, 300, 600]
+        # x1 s1 k1 | x2 s2 k2 | x3 s3 k3 under k_t = k_(t-1) + x_t - s_t, read
+        # as k_t - k_(t-1) - x_t + s_t: a period keys the stock before it,
+        # then the assigned part of its sum
+        chain = inventory_instance(3)
+        assert keys(chain, [1, 2, 0, 0, 1, 3, 1, 0, None]) == [None, None, 1, 0, 0, 1, 3, -4, -4]
+
+    def test_objective_keys_its_value_once_assigned(self):
+        # x1 and x2 are scored at every leaf but constrain nothing: a key
+        # that dropped the objective once assigned would hand every (x1, x2)
+        # the subtree value that x1 = x2 = 0 found first
+        inst = make_instance(
+            [("x1", "d", (0, 1)), ("x2", "d", (0, 1)),
+             ("s", "s", (0, 1), (0.5, 0.5)), ("y", "d", (0, 1))],
+            [expr_constraint("y = s")],
+            objective=Objective(parse_expression("0 - (x1 + x2) + 3 * (x1 = 1)"), -10))
+        got = optimize_expected(inst)
+        assert got.expected_value == 2.0
+        assert (got.policy.chosen_value, got.policy.child.chosen_value) == (1, 0)
+        want = uncached(optimize_expected, inst)
+        assert (got.expected_value, got.policy) == (want.expected_value, want.policy)
 
     def test_cpt_parents_belong_to_the_context(self):
         # c reaches s only through s's table, never through a constraint. A
@@ -483,7 +532,7 @@ class TestContextCache:
         inst = make_instance(
             [("c", "s", (0, 1), (0.5, 0.5)), ("x", "d", (0, 1)), ("s", "s", (0, 1), table)],
             [expr_constraint("x = s")])
-        assert inst.contexts == ((), (0,), (0, 1))
+        assert inst.key_at == (None, None, None)  # every depth keys its whole prefix
         expected = oracle_max_satisfaction(inst)
         assert expected.probability == pytest.approx(0.8, abs=TOL)
         for solve in (bt_max, fc_max):
@@ -520,7 +569,7 @@ class TestContextCache:
                 search.max_value(0)
             else:
                 search.decide_value(0, theta)
-            return sum(map(len, search.memo))
+            return len(search.memo)
 
         full = {(fc, theta): stored(fc, theta) for fc in (False, True) for theta in thetas}
         for cap in (5, 20):
