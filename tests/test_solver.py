@@ -526,8 +526,8 @@ class TestContextCache:
 
     def test_cpt_parents_belong_to_the_context(self):
         # c reaches s only through s's table, never through a constraint. A
-        # context without CPT parents would key x on nothing and hand c=1
-        # the x=0 that c=0 chose.
+        # key without CPT parents would key x on nothing and hand c=1 the
+        # x=0 that c=0 chose.
         table = ConditionalTable("s", ("c",), {(0,): (0.9, 0.1), (1,): (0.3, 0.7)})
         inst = make_instance(
             [("c", "s", (0, 1), (0.5, 0.5)), ("x", "d", (0, 1)), ("s", "s", (0, 1), table)],
