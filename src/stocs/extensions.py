@@ -80,9 +80,10 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
     key_at = instance._key_table(instance.objective)
     memo: dict = {}
 
-    def walk(depth: int) -> tuple[float, PolicyNode]:
+    def walk(depth: int) -> tuple[float, float, PolicyNode]:
+        """(expected value, satisfaction, policy) of the best subtree."""
         if depth == n:
-            return float(objective(env)), LEAF
+            return float(objective(env)), 1.0, LEAF
         key = None if key_at[depth] is None else (depth, key_at[depth](env))
         if key in memo:
             return memo[key]
@@ -90,23 +91,27 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
         checks = instance.check_at[depth]
         if var.kind == "decision":
             best = None
+            best_sat = 0.0
             best_value = var.domain[0]
             best_child = first[depth + 1]
             for w in var.domain:
                 env[depth] = w
                 for c in checks:
                     if not c.fn(env):
-                        value, child = violation, first[depth + 1]
+                        value, sat, child = violation, 0.0, first[depth + 1]
                         break
                 else:
-                    value, child = walk(depth + 1)
+                    value, sat, child = walk(depth + 1)
                 env[depth] = None
                 if best is None or value > best:
-                    best, best_value, best_child = value, w, child
+                    best, best_sat, best_value, best_child = value, sat, w, child
             assert best is not None
-            return _remember(memo, key, (best, DecisionNode(var.name, best_value, best_child)))
+            return _remember(memo, key, (best, best_sat,
+                                         DecisionNode(var.name, best_value, best_child)))
         probs = instance.distribution(depth, env)
         total = 0.0
+        # summed in policy_satisfaction's order, so the result is bit-identical
+        total_sat = 0.0
         children = []
         for w, q in zip(var.domain, probs):
             if q == 0.0:
@@ -119,14 +124,15 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
                     children.append(first[depth + 1])
                     break
             else:
-                value, child = walk(depth + 1)
+                value, sat, child = walk(depth + 1)
                 total += q * value
+                total_sat += q * sat
                 children.append(child)
             env[depth] = None
-        return _remember(memo, key, (total, ChanceNode(var.name, tuple(children))))
+        return _remember(memo, key, (total, total_sat, ChanceNode(var.name, tuple(children))))
 
-    expected, policy = walk(0)
-    return OptimizeResult(policy, expected, policy_satisfaction(instance, policy))
+    expected, satisfaction, policy = walk(0)
+    return OptimizeResult(policy, expected, satisfaction)
 
 
 def optimize_chance_constrained(instance: Instance, theta: float | None = None,

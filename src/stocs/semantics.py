@@ -73,7 +73,6 @@ class SearchStats:
     decision_prunes: int = 0
     fc_wipeouts: int = 0
     fc_mass_prunes: int = 0
-    probes: int = 0  # forward checks that rank decision values, not nodes
     cache_hits: int = 0  # subtree results reused from the context cache
 
     def as_dict(self) -> dict[str, int]:
@@ -83,7 +82,6 @@ class SearchStats:
             "decision_prunes": self.decision_prunes,
             "fc_wipeouts": self.fc_wipeouts,
             "fc_mass_prunes": self.fc_mass_prunes,
-            "probes": self.probes,
             "cache_hits": self.cache_hits,
         }
 

@@ -26,12 +26,6 @@ longer branch-independent) and only domain wipeout remains. A value left
 in a domain has passed every constraint that ends at its variable, so
 forward checking never checks those constraints again on assignment.
 
-Forward checking also tries decision values by descending mass bound, ties
-in domain order, probing each (assign, forward check, undo) where a fired
-constraint ends at a stochastic variable: elsewhere the bound cannot move.
-Equal scores still go to the lower domain position, as in domain order. A
-value whose probe fails scores 0 without being entered again.
-
 Decide mode keeps a lower and an upper accumulator per chance node. The
 locally required threshold only caps how much of a child's exact value
 gets computed, so a child may report an interval rather than a point;
@@ -60,7 +54,6 @@ change, only the work done (and the witness in decide mode).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import NonpositiveBranchProbabilityError
@@ -139,9 +132,6 @@ class _Search:
         self.fc = fc
         self.rules = rules
         self.use_mass = fc and not instance.has_cpts
-        stochastic = [v.kind == "stochastic" for v in instance.variables]
-        self.probe_at = [self.use_mass and any(stochastic[c.last_idx] for c in fire)
-                         for fire in instance.fc_fire_at]
         self.stats = SearchStats()
         self.env: list = [None] * n
         self.live = [tuple(range(len(v.domain))) for v in instance.variables]
@@ -223,31 +213,6 @@ class _Search:
                 return False
         return True
 
-    def _decision_positions(self, depth: int) -> tuple[Sequence[int], Sequence[int]]:
-        """Live domain positions of a decision, highest mass bound first,
-        and the positions whose probe failed: they score 0 without entry."""
-        live = self.live[depth]
-        if not self.probe_at[depth] or len(live) < 2:
-            return live, ()
-        domain = self.inst.variables[depth].domain
-        fire = self.inst.fc_fire_at[depth]
-        scored = []
-        dead = []
-        for pos in live:
-            mark = len(self.trail)
-            self.env[depth] = domain[pos]  # live, so no completed constraint fails
-            self.stats.probes += 1
-            ok = self._forward_check(fire)
-            # bounds that may reach 1.0 tie, so decision_stop keeps domain order
-            bound = min(self._ub(depth), 1.0 - PROB_TOL) if ok else 0.0
-            self._undo(mark)
-            scored.append((-bound, pos))
-            if not ok:
-                dead.append(pos)
-        self.env[depth] = None
-        scored.sort()
-        return [pos for _, pos in scored], dead
-
     # ------------------------------------------------------------------
     # max mode
     # ------------------------------------------------------------------
@@ -274,25 +239,25 @@ class _Search:
         best = -1.0
         best_pos = -1
         best_child: PolicyNode | None = None
-        positions, dead = self._decision_positions(depth)
-        for k, pos in enumerate(positions):
+        live = self.live[depth]
+        for k, pos in enumerate(live):
             mark = len(self.trail)
-            if pos in dead or not self._enter(depth, var.domain[pos]):
+            if not self._enter(depth, var.domain[pos]):
                 score, child = 0.0, None
             elif (self.use_mass and self.rules.fc_mass and best >= 0.0
-                    and self._ub(depth) <= (best if pos > best_pos else best - PROB_TOL)):
-                # cannot win; slack for a lower position, whose bound can round below its score
+                    and self._ub(depth) <= best):
+                # cannot beat the best so far; ties keep the earlier value
                 self.stats.fc_mass_prunes += 1
                 score, child = -1.0, None
             else:
                 score, child = self.max_value(depth + 1)
             self._undo(mark)
             self.env[depth] = None
-            if score > best or (score == best and pos < best_pos):
+            if score > best:
                 best, best_pos, best_child = score, pos, child
             if best >= 1.0 and self.rules.decision_stop:
                 # nothing scores higher; the oracle stops at 1.0 the same way
-                if k + 1 < len(positions):
+                if k + 1 < len(live):
                     self.stats.decision_prunes += 1
                 break
         if best <= 0.0:
@@ -352,10 +317,10 @@ class _Search:
         best_child: PolicyNode | None = None
         node_hi = 0.0
         stopped = False
-        positions, dead = self._decision_positions(depth)
-        for k, pos in enumerate(positions):
+        live = self.live[depth]
+        for k, pos in enumerate(live):
             mark = len(self.trail)
-            if pos in dead or not self._enter(depth, var.domain[pos]):
+            if not self._enter(depth, var.domain[pos]):
                 lo, hi, child = 0.0, 0.0, None
             else:
                 bound = self._ub(depth)
@@ -371,7 +336,7 @@ class _Search:
                 best_lo, best_pos, best_child = lo, pos, child
             node_hi = max(node_hi, hi)
             if lo >= required and self.rules.decision_stop:
-                if k + 1 < len(positions):
+                if k + 1 < len(live):
                     self.stats.decision_prunes += 1
                     stopped = True
                 break

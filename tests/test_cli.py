@@ -166,16 +166,16 @@ GOLDEN_STATS = [
     ("conditional", "fc", "decide", None, (8, 1, 1, 0, 0)),
     ("fc_demo", "bt", "max", None, (8, 0, 0, 0, 0)),
     ("fc_demo", "bt", "decide", None, (6, 1, 0, 0, 0)),
-    ("fc_demo", "fc", "max", None, (4, 0, 0, 0, 1)),
-    ("fc_demo", "fc", "decide", None, (3, 0, 1, 0, 0)),
+    ("fc_demo", "fc", "max", None, (6, 0, 0, 0, 0)),
+    ("fc_demo", "fc", "decide", None, (4, 0, 0, 0, 1)),
     ("objective", "bt", "max", None, (5, 0, 1, 0, 0)),
     ("objective", "bt", "decide", None, (2, 1, 1, 0, 0)),
     ("objective", "fc", "max", None, (4, 0, 0, 0, 0)),
     ("objective", "fc", "decide", None, (2, 1, 0, 0, 0)),
     ("production", "bt", "max", None, (70, 0, 4, 0, 0)),
     ("production", "bt", "decide", None, (68, 6, 8, 0, 0)),
-    ("production", "fc", "max", None, (16, 0, 6, 0, 0)),
-    ("production", "fc", "decide", None, (24, 1, 10, 0, 0)),
+    ("production", "fc", "max", None, (50, 0, 4, 0, 0)),
+    ("production", "fc", "decide", None, (45, 4, 8, 0, 3)),
     ("a", "fc", "max", "decision-stop", (3, 0, 0, 0, 1)),
     ("a", "fc", "max", "chance-abort", (3, 0, 0, 0, 1)),
     ("a", "fc", "max", "fc-wipeout", (3, 0, 0, 0, 1)),
@@ -200,14 +200,14 @@ GOLDEN_STATS = [
     ("conditional", "fc", "decide", "chance-abort", (8, 0, 1, 0, 0)),
     ("conditional", "fc", "decide", "fc-wipeout", (8, 1, 1, 0, 0)),
     ("conditional", "fc", "decide", "fc-mass", (8, 1, 1, 0, 0)),
-    ("fc_demo", "fc", "max", "decision-stop", (4, 0, 0, 0, 1)),
-    ("fc_demo", "fc", "max", "chance-abort", (4, 0, 0, 0, 1)),
-    ("fc_demo", "fc", "max", "fc-wipeout", (4, 0, 0, 0, 1)),
+    ("fc_demo", "fc", "max", "decision-stop", (6, 0, 0, 0, 0)),
+    ("fc_demo", "fc", "max", "chance-abort", (6, 0, 0, 0, 0)),
+    ("fc_demo", "fc", "max", "fc-wipeout", (6, 0, 0, 0, 0)),
     ("fc_demo", "fc", "max", "fc-mass", (6, 0, 0, 0, 0)),
     ("fc_demo", "fc", "decide", "decision-stop", (4, 0, 0, 0, 1)),
-    ("fc_demo", "fc", "decide", "chance-abort", (3, 0, 1, 0, 0)),
-    ("fc_demo", "fc", "decide", "fc-wipeout", (3, 0, 1, 0, 0)),
-    ("fc_demo", "fc", "decide", "fc-mass", (3, 0, 1, 0, 0)),
+    ("fc_demo", "fc", "decide", "chance-abort", (4, 0, 0, 0, 1)),
+    ("fc_demo", "fc", "decide", "fc-wipeout", (4, 0, 0, 0, 1)),
+    ("fc_demo", "fc", "decide", "fc-mass", (4, 1, 0, 0, 0)),
     ("objective", "fc", "max", "decision-stop", (4, 0, 0, 0, 0)),
     ("objective", "fc", "max", "chance-abort", (4, 0, 0, 0, 0)),
     ("objective", "fc", "max", "fc-wipeout", (4, 0, 0, 0, 0)),
@@ -216,14 +216,14 @@ GOLDEN_STATS = [
     ("objective", "fc", "decide", "chance-abort", (4, 0, 0, 0, 0)),
     ("objective", "fc", "decide", "fc-wipeout", (2, 1, 0, 0, 0)),
     ("objective", "fc", "decide", "fc-mass", (2, 1, 0, 0, 0)),
-    ("production", "fc", "max", "decision-stop", (40, 0, 0, 0, 24)),
-    ("production", "fc", "max", "chance-abort", (16, 0, 6, 0, 0)),
-    ("production", "fc", "max", "fc-wipeout", (16, 0, 6, 0, 0)),
-    ("production", "fc", "max", "fc-mass", (16, 0, 6, 0, 0)),
-    ("production", "fc", "decide", "decision-stop", (74, 9, 0, 0, 23)),
-    ("production", "fc", "decide", "chance-abort", (16, 0, 6, 0, 0)),
-    ("production", "fc", "decide", "fc-wipeout", (24, 1, 10, 0, 0)),
-    ("production", "fc", "decide", "fc-mass", (24, 1, 10, 0, 0)),
+    ("production", "fc", "max", "decision-stop", (60, 0, 0, 0, 10)),
+    ("production", "fc", "max", "chance-abort", (50, 0, 4, 0, 0)),
+    ("production", "fc", "max", "fc-wipeout", (50, 0, 4, 0, 0)),
+    ("production", "fc", "max", "fc-mass", (50, 0, 4, 0, 0)),
+    ("production", "fc", "decide", "decision-stop", (77, 10, 0, 0, 9)),
+    ("production", "fc", "decide", "chance-abort", (55, 0, 8, 0, 3)),
+    ("production", "fc", "decide", "fc-wipeout", (45, 4, 8, 0, 3)),
+    ("production", "fc", "decide", "fc-mass", (51, 6, 8, 0, 0)),
 ]
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 
@@ -42,6 +43,18 @@ def chain_instance():
          ("x", "d", (0, 1)),
          ("s2", "s", (0, 1), cpt)],
         [expr_constraint("x = s2")], theta=0.8)
+
+
+def coin_chain(n):
+    # x0, s1, x2, s3, ...: each decision may cover the coin after it, at a
+    # cost, under one constraint over the whole chain
+    names = [f"x{i}" if i % 2 == 0 else f"s{i}" for i in range(n)]
+    variables = [(v, "d", (0, 1)) if v[0] == "x" else (v, "s", (0, 2), (0.5, 0.5))
+                 for v in names]
+    chain = names[0] + "".join((" - " if v[0] == "s" else " + ") + v for v in names[1:])
+    cost = " + ".join(names[::2])
+    return make_instance(variables, [expr_constraint(chain + " >= 0")],
+                         objective=Objective(parse_expression(f"0 - ({cost})"), -n))
 
 
 def with_objective(instance, text, violation=0.0):
@@ -179,6 +192,21 @@ class TestOptimizeExpected:
                 got.expected_value, abs=TOL)
             assert policy_satisfaction(inst, got.policy) == pytest.approx(
                 got.satisfaction, abs=TOL)
+
+    def test_chain_satisfaction_is_the_policy_satisfaction(self):
+        for n in (12, 24):
+            inst = coin_chain(n)
+            got = optimize_expected(inst)
+            assert 0.5 < got.satisfaction < 1.0
+            assert got.satisfaction == policy_satisfaction(inst, got.policy)
+
+    def test_long_chain_satisfaction_is_not_a_tree_walk(self):
+        # the returned policy has 2^24 paths, so walking it as a tree to
+        # score its satisfaction would take minutes
+        start = time.perf_counter()
+        got = optimize_expected(coin_chain(48))
+        assert time.perf_counter() - start < 10.0
+        assert 0.5 < got.satisfaction < 1.0
 
     def test_matches_enumeration_by_expected_value(self):
         rng = random.Random(29)
