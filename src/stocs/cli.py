@@ -24,9 +24,9 @@ from pathlib import Path
 
 from . import __version__
 from .approx import monte_carlo_policy_eval, restricted_tree_bounds
-from .errors import MismatchBetweenAlgorithmsError, StocsError
+from .errors import MalformedPolicyError, MismatchBetweenAlgorithmsError, StocsError
 from .extensions import optimize_expected
-from .formats import load_instance, parse_policy, serialize_policy
+from .formats import _read, load_instance, parse_policy, serialize_policy
 from .model import Instance
 from .semantics import (
     ORACLE_CAP,
@@ -157,7 +157,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     instance = _load(args.instance)
-    policy = parse_policy(Path(args.policy).read_text(encoding="utf-8"))
+    policy = parse_policy(_read(args.policy, MalformedPolicyError))
     if args.samples is None:
         print(f"EVAL p={_fmt(policy_satisfaction(instance, policy))}")
     else:

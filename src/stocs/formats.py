@@ -27,7 +27,7 @@ import warnings
 from typing import Any
 
 from . import expr as _expr
-from .errors import FormatError, MalformedPolicyError
+from .errors import FormatError, MalformedPolicyError, StocsError
 from .model import (
     ConditionalTable,
     Constraint,
@@ -223,9 +223,17 @@ def parse_instance(text: str, renormalize: bool = False) -> Instance:
     ))
 
 
+def _read(path, error: type[StocsError]) -> str:
+    """The UTF-8 text of a file; other bytes raise ``error``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as e:
+        raise error(f"not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 def load_instance(path, renormalize: bool = False) -> Instance:
-    with open(path, encoding="utf-8") as handle:
-        return parse_instance(handle.read(), renormalize=renormalize)
+    return parse_instance(_read(path, FormatError), renormalize=renormalize)
 
 
 def dump_instance(instance: Instance) -> str:

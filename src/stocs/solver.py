@@ -26,26 +26,25 @@ longer branch-independent) and only domain wipeout remains. A value left
 in a domain has passed every constraint that ends at its variable, so
 forward checking never checks those constraints again on assignment.
 
-Decide mode keeps a lower and an upper accumulator per chance node. The
-locally required threshold only caps how much of a child's exact value
-gets computed, so a child may report an interval rather than a point;
-when the accumulated intervals straddle the threshold, straddling
-children are re-scored exactly (max mode) until the verdict is settled.
-A naive single-accumulator scheme is unsound there: an early-stopped
-sibling's surplus above its local requirement can be exactly what a
-later shortfall needs.
+At unkeyed depths decide mode keeps a lower and an upper accumulator per
+chance node. The locally required threshold only caps how much of a
+child's exact value gets computed, so a child may report an interval
+rather than a point; when the accumulated intervals straddle the
+threshold, straddling children are re-scored exactly (max mode) until
+the verdict is settled. A naive single-accumulator scheme is unsound
+there: an early-stopped sibling's surplus above its local requirement
+can be exactly what a later shortfall needs.
 
-Both modes cache subtree results by key (AND/OR search with caching).
+Max mode caches subtree results by key (AND/OR search with caching).
 The key of depth d (Instance.key_at) holds what the subtree below d reads
 of the assigned prefix: raw values for tables and CPT parents, the assigned
 part of each linear sum. Equal keys mean an identical subproblem, its live
 domains and masses included, so one key serves bt and fc; depths keyed on
-the whole prefix never repeat a key and skip the cache. A max-mode hit is
-the first-found optimum of an identical subproblem, so values and argmax
-policies do not change. Decide mode stores (lo, hi, policy) and reuses it
-only when conclusive (lo >= required or hi < required); an exact max-mode
-entry answers as (v, v, policy). A walk stores at most CACHE_ENTRIES
-distinct keys (0 turns every cache off); overwriting a key is free.
+the whole prefix never repeat a key and skip the cache. A hit is the
+first-found optimum of an identical subproblem, so values and argmax
+policies do not change. At a keyed depth decide mode answers (v, v, policy)
+from max mode, so every entry is exact and serves every requirement. A walk
+stores each key once, and at most CACHE_ENTRIES keys (0 turns caching off).
 
 Prune rules can be disabled independently; verdicts and values never
 change, only the work done (and the witness in decide mode).
@@ -76,13 +75,13 @@ __all__ = [
     "required_threshold",
 ]
 
-# distinct keys one walk stores at most; past it only known keys get stored
+# keys one walk stores at most; past it the walk caches nothing more
 CACHE_ENTRIES = 100_000
 
 
 def _remember(memo: dict, key: tuple | None, result: tuple) -> tuple:
-    """Store a subtree result under its key (None: not cached) if room or known."""
-    if key is not None and (len(memo) < CACHE_ENTRIES or key in memo):
+    """Store a subtree result under its key (None: not cached) while there is room."""
+    if key is not None and len(memo) < CACHE_ENTRIES:
         memo[key] = result
     return result
 
@@ -228,8 +227,7 @@ class _Search:
             return self._max_chance(depth, var)
         key = depth, get_key(self.env)
         hit = self.memo.get(key)
-        # a decide entry (lo, hi, policy) need not hold the argmax
-        if hit is not None and len(hit) == 2:
+        if hit is not None:
             self.stats.cache_hits += 1
             return hit
         return _remember(self.memo, key, self._max_decision(depth, var)
@@ -287,7 +285,7 @@ class _Search:
     # decide mode
     # ------------------------------------------------------------------
     #
-    # decide_value returns (lo, hi, policy) with:
+    # decide_value returns (lo, hi, policy), max mode's (v, v, policy) if keyed, with:
     #   lo <= true subtree max <= hi
     #   the policy's exact satisfaction is >= lo
     #   conclusiveness: lo >= required or hi < required
@@ -295,20 +293,13 @@ class _Search:
     def decide_value(self, depth: int, required: float) -> tuple[float, float, PolicyNode]:
         if depth == self.n:
             return 1.0, 1.0, LEAF
+        if self.key_at[depth] is not None:
+            value, policy = self.max_value(depth)
+            return value, value, policy
         var = self.inst.variables[depth]
-        get_key = self.key_at[depth]
-        if get_key is None:
-            if var.kind == "decision":
-                return self._decide_decision(depth, var, required)
-            return self._decide_chance(depth, var, required)
-        key = depth, get_key(self.env)
-        hit = self.memo.get(key)
-        # an exact max-mode result, or one conclusive for this requirement
-        if hit is not None and (len(hit) == 2 or hit[0] >= required or hit[1] < required):
-            self.stats.cache_hits += 1
-            return (hit[0], *hit) if len(hit) == 2 else hit
-        return _remember(self.memo, key, self._decide_decision(depth, var, required)
-                         if var.kind == "decision" else self._decide_chance(depth, var, required))
+        if var.kind == "decision":
+            return self._decide_decision(depth, var, required)
+        return self._decide_chance(depth, var, required)
 
     def _decide_decision(self, depth: int, var: VariableSpec,
                          required: float) -> tuple[float, float, PolicyNode]:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -10,9 +11,12 @@ import stocs.cli
 from stocs import (
     ChanceNode,
     DecisionNode,
+    FormatError,
     Leaf,
+    MalformedPolicyError,
     __version__,
     expr_constraint,
+    load_instance,
     serialize_policy,
 )
 from stocs.expr import Binary, IntLiteral, VariableRef
@@ -173,9 +177,9 @@ GOLDEN_STATS = [
     ("objective", "fc", "max", None, (4, 0, 0, 0, 0)),
     ("objective", "fc", "decide", None, (2, 1, 0, 0, 0)),
     ("production", "bt", "max", None, (70, 0, 4, 0, 0)),
-    ("production", "bt", "decide", None, (68, 6, 8, 0, 0)),
+    ("production", "bt", "decide", None, (59, 3, 4, 0, 0)),
     ("production", "fc", "max", None, (50, 0, 4, 0, 0)),
-    ("production", "fc", "decide", None, (45, 4, 8, 0, 3)),
+    ("production", "fc", "decide", None, (37, 1, 4, 0, 3)),
     ("a", "fc", "max", "decision-stop", (3, 0, 0, 0, 1)),
     ("a", "fc", "max", "chance-abort", (3, 0, 0, 0, 1)),
     ("a", "fc", "max", "fc-wipeout", (3, 0, 0, 0, 1)),
@@ -220,10 +224,10 @@ GOLDEN_STATS = [
     ("production", "fc", "max", "chance-abort", (50, 0, 4, 0, 0)),
     ("production", "fc", "max", "fc-wipeout", (50, 0, 4, 0, 0)),
     ("production", "fc", "max", "fc-mass", (50, 0, 4, 0, 0)),
-    ("production", "fc", "decide", "decision-stop", (77, 10, 0, 0, 9)),
-    ("production", "fc", "decide", "chance-abort", (55, 0, 8, 0, 3)),
-    ("production", "fc", "decide", "fc-wipeout", (45, 4, 8, 0, 3)),
-    ("production", "fc", "decide", "fc-mass", (51, 6, 8, 0, 0)),
+    ("production", "fc", "decide", "decision-stop", (53, 2, 0, 0, 13)),
+    ("production", "fc", "decide", "chance-abort", (37, 0, 4, 0, 3)),
+    ("production", "fc", "decide", "fc-wipeout", (37, 1, 4, 0, 3)),
+    ("production", "fc", "decide", "fc-mass", (43, 3, 4, 0, 0)),
 ]
 
 
@@ -347,14 +351,18 @@ class TestBench:
         workdir.mkdir()
         shutil.copy(instances_dir / "a.scsp", workdir / "a.scsp")
         (workdir / "bad.scsp").write_text("{broken", encoding="utf-8")
+        (workdir / "bytes.scsp").write_bytes(b"\xff\xfe{")  # not UTF-8
+        shutil.copy(instances_dir / "b.scsp", workdir / "c.scsp")  # read after the bad ones
         out_csv = tmp_path / "runs.csv"
         code, out, err = run(capsys, "bench", str(workdir), "--out", str(out_csv))
         assert code == 2
-        assert "bad.scsp" in err
-        assert out.startswith("a: bt=SAT fc=SAT\n")
+        bad, binary = err.splitlines()
+        assert bad.startswith("error: bad.scsp: not valid JSON")
+        assert binary == "error: bytes.scsp: not UTF-8 text (invalid start byte at byte 0)"
+        assert out.startswith("a: bt=SAT fc=SAT\nb: bt=SAT fc=SAT\n")
         with open(out_csv, newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
-        assert len(rows) == 3  # header + two algorithms for the good file
+        assert len(rows) == 5  # header + two algorithms for each good file
 
     def test_not_a_directory(self, capsys, tmp_path):
         code, _, err = run(capsys, "bench", str(tmp_path / "nope"),
@@ -472,6 +480,20 @@ class TestBadInputIsTyped:
         code, out, err = run(capsys, "eval", str(path), "--policy", str(deep))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "too deeply" in err
+
+    def test_bytes_that_are_not_utf8(self, capsys, instances_dir, tmp_path):
+        path = tmp_path / "bad.scsp"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(FormatError, match="not UTF-8 text"):
+            load_instance(path)
+        args = argparse.Namespace(instance=str(instances_dir / "a.scsp"), policy=str(path))
+        with pytest.raises(MalformedPolicyError, match="not UTF-8 text"):
+            stocs.cli.cmd_eval(args)
+        for argv in (("solve", str(path)),
+                     ("eval", str(instances_dir / "a.scsp"), "--policy", str(path))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == "error: not UTF-8 text (invalid start byte at byte 0)\n"
 
     def test_redundant_parentheses_parse_and_solve(self, capsys, tmp_path):
         # about three stack frames per parenthesis: 200 fit under the limit of 1000

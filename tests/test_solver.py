@@ -529,26 +529,53 @@ class TestContextCache:
             assert got.probability == pytest.approx(expected.probability, abs=TOL)
             assert got.policy == expected.policy
 
-    def test_decide_reuses_only_conclusive_entries(self):
-        # x touches nothing, so depth 1 caches under the empty context. For
-        # 0.4, y=0 (score 0.5) suffices and stops the scan: (0.5, 1.0). That
-        # entry settles neither way for 0.8, which must search on to y=1.
-        inst = make_instance(
-            [("x", "d", (0, 1)), ("y", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5))],
-            [expr_constraint("y = 1 or s = 0")])
-        for fc in (False, True):
+    def test_decide_answers_keyed_depths_exactly(self):
+        # at a keyed depth decide mode solves the subtree in max mode, so the
+        # memo holds only exact (value, policy) entries, each of which serves
+        # every requirement; inventory keys every depth from k1 (depth 2) on
+        inst = inventory_instance(3)
+        assert [d for d, get in enumerate(inst.key_at) if get is None] == [0, 1]
+
+        def entered(fc):
             search = _Search(inst, fc, PruneRules())
-            search.env[0] = 0
-            assert search.decide_value(1, 0.4)[:2] == (0.5, 1.0)
-            lo, hi, policy = search.decide_value(1, 0.8)
-            assert (lo, hi, policy.chosen_value) == (1.0, 1.0, 1)
-            assert search.decide_value(1, 0.3)[:2] == (1.0, 1.0)
-            assert search.stats.cache_hits >= 1
+            assert search._enter(0, 1) and search._enter(1, 0)  # x1=1, s1=0
+            return search
+
+        for fc in (False, True):
+            for theta in (0.3, 0.87, 0.97):
+                search = _Search(inst, fc, PruneRules())
+                search.decide_value(0, theta)
+                assert search.memo
+                assert all(len(entry) == 2 for entry in search.memo.values())
+            want = entered(fc).max_value(2)
+            search = entered(fc)
+            assert search.decide_value(2, 0.5) == (want[0], *want)
+            nodes, hits = search.stats.nodes_visited, search.stats.cache_hits
+            for required in (0.1, 0.9, 1.0):
+                assert search.decide_value(2, required) == (want[0], *want)
+            # the later requirements read the first one's entry and search nothing
+            assert search.stats.nodes_visited == nodes
+            assert search.stats.cache_hits == hits + 3
+
+    def test_decide_keeps_its_threshold_search_where_nothing_is_keyed(self):
+        # products of decisions and coins key every depth on the whole
+        # prefix, so no depth caches and decide mode prunes against theta
+        # where max mode must search on: far fewer nodes below the maximum
+        variables = []
+        for i in range(0, 10, 2):
+            variables += [(f"x{i}", "d", (0, 1)), (f"s{i + 1}", "s", (0, 1), (0.5, 0.5))]
+        total = " + ".join(f"x{i} * s{i + 1}" for i in range(0, 10, 2))
+        inst = make_instance(variables, [expr_constraint(f"{total} >= 2")])
+        assert all(get is None for get in inst.key_at)
+        assert bt_max(inst).probability == fc_max(inst).probability == 0.8125
+        assert bt_decide(inst, 0.3).stats.nodes_visited == 477
+        assert fc_decide(inst, 0.3).stats.nodes_visited == 288
+        assert bt_max(inst).stats.nodes_visited == 1734
+        assert fc_max(inst).stats.nodes_visited == 1086
 
     def test_entry_cap_holds(self, monkeypatch):
-        # decide mode overwrites entries it could not reuse (at 0.97, bt does
-        # so with 3 keys stored); an overwrite spends no room, so a capped
-        # search holds exactly min(cap, keys an uncapped search stores)
+        # a walk stores each key once and stops storing at the cap, so a
+        # capped search holds exactly min(cap, keys an uncapped search stores)
         inst = inventory_instance(3)
         thetas = (None, 0.87, 0.97)
 
