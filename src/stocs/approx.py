@@ -20,12 +20,22 @@ policy, everything a sample does at a chance node except the draw
 depends only on the path to it: node validation, the distribution, its
 cumulative table and the constraint checks. So the first sample to reach
 a path does that work and stores the outcome in a trie of paths; later
-samples only draw, bisect the cumulative table and follow the trie.
+samples only bisect a draw into the table and follow the trie.
+
+The draws are made in batches. Every sample takes exactly one word per
+stochastic variable, so n samples read the first n * m words of the
+stream, and word k depends only on the seed and k. Up to _CHUNK words
+are mixed at once on one big int with a 128-bit lane per word; the fixed
+chunk size bounds the memory this takes, whatever n is. The walk keeps
+each draw x = word >> 11 an integer: x * 2**-53 < c exactly when
+x < ceil(c * 2**53), so bisecting x into thresholds ceil(c * 2**53) over
+the cumulative probabilities c finds the value the spec above names.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -43,6 +53,7 @@ from .semantics import (
     _check_depth,
     _expect_chance,
     _expect_decision,
+    _expect_leaf,
     _rigid_policies,
     policy_satisfaction,
 )
@@ -226,18 +237,47 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 increment and mixing constants
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_UNIT = 2.0 ** -53
+_CHUNK = 2 ** 11  # draws per batch: each batch is a few 32 KiB integers
+
+
+def _draws(seed: int, total: int):
+    """Yield the draws ``word >> 11`` of splitmix64 words 1 to ``total`` from
+    ``seed`` (word k mixes ``seed + k * GOLDEN`` mod 2**64), in order, in
+    tuples of at most ``_CHUNK``.
+
+    Each tuple is mixed on one int with a 128-bit lane per word. ``m64``
+    cuts every lane to 64 bits before each multiply, and 64 by 64 bits fit
+    the lane, so no bit crosses into a lane read back. Lanes are packed
+    and unpacked little-endian on every host.
+    """
+    width = min(_CHUNK, total)
+    layout = "<" + "Q8x" * width  # per lane: its low 64 bits, then 64 spare bits
+    ones = int.from_bytes(struct.pack(layout, *[1] * width), "little")
+    steps = int.from_bytes(struct.pack(layout, *range(width)), "little") * _GOLDEN
+    m64 = ones * _MASK64
+    for first in range(1, total + 1, _CHUNK):
+        count = min(width, total + 1 - first)
+        if count < width:
+            layout = "<" + "Q8x" * count
+            low = (1 << 128 * count) - 1
+            steps, ones, m64 = steps & low, ones & low, m64 & low
+        z = (steps + ((seed + first * _GOLDEN) & _MASK64) * ones) & m64
+        z = ((z ^ (z >> 30)) & m64) * _MIX1 & m64
+        z = ((z ^ (z >> 27)) & m64) * _MIX2 & m64
+        # bits 64 to 96 of z ^ (z >> 31) are clear, so >> 11 keeps 53 clean bits
+        yield struct.unpack(layout, ((z ^ (z >> 31)) >> 11).to_bytes(16 * count, "little"))
 
 
 class _State:
     """One chance node reached along one path from the root.
 
-    ``cum`` is the node's cumulative probability table and ``branches``
-    holds, per value index, the built ``(next state or None, ok)`` pair,
-    or None until a sample first takes that value. Entry ``len(cum)``
-    aliases the last positive index: a draw at or above the table's total
-    (a rounding gap) takes that value. ``values`` are the env entries the
-    path sets from the parent state's depth up to this one.
+    ``cum`` holds the integer draw thresholds ``ceil(c * 2**53)`` of the
+    node's cumulative probabilities ``c`` (not the probabilities), and
+    ``branches`` holds, per value index, the built ``(next state or None,
+    ok)`` pair, or None until a sample first takes that value. Entry
+    ``len(cum)`` aliases the last positive index: a draw at or above the
+    total's threshold (a rounding gap) takes that value. ``values`` are the
+    env entries the path sets from the parent state's depth up to this one.
     """
 
     __slots__ = ("cum", "branches", "last", "depth", "children", "ok", "parent", "values")
@@ -258,7 +298,7 @@ class _PathTrie:
 
     Under a fixed policy the environment at a chance node depends only on
     the path from the root, so node validation, the distribution, the
-    cumulative table and the constraint checks run once per path, in the
+    threshold table and the constraint checks run once per path, in the
     same order and at the same sample as a plain walk would run them.
     States are keyed by path, so policies that share subtrees still get
     one state per path. ``states`` counts the states built.
@@ -285,13 +325,15 @@ class _PathTrie:
             node = dec.child
             depth += 1
         if depth == instance.n:
+            _expect_leaf(depth, node)
             return None, ok and all(c.fn(env) for c in instance.constant_compiled)
         chance = _expect_chance(instance, depth, node)
         probs = instance.distribution(depth, env)
         table = self.tables.get(probs)
         if table is None:
             last = max(i for i, q in enumerate(probs) if q > 0.0)
-            table = self.tables[probs] = (list(accumulate(probs)), last)
+            cum = [math.ceil(c * 2.0 ** 53) for c in accumulate(probs)]
+            table = self.tables[probs] = (cum, last)
         self.states += 1
         state = _State(table[0], table[1], depth, chance.children, ok, parent,
                        tuple(env[start:depth]))
@@ -317,24 +359,27 @@ class _PathTrie:
 
     def wins(self, n: int, seed: int) -> int:
         """Satisfying samples among n, drawing one splitmix64 word from
-        ``seed`` per stochastic variable in every sample."""
+        ``seed`` per stochastic variable in every sample.
+
+        Every path passes one chance state per stochastic variable, so the
+        draws form one flat stream and a sample ends every m-th draw.
+        """
         root_state, root_ok = self.root
+        if root_state is None:  # no stochastic variable: every sample is alike
+            return n if root_ok else 0
         grow = self.grow
-        golden, mix1, mix2, mask, unit = _GOLDEN, _MIX1, _MIX2, _MASK64, _UNIT  # locals: hot loop
-        word = seed
+        state = root_state
         wins = 0
-        for _ in range(n):
-            state, ok = root_state, root_ok
-            while state is not None:
-                word = (word + golden) & mask
-                z = ((word ^ (word >> 30)) * mix1) & mask
-                z = ((z ^ (z >> 27)) * mix2) & mask
-                i = bisect_right(state.cum, ((z ^ (z >> 31)) >> 11) * unit)
+        for xs in _draws(seed, n * len(self.instance.stochastic_indices)):
+            for x in xs:
+                i = bisect_right(state.cum, x)
                 branch = state.branches[i]
                 if branch is None:
                     branch = grow(state, i)
                 state, ok = branch
-            wins += ok
+                if state is None:
+                    wins += ok
+                    state = root_state
         return wins
 
 

@@ -41,7 +41,7 @@ __all__ = ["RunRecord", "main"]
 # the counters in the STATS line and the bench CSV: column -> SearchStats.as_dict key
 COUNTERS = {"nodes": "nodes_visited", "chance_prunes": "chance_prunes",
             "decision_prunes": "decision_prunes", "fc_wipeouts": "fc_wipeouts",
-            "fc_mass_prunes": "fc_mass_prunes"}
+            "fc_mass_prunes": "fc_mass_prunes", "cache_hits": "cache_hits"}
 CSV_HEADER = ("instance", "algorithm", "mode", "theta", "verdict", "probability",
               *COUNTERS, "ms", "version", "seed")
 

@@ -173,6 +173,11 @@ def _expect_chance(instance: Instance, depth: int, node: PolicyNode) -> ChanceNo
     return node
 
 
+def _expect_leaf(depth: int, node: PolicyNode) -> None:
+    if not isinstance(node, Leaf):
+        raise MalformedPolicyError(f"expected a leaf at depth {depth}, got {node!r}")
+
+
 def _check_depth(instance: Instance, frames_per_variable: int = 1) -> None:
     """Raise InstanceTooDeepError when a recursion taking ``frames_per_variable``
     frames per variable would pass the recursion limit (never raised here)."""
@@ -200,8 +205,7 @@ def _policy_value(instance: Instance, policy: PolicyNode, objective,
 
     def walk(depth: int, node: PolicyNode) -> float:
         if depth == instance.n:
-            if not isinstance(node, Leaf):
-                raise MalformedPolicyError(f"expected a leaf at depth {depth}, got {node!r}")
+            _expect_leaf(depth, node)
             return 1.0 if objective is None else float(objective(env))
         var = instance.variables[depth]
         if var.kind == "decision":

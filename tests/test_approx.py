@@ -1,8 +1,11 @@
+import math
 import random
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
 
-from gen import inventory_instance, random_instance
+from gen import inventory_instance, random_cpt_instance, random_instance, random_policy
 from stocs import (
     ChanceNode,
     ConditionalTable,
@@ -169,7 +172,6 @@ class TestMonteCarlo:
 
     def test_interval_orders_and_brackets(self):
         rng = random.Random(43)
-        from gen import random_policy
         for _ in range(15):
             inst = random_instance(rng)
             policy = random_policy(rng, inst)
@@ -320,3 +322,79 @@ class TestSampledWalkTrie:
         # the past-the-total slot and the value's own slot share one branch
         assert state.branches[1] is state.branches[3] is branch
         assert state.branches[2] is None
+
+
+MASK64 = 2 ** 64 - 1
+CHUNK = approx._CHUNK
+
+
+def _splitmix64(seed):
+    """Scalar splitmix64: the words 1, 2, ... from ``seed``, one at a time."""
+    word = seed
+    while True:
+        word = (word + 0x9E3779B97F4A7C15) & MASK64
+        z = ((word ^ (word >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)
+
+
+def _reference_wins(instance, policy, n, seed):
+    """The sampler's spec as a plain per-sample loop: one scalar word per
+    stochastic variable in variable order, u = (word >> 11) * 2**-53, the
+    first value whose cumulative probability exceeds u, or the last value
+    of positive probability when u is past the total."""
+    words = _splitmix64(seed)
+    wins = 0
+    for _ in range(n):
+        env = [None] * instance.n
+        node = policy
+        for depth, var in enumerate(instance.variables):
+            if var.kind == "decision":
+                env[depth] = node.chosen_value
+                node = node.child
+                continue
+            probs = instance.distribution(depth, env)
+            u = (next(words) >> 11) * 2.0 ** -53
+            i = next((k for k, c in enumerate(accumulate(probs)) if c > u),
+                     max(k for k, q in enumerate(probs) if q > 0.0))
+            env[depth] = var.domain[i]
+            node = node.children[i]
+        wins += all(c.fn(env) for c in instance.compiled)
+    return wins
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("seed", [0, 5, MASK64])
+    @pytest.mark.parametrize("total", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    def test_draws_match_scalar_splitmix64(self, seed, total):
+        batches = list(approx._draws(seed, total))
+        assert all(1 <= len(xs) <= CHUNK for xs in batches)
+        got = [x for xs in batches for x in xs]
+        want = [word >> 11 for word, _ in zip(_splitmix64(seed), range(total))]
+        assert got == want
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, None])
+    def test_wins_match_the_per_sample_loop(self, monkeypatch, chunk):
+        # small chunks make samples straddle batch boundaries
+        if chunk is not None:
+            monkeypatch.setattr(approx, "_CHUNK", chunk)
+        rng = random.Random(61)
+        cases = [_cpt_case(), _zero_case(), _shared_case()]
+        for make in (random_instance, random_cpt_instance) * 6:
+            inst = make(rng)
+            cases.append((inst, random_policy(rng, inst)))
+        for inst, policy in cases:
+            for n, seed in ((1, 3), (250, 17), (301, MASK64)):
+                assert (approx._PathTrie(inst, policy).wins(n, seed)
+                        == _reference_wins(inst, policy, n, seed))
+
+    def test_integer_thresholds_pick_what_u_picks(self):
+        # near each threshold, bisecting the integer draw x picks the value
+        # that bisecting u = x * 2**-53 into the probabilities picks
+        probs = (0.1, 0.2, 0.3, 0.15, 0.25)
+        inst = make_instance([("s", "s", tuple(range(5)), probs)])
+        state, _ = approx._PathTrie(inst, ChanceNode("s", (Leaf(),) * 5)).root
+        cum = list(accumulate(probs))
+        for c in cum:
+            for x in range(math.floor(c * 2 ** 53) - 2, math.ceil(c * 2 ** 53) + 3):
+                assert bisect_right(state.cum, x) == bisect_right(cum, x * 2.0 ** -53)

@@ -68,7 +68,7 @@ class TestSolve:
         assert re.fullmatch(
             r"SAT p>=0\.500000000\n"
             r"STATS nodes=\d+ chance_prunes=\d+ decision_prunes=\d+"
-            r" fc_wipeouts=\d+ fc_mass_prunes=\d+\n",
+            r" fc_wipeouts=\d+ fc_mass_prunes=\d+ cache_hits=\d+\n",
             out,
         )
 
@@ -151,83 +151,83 @@ class TestSolve:
 
 
 # (instance, algorithm, mode, prune rule switched off by --no-prune-<rule>,
-# (nodes, chance_prunes, decision_prunes, fc_wipeouts, fc_mass_prunes)): the
-# search's work on every shipped instance, so a refactor that changes what
-# the search does shows here; fc with one rule off pins the wipeout and
-# mass counters where the default rules do not reach them
+# (nodes, chance_prunes, decision_prunes, fc_wipeouts, fc_mass_prunes,
+# cache_hits)): the search's work on every shipped instance, so a refactor
+# that changes what the search does shows here; fc with one rule off pins
+# the wipeout and mass counters where the default rules do not reach them
 GOLDEN_STATS = [
-    ("a", "bt", "max", None, (6, 0, 0, 0, 0)),
-    ("a", "bt", "decide", None, (2, 1, 1, 0, 0)),
-    ("a", "fc", "max", None, (3, 0, 0, 0, 1)),
-    ("a", "fc", "decide", None, (2, 1, 1, 0, 0)),
-    ("b", "bt", "max", None, (5, 0, 1, 0, 0)),
-    ("b", "bt", "decide", None, (2, 1, 1, 0, 0)),
-    ("b", "fc", "max", None, (4, 0, 0, 0, 0)),
-    ("b", "fc", "decide", None, (2, 1, 0, 0, 0)),
-    ("conditional", "bt", "max", None, (14, 0, 0, 0, 0)),
-    ("conditional", "bt", "decide", None, (10, 1, 1, 0, 0)),
-    ("conditional", "fc", "max", None, (10, 0, 0, 0, 0)),
-    ("conditional", "fc", "decide", None, (8, 1, 1, 0, 0)),
-    ("fc_demo", "bt", "max", None, (8, 0, 0, 0, 0)),
-    ("fc_demo", "bt", "decide", None, (6, 1, 0, 0, 0)),
-    ("fc_demo", "fc", "max", None, (6, 0, 0, 0, 0)),
-    ("fc_demo", "fc", "decide", None, (4, 0, 0, 0, 1)),
-    ("objective", "bt", "max", None, (5, 0, 1, 0, 0)),
-    ("objective", "bt", "decide", None, (2, 1, 1, 0, 0)),
-    ("objective", "fc", "max", None, (4, 0, 0, 0, 0)),
-    ("objective", "fc", "decide", None, (2, 1, 0, 0, 0)),
-    ("production", "bt", "max", None, (70, 0, 4, 0, 0)),
-    ("production", "bt", "decide", None, (59, 3, 4, 0, 0)),
-    ("production", "fc", "max", None, (50, 0, 4, 0, 0)),
-    ("production", "fc", "decide", None, (37, 1, 4, 0, 3)),
-    ("a", "fc", "max", "decision-stop", (3, 0, 0, 0, 1)),
-    ("a", "fc", "max", "chance-abort", (3, 0, 0, 0, 1)),
-    ("a", "fc", "max", "fc-wipeout", (3, 0, 0, 0, 1)),
-    ("a", "fc", "max", "fc-mass", (4, 0, 0, 0, 0)),
-    ("a", "fc", "decide", "decision-stop", (4, 1, 0, 0, 0)),
-    ("a", "fc", "decide", "chance-abort", (2, 0, 1, 0, 0)),
-    ("a", "fc", "decide", "fc-wipeout", (2, 1, 1, 0, 0)),
-    ("a", "fc", "decide", "fc-mass", (2, 1, 1, 0, 0)),
-    ("b", "fc", "max", "decision-stop", (4, 0, 0, 0, 0)),
-    ("b", "fc", "max", "chance-abort", (4, 0, 0, 0, 0)),
-    ("b", "fc", "max", "fc-wipeout", (4, 0, 0, 0, 0)),
-    ("b", "fc", "max", "fc-mass", (4, 0, 0, 0, 0)),
-    ("b", "fc", "decide", "decision-stop", (2, 1, 0, 0, 0)),
-    ("b", "fc", "decide", "chance-abort", (4, 0, 0, 0, 0)),
-    ("b", "fc", "decide", "fc-wipeout", (2, 1, 0, 0, 0)),
-    ("b", "fc", "decide", "fc-mass", (2, 1, 0, 0, 0)),
-    ("conditional", "fc", "max", "decision-stop", (10, 0, 0, 0, 0)),
-    ("conditional", "fc", "max", "chance-abort", (10, 0, 0, 0, 0)),
-    ("conditional", "fc", "max", "fc-wipeout", (10, 0, 0, 0, 0)),
-    ("conditional", "fc", "max", "fc-mass", (10, 0, 0, 0, 0)),
-    ("conditional", "fc", "decide", "decision-stop", (9, 2, 0, 0, 0)),
-    ("conditional", "fc", "decide", "chance-abort", (8, 0, 1, 0, 0)),
-    ("conditional", "fc", "decide", "fc-wipeout", (8, 1, 1, 0, 0)),
-    ("conditional", "fc", "decide", "fc-mass", (8, 1, 1, 0, 0)),
-    ("fc_demo", "fc", "max", "decision-stop", (6, 0, 0, 0, 0)),
-    ("fc_demo", "fc", "max", "chance-abort", (6, 0, 0, 0, 0)),
-    ("fc_demo", "fc", "max", "fc-wipeout", (6, 0, 0, 0, 0)),
-    ("fc_demo", "fc", "max", "fc-mass", (6, 0, 0, 0, 0)),
-    ("fc_demo", "fc", "decide", "decision-stop", (4, 0, 0, 0, 1)),
-    ("fc_demo", "fc", "decide", "chance-abort", (4, 0, 0, 0, 1)),
-    ("fc_demo", "fc", "decide", "fc-wipeout", (4, 0, 0, 0, 1)),
-    ("fc_demo", "fc", "decide", "fc-mass", (4, 1, 0, 0, 0)),
-    ("objective", "fc", "max", "decision-stop", (4, 0, 0, 0, 0)),
-    ("objective", "fc", "max", "chance-abort", (4, 0, 0, 0, 0)),
-    ("objective", "fc", "max", "fc-wipeout", (4, 0, 0, 0, 0)),
-    ("objective", "fc", "max", "fc-mass", (4, 0, 0, 0, 0)),
-    ("objective", "fc", "decide", "decision-stop", (2, 1, 0, 0, 0)),
-    ("objective", "fc", "decide", "chance-abort", (4, 0, 0, 0, 0)),
-    ("objective", "fc", "decide", "fc-wipeout", (2, 1, 0, 0, 0)),
-    ("objective", "fc", "decide", "fc-mass", (2, 1, 0, 0, 0)),
-    ("production", "fc", "max", "decision-stop", (60, 0, 0, 0, 10)),
-    ("production", "fc", "max", "chance-abort", (50, 0, 4, 0, 0)),
-    ("production", "fc", "max", "fc-wipeout", (50, 0, 4, 0, 0)),
-    ("production", "fc", "max", "fc-mass", (50, 0, 4, 0, 0)),
-    ("production", "fc", "decide", "decision-stop", (53, 2, 0, 0, 13)),
-    ("production", "fc", "decide", "chance-abort", (37, 0, 4, 0, 3)),
-    ("production", "fc", "decide", "fc-wipeout", (37, 1, 4, 0, 3)),
-    ("production", "fc", "decide", "fc-mass", (43, 3, 4, 0, 0)),
+    ("a", "bt", "max", None, (6, 0, 0, 0, 0, 0)),
+    ("a", "bt", "decide", None, (2, 1, 1, 0, 0, 0)),
+    ("a", "fc", "max", None, (3, 0, 0, 0, 1, 0)),
+    ("a", "fc", "decide", None, (2, 1, 1, 0, 0, 0)),
+    ("b", "bt", "max", None, (5, 0, 1, 0, 0, 0)),
+    ("b", "bt", "decide", None, (2, 1, 1, 0, 0, 0)),
+    ("b", "fc", "max", None, (4, 0, 0, 0, 0, 0)),
+    ("b", "fc", "decide", None, (2, 1, 0, 0, 0, 0)),
+    ("conditional", "bt", "max", None, (14, 0, 0, 0, 0, 0)),
+    ("conditional", "bt", "decide", None, (10, 1, 1, 0, 0, 0)),
+    ("conditional", "fc", "max", None, (10, 0, 0, 0, 0, 0)),
+    ("conditional", "fc", "decide", None, (8, 1, 1, 0, 0, 0)),
+    ("fc_demo", "bt", "max", None, (8, 0, 0, 0, 0, 0)),
+    ("fc_demo", "bt", "decide", None, (6, 1, 0, 0, 0, 0)),
+    ("fc_demo", "fc", "max", None, (6, 0, 0, 0, 0, 0)),
+    ("fc_demo", "fc", "decide", None, (4, 0, 0, 0, 1, 0)),
+    ("objective", "bt", "max", None, (5, 0, 1, 0, 0, 0)),
+    ("objective", "bt", "decide", None, (2, 1, 1, 0, 0, 0)),
+    ("objective", "fc", "max", None, (4, 0, 0, 0, 0, 0)),
+    ("objective", "fc", "decide", None, (2, 1, 0, 0, 0, 0)),
+    ("production", "bt", "max", None, (70, 0, 4, 0, 0, 20)),
+    ("production", "bt", "decide", None, (59, 3, 4, 0, 0, 15)),
+    ("production", "fc", "max", None, (50, 0, 4, 0, 0, 20)),
+    ("production", "fc", "decide", None, (37, 1, 4, 0, 3, 9)),
+    ("a", "fc", "max", "decision-stop", (3, 0, 0, 0, 1, 0)),
+    ("a", "fc", "max", "chance-abort", (3, 0, 0, 0, 1, 0)),
+    ("a", "fc", "max", "fc-wipeout", (3, 0, 0, 0, 1, 0)),
+    ("a", "fc", "max", "fc-mass", (4, 0, 0, 0, 0, 0)),
+    ("a", "fc", "decide", "decision-stop", (4, 1, 0, 0, 0, 0)),
+    ("a", "fc", "decide", "chance-abort", (2, 0, 1, 0, 0, 0)),
+    ("a", "fc", "decide", "fc-wipeout", (2, 1, 1, 0, 0, 0)),
+    ("a", "fc", "decide", "fc-mass", (2, 1, 1, 0, 0, 0)),
+    ("b", "fc", "max", "decision-stop", (4, 0, 0, 0, 0, 0)),
+    ("b", "fc", "max", "chance-abort", (4, 0, 0, 0, 0, 0)),
+    ("b", "fc", "max", "fc-wipeout", (4, 0, 0, 0, 0, 0)),
+    ("b", "fc", "max", "fc-mass", (4, 0, 0, 0, 0, 0)),
+    ("b", "fc", "decide", "decision-stop", (2, 1, 0, 0, 0, 0)),
+    ("b", "fc", "decide", "chance-abort", (4, 0, 0, 0, 0, 0)),
+    ("b", "fc", "decide", "fc-wipeout", (2, 1, 0, 0, 0, 0)),
+    ("b", "fc", "decide", "fc-mass", (2, 1, 0, 0, 0, 0)),
+    ("conditional", "fc", "max", "decision-stop", (10, 0, 0, 0, 0, 0)),
+    ("conditional", "fc", "max", "chance-abort", (10, 0, 0, 0, 0, 0)),
+    ("conditional", "fc", "max", "fc-wipeout", (10, 0, 0, 0, 0, 0)),
+    ("conditional", "fc", "max", "fc-mass", (10, 0, 0, 0, 0, 0)),
+    ("conditional", "fc", "decide", "decision-stop", (9, 2, 0, 0, 0, 0)),
+    ("conditional", "fc", "decide", "chance-abort", (8, 0, 1, 0, 0, 0)),
+    ("conditional", "fc", "decide", "fc-wipeout", (8, 1, 1, 0, 0, 0)),
+    ("conditional", "fc", "decide", "fc-mass", (8, 1, 1, 0, 0, 0)),
+    ("fc_demo", "fc", "max", "decision-stop", (6, 0, 0, 0, 0, 0)),
+    ("fc_demo", "fc", "max", "chance-abort", (6, 0, 0, 0, 0, 0)),
+    ("fc_demo", "fc", "max", "fc-wipeout", (6, 0, 0, 0, 0, 0)),
+    ("fc_demo", "fc", "max", "fc-mass", (6, 0, 0, 0, 0, 0)),
+    ("fc_demo", "fc", "decide", "decision-stop", (4, 0, 0, 0, 1, 0)),
+    ("fc_demo", "fc", "decide", "chance-abort", (4, 0, 0, 0, 1, 0)),
+    ("fc_demo", "fc", "decide", "fc-wipeout", (4, 0, 0, 0, 1, 0)),
+    ("fc_demo", "fc", "decide", "fc-mass", (4, 1, 0, 0, 0, 0)),
+    ("objective", "fc", "max", "decision-stop", (4, 0, 0, 0, 0, 0)),
+    ("objective", "fc", "max", "chance-abort", (4, 0, 0, 0, 0, 0)),
+    ("objective", "fc", "max", "fc-wipeout", (4, 0, 0, 0, 0, 0)),
+    ("objective", "fc", "max", "fc-mass", (4, 0, 0, 0, 0, 0)),
+    ("objective", "fc", "decide", "decision-stop", (2, 1, 0, 0, 0, 0)),
+    ("objective", "fc", "decide", "chance-abort", (4, 0, 0, 0, 0, 0)),
+    ("objective", "fc", "decide", "fc-wipeout", (2, 1, 0, 0, 0, 0)),
+    ("objective", "fc", "decide", "fc-mass", (2, 1, 0, 0, 0, 0)),
+    ("production", "fc", "max", "decision-stop", (60, 0, 0, 0, 10, 20)),
+    ("production", "fc", "max", "chance-abort", (50, 0, 4, 0, 0, 20)),
+    ("production", "fc", "max", "fc-wipeout", (50, 0, 4, 0, 0, 20)),
+    ("production", "fc", "max", "fc-mass", (50, 0, 4, 0, 0, 20)),
+    ("production", "fc", "decide", "decision-stop", (53, 2, 0, 0, 13, 13)),
+    ("production", "fc", "decide", "chance-abort", (37, 0, 4, 0, 3, 9)),
+    ("production", "fc", "decide", "fc-wipeout", (37, 1, 4, 0, 3, 9)),
+    ("production", "fc", "decide", "fc-mass", (43, 3, 4, 0, 0, 15)),
 ]
 
 
@@ -239,10 +239,10 @@ def test_stats_match_golden(capsys, instances_dir, name, algorithm, mode, rule, 
     code, out, err = run(capsys, "solve", str(instances_dir / f"{name}.scsp"),
                          "--algorithm", algorithm, "--mode", mode, "--stats", *flags)
     assert (code, err) == (0, "")
-    nodes, chance, decision, wipeouts, mass = counts
+    nodes, chance, decision, wipeouts, mass, hits = counts
     assert out.splitlines()[-1] == (
         f"STATS nodes={nodes} chance_prunes={chance} decision_prunes={decision}"
-        f" fc_wipeouts={wipeouts} fc_mass_prunes={mass}"
+        f" fc_wipeouts={wipeouts} fc_mass_prunes={mass} cache_hits={hits}"
     )
 
 

@@ -15,6 +15,7 @@ from stocs import (
     induced_assignment,
     is_satisfiable_oracle,
     load_instance,
+    monte_carlo_policy_eval,
     oracle_max_satisfaction,
     parse_expression,
     policy_expected_value,
@@ -49,7 +50,11 @@ def scored_a():
         objective=Objective(parse_expression("10 * x")))
 
 
-SCORES = (policy_satisfaction, policy_expected_value)
+def sampled(instance, policy):
+    return monte_carlo_policy_eval(instance, policy, 50, seed=1)
+
+
+SCORES = (policy_satisfaction, policy_expected_value, sampled)
 
 
 def recourse_b():
@@ -118,7 +123,7 @@ class TestPolicySatisfaction:
             [expr_constraint("x != s")])
         assert policy_satisfaction(inst, rigid_a(0)) == pytest.approx(0.5)
 
-    # malformed policies fail in both walks over a given policy
+    # malformed policies fail in every walk over a given policy
     def test_wrong_variable_order(self):
         bad = ChanceNode("s", (DecisionNode("x", 0, Leaf()),
                                DecisionNode("x", 0, Leaf())))
@@ -136,6 +141,13 @@ class TestPolicySatisfaction:
         bad = DecisionNode("x", 5, ChanceNode("s", (Leaf(), Leaf())))
         for score in SCORES:
             with pytest.raises(MalformedPolicyError):
+                score(scored_a(), bad)
+
+    def test_node_past_the_last_variable(self):
+        bad = DecisionNode("x", 0, ChanceNode("s", (DecisionNode("x", 0, Leaf()), Leaf())))
+        for score in SCORES:
+            with pytest.raises(MalformedPolicyError,
+                               match=r"^expected a leaf at depth 2, got DecisionNode"):
                 score(scored_a(), bad)
 
     def test_matches_scenario_sum_formulation(self):
