@@ -15,12 +15,14 @@ by inverse CDF over the domain in domain order (first value whose
 cumulative probability exceeds u). Every sample draws one word per
 stochastic variable, in variable order.
 
-The sampling walk is compiled per path on first visit. Under a fixed
-policy, everything a sample does at a chance node except the draw
-depends only on the path to it: node validation, the distribution, its
-cumulative table and the constraint checks. So the first sample to reach
-a path does that work and stores the outcome in a trie of paths; later
-samples only bisect a draw into the table and follow the trie.
+The sampling walk is compiled on first visit. Under a fixed policy,
+everything a sample does at a chance node except the draw depends only on
+the node, on whether a constraint has failed yet and on what the walk below
+reads of the path to it (Instance.key_at; the whole path at an unkeyed
+depth): node validation, the distribution, its cumulative table and the
+constraint checks. So the first sample to reach such a state does that work
+and stores the outcome in a graph of states; later samples only bisect a
+draw into the table and follow the stored branch.
 
 The draws are made in batches. Every sample takes exactly one word per
 stochastic variable, so n samples read the first n * m words of the
@@ -38,6 +40,7 @@ import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 from .errors import (
@@ -240,6 +243,16 @@ _MIX2 = 0x94D049BB133111EB
 _CHUNK = 2 ** 11  # draws per batch: each batch is a few 32 KiB integers
 
 
+@cache
+def _lanes(width: int) -> tuple[int, int, int]:
+    """``ones``, ``steps`` and ``m64`` for ``width`` lanes: 1, k * GOLDEN and
+    2**64 - 1 in lane k."""
+    layout = "<" + "Q8x" * width  # per lane: its low 64 bits, then 64 spare bits
+    ones = int.from_bytes(struct.pack(layout, *[1] * width), "little")
+    steps = int.from_bytes(struct.pack(layout, *range(width)), "little") * _GOLDEN
+    return ones, steps, ones * _MASK64
+
+
 def _draws(seed: int, total: int):
     """Yield the draws ``word >> 11`` of splitmix64 words 1 to ``total`` from
     ``seed`` (word k mixes ``seed + k * GOLDEN`` mod 2**64), in order, in
@@ -248,14 +261,13 @@ def _draws(seed: int, total: int):
     Each tuple is mixed on one int with a 128-bit lane per word. ``m64``
     cuts every lane to 64 bits before each multiply, and 64 by 64 bits fit
     the lane, so no bit crosses into a lane read back. Lanes are packed
-    and unpacked little-endian on every host.
+    and unpacked little-endian on every host. The lane constants are built
+    once per chunk width and cut down for a shorter batch.
     """
-    width = min(_CHUNK, total)
-    layout = "<" + "Q8x" * width  # per lane: its low 64 bits, then 64 spare bits
-    ones = int.from_bytes(struct.pack(layout, *[1] * width), "little")
-    steps = int.from_bytes(struct.pack(layout, *range(width)), "little") * _GOLDEN
-    m64 = ones * _MASK64
-    for first in range(1, total + 1, _CHUNK):
+    width = _CHUNK
+    ones, steps, m64 = _lanes(width)
+    layout = "<" + "Q8x" * width
+    for first in range(1, total + 1, width):
         count = min(width, total + 1 - first)
         if count < width:
             layout = "<" + "Q8x" * count
@@ -269,7 +281,8 @@ def _draws(seed: int, total: int):
 
 
 class _State:
-    """One chance node reached along one path from the root.
+    """One chance node reached with one key: what the walk below it reads
+    of the path from the root.
 
     ``cum`` holds the integer draw thresholds ``ceil(c * 2**53)`` of the
     node's cumulative probabilities ``c`` (not the probabilities), and
@@ -277,7 +290,8 @@ class _State:
     ok)`` pair, or None until a sample first takes that value. Entry
     ``len(cum)`` aliases the last positive index: a draw at or above the
     total's threshold (a rounding gap) takes that value. ``values`` are the
-    env entries the path sets from the parent state's depth up to this one.
+    env entries the first path to build the state sets from the parent
+    state's depth up to this one.
     """
 
     __slots__ = ("cum", "branches", "last", "depth", "children", "ok", "parent", "values")
@@ -294,27 +308,32 @@ class _State:
 
 
 class _PathTrie:
-    """A policy's sampling walk, compiled per path on first visit.
+    """A policy's sampling walk, compiled per state on first visit.
 
-    Under a fixed policy the environment at a chance node depends only on
-    the path from the root, so node validation, the distribution, the
-    threshold table and the constraint checks run once per path, in the
-    same order and at the same sample as a plain walk would run them.
-    States are keyed by path, so policies that share subtrees still get
-    one state per path. ``states`` counts the states built.
+    Under a fixed policy the walk below a chance node depends only on the
+    node, on whether a constraint has failed yet (``ok``) and on what the
+    constraints and distributions below read of the path: at a keyed depth
+    that is ``Instance.key_at``, elsewhere the whole path. So a state is one
+    ``(chance node, key, ok)``, or one branch into it where the depth has no
+    key, and policies that share subtrees get one state per shared subtree.
+    Node validation, the distribution, the threshold table and the
+    constraint checks run once per state, in the same order and at the same
+    sample as a plain walk would first run them. ``states`` counts the
+    states built.
     """
 
     def __init__(self, instance: Instance, policy: PolicyNode):
         self.instance = instance
         self.tables: dict[tuple, tuple[list, int]] = {}  # per distinct distribution row
+        self.keyed: dict[tuple, _State] = {}  # states at keyed depths
         self.states = 0
         self.root = self._walk(0, policy, [None] * instance.n, True, None)
 
     def _walk(self, depth: int, node: PolicyNode, env: list, ok: bool,
               parent: _State | None) -> tuple[_State | None, bool]:
         """Follow the decision chain from ``depth`` to the next chance node
-        (a new state) or the end of the order, checking constraints in
-        depth order until one fails."""
+        (its state, built on first visit) or the end of the order, checking
+        constraints in depth order until one fails."""
         instance = self.instance
         start = parent.depth if parent is not None else 0
         variables = instance.variables
@@ -328,15 +347,20 @@ class _PathTrie:
             _expect_leaf(depth, node)
             return None, ok and all(c.fn(env) for c in instance.constant_compiled)
         chance = _expect_chance(instance, depth, node)
-        probs = instance.distribution(depth, env)
-        table = self.tables.get(probs)
-        if table is None:
-            last = max(i for i, q in enumerate(probs) if q > 0.0)
-            cum = [math.ceil(c * 2.0 ** 53) for c in accumulate(probs)]
-            table = self.tables[probs] = (cum, last)
-        self.states += 1
-        state = _State(table[0], table[1], depth, chance.children, ok, parent,
-                       tuple(env[start:depth]))
+        get = instance.key_at[depth]
+        key = None if get is None else (id(chance), get(env), ok)
+        state = self.keyed.get(key)
+        if state is None:
+            probs = instance.distribution(depth, env)
+            table = self.tables.get(probs)
+            if table is None:
+                last = max(i for i, q in enumerate(probs) if q > 0.0)
+                cum = [math.ceil(c * 2.0 ** 53) for c in accumulate(probs)]
+                table = self.tables[probs] = (cum, last)
+            self.states += 1
+            state = _State(table[0], table[1], depth, chance.children, ok, parent,
+                           tuple(env[start:depth]))
+            _remember(self.keyed, key, state)
         return state, ok
 
     def grow(self, state: _State, i: int) -> tuple[_State | None, bool]:

@@ -61,7 +61,8 @@ def _compiled_objective(instance: Instance):
 def policy_expected_value(instance: Instance, policy: PolicyNode) -> float:
     """Expected objective value of a policy, violation_value on bad leaves."""
     objective, violation = _compiled_objective(instance)
-    return _policy_value(instance, policy, objective, violation)
+    return _policy_value(instance, policy, objective, violation,
+                         instance._key_table(instance.objective))
 
 
 def optimize_expected(instance: Instance) -> OptimizeResult:

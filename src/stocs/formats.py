@@ -17,6 +17,12 @@ An instance is one JSON document:
 The variable array order is the observation/decision order. Unknown keys
 warn instead of failing, for forward compatibility. Emitted files are
 UTF-8 with LF newlines.
+
+A policy is one compact JSON node: {"kind":"leaf"}, {"kind":"decision",
+"variable":str,"value":int,"child":node} or {"kind":"chance",
+"variable":str,"children":[node...]}. It is written as a graph: each
+distinct subtree once, and each later occurrence as {"ref":k}, where k
+numbers the non-leaf nodes in preorder of their first occurrence.
 """
 
 from __future__ import annotations
@@ -279,10 +285,22 @@ def dump_instance(instance: Instance) -> str:
 
 
 def serialize_policy(policy: PolicyNode) -> str:
-    """Compact JSON for a policy tree."""
+    """Compact JSON for a policy, each distinct subtree written once.
+
+    Non-leaf nodes are numbered 0, 1, ... in preorder of their first
+    occurrence, by object identity; a later occurrence of node k is written
+    ``{"ref":k}``. Leaves are always written inline, so a policy that
+    repeats no non-leaf node is written as a plain tree.
+    """
+    numbers: dict[int, int] = {}
+
     def encode(node: PolicyNode) -> dict[str, Any]:
         if isinstance(node, Leaf):
             return {"kind": "leaf"}
+        k = numbers.get(id(node))
+        if k is not None:
+            return {"ref": k}
+        numbers[id(node)] = len(numbers)
         if isinstance(node, DecisionNode):
             return {"kind": "decision", "variable": node.variable,
                     "value": node.chosen_value, "child": encode(node.child)}
@@ -295,13 +313,34 @@ def serialize_policy(policy: PolicyNode) -> str:
 
 
 def parse_policy(text: str) -> PolicyNode:
-    """Read a policy from JSON; one nested too deeply is malformed."""
+    """Read a policy from JSON, rebuilding the subtrees its refs share.
+
+    A ref must name a node already read in full: one not yet numbered
+    dangles, and one still being read is an ancestor (a cycle). A policy
+    nested too deeply is malformed.
+    """
+    nodes: list[PolicyNode | None] = []  # by number; None while being read
+
     def decode(obj: Any) -> PolicyNode:
         if not isinstance(obj, dict):
             raise MalformedPolicyError(f"policy node must be an object, got {obj!r}")
+        if "ref" in obj:
+            k = obj["ref"]
+            if len(obj) != 1:
+                raise MalformedPolicyError(f"ref object has other keys: {obj!r}")
+            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+                raise MalformedPolicyError(f"ref must be a non-negative integer, got {k!r}")
+            if k >= len(nodes):
+                raise MalformedPolicyError(f"ref {k} names no earlier node")
+            node = nodes[k]
+            if node is None:
+                raise MalformedPolicyError(f"ref {k} names its own ancestor")
+            return node
         kind = obj.get("kind")
         if kind == "leaf":
             return LEAF
+        k = len(nodes)
+        nodes.append(None)
         if kind == "decision":
             if not isinstance(obj.get("variable"), str):
                 raise MalformedPolicyError("decision node needs a variable name")
@@ -310,15 +349,18 @@ def parse_policy(text: str) -> PolicyNode:
                 raise MalformedPolicyError("decision node needs an integer value")
             if "child" not in obj:
                 raise MalformedPolicyError("decision node needs a child")
-            return DecisionNode(obj["variable"], value, decode(obj["child"]))
-        if kind == "chance":
+            node = DecisionNode(obj["variable"], value, decode(obj["child"]))
+        elif kind == "chance":
             if not isinstance(obj.get("variable"), str):
                 raise MalformedPolicyError("chance node needs a variable name")
             children = obj.get("children")
             if not isinstance(children, list) or not children:
                 raise MalformedPolicyError("chance node needs a children array")
-            return ChanceNode(obj["variable"], tuple(decode(c) for c in children))
-        raise MalformedPolicyError(f"unknown policy node kind {kind!r}")
+            node = ChanceNode(obj["variable"], tuple(decode(c) for c in children))
+        else:
+            raise MalformedPolicyError(f"unknown policy node kind {kind!r}")
+        nodes[k] = node
+        return node
 
     try:
         return decode(json.loads(text))

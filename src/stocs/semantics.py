@@ -6,7 +6,9 @@ satisfaction is the probability mass of the leaves whose complete
 assignments satisfy every constraint. An instance is satisfiable when
 some policy reaches satisfaction >= theta (non-strict, with 1e-9 slack).
 Scenario probabilities follow the chain rule (a plain product without
-conditional tables), and one walker scores any given policy.
+conditional tables), and one walker scores any given policy. Policies
+built by the searches share equal subtrees, so the walker scores a subtree
+once per node object and key (Instance.key_at), not once per path.
 
 The oracle enumerates every policy and is the ground truth the search
 algorithms are tested against. It is deliberately naive and guarded by a
@@ -191,53 +193,72 @@ def _check_depth(instance: Instance, frames_per_variable: int = 1) -> None:
 
 
 def _policy_value(instance: Instance, policy: PolicyNode, objective,
-                  violation: float) -> float:
+                  violation: float, key_at: tuple) -> float:
     """Expected leaf value of a given policy: ``objective(env)`` (1.0 when
     None) on leaves satisfying every constraint, ``violation`` on the rest.
 
     Constraints are checked as soon as their last scope variable gets a
-    value, so subtrees below a violated constraint are not walked.
+    value, so subtrees below a violated constraint are not walked. From
+    its second visit on, a node object is scored once per key:
+    ``key_at[depth]`` (Instance.key_at, or Instance._key_table of the
+    objective) holds all that the walk below reads of the assigned prefix.
+    So a policy that shares no subtree computes no key, and one that does
+    scores each node and key at most twice.
     """
+    from .solver import _remember  # solver imports this module
+
     _check_depth(instance)
     if any(not c.fn([]) for c in instance.constant_compiled):
         return violation
     env: list = [None] * instance.n
+    memo: dict = {}
+    seen: set[int] = set()  # ids of the nodes visited so far
 
     def walk(depth: int, node: PolicyNode) -> float:
         if depth == instance.n:
             _expect_leaf(depth, node)
             return 1.0 if objective is None else float(objective(env))
+        key = None
+        if id(node) not in seen:
+            seen.add(id(node))
+        elif key_at[depth] is not None:
+            key = (depth, id(node), key_at[depth](env))
+            if key in memo:
+                return memo[key]
         var = instance.variables[depth]
         if var.kind == "decision":
             dec = _expect_decision(instance, depth, node)
             env[depth] = dec.chosen_value
             for c in instance.check_at[depth]:
                 if not c.fn(env):
-                    return violation
-            return walk(depth + 1, dec.child)
-        chance = _expect_chance(instance, depth, node)
-        probs = instance.distribution(depth, env)
-        checks = instance.check_at[depth]
-        total = 0.0
-        for value, q, child in zip(var.domain, probs, chance.children):
-            if q == 0.0:
-                continue
-            env[depth] = value
-            for c in checks:
-                if not c.fn(env):
-                    total += q * violation
+                    value = violation
                     break
             else:
-                total += q * walk(depth + 1, child)
-        env[depth] = None
-        return total
+                value = walk(depth + 1, dec.child)
+        else:
+            chance = _expect_chance(instance, depth, node)
+            probs = instance.distribution(depth, env)
+            checks = instance.check_at[depth]
+            value = 0.0
+            for w, q, child in zip(var.domain, probs, chance.children):
+                if q == 0.0:
+                    continue
+                env[depth] = w
+                for c in checks:
+                    if not c.fn(env):
+                        value += q * violation
+                        break
+                else:
+                    value += q * walk(depth + 1, child)
+            env[depth] = None
+        return value if key is None else _remember(memo, key, value)
 
     return walk(0, policy)
 
 
 def policy_satisfaction(instance: Instance, policy: PolicyNode) -> float:
     """Probability mass of the policy's satisfying leaves."""
-    return _policy_value(instance, policy, None, 0.0)
+    return _policy_value(instance, policy, None, 0.0, instance.key_at)
 
 
 def _subpolicies(instance: Instance, depth: int) -> Iterator[PolicyNode]:

@@ -79,7 +79,7 @@ __all__ = [
 CACHE_ENTRIES = 100_000
 
 
-def _remember(memo: dict, key: tuple | None, result: tuple) -> tuple:
+def _remember(memo: dict, key: tuple | None, result):
     """Store a subtree result under its key (None: not cached) while there is room."""
     if key is not None and len(memo) < CACHE_ENTRIES:
         memo[key] = result

@@ -2,7 +2,15 @@ from pathlib import Path
 
 import pytest
 
-from stocs import Instance, VariableSpec, expr_constraint, solver, validate_instance
+from stocs import (
+    ChanceNode,
+    DecisionNode,
+    Instance,
+    VariableSpec,
+    expr_constraint,
+    solver,
+    validate_instance,
+)
 
 INSTANCES_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -36,11 +44,34 @@ def make_instance(variables, constraints=(), theta=0.5, name="", objective=None)
 
 
 def uncached(run, *args, **kwargs):
-    """Call a search, optimize_expected or restricted_tree_bounds with the
-    subtree cache off: it may store no entry."""
+    """Call a search, optimize_expected, restricted_tree_bounds or a walk of
+    one given policy with the subtree cache off: it may store no entry."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "CACHE_ENTRIES", 0)
         return run(*args, **kwargs)
+
+
+def same_tree(a, b) -> bool:
+    """Whether two policies expand to equal trees. ``==`` compares shared
+    subtrees once per path; this compares each pair of node objects once."""
+    seen = set()
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, DecisionNode):
+            if (x.variable, x.chosen_value) != (y.variable, y.chosen_value):
+                return False
+            stack.append((x.child, y.child))
+        elif isinstance(x, ChanceNode):
+            if x.variable != y.variable or len(x.children) != len(y.children):
+                return False
+            stack.extend(zip(x.children, y.children))
+    return True
 
 
 @pytest.fixture

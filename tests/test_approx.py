@@ -252,6 +252,28 @@ def _chance_paths(instance, node, depth=0):
     return paths, ids
 
 
+def _keyed_states(instance, node, depth=0, env=None, ok=True, out=None):
+    """The (chance node, key, ok) triples that the paths from the root reach;
+    the key is the whole prefix where the depth has none (in this helper's
+    cases, only above the first keyed chance depth)."""
+    env = [None] * instance.n if env is None else env
+    out = set() if out is None else out
+    if depth == instance.n:
+        return out
+    if isinstance(node, DecisionNode):
+        env[depth] = node.chosen_value
+        ok = ok and all(c.fn(env) for c in instance.check_at[depth])
+        return _keyed_states(instance, node.child, depth + 1, env, ok, out)
+    get = instance.key_at[depth]
+    out.add((id(node), tuple(env[:depth]) if get is None else get(env), ok))
+    for value, child in zip(instance.variables[depth].domain, node.children):
+        env[depth] = value
+        branch_ok = ok and all(c.fn(env) for c in instance.check_at[depth])
+        _keyed_states(instance, child, depth + 1, env, branch_ok, out)
+    env[depth] = None
+    return out
+
+
 class TestSampledWalkGoldens:
     """Estimates pinned bit for bit; they predate the per-path compiled walk."""
 
@@ -302,13 +324,25 @@ class TestSampledWalkTrie:
         paths, _ = _chance_paths(inst, policy)
         assert many.states <= paths
 
-    def test_shared_subtrees_get_one_state_per_path(self):
+    def test_shared_subtrees_get_one_state_per_node_key_and_ok(self):
         inst, policy = _shared_case()
         trie = approx._PathTrie(inst, policy)
         trie.wins(4000, 9)
-        paths, ids = _chance_paths(inst, policy)
+        paths, _ = _chance_paths(inst, policy)
         # every path of this policy has positive probability and gets sampled
-        assert trie.states == paths > len(ids)
+        assert trie.states == len(_keyed_states(inst, policy)) < paths
+
+    def test_a_failed_path_gets_its_own_state(self):
+        # both values of s1 reach the shared s2 node with one key, ()
+        inst = make_instance(
+            [("s1", "s", (0, 1), (0.5, 0.5)), ("s2", "s", (0, 1), (0.5, 0.5))],
+            [expr_constraint("s1 = 0")])
+        shared = ChanceNode("s2", (Leaf(), Leaf()))
+        policy = ChanceNode("s1", (shared, shared))
+        assert inst.key_at[1]([0, None]) == inst.key_at[1]([1, None]) == ()
+        trie = approx._PathTrie(inst, policy)
+        assert trie.wins(400, 5) == _reference_wins(inst, policy, 400, 5)
+        assert trie.states == 3
 
     def test_draw_past_the_total_takes_the_last_positive_value(self):
         inst = make_instance(

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import time
 
 import pytest
 
@@ -15,15 +16,19 @@ from stocs import (
     Leaf,
     MalformedPolicyError,
     __version__,
+    dump_instance,
     expr_constraint,
+    fc_max,
     load_instance,
+    parse_policy,
     serialize_policy,
 )
 from stocs.expr import Binary, IntLiteral, VariableRef
 from stocs.cli import CSV_HEADER, main
 from stocs.semantics import SearchStats
 from stocs.solver import DecideResult
-from conftest import make_instance
+from conftest import make_instance, same_tree
+from test_extensions import coin_chain
 
 
 def run(capsys, *argv):
@@ -98,6 +103,69 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(instances_dir / "fc_demo.scsp"),
                              "--algorithm", "fc", "--policy-out", os.devnull)
         assert (code, out, err) == (0, "SAT p>=0.600000000\n", "")
+
+    # max-mode witnesses that repeat no non-leaf node: written as plain trees
+    TREE_FORM = {
+        "a": '{"kind":"decision","variable":"x","value":0,"child":{"kind":"chance",'
+             '"variable":"s","children":[{"kind":"leaf"},{"kind":"leaf"}]}}',
+        "b": '{"kind":"chance","variable":"s","children":[{"kind":"decision",'
+             '"variable":"x","value":0,"child":{"kind":"leaf"}},{"kind":"decision",'
+             '"variable":"x","value":1,"child":{"kind":"leaf"}}]}',
+        "conditional": '{"kind":"chance","variable":"s1","children":[{"kind":"decision",'
+                       '"variable":"x","value":0,"child":{"kind":"chance","variable":"s2",'
+                       '"children":[{"kind":"leaf"},{"kind":"leaf"}]}},{"kind":"decision",'
+                       '"variable":"x","value":1,"child":{"kind":"chance","variable":"s2",'
+                       '"children":[{"kind":"leaf"},{"kind":"leaf"}]}}]}',
+        "fc_demo": '{"kind":"decision","variable":"x","value":1,"child":{"kind":"chance",'
+                   '"variable":"s","children":[{"kind":"leaf"},{"kind":"leaf"},'
+                   '{"kind":"leaf"}]}}',
+    }
+    TREE_FORM["objective"] = TREE_FORM["b"]
+
+    @pytest.mark.parametrize("algorithm", ["bt", "fc"])
+    @pytest.mark.parametrize("name", sorted(TREE_FORM))
+    def test_policy_out_of_a_tree_is_written_as_a_tree(self, capsys, instances_dir,
+                                                       tmp_path, name, algorithm):
+        target = tmp_path / "witness.json"
+        code, _, _ = run(capsys, "solve", str(instances_dir / f"{name}.scsp"), "--mode",
+                         "max", "--algorithm", algorithm, "--policy-out", str(target))
+        assert code == 0
+        assert target.read_text(encoding="utf-8") == self.TREE_FORM[name] + "\n"
+
+    def test_policy_out_writes_shared_subtrees_once(self, capsys, instances_dir, tmp_path):
+        # the four x2 decisions after s1 > 100 share one s2 node, node 3
+        path = instances_dir / "production.scsp"
+        target = tmp_path / "witness.json"
+        code, _, _ = run(capsys, "solve", str(path), "--mode", "max", "--algorithm", "fc",
+                         "--policy-out", str(target))
+        assert code == 0
+        text = target.read_text(encoding="utf-8")
+        assert len(text) == 550  # 1,018 bytes written as a tree
+        assert text.count('{"ref":3}') == 4
+        assert same_tree(parse_policy(text), fc_max(load_instance(path)).policy)
+
+    def test_long_chain_policy_file_is_not_a_tree(self, capsys, tmp_path):
+        # fc_max's policy has 2^24 paths; written, read, scored or sampled as
+        # a tree, each step would take minutes
+        instance = tmp_path / "chain.scsp"
+        instance.write_text(dump_instance(coin_chain(48)), encoding="utf-8")
+        policy = tmp_path / "witness.json"
+        steps = [("solve", str(instance), "--algorithm", "fc", "--mode", "max",
+                  "--policy-out", str(policy)),
+                 ("eval", str(instance), "--policy", str(policy)),
+                 ("eval", str(instance), "--policy", str(policy), "--samples", "1000")]
+        results = []
+        for argv in steps:
+            start = time.perf_counter()
+            results.append(run(capsys, *argv))
+            assert time.perf_counter() - start < 5.0
+        (code, solved, _), (eval_code, evaluated, _), (mc_code, sampled, _) = results
+        assert (code, eval_code, mc_code) == (0, 0, 0)
+        assert solved.startswith("MAX p=")
+        assert evaluated == solved.replace("MAX", "EVAL")
+        assert re.fullmatch(r"EST p=0\.\d{9} ci=\[0\.\d{9},0\.\d{9}\] n=1000 seed=0\n",
+                            sampled)
+        assert policy.stat().st_size < 100_000
 
     def test_no_policy_written_on_unsat(self, capsys, instances_dir, tmp_path):
         target = tmp_path / "witness.json"

@@ -13,6 +13,7 @@ from stocs import (
     FormatWarning,
     Leaf,
     dump_instance,
+    fc_max,
     load_instance,
     parse_instance,
     parse_policy,
@@ -25,6 +26,8 @@ from stocs.errors import (
     ProbabilitiesOnDecisionError,
     ThetaOutOfRangeError,
 )
+from conftest import same_tree
+from test_extensions import coin_chain
 
 MINIMAL = """
 {
@@ -233,10 +236,63 @@ class TestPolicyFormat:
         ' "child": {"kind": "leaf"}}',
         '{"kind": "chance", "variable": "s", "children": []}',
         '{"kind": "chance", "variable": "s"}',
+        # refs: dangling, to an ancestor, not a non-negative int, with other keys
+        '{"ref": 0}',
+        '{"kind": "chance", "variable": "s", "children": [{"kind": "leaf"}, {"ref": 1}]}',
+        '{"kind": "chance", "variable": "s", "children": [{"ref": 0}]}',
+        '{"kind": "decision", "variable": "x", "value": 0, "child": {"kind": "chance",'
+        ' "variable": "s", "children": [{"ref": 1}]}}',
+        '{"ref": -1}',
+        '{"ref": true}',
+        '{"ref": 0.0}',
+        '{"ref": "0"}',
+        '{"ref": null}',
+        '{"kind": "chance", "variable": "s", "children": [{"kind": "decision",'
+        ' "variable": "x", "value": 0, "child": {"kind": "leaf"}},'
+        ' {"ref": 1, "kind": "decision"}]}',
     ])
     def test_malformed_policies(self, doc):
-        with pytest.raises(MalformedPolicyError):
+        # a bad ref is refused for the ref, not for a missing kind
+        with pytest.raises(MalformedPolicyError, match="ref" if '"ref"' in doc else None):
             parse_policy(doc)
+
+    def test_shared_policy_bytes_are_pinned(self):
+        # non-leaf nodes are numbered in preorder of first occurrence:
+        # the root 0, the s2 node 1, the decision 2
+        decision = DecisionNode("x", 0, Leaf())
+        chance = ChanceNode("s2", (decision, decision))
+        text = serialize_policy(ChanceNode("s1", (chance, chance)))
+        assert text == (
+            '{"kind":"chance","variable":"s1","children":[{"kind":"chance",'
+            '"variable":"s2","children":[{"kind":"decision","variable":"x",'
+            '"value":0,"child":{"kind":"leaf"}},{"ref":2}]},{"ref":1}]}')
+        parsed = parse_policy(text)
+        assert parsed == ChanceNode("s1", (chance, chance))
+        assert parsed.children[0] is parsed.children[1]
+        assert parsed.children[0].children[0] is parsed.children[0].children[1]
+
+    def test_large_shared_policy_round_trips_with_its_sharing(self):
+        # 2^12 paths, but fc_max's policy has only a few hundred node objects
+        policy = fc_max(coin_chain(24)).policy
+        text = serialize_policy(policy)
+        parsed = parse_policy(text)
+        assert same_tree(parsed, policy)
+        assert _distinct_nodes(parsed) == _distinct_nodes(policy) < 2 ** 12
+        assert serialize_policy(parsed) == text
+
+
+def _distinct_nodes(policy) -> int:
+    """Node objects in a policy, each counted once."""
+    seen, stack = {}, [policy]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if isinstance(node, DecisionNode):
+                stack.append(node.child)
+            elif isinstance(node, ChanceNode):
+                stack.extend(node.children)
+    return len(seen)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -251,16 +307,27 @@ class TestReadmeSnippets:
                             flags=re.S)
         return [json.loads(block) for block in blocks]
 
+    @staticmethod
+    def kind_of(doc) -> str:
+        if "variables" in doc:
+            return "instance"
+        if "domain" in doc:
+            return "variable"
+        return "constraint" if "type" in doc else "policy"
+
     def test_every_kind_of_snippet_is_present(self):
-        kinds = {next(k for k in ("variables", "kind", "type") if k in doc)
-                 for doc in self.snippets()}
-        assert kinds == {"variables", "kind", "type"}
+        kinds = {self.kind_of(doc) for doc in self.snippets()}
+        assert kinds == {"instance", "variable", "constraint", "policy"}
 
     def test_snippets_parse_without_warnings(self):
         for doc in self.snippets():
-            if "variables" in doc:  # a whole instance
+            kind = self.kind_of(doc)
+            if kind == "policy":
+                parse_policy(json.dumps(doc))
+                continue
+            if kind == "instance":
                 text = json.dumps(doc)
-            elif "kind" in doc:  # one variable: give it its parents
+            elif kind == "variable":  # give it its parents
                 parents = [{"name": p, "kind": "stochastic", "domain": [0, 1],
                             "probabilities": [0.5, 0.5]}
                            for p in doc.get("cpt", {}).get("parents", [])]

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from gen import inventory_instance, random_cpt_instance, random_instance, random_linear_instance
+from gen import (
+    inventory_instance,
+    random_cpt_instance,
+    random_instance,
+    random_linear_instance,
+    random_policy,
+)
 from stocs import (
     ConditionalTable,
     Constraint,
@@ -18,6 +24,7 @@ from stocs import (
     fc_max,
     first_policy,
     load_instance,
+    monte_carlo_policy_eval,
     most_probable_scenario_policy,
     optimize_expected,
     oracle_max_satisfaction,
@@ -26,7 +33,6 @@ from stocs import (
     policy_satisfaction,
     required_threshold,
     restricted_tree_bounds,
-    serialize_policy,
 )
 from stocs.errors import (
     InstanceTooDeepError,
@@ -35,7 +41,7 @@ from stocs.errors import (
 )
 from stocs import solver
 from stocs.solver import _Search
-from conftest import make_instance, uncached
+from conftest import make_instance, same_tree, uncached
 
 TOL = 1e-9
 ALL_RULES = [PruneRules(*bits) for bits in itertools.product((True, False), repeat=4)]
@@ -448,7 +454,7 @@ class TestContextCache:
             for run_max, run_decide in ((bt_max, bt_decide), (fc_max, fc_decide)):
                 got, want = run_max(inst, rules=rules), uncached(run_max, inst, rules=rules)
                 assert got.probability == want.probability
-                assert serialize_policy(got.policy) == serialize_policy(want.policy)
+                assert same_tree(got.policy, want.policy)
                 hits += got.stats.cache_hits
                 for theta in (0.2, 0.5, 0.8, want.probability):
                     got = run_decide(inst, theta, rules=rules)
@@ -468,7 +474,7 @@ class TestContextCache:
             for run_max, run_decide in ((bt_max, bt_decide), (fc_max, fc_decide)):
                 got, want = run_max(inst), uncached(run_max, inst)
                 assert got.probability == want.probability
-                assert serialize_policy(got.policy) == serialize_policy(want.policy)
+                assert same_tree(got.policy, want.policy)
                 hits += got.stats.cache_hits
                 for theta in (0.2, 0.5, 0.8, want.probability):
                     got = run_decide(inst, theta)
@@ -477,7 +483,13 @@ class TestContextCache:
                         assert policy_satisfaction(inst, got.policy) >= theta - TOL
             got, want = optimize_expected(inst), uncached(optimize_expected, inst)
             assert (got.expected_value, got.satisfaction) == (want.expected_value, want.satisfaction)
-            assert serialize_policy(got.policy) == serialize_policy(want.policy)
+            assert same_tree(got.policy, want.policy)
+            # the walks of one given policy: shared subtrees once per key, or once per path
+            for policy in (got.policy, fc_max(inst).policy, random_policy(rng, inst)):
+                for walk in (policy_satisfaction, policy_expected_value):
+                    assert walk(inst, policy) == uncached(walk, inst, policy)
+                assert (monte_carlo_policy_eval(inst, policy, 200, 3)
+                        == uncached(monte_carlo_policy_eval, inst, policy, 200, 3))
             for mode in ({"epsilon": 0.1}, {"epsilon": 0.3}, {"top_k": 1}, {"top_k": 2}):
                 assert (restricted_tree_bounds(inst, **mode)
                         == uncached(restricted_tree_bounds, inst, **mode))
