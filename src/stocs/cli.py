@@ -227,77 +227,110 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 2 if bad_files else 0
 
 
+def _add_solve(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("instance")
+    parser.add_argument("--algorithm", choices=("bt", "fc"), default="bt")
+    parser.add_argument("--mode", choices=("decide", "max"), default="decide")
+    parser.add_argument("--theta", type=float, default=None,
+                        help="override the instance threshold")
+    parser.add_argument("--policy-out", metavar="FILE",
+                        help="write the witness policy as JSON")
+    parser.add_argument("--no-prune-decision-stop", action="store_true",
+                        help="disable stopping at a good-enough decision value")
+    parser.add_argument("--no-prune-chance-abort", action="store_true",
+                        help="disable early exits at chance nodes")
+    parser.add_argument("--no-prune-fc-wipeout", action="store_true",
+                        help="disable domain-wipeout backtracking")
+    parser.add_argument("--no-prune-fc-mass", action="store_true",
+                        help="disable probability-mass bound pruning")
+    parser.add_argument("--renormalize", action="store_true",
+                        help="rescale probability vectors to sum to 1")
+    parser.add_argument("--stats", action="store_true",
+                        help="print search counters after the verdict")
+    parser.set_defaults(func=cmd_solve)
+
+
+def _add_oracle(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("instance")
+    parser.add_argument("--cap", type=int, default=ORACLE_CAP,
+                        help="refuse instances with more policies than this")
+    parser.set_defaults(func=cmd_oracle)
+
+
+def _add_eval(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("instance")
+    parser.add_argument("--policy", required=True, metavar="FILE")
+    parser.add_argument("--samples", type=int, default=None,
+                        help="estimate by Monte Carlo instead of exactly")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.set_defaults(func=cmd_eval)
+
+
+def _add_approx(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("instance")
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--epsilon", type=float, default=None,
+                       help="ignore stochastic branches with probability below this")
+    group.add_argument("--top-k", type=int, default=None,
+                       help="keep only the k most probable branches")
+    parser.set_defaults(func=cmd_approx)
+
+
+def _add_optimize(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("instance")
+    parser.set_defaults(func=cmd_optimize)
+
+
+def _add_bench(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("directory")
+    parser.add_argument("--out", required=True, metavar="FILE")
+    parser.set_defaults(func=cmd_bench)
+
+
+# subcommand -> (help line in the root parser's listing, argument adder)
+COMMANDS = {
+    "solve": ("run the exact search on one instance", _add_solve),
+    "oracle": ("brute-force maximum by policy enumeration", _add_oracle),
+    "eval": ("score a policy file against an instance", _add_eval),
+    "approx": ("bound the maximum with a restricted tree", _add_approx),
+    "optimize": ("maximize the expected objective value", _add_optimize),
+    "bench": ("solve every .scsp in a directory, write CSV", _add_bench),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stocs",
         description="Solve stochastic constraint satisfaction problems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    solve = sub.add_parser("solve", help="run the exact search on one instance")
-    solve.add_argument("instance")
-    solve.add_argument("--algorithm", choices=("bt", "fc"), default="bt")
-    solve.add_argument("--mode", choices=("decide", "max"), default="decide")
-    solve.add_argument("--theta", type=float, default=None,
-                       help="override the instance threshold")
-    solve.add_argument("--policy-out", metavar="FILE",
-                       help="write the witness policy as JSON")
-    solve.add_argument("--no-prune-decision-stop", action="store_true",
-                       help="disable stopping at a good-enough decision value")
-    solve.add_argument("--no-prune-chance-abort", action="store_true",
-                       help="disable early exits at chance nodes")
-    solve.add_argument("--no-prune-fc-wipeout", action="store_true",
-                       help="disable domain-wipeout backtracking")
-    solve.add_argument("--no-prune-fc-mass", action="store_true",
-                       help="disable probability-mass bound pruning")
-    solve.add_argument("--renormalize", action="store_true",
-                       help="rescale probability vectors to sum to 1")
-    solve.add_argument("--stats", action="store_true",
-                       help="print search counters after the verdict")
-    solve.set_defaults(func=cmd_solve)
-
-    oracle = sub.add_parser("oracle", help="brute-force maximum by policy enumeration")
-    oracle.add_argument("instance")
-    oracle.add_argument("--cap", type=int, default=ORACLE_CAP,
-                        help="refuse instances with more policies than this")
-    oracle.set_defaults(func=cmd_oracle)
-
-    evaluate = sub.add_parser("eval", help="score a policy file against an instance")
-    evaluate.add_argument("instance")
-    evaluate.add_argument("--policy", required=True, metavar="FILE")
-    evaluate.add_argument("--samples", type=int, default=None,
-                          help="estimate by Monte Carlo instead of exactly")
-    evaluate.add_argument("--seed", type=int, default=0)
-    evaluate.set_defaults(func=cmd_eval)
-
-    approx = sub.add_parser("approx", help="bound the maximum with a restricted tree")
-    approx.add_argument("instance")
-    group = approx.add_mutually_exclusive_group(required=True)
-    group.add_argument("--epsilon", type=float, default=None,
-                       help="ignore stochastic branches with probability below this")
-    group.add_argument("--top-k", type=int, default=None,
-                       help="keep only the k most probable branches")
-    approx.set_defaults(func=cmd_approx)
-
-    optimize = sub.add_parser("optimize",
-                              help="maximize the expected objective value")
-    optimize.add_argument("instance")
-    optimize.set_defaults(func=cmd_optimize)
-
-    bench = sub.add_parser("bench", help="solve every .scsp in a directory, write CSV")
-    bench.add_argument("directory")
-    bench.add_argument("--out", required=True, metavar="FILE")
-    bench.set_defaults(func=cmd_bench)
-
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:  # argparse handles --help and usage errors
-        return int(e.code or 0)
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line as `build_parser().parse_args(argv)` does.
+
+    When `argv` starts with a subcommand, only that subcommand's parser is
+    built: a full build constructs a help formatter per argument and costs
+    more than the search of a small instance. The lone parser is the one
+    `add_parser` would make, so its help, usage and error text are the
+    same. Anything else, and extra arguments, which the root parser
+    reports, goes to the full parser. Raises `SystemExit` as argparse does.
+    """
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"stocs {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run parsed arguments; map errors to exit codes, report them on stderr."""
     try:
         return args.func(args)
     except MismatchBetweenAlgorithmsError as e:
@@ -309,6 +342,14 @@ def main(argv=None) -> int:
     except Exception as e:  # anything else is a bug in this tool
         print(f"internal error: {e!r}", file=sys.stderr)
         return 3
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    except SystemExit as e:  # argparse handles --help and usage errors
+        return int(e.code or 0)
+    return _dispatch(args)
 
 
 if __name__ == "__main__":

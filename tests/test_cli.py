@@ -478,6 +478,95 @@ class TestArgumentHandling:
                 "--algorithm", "fc", "--theta", "0.9", "--stats")
         assert run(capsys, *argv) == run(capsys, *argv)
 
+    # help, usage errors and valid runs of every subcommand; "{a}" and the
+    # other fields are filled in by `fill`
+    PARSE_CASES = [
+        [], ["-h"], ["--help"], ["bogus"], ["Solve"], ["-x", "solve"], ["-h", "solve"],
+        ["solve", "-h"], ["oracle", "-h"], ["eval", "-h"], ["approx", "-h"],
+        ["optimize", "-h"], ["bench", "-h"], ["solve", "{a}", "extra", "-h"],
+        ["solve"], ["solve", "--theta", "0.5"], ["solve", "{a}", "--bogus"],
+        ["solve", "{a}", "extra"], ["solve", "{a}", "extra", "--bogus"], ["solve", "{a}", "{b}"],
+        ["solve", "{a}", "--theta", "x"], ["solve", "{a}", "--theta"],
+        ["oracle", "{a}", "--cap", "x"], ["eval", "{a}", "--policy", "{policy}", "--samples", "x"],
+        ["solve", "{a}", "--algorithm", "zz"], ["solve", "{a}", "--alg", "fc", "--mo", "max"],
+        ["solve", "{a}", "--theta=0.5"], ["solve", "{a}", "--", "stray"], ["solve", "--", "{a}"],
+        ["approx", "{b}", "--epsilon", "0.1", "--top-k", "1"], ["approx", "{b}"],
+        ["approx", "{b}", "--top-k", "x"], ["eval", "{a}"], ["eval", "{a}", "--policy"],
+        ["bench", "{dir}"], ["oracle", "{b}", "--cap", "3"],
+        ["solve", "{a}", "--algorithm", "fc", "--mode", "max", "--policy-out", "{out}"],
+        ["solve", "{a}", "--theta", "0.6", "--policy-out", "{out}", "--stats"],
+        ["solve", "{a}", "--renormalize", "--no-prune-decision-stop", "--no-prune-chance-abort",
+         "--no-prune-fc-wipeout", "--no-prune-fc-mass"],
+        ["oracle", "{a}"], ["eval", "{a}", "--policy", "{policy}"],
+        ["eval", "{a}", "--policy", "{policy}", "--samples", "200", "--seed", "3"],
+        ["approx", "{b}", "--epsilon", "0.1"], ["approx", "{b}", "--top-k", "1"],
+        ["optimize", "{objective}"], ["bench", "{dir}", "--out", "{csv}"],
+    ]
+
+    @staticmethod
+    def fill(argv, instances_dir, tmp_path):
+        policy = tmp_path / "policy.json"
+        policy.write_text(serialize_policy(DecisionNode("x", 0, ChanceNode("s", (Leaf(), Leaf())))),
+                          encoding="utf-8")
+        bench_dir = tmp_path / "set"
+        bench_dir.mkdir(exist_ok=True)
+        shutil.copy(instances_dir / "a.scsp", bench_dir / "a.scsp")
+        fields = {"a": instances_dir / "a.scsp", "b": instances_dir / "b.scsp",
+                  "objective": instances_dir / "objective.scsp", "policy": policy,
+                  "dir": bench_dir, "out": tmp_path / "out.json", "csv": tmp_path / "runs.csv"}
+        return [arg.format(**{k: str(v) for k, v in fields.items()}) for arg in argv]
+
+    @staticmethod
+    def reference(argv):
+        """`main` with the full parser built for every call."""
+        try:
+            args = stocs.cli.build_parser().parse_args(argv)
+        except SystemExit as e:
+            return int(e.code or 0)
+        return stocs.cli._dispatch(args)
+
+    @pytest.mark.parametrize("columns", ["80", "40"])
+    @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+    def test_same_result_as_the_full_parser(self, capsys, monkeypatch, instances_dir,
+                                            tmp_path, argv, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        argv = self.fill(argv, instances_dir, tmp_path)
+        expected = self.reference(argv), *capsys.readouterr()
+        assert run(capsys, *argv) == expected
+
+    # every op shape the benchmark runs, then one valid call of each subcommand
+    VALID_CASES = [
+        ["solve", "{a}", "--algorithm", "bt", "--mode", "decide"],
+        ["solve", "{a}", "--algorithm", "fc", "--mode", "decide", "--theta", "0.6",
+         "--policy-out", "{out}"],
+        ["solve", "{a}", "--algorithm", "fc", "--mode", "max", "--policy-out", "{out}"],
+        ["eval", "{a}", "--policy", "{policy}"],
+        ["eval", "{a}", "--policy", "{policy}", "--samples", "200", "--seed", "3"],
+        ["approx", "{b}", "--epsilon", "0.1"], ["approx", "{b}", "--top-k", "1"],
+        ["optimize", "{objective}"], ["oracle", "{a}"], ["bench", "{dir}", "--out", "{csv}"],
+    ]
+
+    @pytest.mark.parametrize("argv", VALID_CASES, ids=" ".join)
+    def test_a_valid_call_builds_no_full_parser(self, capsys, monkeypatch, instances_dir,
+                                                tmp_path, argv):
+        argv = self.fill(argv, instances_dir, tmp_path)
+        expected = run(capsys, *argv)
+
+        def refuse():
+            raise AssertionError("the full parser was built")
+
+        monkeypatch.setattr(stocs.cli, "build_parser", refuse)
+        assert run(capsys, *argv) == expected
+
+    @pytest.mark.parametrize("argv, code", [(["solve", "{a}"], 0), (["bogus"], 2)])
+    def test_console_script_reads_sys_argv(self, capsys, monkeypatch, instances_dir,
+                                           tmp_path, argv, code):
+        argv = self.fill(argv, instances_dir, tmp_path)
+        expected = self.reference(argv), *capsys.readouterr()
+        monkeypatch.setattr("sys.argv", ["stocs", *argv])
+        assert (main(), *capsys.readouterr()) == expected
+        assert expected[0] == code
+
 
 class TestBadInputIsTyped:
     """Bad input exits 2 with an error line, never 0 or 3."""
