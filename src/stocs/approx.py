@@ -128,15 +128,12 @@ def restricted_tree_bounds(instance: Instance, epsilon: float | None = None,
         if key in memo:
             return memo[key]
         var = instance.variables[depth]
-        checks = instance.check_at[depth]
+        test = instance.check_at[depth]
         if var.kind == "decision":
             lb = ub = 0.0
             for w in var.domain:
                 env[depth] = w
-                for c in checks:
-                    if not c.fn(env):
-                        break
-                else:
+                if test is None or test(env):
                     child_lb, child_ub = walk(depth + 1)
                     lb = max(lb, child_lb)
                     ub = max(ub, child_ub)
@@ -156,10 +153,7 @@ def restricted_tree_bounds(instance: Instance, epsilon: float | None = None,
                 unexplored += q
                 continue
             env[depth] = w
-            for c in checks:
-                if not c.fn(env):
-                    break
-            else:
+            if test is None or test(env):
                 child_lb, child_ub = walk(depth + 1)
                 lb += q * child_lb
                 ub += q * child_ub
@@ -219,10 +213,11 @@ def most_probable_scenario_policy(instance: Instance) -> HeuristicPolicy:
         if depth == instance.n:
             return True
         var = instance.variables[depth]
+        test = instance.check_at[depth]
         values = var.domain if var.kind == "decision" else (pinned[depth],)
         for w in values:
             env[depth] = w
-            if all(c.fn(env) for c in instance.check_at[depth]) and solve(depth + 1):
+            if (test is None or test(env)) and solve(depth + 1):
                 return True
             env[depth] = None
         return False
@@ -285,26 +280,24 @@ class _State:
     of the path from the root.
 
     ``cum`` holds the integer draw thresholds ``ceil(c * 2**53)`` of the
-    node's cumulative probabilities ``c`` (not the probabilities), and
-    ``branches`` holds, per value index, the built ``(next state or None,
-    ok)`` pair, or None until a sample first takes that value. Entry
-    ``len(cum)`` aliases the last positive index: a draw at or above the
-    total's threshold (a rounding gap) takes that value. ``values`` are the
-    env entries the first path to build the state sets from the parent
-    state's depth up to this one.
+    node's cumulative probabilities ``c`` (not the probabilities), raised to
+    at least ``2**53`` from the last positive value on. Every draw is below
+    ``2**53``, so one in the rounding gap past a total under 1 bisects to
+    that last positive value. ``branches`` holds, per value index, the built
+    ``(next state or None, ok)`` pair, or None until a sample first takes
+    that value. ``env`` is the environment of the first path to build the
+    state, assigned before ``depth``.
     """
 
-    __slots__ = ("cum", "branches", "last", "depth", "children", "ok", "parent", "values")
+    __slots__ = ("cum", "branches", "depth", "children", "ok", "env")
 
-    def __init__(self, cum, last, depth, children, ok, parent, values):
+    def __init__(self, cum, depth, children, ok, env):
         self.cum = cum
-        self.branches = [None] * (len(cum) + 1)
-        self.last = last
+        self.branches = [None] * len(cum)
         self.depth = depth
         self.children = children
         self.ok = ok
-        self.parent = parent
-        self.values = values
+        self.env = env
 
 
 class _PathTrie:
@@ -317,30 +310,31 @@ class _PathTrie:
     ``(chance node, key, ok)``, or one branch into it where the depth has no
     key, and policies that share subtrees get one state per shared subtree.
     Node validation, the distribution, the threshold table and the
-    constraint checks run once per state, in the same order and at the same
-    sample as a plain walk would first run them. ``states`` counts the
-    states built.
+    constraint checks (one ``Instance.check_at`` test per depth) run once
+    per state, in the same order and at the same sample as a plain walk
+    would first run them. A branch is grown from a copy of its state's
+    ``env``. ``states`` counts the states built.
     """
 
     def __init__(self, instance: Instance, policy: PolicyNode):
         self.instance = instance
-        self.tables: dict[tuple, tuple[list, int]] = {}  # per distinct distribution row
+        self.tables: dict[tuple, list[int]] = {}  # per distinct distribution row
         self.keyed: dict[tuple, _State] = {}  # states at keyed depths
         self.states = 0
-        self.root = self._walk(0, policy, [None] * instance.n, True, None)
+        self.root = self._walk(0, policy, [None] * instance.n, True)
 
-    def _walk(self, depth: int, node: PolicyNode, env: list, ok: bool,
-              parent: _State | None) -> tuple[_State | None, bool]:
+    def _walk(self, depth: int, node: PolicyNode, env: list,
+              ok: bool) -> tuple[_State | None, bool]:
         """Follow the decision chain from ``depth`` to the next chance node
         (its state, built on first visit) or the end of the order, checking
         constraints in depth order until one fails."""
         instance = self.instance
-        start = parent.depth if parent is not None else 0
         variables = instance.variables
         while depth < instance.n and variables[depth].kind == "decision":
             dec = _expect_decision(instance, depth, node)
             env[depth] = dec.chosen_value
-            ok = ok and all(c.fn(env) for c in instance.check_at[depth])
+            test = instance.check_at[depth]
+            ok = ok and (test is None or test(env))
             node = dec.child
             depth += 1
         if depth == instance.n:
@@ -352,33 +346,24 @@ class _PathTrie:
         state = self.keyed.get(key)
         if state is None:
             probs = instance.distribution(depth, env)
-            table = self.tables.get(probs)
-            if table is None:
+            cum = self.tables.get(probs)
+            if cum is None:
+                cum = self.tables[probs] = [math.ceil(c * 2.0 ** 53) for c in accumulate(probs)]
                 last = max(i for i, q in enumerate(probs) if q > 0.0)
-                cum = [math.ceil(c * 2.0 ** 53) for c in accumulate(probs)]
-                table = self.tables[probs] = (cum, last)
+                cum[last:] = [max(t, 2 ** 53) for t in cum[last:]]
             self.states += 1
-            state = _State(table[0], table[1], depth, chance.children, ok, parent,
-                           tuple(env[start:depth]))
+            state = _State(cum, depth, chance.children, ok, tuple(env))
             _remember(self.keyed, key, state)
         return state, ok
 
     def grow(self, state: _State, i: int) -> tuple[_State | None, bool]:
-        """Build the branch a sample takes at ``state`` with draw index ``i``."""
-        index = state.last if i == len(state.cum) else i
-        instance = self.instance
-        env: list = [None] * instance.n
-        s = state
-        while s is not None:
-            env[s.depth - len(s.values):s.depth] = s.values
-            s = s.parent
+        """Build the branch a sample takes at ``state`` with value index ``i``."""
+        env = list(state.env)
         depth = state.depth
-        env[depth] = instance.variables[depth].domain[index]
-        ok = state.ok and all(c.fn(env) for c in instance.check_at[depth])
-        branch = self._walk(depth + 1, state.children[index], env, ok, state)
-        state.branches[index] = branch
-        if index == state.last:
-            state.branches[-1] = branch
+        env[depth] = self.instance.variables[depth].domain[i]
+        test = self.instance.check_at[depth]
+        ok = state.ok and (test is None or test(env))
+        branch = state.branches[i] = self._walk(depth + 1, state.children[i], env, ok)
         return branch
 
     def wins(self, n: int, seed: int) -> int:
@@ -408,23 +393,13 @@ class _PathTrie:
 
 
 def _wilson(wins: int, n: int) -> tuple[float, float]:
-    if wins == 0:
-        low = 0.0
-    else:
-        low = None
-    if wins == n:
-        high = 1.0
-    else:
-        high = None
     p = wins / n
     z2 = WILSON_Z * WILSON_Z
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom
     half = WILSON_Z * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
-    if low is None:
-        low = max(0.0, center - half)
-    if high is None:
-        high = min(1.0, center + half)
+    low = 0.0 if wins == 0 else max(0.0, center - half)
+    high = 1.0 if wins == n else min(1.0, center + half)
     return low, high
 
 

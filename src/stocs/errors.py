@@ -118,10 +118,11 @@ class MalformedPolicyError(StocsError):
 
 
 class OracleCapExceededError(StocsError):
+    """policy_count is the count of the policies below some variable: the
+    first such count above the cap, so a lower bound on the instance's."""
+
     def __init__(self, policy_count: int, cap: int):
-        super().__init__(
-            f"instance has {policy_count} policies, above the oracle cap of {cap}"
-        )
+        super().__init__(f"instance has more than {cap} policies, the oracle cap")
         self.policy_count = policy_count
         self.cap = cap
 

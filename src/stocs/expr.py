@@ -32,6 +32,7 @@ from .errors import (
     ChainedComparisonError,
     ExpressionSyntaxError,
     ExpressionTooDeepError,
+    InstanceValidationError,
 )
 
 __all__ = [
@@ -157,7 +158,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return IntLiteral(int(tok.text))
+            try:
+                return IntLiteral(int(tok.text))
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ExpressionSyntaxError("integer literal too long", tok.pos) from None
         if tok.kind == "name":
             if tok.text in ("and", "or", "not"):
                 raise ExpressionSyntaxError(f"unexpected keyword {tok.text!r}", tok.pos)
@@ -276,7 +280,10 @@ def _render(node: Expr, name_text: Callable[[str], str], python: bool) -> str:
 
     def render(node: Expr) -> str:
         if isinstance(node, IntLiteral):
-            return str(node.value)
+            try:
+                return str(node.value)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise InstanceValidationError("integer literal too long to print") from None
         if isinstance(node, VariableRef):
             return name_text(node.name)
         level = _level(node)

@@ -89,7 +89,7 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
         if key in memo:
             return memo[key]
         var = instance.variables[depth]
-        checks = instance.check_at[depth]
+        test = instance.check_at[depth]
         if var.kind == "decision":
             best = None
             best_sat = 0.0
@@ -97,12 +97,10 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
             best_child = first[depth + 1]
             for w in var.domain:
                 env[depth] = w
-                for c in checks:
-                    if not c.fn(env):
-                        value, sat, child = violation, 0.0, first[depth + 1]
-                        break
-                else:
+                if test is None or test(env):
                     value, sat, child = walk(depth + 1)
+                else:
+                    value, sat, child = violation, 0.0, first[depth + 1]
                 env[depth] = None
                 if best is None or value > best:
                     best, best_sat, best_value, best_child = value, sat, w, child
@@ -119,16 +117,14 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
                 children.append(first[depth + 1])
                 continue
             env[depth] = w
-            for c in checks:
-                if not c.fn(env):
-                    total += q * violation
-                    children.append(first[depth + 1])
-                    break
-            else:
+            if test is None or test(env):
                 value, sat, child = walk(depth + 1)
                 total += q * value
                 total_sat += q * sat
                 children.append(child)
+            else:
+                total += q * violation
+                children.append(first[depth + 1])
             env[depth] = None
         return _remember(memo, key, (total, total_sat, ChanceNode(var.name, tuple(children))))
 

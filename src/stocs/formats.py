@@ -69,6 +69,15 @@ def _warn_unknown(obj: dict, known: tuple[str, ...], what: str) -> None:
                           stacklevel=3)
 
 
+def _load_json(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"not valid JSON: {e.msg}", e.lineno, e.colno) from None
+    except ValueError:  # an integer of more digits than sys.get_int_max_str_digits()
+        raise FormatError("not valid JSON: an integer literal too long to read") from None
+
+
 def _int_list(obj: Any, what: str) -> list[int]:
     _require(obj, list, what)
     out = []
@@ -181,10 +190,7 @@ def parse_instance(text: str, renormalize: bool = False) -> Instance:
     With renormalize=True, probability vectors are scaled to sum to 1
     before validation (negative entries still fail).
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"not valid JSON: {e.msg}", e.lineno, e.colno) from None
+    doc = _load_json(text)
     _require(doc, dict, "instance document")
     _warn_unknown(doc, ("name", "theta", "variables", "constraints", "objective"),
                   "instance document")
@@ -363,8 +369,6 @@ def parse_policy(text: str) -> PolicyNode:
         return node
 
     try:
-        return decode(json.loads(text))
-    except json.JSONDecodeError as e:
-        raise FormatError(f"not valid JSON: {e.msg}", e.lineno, e.colno) from None
+        return decode(_load_json(text))
     except RecursionError:
         raise MalformedPolicyError("policy nests too deeply to read") from None

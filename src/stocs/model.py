@@ -210,13 +210,17 @@ class Instance:
         return tuple(out)
 
     @cached_property
-    def check_at(self) -> tuple[tuple[CompiledConstraint, ...], ...]:
-        """Constraints grouped by the depth at which they become checkable."""
-        groups: list[list[CompiledConstraint]] = [[] for _ in range(self.n)]
+    def check_at(self) -> tuple[Callable | None, ...]:
+        """One test per depth of the constraints whose last scope variable is
+        there: None where none is, that constraint's fn where one is, and
+        where several are, one function that calls theirs in compiled order
+        and stops at the first failure. Every walker checks a depth with
+        ``test is None or test(env)``."""
+        groups: list[list[Callable]] = [[] for _ in range(self.n)]
         for c in self.compiled:
             if c.last_idx >= 0:
-                groups[c.last_idx].append(c)
-        return tuple(tuple(g) for g in groups)
+                groups[c.last_idx].append(c.fn)
+        return tuple(_conjunction(fns) for fns in groups)
 
     @cached_property
     def key_at(self) -> tuple:
@@ -255,6 +259,15 @@ class Instance:
     @cached_property
     def constant_compiled(self) -> tuple[CompiledConstraint, ...]:
         return tuple(c for c in self.compiled if not c.scope_idx)
+
+
+def _conjunction(fns: list[Callable]) -> Callable | None:
+    """``fns[0](env) and fns[1](env) and ...`` (None for no fns), as a balanced
+    tree of ``and`` closures: a call nests about log2(len(fns)) frames."""
+    if len(fns) <= 1:
+        return fns[0] if fns else None
+    first, rest = _conjunction(fns[:len(fns) // 2]), _conjunction(fns[len(fns) // 2:])
+    return lambda env: first(env) and rest(env)
 
 
 def _as_float(v) -> float:

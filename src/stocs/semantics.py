@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -78,14 +78,7 @@ class SearchStats:
     cache_hits: int = 0  # subtree results reused from the context cache
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "nodes_visited": self.nodes_visited,
-            "chance_prunes": self.chance_prunes,
-            "decision_prunes": self.decision_prunes,
-            "fc_wipeouts": self.fc_wipeouts,
-            "fc_mass_prunes": self.fc_mass_prunes,
-            "cache_hits": self.cache_hits,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -145,7 +138,8 @@ def scenario_probability(instance: Instance, scenario: Mapping[str, int],
 def check_assignment(instance: Instance, assignment: Mapping[str, int]) -> bool:
     """True iff the complete assignment satisfies every constraint."""
     env = _env_from_mapping(instance, assignment, require_all=True)
-    return all(c.fn(env) for c in instance.compiled)
+    return (all(c.fn(env) for c in instance.constant_compiled)
+            and all(test(env) for test in instance.check_at if test is not None))
 
 
 def _expect_decision(instance: Instance, depth: int, node: PolicyNode) -> DecisionNode:
@@ -226,30 +220,20 @@ def _policy_value(instance: Instance, policy: PolicyNode, objective,
             if key in memo:
                 return memo[key]
         var = instance.variables[depth]
+        test = instance.check_at[depth]
         if var.kind == "decision":
             dec = _expect_decision(instance, depth, node)
             env[depth] = dec.chosen_value
-            for c in instance.check_at[depth]:
-                if not c.fn(env):
-                    value = violation
-                    break
-            else:
-                value = walk(depth + 1, dec.child)
+            value = walk(depth + 1, dec.child) if test is None or test(env) else violation
         else:
             chance = _expect_chance(instance, depth, node)
             probs = instance.distribution(depth, env)
-            checks = instance.check_at[depth]
             value = 0.0
             for w, q, child in zip(var.domain, probs, chance.children):
                 if q == 0.0:
                     continue
                 env[depth] = w
-                for c in checks:
-                    if not c.fn(env):
-                        value += q * violation
-                        break
-                else:
-                    value += q * walk(depth + 1, child)
+                value += q * (walk(depth + 1, child) if test is None or test(env) else violation)
             env[depth] = None
         return value if key is None else _remember(memo, key, value)
 
@@ -285,9 +269,11 @@ def enumerate_policies(instance: Instance, cap: int = ORACLE_CAP) -> Iterator[Po
     tie-breaking rule used by the search algorithms.
     """
     _check_depth(instance)
-    count = instance.policy_count
-    if count > cap:
-        raise OracleCapExceededError(count, cap)
+    count = 1  # Instance.policy_count leaf to root, which never falls: stop past the cap
+    for v in reversed(instance.variables):
+        count = count * len(v.domain) if v.kind == "decision" else count ** len(v.domain)
+        if count > cap:
+            raise OracleCapExceededError(count, cap)
     return _subpolicies(instance, 0)
 
 

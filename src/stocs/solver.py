@@ -207,10 +207,8 @@ class _Search:
         self.env[depth] = value
         if self.fc:
             return self._forward_check(self.inst.fc_fire_at[depth])
-        for c in self.inst.check_at[depth]:
-            if not c.fn(self.env):
-                return False
-        return True
+        test = self.inst.check_at[depth]
+        return test is None or test(self.env)
 
     # ------------------------------------------------------------------
     # max mode

@@ -260,15 +260,16 @@ def _keyed_states(instance, node, depth=0, env=None, ok=True, out=None):
     out = set() if out is None else out
     if depth == instance.n:
         return out
+    test = instance.check_at[depth]
     if isinstance(node, DecisionNode):
         env[depth] = node.chosen_value
-        ok = ok and all(c.fn(env) for c in instance.check_at[depth])
+        ok = ok and (test is None or test(env))
         return _keyed_states(instance, node.child, depth + 1, env, ok, out)
     get = instance.key_at[depth]
     out.add((id(node), tuple(env[:depth]) if get is None else get(env), ok))
     for value, child in zip(instance.variables[depth].domain, node.children):
         env[depth] = value
-        branch_ok = ok and all(c.fn(env) for c in instance.check_at[depth])
+        branch_ok = ok and (test is None or test(env))
         _keyed_states(instance, child, depth + 1, env, branch_ok, out)
     env[depth] = None
     return out
@@ -344,18 +345,22 @@ class TestSampledWalkTrie:
         assert trie.wins(400, 5) == _reference_wins(inst, policy, 400, 5)
         assert trie.states == 3
 
-    def test_draw_past_the_total_takes_the_last_positive_value(self):
+    def test_largest_draw_takes_the_last_positive_value(self):
+        # the probabilities add up to 0.9999999999999999, so the largest draws
+        # fall in the rounding gap past the total
+        probs = (0.7, 0.2, 0.1, 0.0)
+        assert math.ceil(list(accumulate(probs))[-1] * 2 ** 53) == 2 ** 53 - 1
         inst = make_instance(
-            [("s", "s", (0, 1, 2), (0.25, 0.75, 0.0)), ("x", "d", (0, 1, 2))],
+            [("s", "s", (0, 1, 2, 3), probs), ("x", "d", (0, 1, 2, 3))],
             [expr_constraint("x = s")])
-        policy = ChanceNode("s", tuple(DecisionNode("x", v, Leaf()) for v in (0, 1, 2)))
+        policy = ChanceNode("s", tuple(DecisionNode("x", v, Leaf()) for v in (0, 1, 2, 3)))
         trie = approx._PathTrie(inst, policy)
-        state, ok = trie.root
-        branch = trie.grow(state, len(state.cum))
-        assert branch == (None, True)  # s = 1 with x = 1, not the zero-mass s = 2
-        # the past-the-total slot and the value's own slot share one branch
-        assert state.branches[1] is state.branches[3] is branch
-        assert state.branches[2] is None
+        state, _ = trie.root
+        i = bisect_right(state.cum, 2 ** 53 - 1)
+        assert i == 2  # s = 2, not the zero-mass s = 3
+        branch = trie.grow(state, i)
+        assert branch == (None, True)
+        assert state.branches == [None, None, branch, None]
 
 
 MASK64 = 2 ** 64 - 1

@@ -568,6 +568,14 @@ class TestArgumentHandling:
         assert expected[0] == code
 
 
+# Python converts at most 4,300 digits of an int to or from text
+BIG = "1" + "0" * 5000
+# x0, s1, x2, ...: its policy count has 16,384 bits
+CHAIN_28 = [{"name": f"x{i}", "kind": "decision", "domain": [0, 1]} if i % 2 == 0
+            else {"name": f"s{i}", "kind": "stochastic", "domain": [0, 1],
+                  "probabilities": [0.5, 0.5]} for i in range(28)]
+
+
 class TestBadInputIsTyped:
     """Bad input exits 2 with an error line, never 0 or 3."""
 
@@ -611,6 +619,24 @@ class TestBadInputIsTyped:
         code, out, err = run(capsys, "solve", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: theta inf outside [0, 1]")
+
+    @pytest.mark.parametrize("command, text", [
+        ("solve", '{"theta": ' + BIG + ', "variables": []}'),
+        ("eval", '{"kind":"decision","variable":"x","value":' + BIG + ',"child":{"kind":"leaf"}}'),
+        ("solve", json.dumps({"theta": 0.5,
+                              "variables": [{"name": "x", "kind": "decision", "domain": [0, 1]}],
+                              "constraints": [{"type": "expr", "text": "x < " + BIG}]})),
+        ("oracle", json.dumps({"theta": 0.5, "variables": CHAIN_28})),
+    ], ids=["instance", "policy", "expression", "oracle"])
+    def test_integers_past_the_digit_limit(self, capsys, instances_dir, tmp_path, command, text):
+        path = tmp_path / "big.json"
+        path.write_text(text, encoding="utf-8")
+        argv = (command, str(path))
+        if command == "eval":
+            argv = (command, str(instances_dir / "a.scsp"), "--policy", str(path))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err) < 200
 
     def test_instance_too_deep_to_search(self, capsys, tmp_path):
         variables = [{"name": f"x{i}", "kind": "decision", "domain": [0, 1]}

@@ -11,6 +11,7 @@ from stocs.errors import (
     ChainedComparisonError,
     ExpressionSyntaxError,
     ExpressionTooDeepError,
+    InstanceValidationError,
     StocsError,
 )
 from stocs.expr import (
@@ -71,7 +72,9 @@ class TestParsing:
             parse_expression("a < b < c")
         assert info.value.position == 6
 
-    @pytest.mark.parametrize("text", ["", "x +", "(x", "x ? y", "1 2", "and x"])
+    @pytest.mark.parametrize("text", ["", "x +", "(x", "x ? y", "1 2", "and x",
+                                      # past Python's 4,300 digits of an int read from text
+                                      pytest.param("x < 1" + "0" * 5000, id="5001-digit-int")])
     def test_syntax_errors_carry_a_position(self, text):
         with pytest.raises(ExpressionSyntaxError) as info:
             parse_expression(text)
@@ -113,6 +116,13 @@ def test_unknown_node_is_a_type_error(node):
                    lambda n: compile_expression(n, {"a": 0})):
         with pytest.raises(TypeError, match="not an expression node"):
             reader(node)
+
+
+@pytest.mark.parametrize("reader", [format_expression, lambda n: compile_expression(n, {})],
+                         ids=["format", "compile"])
+def test_literal_too_long_to_print_is_a_validation_error(reader):
+    with pytest.raises(InstanceValidationError, match="integer literal too long to print"):
+        reader(Binary("<", IntLiteral(1), IntLiteral(10 ** 5000)))
 
 
 class TestTypes:

@@ -228,6 +228,16 @@ class TestPolicyFormat:
         with pytest.raises(FormatError):
             parse_policy("{not json")
 
+    @pytest.mark.parametrize("reader, text", [
+        (parse_instance, '{"theta": 1' + "0" * 5000 + ', "variables": []}'),
+        (parse_policy, '{"kind":"decision","variable":"x","value":1' + "0" * 5000
+         + ',"child":{"kind":"leaf"}}'),
+    ], ids=["instance", "policy"])
+    def test_integer_past_the_digit_limit(self, reader, text):
+        # json.loads raises a plain ValueError past Python's 4,300 digits
+        with pytest.raises(FormatError, match="^not valid JSON: an integer literal too long"):
+            reader(text)
+
     @pytest.mark.parametrize("doc", [
         '"leaf"',
         '{"kind": "branch"}',

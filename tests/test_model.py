@@ -1,9 +1,10 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
 
-from gen import random_instance
+from gen import random_instance, random_linear_instance
 from stocs import (
     ConditionalTable,
     Constraint,
@@ -40,6 +41,7 @@ from stocs.errors import (
     UnknownScopeVariableError,
     UnsortedDomainError,
 )
+from stocs import expr
 from stocs.expr import Binary, IntLiteral, VariableRef
 from conftest import make_instance
 
@@ -226,6 +228,52 @@ class TestConditionalTables:
                       VariableSpec("s", "stochastic", (0, 1), cpt=cpt)])
         assert inst.distribution(1, [0, None]) == (0.9, 0.1)
         assert inst.distribution(1, [1, None]) == (0.2, 0.8)
+
+
+class TestCheckAt:
+    def test_one_test_per_depth_matches_its_constraints(self):
+        rng = random.Random(67)
+        shared = 0
+        for make in (random_instance, random_linear_instance) * 25:
+            inst = make(rng)
+            ending = [[c for c in inst.compiled if c.last_idx == d] for d in range(inst.n)]
+            assert [test is None for test in inst.check_at] == [not cs for cs in ending]
+            shared += sum(len(cs) >= 2 for cs in ending)
+            for env in itertools.product(*(v.domain for v in inst.variables)):
+                env = list(env)
+                for test, cs in zip(inst.check_at, ending):
+                    if test is not None:
+                        assert test(env) == all(c.fn(env) for c in cs)
+        assert shared >= 10  # depths where several constraints end
+
+    def test_stops_at_the_first_failure_in_compiled_order(self, monkeypatch):
+        calls = []
+        compile_expression = expr.compile_expression
+
+        def logged(node, index_of):
+            fn = compile_expression(node, index_of)
+            text = expr.format_expression(node)
+            return lambda env: calls.append(text) or fn(env)
+
+        monkeypatch.setattr(expr, "compile_expression", logged)
+        inst = build([VariableSpec("x", "decision", (0, 1)), VariableSpec("y", "decision", (0, 1))],
+                     [expr_constraint(t) for t in ("y = 1", "x = 0", "x = y", "x + y >= 1")])
+        assert inst.check_at[0] is inst.compiled[1].fn
+        assert inst.check_at[1]([1, 1]) is True
+        assert calls == ["y = 1", "x = y", "x + y >= 1"]
+        calls.clear()
+        assert inst.check_at[1]([0, 0]) is False
+        assert calls == ["y = 1"]
+        calls.clear()
+        assert inst.check_at[1]([0, 1]) is False
+        assert calls == ["y = 1", "x = y"]
+
+    def test_thousands_of_constraints_at_one_depth(self):
+        # the test nests about log2(3000) calls, not 3000
+        inst = build([VariableSpec("x", "decision", (0, 1))],
+                     [expr_constraint(f"x != {k + 2}") for k in range(3000)])
+        assert inst.check_at[0]([0]) is True
+        assert bt_max(inst).probability == 1.0
 
 
 class TestStageStructure:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -192,6 +193,16 @@ class TestEnumeration:
         with pytest.raises(OracleCapExceededError) as info:
             list(enumerate_policies(instance_b, cap=3))
         assert info.value.policy_count == 4
+
+    def test_cap_check_stops_counting_past_the_cap(self):
+        # x0, s1, x2, ...: 16,384 bits of policy count, too many digits to print
+        inst = make_instance([(f"x{i}", "d", (0, 1)) if i % 2 == 0
+                              else (f"s{i}", "s", (0, 1), (0.5, 0.5)) for i in range(28)])
+        start = time.perf_counter()
+        with pytest.raises(OracleCapExceededError,
+                           match=r"^instance has more than 1000000 policies, the oracle cap$"):
+            enumerate_policies(inst)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestOracle:
