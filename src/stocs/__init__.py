@@ -59,11 +59,9 @@ from .model import (
     Constraint,
     Instance,
     Objective,
-    StageStructure,
     VariableSpec,
     ViolationValueWarning,
     expr_constraint,
-    stage_blocks,
     table_constraint,
     validate_instance,
 )
@@ -99,8 +97,8 @@ __all__ = [
     "__version__",
     # model
     "Instance", "VariableSpec", "Constraint", "Objective", "ConditionalTable",
-    "StageStructure", "validate_instance", "stage_blocks", "table_constraint",
-    "expr_constraint", "PROB_TOL", "ViolationValueWarning",
+    "validate_instance", "table_constraint", "expr_constraint", "PROB_TOL",
+    "ViolationValueWarning",
     # semantics
     "Leaf", "DecisionNode", "ChanceNode", "PolicyNode", "SearchStats",
     "SatisfactionResult", "policy_satisfaction", "scenario_probability",

@@ -19,7 +19,6 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -36,7 +35,7 @@ from .semantics import (
 )
 from .solver import PruneRules, bt_decide, bt_max, fc_decide, fc_max
 
-__all__ = ["RunRecord", "main"]
+__all__ = ["main"]
 
 # the counters in the STATS line and the bench CSV: column -> SearchStats.as_dict key
 COUNTERS = {"nodes": "nodes_visited", "chance_prunes": "chance_prunes",
@@ -44,28 +43,6 @@ COUNTERS = {"nodes": "nodes_visited", "chance_prunes": "chance_prunes",
             "fc_mass_prunes": "fc_mass_prunes", "cache_hits": "cache_hits"}
 CSV_HEADER = ("instance", "algorithm", "mode", "theta", "verdict", "probability",
               *COUNTERS, "ms", "version", "seed")
-
-
-@dataclass
-class RunRecord:
-    """One solver run, as a bench CSV row."""
-
-    instance: str
-    algorithm: str
-    mode: str
-    theta: float
-    verdict: str
-    probability: str  # 9-digit fixed point, or empty when not applicable
-    stats: SearchStats
-    ms: float
-    seed: str = ""
-
-    def row(self) -> list[str]:
-        counts = self.stats.as_dict()
-        return [self.instance, self.algorithm, self.mode, _fmt(self.theta),
-                self.verdict, self.probability,
-                *(str(counts[key]) for key in COUNTERS.values()),
-                f"{self.ms:.3f}", __version__, self.seed]
 
 
 def _fmt(p: float) -> str:
@@ -186,7 +163,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
         return 2
-    records: list[RunRecord] = []
+    rows: list[list[str]] = []  # one per solver run, in CSV_HEADER's columns
     mismatches: list[str] = []
     bad_files = 0
     for path in sorted(directory.glob("*.scsp"), key=lambda p: p.name):
@@ -207,8 +184,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if result.satisfiable:
                 probability = _fmt(policy_satisfaction(instance, result.policy))
             verdicts[algorithm] = verdict
-            records.append(RunRecord(name, algorithm, "decide", instance.theta,
-                                     verdict, probability, result.stats, ms))
+            counts = result.stats.as_dict()
+            rows.append([name, algorithm, "decide", _fmt(instance.theta), verdict, probability,
+                         *(str(counts[key]) for key in COUNTERS.values()),
+                         f"{ms:.3f}", __version__, ""])
         if verdicts["bt"] != verdicts["fc"]:
             mismatches.append(
                 f"{name}: bt={verdicts['bt']} fc={verdicts['fc']}"
@@ -217,9 +196,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for record in records:
-            writer.writerow(record.row())
-    print(f"wrote {len(records)} rows to {args.out}")
+        writer.writerows(rows)
+    print(f"wrote {len(rows)} rows to {args.out}")
     if mismatches:
         raise MismatchBetweenAlgorithmsError(
             "bt and fc disagree on: " + "; ".join(mismatches)
@@ -350,7 +328,3 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse handles --help and usage errors
         return int(e.code or 0)
     return _dispatch(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -315,7 +315,10 @@ def serialize_policy(policy: PolicyNode) -> str:
                     "children": [encode(c) for c in node.children]}
         raise MalformedPolicyError(f"not a policy node: {node!r}")
 
-    return json.dumps(encode(policy), separators=(",", ":"))
+    try:
+        return json.dumps(encode(policy), separators=(",", ":"))
+    except ValueError:  # an integer of more digits than sys.get_int_max_str_digits()
+        raise MalformedPolicyError("policy holds an integer too long to write") from None
 
 
 def parse_policy(text: str) -> PolicyNode:

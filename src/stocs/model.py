@@ -1,4 +1,4 @@
-"""Instance model: variables, constraints, threshold, stage structure.
+"""Instance model: variables, constraints, threshold and objective.
 
 An instance is a sequence of variables (the order is the observation and
 decision order), a constraint set, and a satisfaction threshold theta.
@@ -38,6 +38,7 @@ from .errors import (
     OutOfDomainValueError,
     ProbabilitiesOnDecisionError,
     ProbabilityLengthMismatchError,
+    StocsError,
     ThetaOutOfRangeError,
     UnknownScopeVariableError,
     UnsortedDomainError,
@@ -45,13 +46,14 @@ from .errors import (
 
 __all__ = [
     "ConditionalTable", "VariableSpec", "Constraint", "Objective", "Instance",
-    "StageStructure", "CompiledConstraint", "validate_instance", "stage_blocks",
-    "table_constraint", "expr_constraint", "ViolationValueWarning",
-    "PROB_TOL",
+    "CompiledConstraint", "validate_instance", "table_constraint",
+    "expr_constraint", "ViolationValueWarning", "PROB_TOL",
 ]
 
 # tolerance on distribution sums and on all probability comparisons
 PROB_TOL = 1e-9
+# the most policies the oracle enumerates, and where policy counts stop
+ORACLE_CAP = 10 ** 6
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -102,7 +104,6 @@ class Objective:
     """
     expression: _expr.Expr
     violation_value: float = 0.0
-    sense: str = "maximize"
 
 
 def table_constraint(scope: Sequence[str], tuples: Sequence[Sequence[int]]) -> Constraint:
@@ -124,17 +125,6 @@ class CompiledConstraint:
     last_idx: int               # -1 for constant constraints
     second_last_idx: int        # -1 when fewer than two scope variables
     fn: Callable
-
-
-@dataclass(frozen=True)
-class StageStructure:
-    """Maximal same-kind runs of the variable order.
-
-    stage_count is the number of decision blocks (the m in an m-stage
-    problem).
-    """
-    blocks: tuple[tuple[str, tuple[str, ...]], ...]
-    stage_count: int
 
 
 @dataclass(frozen=True)
@@ -163,19 +153,9 @@ class Instance:
 
     @cached_property
     def policy_count(self) -> int:
-        """Number of distinct policy trees.
-
-        Leaf to root: a decision variable multiplies by its domain size, a
-        stochastic variable raises to the power of its domain size (one
-        independent subpolicy per observed value).
-        """
-        count = 1
-        for v in reversed(self.variables):
-            if v.kind == "decision":
-                count *= len(v.domain)
-            else:
-                count **= len(v.domain)
-        return count
+        """Number of distinct policy trees: exact up to ORACLE_CAP, and past
+        it the first count above the cap (_count_policies), a lower bound."""
+        return _count_policies(self.variables, ORACLE_CAP)
 
     def distribution(self, index: int, env: Sequence) -> tuple[float, ...]:
         """Branch probabilities of variable ``index`` given earlier values.
@@ -261,6 +241,20 @@ class Instance:
         return tuple(c for c in self.compiled if not c.scope_idx)
 
 
+def _count_policies(variables: Sequence[VariableSpec], cap: int) -> int:
+    """Number of distinct policy trees over ``variables``, counted leaf to
+    root: a decision variable multiplies the count by its domain size, a
+    stochastic one raises it to that power (one subpolicy per observed
+    value). The count never falls, so the first count above ``cap`` ends
+    the loop and is returned: a lower bound on the whole count."""
+    count = 1
+    for v in reversed(variables):
+        count = count * len(v.domain) if v.kind == "decision" else count ** len(v.domain)
+        if count > cap:
+            break
+    return count
+
+
 def _conjunction(fns: list[Callable]) -> Callable | None:
     """``fns[0](env) and fns[1](env) and ...`` (None for no fns), as a balanced
     tree of ``and`` closures: a call nests about log2(len(fns)) frames."""
@@ -276,6 +270,16 @@ def _as_float(v) -> float:
         return float(v)
     except OverflowError:
         return math.inf
+
+
+def _repr(value, error: type[StocsError], what: str) -> str:
+    """repr(value) for a message; ``error`` instead of a bare ValueError
+    where value holds an integer of more digits than Python converts to
+    text (sys.get_int_max_str_digits())."""
+    try:
+        return repr(value)
+    except ValueError:
+        raise error(f"{what}: an integer too long to print") from None
 
 
 def _check_theta(theta) -> float:
@@ -321,6 +325,7 @@ def _validate_variable(raw: VariableSpec) -> VariableSpec:
     for v in domain:
         if not isinstance(v, int) or isinstance(v, bool):
             raise InstanceValidationError(f"variable {name}: non-integer domain value {v!r}")
+        _repr(v, InstanceValidationError, f"variable {name}")  # dump_instance writes it
     if any(a >= b for a, b in zip(domain, domain[1:])):
         raise UnsortedDomainError(f"variable {name}: domain must be strictly increasing")
 
@@ -375,7 +380,9 @@ def _validate_cpt(var: VariableSpec, variables: tuple[VariableSpec, ...],
         if missing:
             parts.append(f"{len(missing)} parent combinations missing (e.g. {sorted(missing)[0]})")
         if extra:
-            parts.append(f"{len(extra)} rows for unknown combinations (e.g. {sorted(extra)[0]})")
+            example = _repr(sorted(extra)[0], InstanceValidationError,
+                            f"conditional table for {var.name}")
+            parts.append(f"{len(extra)} rows for unknown combinations (e.g. {example})")
         raise CptCoverageError(f"conditional table for {var.name}: " + "; ".join(parts))
     checked = {
         given: _check_distribution(probs, var.domain, f"conditional table for {var.name} row {given}")
@@ -422,10 +429,13 @@ def _validate_constraint(raw: Constraint, variables: tuple[VariableSpec, ...],
     for t in raw.allowed:
         t = tuple(t)
         if len(t) != len(scope):
-            raise ArityMismatchError(f"{label}: tuple {t} has arity {len(t)}, scope has {len(scope)}")
+            raise ArityMismatchError(f"{label}: tuple {_repr(t, InstanceValidationError, label)} "
+                                     f"has arity {len(t)}, scope has {len(scope)}")
         for value, name, domain in zip(t, scope, domains):
             if value not in domain:
-                raise OutOfDomainValueError(f"{label}: value {value} not in domain of {name}")
+                raise OutOfDomainValueError(
+                    f"{label}: value {_repr(value, InstanceValidationError, label)} "
+                    f"not in domain of {name}")
         tuples.add(t)
     return Constraint(scope=scope, allowed=frozenset(tuples))
 
@@ -459,8 +469,6 @@ def validate_instance(raw: Instance) -> Instance:
 
     objective = raw.objective
     if objective is not None:
-        if objective.sense != "maximize":
-            raise InstanceValidationError(f"objective sense {objective.sense!r} is not 'maximize'")
         for name in _expr.variables_in(objective.expression):
             if name not in index_of:
                 raise UnknownScopeVariableError(f"objective: unknown variable {name!r}", name)
@@ -477,7 +485,7 @@ def validate_instance(raw: Instance) -> Instance:
                 ViolationValueWarning,
                 stacklevel=2,
             )
-        objective = Objective(objective.expression, violation, "maximize")
+        objective = Objective(objective.expression, violation)
 
     return Instance(
         variables=variables,
@@ -486,15 +494,3 @@ def validate_instance(raw: Instance) -> Instance:
         objective=objective,
         name=str(raw.name or ""),
     )
-
-
-def stage_blocks(instance: Instance) -> StageStructure:
-    """Split the variable order into maximal same-kind runs.
-
-    The stage count is the number of decision blocks.
-    """
-    blocks: list[tuple[str, tuple[str, ...]]] = []
-    for kind, group in itertools.groupby(instance.variables, key=lambda v: v.kind):
-        blocks.append((kind, tuple(v.name for v in group)))
-    stage_count = sum(1 for kind, _ in blocks if kind == "decision")
-    return StageStructure(tuple(blocks), stage_count)

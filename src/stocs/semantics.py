@@ -30,8 +30,9 @@ from .errors import (
     OracleCapExceededError,
     OutOfDomainValueError,
     PartialAssignmentError,
+    StocsError,
 )
-from .model import PROB_TOL, Instance, _check_theta
+from .model import ORACLE_CAP, PROB_TOL, Instance, _check_theta, _count_policies, _repr
 
 __all__ = [
     "Leaf", "DecisionNode", "ChanceNode", "PolicyNode",
@@ -41,7 +42,6 @@ __all__ = [
     "scenarios", "induced_assignment", "first_policy",
 ]
 
-ORACLE_CAP = 10 ** 6
 _FRAME_MARGIN = 100  # stack frames for a recursion's caller and helpers
 
 
@@ -88,6 +88,15 @@ class SatisfactionResult:
     stats: SearchStats
 
 
+def _not_in_domain(error: type[StocsError], label: str, value, domain) -> StocsError:
+    return error(f"{label}={_repr(value, error, label)} not in domain {domain}")
+
+
+def _misplaced(expected: str, node) -> MalformedPolicyError:
+    where = f"expected {expected}"
+    return MalformedPolicyError(f"{where}, got {_repr(node, MalformedPolicyError, where)}")
+
+
 def _env_from_mapping(instance: Instance, assignment: Mapping[str, int],
                       require_all: bool) -> list:
     env: list = [None] * instance.n
@@ -95,7 +104,7 @@ def _env_from_mapping(instance: Instance, assignment: Mapping[str, int],
         if var.name in assignment:
             value = assignment[var.name]
             if value not in var.domain:
-                raise OutOfDomainValueError(f"{var.name}={value} not in domain {var.domain}")
+                raise _not_in_domain(OutOfDomainValueError, var.name, value, var.domain)
             env[i] = value
         elif require_all:
             raise PartialAssignmentError(f"no value for variable {var.name}")
@@ -117,7 +126,7 @@ def scenario_probability(instance: Instance, scenario: Mapping[str, int],
         if var.name in source:
             value = source[var.name]
             if value not in var.domain:
-                raise OutOfDomainValueError(f"{var.name}={value} not in domain {var.domain}")
+                raise _not_in_domain(OutOfDomainValueError, var.name, value, var.domain)
             env[i] = value
     product = 1.0
     for i in instance.stochastic_indices:
@@ -145,22 +154,17 @@ def check_assignment(instance: Instance, assignment: Mapping[str, int]) -> bool:
 def _expect_decision(instance: Instance, depth: int, node: PolicyNode) -> DecisionNode:
     var = instance.variables[depth]
     if not isinstance(node, DecisionNode) or node.variable != var.name:
-        raise MalformedPolicyError(
-            f"expected a decision node for {var.name} at depth {depth}, got {node!r}"
-        )
+        raise _misplaced(f"a decision node for {var.name} at depth {depth}", node)
     if node.chosen_value not in var.domain:
-        raise MalformedPolicyError(
-            f"decision {var.name}={node.chosen_value} not in domain {var.domain}"
-        )
+        raise _not_in_domain(MalformedPolicyError, f"decision {var.name}", node.chosen_value,
+                             var.domain)
     return node
 
 
 def _expect_chance(instance: Instance, depth: int, node: PolicyNode) -> ChanceNode:
     var = instance.variables[depth]
     if not isinstance(node, ChanceNode) or node.variable != var.name:
-        raise MalformedPolicyError(
-            f"expected a chance node for {var.name} at depth {depth}, got {node!r}"
-        )
+        raise _misplaced(f"a chance node for {var.name} at depth {depth}", node)
     if len(node.children) != len(var.domain):
         raise MalformedPolicyError(
             f"chance node for {var.name} has {len(node.children)} children, "
@@ -171,7 +175,7 @@ def _expect_chance(instance: Instance, depth: int, node: PolicyNode) -> ChanceNo
 
 def _expect_leaf(depth: int, node: PolicyNode) -> None:
     if not isinstance(node, Leaf):
-        raise MalformedPolicyError(f"expected a leaf at depth {depth}, got {node!r}")
+        raise _misplaced(f"a leaf at depth {depth}", node)
 
 
 def _check_depth(instance: Instance, frames_per_variable: int = 1) -> None:
@@ -192,8 +196,9 @@ def _policy_value(instance: Instance, policy: PolicyNode, objective,
     None) on leaves satisfying every constraint, ``violation`` on the rest.
 
     Constraints are checked as soon as their last scope variable gets a
-    value, so subtrees below a violated constraint are not walked. From
-    its second visit on, a node object is scored once per key:
+    value, so subtrees below a violated constraint are not walked. A false
+    constant constraint violates every leaf, but the walk still checks the
+    policy. From its second visit on, a node object is scored once per key:
     ``key_at[depth]`` (Instance.key_at, or Instance._key_table of the
     objective) holds all that the walk below reads of the assigned prefix.
     So a policy that shares no subtree computes no key, and one that does
@@ -202,8 +207,6 @@ def _policy_value(instance: Instance, policy: PolicyNode, objective,
     from .solver import _remember  # solver imports this module
 
     _check_depth(instance)
-    if any(not c.fn([]) for c in instance.constant_compiled):
-        return violation
     env: list = [None] * instance.n
     memo: dict = {}
     seen: set[int] = set()  # ids of the nodes visited so far
@@ -237,7 +240,8 @@ def _policy_value(instance: Instance, policy: PolicyNode, objective,
             env[depth] = None
         return value if key is None else _remember(memo, key, value)
 
-    return walk(0, policy)
+    value = walk(0, policy)
+    return violation if any(not c.fn([]) for c in instance.constant_compiled) else value
 
 
 def policy_satisfaction(instance: Instance, policy: PolicyNode) -> float:
@@ -269,11 +273,9 @@ def enumerate_policies(instance: Instance, cap: int = ORACLE_CAP) -> Iterator[Po
     tie-breaking rule used by the search algorithms.
     """
     _check_depth(instance)
-    count = 1  # Instance.policy_count leaf to root, which never falls: stop past the cap
-    for v in reversed(instance.variables):
-        count = count * len(v.domain) if v.kind == "decision" else count ** len(v.domain)
-        if count > cap:
-            raise OracleCapExceededError(count, cap)
+    count = _count_policies(instance.variables, cap)
+    if count > cap:
+        raise OracleCapExceededError(count, cap)
     return _subpolicies(instance, 0)
 
 
@@ -327,11 +329,11 @@ def induced_assignment(instance: Instance, policy: PolicyNode,
                 raise MissingAssignmentError(f"scenario misses stochastic variable {var.name}")
             value = scenario[var.name]
             if value not in var.domain:
-                raise OutOfDomainValueError(f"{var.name}={value} not in domain {var.domain}")
+                raise _not_in_domain(OutOfDomainValueError, var.name, value, var.domain)
             env[var.name] = value
             node = chance.children[var.domain.index(value)]
     if not isinstance(node, Leaf):
-        raise MalformedPolicyError(f"expected a leaf after all variables, got {node!r}")
+        raise _misplaced("a leaf after all variables", node)
     return env
 
 

@@ -15,14 +15,31 @@ from stocs import (
     FormatError,
     Leaf,
     MalformedPolicyError,
+    Objective,
+    StocsError,
     __version__,
+    bt_decide,
+    bt_max,
+    check_assignment,
     dump_instance,
     expr_constraint,
+    fc_decide,
     fc_max,
+    first_policy,
     load_instance,
+    monte_carlo_policy_eval,
+    most_probable_scenario_policy,
+    optimize_chance_constrained,
+    optimize_expected,
+    oracle_max_satisfaction,
+    parse_expression,
     parse_policy,
+    policy_expected_value,
+    policy_satisfaction,
+    restricted_tree_bounds,
     serialize_policy,
 )
+from stocs.errors import NoHeuristicPolicyError
 from stocs.expr import Binary, IntLiteral, VariableRef
 from stocs.cli import CSV_HEADER, main
 from stocs.semantics import SearchStats
@@ -375,6 +392,100 @@ class TestOtherCommands:
         assert err.startswith("error: ")
 
 
+class TestConstantConstraints:
+    """A constraint over no variables holds at every leaf or at none: a true
+    one changes no result, and under a false one every leaf violates."""
+
+    @staticmethod
+    def api_results(inst):
+        policy = first_policy(inst)
+
+        def outcome(run, *args, **kwargs):
+            try:
+                return run(*args, **kwargs)
+            except StocsError as e:
+                return type(e)
+
+        best = optimize_expected(inst)
+        bounds = restricted_tree_bounds(inst, epsilon=0.0)
+        top_k = restricted_tree_bounds(inst, top_k=1)
+        heuristic = outcome(most_probable_scenario_policy, inst)
+        return {
+            "bt_max": bt_max(inst).probability, "fc_max": fc_max(inst).probability,
+            "bt_decide": bt_decide(inst).satisfiable, "fc_decide": fc_decide(inst).satisfiable,
+            "oracle": oracle_max_satisfaction(inst).probability,
+            "bounds": (bounds.lb, bounds.ub), "top_k": (top_k.lb, top_k.ub),
+            "monte_carlo": monte_carlo_policy_eval(inst, policy, 20, seed=0).estimate,
+            "check_assignment": check_assignment(inst, {v.name: v.domain[0]
+                                                        for v in inst.variables}),
+            "satisfaction": policy_satisfaction(inst, policy),
+            "expected_value": policy_expected_value(inst, policy),
+            "optimize_expected": (best.expected_value, best.satisfaction),
+            "chance_constrained": optimize_chance_constrained(inst, theta=0.0).expected_value,
+            "heuristic": getattr(heuristic, "exact_satisfaction", heuristic),
+        }
+
+    @staticmethod
+    def cli_outputs(capsys, tmp_path, inst):
+        directory = tmp_path / "set"
+        directory.mkdir(exist_ok=True)
+        path, policy, out_csv = directory / "c.scsp", tmp_path / "p.json", tmp_path / "runs.csv"
+        path.write_text(dump_instance(inst), encoding="utf-8")
+        policy.write_text(serialize_policy(first_policy(inst)), encoding="utf-8")
+        commands = [("solve", path, "--algorithm", algorithm, "--mode", mode)
+                    for algorithm in ("bt", "fc") for mode in ("decide", "max")]
+        commands += [("oracle", path), ("eval", path, "--policy", policy),
+                     ("eval", path, "--policy", policy, "--samples", "20"),
+                     ("approx", path, "--epsilon", "0"), ("optimize", path),
+                     ("bench", directory, "--out", out_csv)]
+        return [run(capsys, *map(str, argv)) for argv in commands]
+
+    @pytest.mark.parametrize("constant", ["1 = 2", "1 = 1"])
+    @pytest.mark.parametrize("variables", [True, False], ids=["x-s", "no-variables"])
+    def test_every_walker_and_command(self, capsys, tmp_path, constant, variables):
+        if variables:
+            specs = [("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5))]
+            constraints = [expr_constraint("x = s")]
+        else:
+            specs, constraints = [], []
+        objective = Objective(parse_expression("3"), -1.0)
+        base = make_instance(specs, constraints, objective=objective)
+        inst = make_instance(specs, constraints + [expr_constraint(constant)],
+                             objective=objective)
+        if constant == "1 = 1":
+            assert self.api_results(inst) == self.api_results(base)
+            assert (self.cli_outputs(capsys, tmp_path, inst)
+                    == self.cli_outputs(capsys, tmp_path, base))
+            return
+        assert self.api_results(inst) == {
+            "bt_max": 0.0, "fc_max": 0.0, "bt_decide": False, "fc_decide": False,
+            "oracle": 0.0, "bounds": (0.0, 0.0), "top_k": (0.0, 0.0), "monte_carlo": 0.0,
+            "check_assignment": False, "satisfaction": 0.0, "expected_value": -1.0,
+            "optimize_expected": (-1.0, 0.0), "chance_constrained": -1.0,
+            "heuristic": NoHeuristicPolicyError,
+        }
+        est = monte_carlo_policy_eval(inst, first_policy(inst), 20, seed=0)
+        assert self.cli_outputs(capsys, tmp_path, inst) == [
+            (1, "UNSAT max=0.000000000\n", ""), (0, "MAX p=0.000000000\n", ""),
+            (1, "UNSAT max=0.000000000\n", ""), (0, "MAX p=0.000000000\n", ""),
+            (0, "MAX p=0.000000000\n", ""), (0, "EVAL p=0.000000000\n", ""),
+            (0, f"EST p=0.000000000 ci=[0.000000000,{est.ci_high:.9f}] n=20 seed=0\n", ""),
+            (0, "BOUNDS lb=0.000000000 ub=0.000000000\n", ""),
+            (0, "OPT ev=-1.000000000 p=0.000000000\n", ""),
+            (0, f"c: bt=UNSAT fc=UNSAT\nwrote 2 rows to {tmp_path / 'runs.csv'}\n", ""),
+        ]
+
+    def test_eval_of_a_malformed_policy_fails(self, capsys, tmp_path):
+        # the false constant fixes the value, but the policy is still checked
+        inst = make_instance([("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5))],
+                             [expr_constraint("1 = 2")])
+        path, policy = tmp_path / "c.scsp", tmp_path / "leaf.json"
+        path.write_text(dump_instance(inst), encoding="utf-8")
+        policy.write_text('{"kind":"leaf"}', encoding="utf-8")
+        assert run(capsys, "eval", str(path), "--policy", str(policy)) == (
+            2, "", "error: expected a decision node for x at depth 0, got Leaf()\n")
+
+
 class TestBench:
     def test_csv_and_stdout(self, capsys, instances_dir, tmp_path):
         workdir = tmp_path / "set"
@@ -459,6 +570,15 @@ class TestBench:
 
 
 class TestArgumentHandling:
+    def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch,
+                                                       instances_dir):
+        def broken(instance, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(stocs.cli, "bt_max", broken)
+        assert run(capsys, "solve", str(instances_dir / "a.scsp"), "--mode", "max") == (
+            3, "", "internal error: RuntimeError('boom')\n")
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0

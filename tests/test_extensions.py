@@ -7,7 +7,10 @@ import pytest
 
 from gen import random_cpt_instance, random_instance
 from stocs import (
+    ChanceNode,
     ConditionalTable,
+    DecisionNode,
+    Leaf,
     Objective,
     bt_decide,
     bt_max,
@@ -170,6 +173,16 @@ class TestOptimizeExpected:
         got = optimize_expected(with_objective(instance_a, "1", violation=-2.0))
         # best is still 0.5 satisfied: 0.5*1 + 0.5*(-2)
         assert got.expected_value == pytest.approx(-0.5, abs=TOL)
+
+    def test_zero_probability_value_gets_the_rigid_subpolicy(self):
+        # s = 1 never happens, so its branch is not searched: x keeps its
+        # first value there, though x = 1 would satisfy x = s
+        inst = make_instance([("s", "s", (0, 1), (1.0, 0.0)), ("x", "d", (0, 1))],
+                             [expr_constraint("x = s")],
+                             objective=Objective(parse_expression("5")))
+        got = optimize_expected(inst)
+        assert (got.expected_value, got.satisfaction) == (5.0, 1.0)
+        assert got.policy == ChanceNode("s", (DecisionNode("x", 0, Leaf()),) * 2)
 
     def test_objective_required(self, instance_a):
         with pytest.raises(NoObjectiveError):

@@ -19,10 +19,12 @@ from stocs import (
     parse_policy,
     serialize_policy,
 )
+from stocs.cli import main
 from stocs.errors import (
     BadProbabilitySumError,
     FormatError,
     MalformedPolicyError,
+    NegativeProbabilityError,
     ProbabilitiesOnDecisionError,
     ThetaOutOfRangeError,
 )
@@ -81,6 +83,33 @@ class TestParseInstance:
         with pytest.raises(FormatError):
             parse_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(variables={}), "^variables must be a list, got dict$"),
+        (lambda doc: doc["variables"][0].pop("name"), r"^variables\[0\] misses 'name'$"),
+        (lambda doc: doc["variables"][1].update(probabilities=["a", 1]),
+         r"^variables\[1\] probabilities must contain numbers, got 'a'$"),
+        (lambda doc: doc["variables"][1].update(cpt={"parents": []}),
+         "^variable s cpt needs parents and rows$"),
+        (lambda doc: doc["variables"][1].update(cpt={"parents": [], "rows": [
+            {"probabilities": [0.5, 0.5]}]}), "^variable s cpt row 0 needs given and probabilities$"),
+        (lambda doc: doc["constraints"][0].pop("text"), r"^constraints\[0\] misses 'text'$"),
+        (lambda doc: doc["constraints"].append({"type": "table", "scope": ["x"]}),
+         r"^constraints\[1\] needs scope and tuples$"),
+        (lambda doc: doc.update(objective={"violation_value": 0}), "^objective misses 'text'$"),
+        (lambda doc: doc.update(objective={"text": "x", "violation_value": "x"}),
+         "^violation_value must be a number, got 'x'$"),
+    ], ids=["variables-object", "no-name", "string-probability", "cpt-no-rows", "cpt-row-no-given",
+            "expr-no-text", "table-no-tuples", "objective-no-text", "string-violation-value"])
+    def test_malformed_documents(self, tmp_path, capsys, edit, message):
+        doc = json.loads(MINIMAL)
+        edit(doc)
+        path = tmp_path / "bad.scsp"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(FormatError, match=message):
+            load_instance(path)
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_theta_must_be_a_number(self):
         doc = json.loads(MINIMAL)
         doc["theta"] = "half"
@@ -130,6 +159,15 @@ class TestParseInstance:
             parse_instance(text)
         inst = parse_instance(text, renormalize=True)
         assert inst.variables[1].probabilities == (0.5, 0.5)
+
+    @pytest.mark.parametrize("probabilities, error", [
+        ([-1, 2], NegativeProbabilityError), ([0, 0], BadProbabilitySumError)],
+        ids=["negative", "all-zero"])
+    def test_renormalize_leaves_what_it_cannot_scale_to_validation(self, probabilities, error):
+        doc = json.loads(MINIMAL)
+        doc["variables"][1]["probabilities"] = probabilities
+        with pytest.raises(error):
+            parse_instance(json.dumps(doc), renormalize=True)
 
     def test_renormalize_scales_cpt_rows(self):
         doc = json.loads(MINIMAL)
@@ -228,6 +266,16 @@ class TestPolicyFormat:
         with pytest.raises(FormatError):
             parse_policy("{not json")
 
+    @pytest.mark.parametrize("policy, message", [
+        ("leaf", "^not a policy node: 'leaf'$"),
+        (ChanceNode("s", (Leaf(), 0)), "^not a policy node: 0$"),
+        # Python prints at most 4,300 digits of an int
+        (DecisionNode("x", 10**5000, Leaf()), "^policy holds an integer too long to write$"),
+    ], ids=["string", "int-child", "past-the-digit-limit"])
+    def test_serialize_refuses_what_is_not_a_policy(self, policy, message):
+        with pytest.raises(MalformedPolicyError, match=message):
+            serialize_policy(policy)
+
     @pytest.mark.parametrize("reader, text", [
         (parse_instance, '{"theta": 1' + "0" * 5000 + ', "variables": []}'),
         (parse_policy, '{"kind":"decision","variable":"x","value":1' + "0" * 5000
@@ -242,6 +290,8 @@ class TestPolicyFormat:
         '"leaf"',
         '{"kind": "branch"}',
         '{"kind": "decision", "variable": "x", "value": 0}',
+        '{"kind": "decision", "value": 0, "child": {"kind": "leaf"}}',
+        '{"kind": "chance", "children": [{"kind": "leaf"}]}',
         '{"kind": "decision", "variable": "x", "value": true,'
         ' "child": {"kind": "leaf"}}',
         '{"kind": "chance", "variable": "s", "children": []}',

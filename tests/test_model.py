@@ -16,7 +16,6 @@ from stocs import (
     expr_constraint,
     optimize_expected,
     parse_expression,
-    stage_blocks,
     table_constraint,
     validate_instance,
 )
@@ -44,6 +43,10 @@ from stocs.errors import (
 from stocs import expr
 from stocs.expr import Binary, IntLiteral, VariableRef
 from conftest import make_instance
+
+
+X = VariableSpec("x", "decision", (0, 1))
+HALF = (0.5, 0.5)
 
 
 def build(variables, constraints=(), theta=0.5, objective=None):
@@ -170,6 +173,44 @@ class TestValidation:
         with pytest.raises(ExpressionTooDeepError):
             build([x], [expr_constraint(Binary(">=", node, IntLiteral(0)))])
 
+    @pytest.mark.parametrize("variables, constraints, objective, error, message", [
+        ([VariableSpec("1x", "decision", (0, 1))], [], None,
+         InstanceValidationError, "^variable name '1x' is not an identifier$"),
+        ([VariableSpec("x", "chance", (0, 1))], [], None,
+         InstanceValidationError, "^variable x: unknown kind 'chance'$"),
+        ([VariableSpec("x", "decision", (0, 1.5))], [], None,
+         InstanceValidationError, "^variable x: non-integer domain value 1.5$"),
+        ([X, VariableSpec("s", "stochastic", (0, 1),
+                          cpt=ConditionalTable("t", ("x",), {(0,): HALF, (1,): HALF}))], [], None,
+         InstanceValidationError, "^conditional table child 't' attached to variable 's'$"),
+        ([X, VariableSpec("s", "stochastic", (0, 1), cpt=ConditionalTable("s", ("z",), {}))],
+         [], None, UnknownScopeVariableError, "unknown parent 'z'$"),
+        ([X, VariableSpec("s", "stochastic", (0, 1), cpt=ConditionalTable("s", ("x", "x"), {}))],
+         [], None, DuplicateScopeVariableError, "duplicate parent 'x'$"),
+        ([X], [Constraint(("x",), frozenset({(0,)}), parse_expression("x = 0"))], None,
+         InstanceValidationError, "^constraint 0: need exactly one of a table or an expression$"),
+        ([X], [Constraint(("x",))], None,
+         InstanceValidationError, "^constraint 0: need exactly one of a table or an expression$"),
+        ([X], [table_constraint((), [()])], None,
+         InstanceValidationError, "^constraint 0: table constraint with empty scope$"),
+        ([X], [], Objective(parse_expression("z")),
+         UnknownScopeVariableError, "^objective: unknown variable 'z'$"),
+        # Python prints at most 4,300 digits of an int; dump_instance would
+        # write every domain value, and messages print the other two
+        ([VariableSpec("x", "decision", (0, 10**5000))], [], None,
+         InstanceValidationError, "^variable x: an integer too long to print$"),
+        ([X], [table_constraint(("x",), [(10**5000,)])], None,
+         InstanceValidationError, "^constraint 0: an integer too long to print$"),
+        ([X, VariableSpec("s", "stochastic", (0, 1), cpt=ConditionalTable(
+            "s", ("x",), {(0,): HALF, (1,): HALF, (10**5000,): HALF}))], [], None,
+         InstanceValidationError, "^conditional table for s: an integer too long to print$"),
+    ], ids=["name", "kind", "domain", "cpt-child", "cpt-unknown-parent", "cpt-duplicate-parent",
+            "table-and-expression", "neither", "empty-table-scope", "objective-unknown-variable",
+            "big-domain-value", "big-table-value", "big-cpt-row"])
+    def test_typed_errors(self, variables, constraints, objective, error, message):
+        with pytest.raises(error, match=message):
+            build(variables, constraints, objective=objective)
+
     def test_idempotent(self, instance_a):
         assert validate_instance(instance_a) == instance_a
 
@@ -274,33 +315,6 @@ class TestCheckAt:
                      [expr_constraint(f"x != {k + 2}") for k in range(3000)])
         assert inst.check_at[0]([0]) is True
         assert bt_max(inst).probability == 1.0
-
-
-class TestStageStructure:
-    def test_single_stage(self, instance_a):
-        got = stage_blocks(instance_a)
-        assert got.blocks == (("decision", ("x",)), ("stochastic", ("s",)))
-        assert got.stage_count == 1
-
-    def test_two_stages_alternating(self, production):
-        got = stage_blocks(production)
-        assert len(got.blocks) == 4
-        assert got.stage_count == 2
-
-    def test_observation_first(self, instance_b):
-        got = stage_blocks(instance_b)
-        assert got.blocks == (("stochastic", ("s",)), ("decision", ("x",)))
-        assert got.stage_count == 1
-
-    def test_blocks_flatten_to_instance_order(self):
-        rng = random.Random(7)
-        for _ in range(30):
-            inst = random_instance(rng)
-            got = stage_blocks(inst)
-            flat = [name for _, names in got.blocks for name in names]
-            assert flat == [v.name for v in inst.variables]
-            for (kind_a, _), (kind_b, _) in zip(got.blocks, got.blocks[1:]):
-                assert kind_a != kind_b
 
 
 class TestObjectiveWarning:

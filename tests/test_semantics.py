@@ -42,12 +42,19 @@ def rigid_a(value):
     return DecisionNode("x", value, ChanceNode("s", (Leaf(), Leaf())))
 
 
-def scored_a():
+def scored_a(*extra):
     # instance a with an objective, so that both walks can score it
     return make_instance(
         [("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5))],
-        [expr_constraint("x = s")],
+        [expr_constraint("x = s"), *extra],
         objective=Objective(parse_expression("10 * x")))
+
+
+def scored_pairs():
+    """Each walk over a given policy, on scored_a and on scored_a with a
+    false constant constraint, under which every leaf violates."""
+    instances = (scored_a(), scored_a(expr_constraint("1 = 2")))
+    return [(score, inst) for score in SCORES for inst in instances]
 
 
 def sampled(instance, policy):
@@ -55,6 +62,12 @@ def sampled(instance, policy):
 
 
 SCORES = (policy_satisfaction, policy_expected_value, sampled)
+
+
+def alternating(n):
+    # x0, s1, x2, ...: binary decisions, each followed by a fair binary coin
+    return make_instance([(f"x{i}", "d", (0, 1)) if i % 2 == 0
+                          else (f"s{i}", "s", (0, 1), (0.5, 0.5)) for i in range(n)])
 
 
 def recourse_b():
@@ -109,6 +122,10 @@ class TestCheckAssignment:
         with pytest.raises(PartialAssignmentError):
             check_assignment(instance_a, {"x": 1})
 
+    def test_out_of_domain_value(self, instance_a):
+        with pytest.raises(OutOfDomainValueError, match=r"^x=7 not in domain \(0, 1\)$"):
+            check_assignment(instance_a, {"x": 7, "s": 0})
+
 
 class TestPolicySatisfaction:
     def test_rigid_policy_half(self, instance_a):
@@ -123,32 +140,54 @@ class TestPolicySatisfaction:
             [expr_constraint("x != s")])
         assert policy_satisfaction(inst, rigid_a(0)) == pytest.approx(0.5)
 
-    # malformed policies fail in every walk over a given policy
+    # malformed policies fail in every walk over a given policy, even where
+    # a false constant constraint fixes the answer
     def test_wrong_variable_order(self):
         bad = ChanceNode("s", (DecisionNode("x", 0, Leaf()),
                                DecisionNode("x", 0, Leaf())))
-        for score in SCORES:
+        for score, inst in scored_pairs():
             with pytest.raises(MalformedPolicyError):
-                score(scored_a(), bad)
+                score(inst, bad)
+
+    def test_decision_node_where_a_chance_node_belongs(self):
+        bad = DecisionNode("x", 0, DecisionNode("s", 0, Leaf()))
+        for score, inst in scored_pairs():
+            with pytest.raises(MalformedPolicyError,
+                               match=r"^expected a chance node for s at depth 1, got DecisionNode"):
+                score(inst, bad)
 
     def test_wrong_branch_count(self):
         bad = DecisionNode("x", 0, ChanceNode("s", (Leaf(),)))
-        for score in SCORES:
+        for score, inst in scored_pairs():
             with pytest.raises(MalformedPolicyError):
-                score(scored_a(), bad)
+                score(inst, bad)
 
     def test_chosen_value_outside_domain(self):
         bad = DecisionNode("x", 5, ChanceNode("s", (Leaf(), Leaf())))
-        for score in SCORES:
+        for score, inst in scored_pairs():
             with pytest.raises(MalformedPolicyError):
-                score(scored_a(), bad)
+                score(inst, bad)
+
+    def test_chosen_value_past_the_digit_limit(self):
+        # Python prints at most 4,300 digits of an int: the message leaves it out
+        for bad in (DecisionNode("x", 10**5000, Leaf()),
+                    ChanceNode("s", (DecisionNode("x", 10**5000, Leaf()),) * 2)):
+            for score, inst in scored_pairs():
+                with pytest.raises(MalformedPolicyError, match="an integer too long to print$"):
+                    score(inst, bad)
 
     def test_node_past_the_last_variable(self):
         bad = DecisionNode("x", 0, ChanceNode("s", (DecisionNode("x", 0, Leaf()), Leaf())))
-        for score in SCORES:
+        for score, inst in scored_pairs():
             with pytest.raises(MalformedPolicyError,
                                match=r"^expected a leaf at depth 2, got DecisionNode"):
-                score(scored_a(), bad)
+                score(inst, bad)
+
+    def test_leaf_for_the_whole_policy(self):
+        for score, inst in scored_pairs():
+            with pytest.raises(MalformedPolicyError,
+                               match=r"^expected a decision node for x at depth 0, got Leaf\(\)$"):
+                score(inst, Leaf())
 
     def test_matches_scenario_sum_formulation(self):
         rng = random.Random(23)
@@ -162,6 +201,24 @@ class TestPolicySatisfaction:
                 for sc in scenarios(inst))
             assert by_walk == pytest.approx(by_sum, abs=TOL)
             assert 0.0 <= by_walk <= 1.0
+
+
+class TestInducedAssignment:
+    @pytest.mark.parametrize("scenario, error, message", [
+        ({}, MissingAssignmentError, "^scenario misses stochastic variable s$"),
+        ({"s": 7}, OutOfDomainValueError, r"^s=7 not in domain \(0, 1\)$"),
+        ({"s": 10**5000}, OutOfDomainValueError, "^s: an integer too long to print$"),
+    ], ids=["missing", "out-of-domain", "past-the-digit-limit"])
+    def test_bad_scenario(self, instance_b, scenario, error, message):
+        with pytest.raises(error, match=message):
+            induced_assignment(instance_b, recourse_b(), scenario)
+
+    def test_node_past_the_last_variable(self, instance_b):
+        bad = ChanceNode("s", (DecisionNode("x", 0, Leaf()),
+                               DecisionNode("x", 1, DecisionNode("x", 0, Leaf()))))
+        with pytest.raises(MalformedPolicyError,
+                           match=r"^expected a leaf after all variables, got DecisionNode"):
+            induced_assignment(instance_b, bad, {"s": 1})
 
 
 class TestEnumeration:
@@ -203,6 +260,19 @@ class TestEnumeration:
                            match=r"^instance has more than 1000000 policies, the oracle cap$"):
             enumerate_policies(inst)
         assert time.perf_counter() - start < 1.0
+
+    def test_policy_count_stops_past_the_oracle_cap(self):
+        # exact below the cap; counted from s47 up, the count first passes
+        # 10**6 at s39: 2**30, where the whole count has 2**24 bits
+        assert alternating(8).policy_count == 2 ** 15
+        assert alternating(48).policy_count == 2 ** 30
+
+    def test_empty_instance_has_one_policy(self):
+        inst = make_instance([])
+        assert inst.policy_count == 1
+        assert list(enumerate_policies(inst, cap=1)) == [Leaf()]
+        with pytest.raises(OracleCapExceededError):
+            enumerate_policies(inst, cap=0)
 
 
 class TestOracle:
