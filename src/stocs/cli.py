@@ -5,6 +5,11 @@ stdout, diagnostics to stderr. Exit codes: 0 satisfiable/solved, 1
 unsatisfiable, 2 usage or input error, 3 internal error (notably a bt/fc
 verdict mismatch in bench, which is a correctness alarm).
 
+Options are declared once, in `COMMANDS`. A plain valid command line is
+scanned against that table without building an argparse parser; help and
+every usage error come from the parser `build_parser` makes from it, so
+their bytes are argparse's (see `_parse_args`).
+
 All probabilities print with 9 fixed decimal digits so golden outputs are
 stable at the solver's 1e-9 tolerance. Identical invocations produce
 byte-identical stdout/stderr; wall-clock times appear only in the bench
@@ -205,74 +210,54 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 2 if bad_files else 0
 
 
-def _add_solve(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("instance")
-    parser.add_argument("--algorithm", choices=("bt", "fc"), default="bt")
-    parser.add_argument("--mode", choices=("decide", "max"), default="decide")
-    parser.add_argument("--theta", type=float, default=None,
-                        help="override the instance threshold")
-    parser.add_argument("--policy-out", metavar="FILE",
-                        help="write the witness policy as JSON")
-    parser.add_argument("--no-prune-decision-stop", action="store_true",
-                        help="disable stopping at a good-enough decision value")
-    parser.add_argument("--no-prune-chance-abort", action="store_true",
-                        help="disable early exits at chance nodes")
-    parser.add_argument("--no-prune-fc-wipeout", action="store_true",
-                        help="disable domain-wipeout backtracking")
-    parser.add_argument("--no-prune-fc-mass", action="store_true",
-                        help="disable probability-mass bound pruning")
-    parser.add_argument("--renormalize", action="store_true",
-                        help="rescale probability vectors to sum to 1")
-    parser.add_argument("--stats", action="store_true",
-                        help="print search counters after the verdict")
-    parser.set_defaults(func=cmd_solve)
-
-
-def _add_oracle(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("instance")
-    parser.add_argument("--cap", type=int, default=ORACLE_CAP,
-                        help="refuse instances with more policies than this")
-    parser.set_defaults(func=cmd_oracle)
-
-
-def _add_eval(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("instance")
-    parser.add_argument("--policy", required=True, metavar="FILE")
-    parser.add_argument("--samples", type=int, default=None,
-                        help="estimate by Monte Carlo instead of exactly")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.set_defaults(func=cmd_eval)
-
-
-def _add_approx(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("instance")
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--epsilon", type=float, default=None,
-                       help="ignore stochastic branches with probability below this")
-    group.add_argument("--top-k", type=int, default=None,
-                       help="keep only the k most probable branches")
-    parser.set_defaults(func=cmd_approx)
-
-
-def _add_optimize(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("instance")
-    parser.set_defaults(func=cmd_optimize)
-
-
-def _add_bench(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("directory")
-    parser.add_argument("--out", required=True, metavar="FILE")
-    parser.set_defaults(func=cmd_bench)
-
-
-# subcommand -> (help line in the root parser's listing, argument adder)
+# subcommand -> (help line in the root parser's listing, handler, arguments).
+# An argument is (positional name or long flag, `add_argument` keywords); a
+# tuple of arguments in its place is a required group, exactly one of whose
+# flags must be given. A typed option has no string default: argparse would
+# pass it through `type`, and `_scan` does not.
 COMMANDS = {
-    "solve": ("run the exact search on one instance", _add_solve),
-    "oracle": ("brute-force maximum by policy enumeration", _add_oracle),
-    "eval": ("score a policy file against an instance", _add_eval),
-    "approx": ("bound the maximum with a restricted tree", _add_approx),
-    "optimize": ("maximize the expected objective value", _add_optimize),
-    "bench": ("solve every .scsp in a directory, write CSV", _add_bench),
+    "solve": ("run the exact search on one instance", cmd_solve, (
+        ("instance", {}),
+        ("--algorithm", {"choices": ("bt", "fc"), "default": "bt"}),
+        ("--mode", {"choices": ("decide", "max"), "default": "decide"}),
+        ("--theta", {"type": float, "default": None, "help": "override the instance threshold"}),
+        ("--policy-out", {"metavar": "FILE", "help": "write the witness policy as JSON"}),
+        ("--no-prune-decision-stop", {"action": "store_true",
+                                      "help": "disable stopping at a good-enough decision value"}),
+        ("--no-prune-chance-abort", {"action": "store_true",
+                                     "help": "disable early exits at chance nodes"}),
+        ("--no-prune-fc-wipeout", {"action": "store_true",
+                                   "help": "disable domain-wipeout backtracking"}),
+        ("--no-prune-fc-mass", {"action": "store_true",
+                                "help": "disable probability-mass bound pruning"}),
+        ("--renormalize", {"action": "store_true",
+                           "help": "rescale probability vectors to sum to 1"}),
+        ("--stats", {"action": "store_true", "help": "print search counters after the verdict"}),
+    )),
+    "oracle": ("brute-force maximum by policy enumeration", cmd_oracle, (
+        ("instance", {}),
+        ("--cap", {"type": int, "default": ORACLE_CAP,
+                   "help": "refuse instances with more policies than this"}),
+    )),
+    "eval": ("score a policy file against an instance", cmd_eval, (
+        ("instance", {}),
+        ("--policy", {"required": True, "metavar": "FILE"}),
+        ("--samples", {"type": int, "default": None,
+                       "help": "estimate by Monte Carlo instead of exactly"}),
+        ("--seed", {"type": int, "default": 0}),
+    )),
+    "approx": ("bound the maximum with a restricted tree", cmd_approx, (
+        ("instance", {}),
+        (("--epsilon", {"type": float, "default": None,
+                        "help": "ignore stochastic branches with probability below this"}),
+         ("--top-k", {"type": int, "default": None,
+                      "help": "keep only the k most probable branches"})),
+    )),
+    "optimize": ("maximize the expected objective value", cmd_optimize, (("instance", {}),)),
+    "bench": ("solve every .scsp in a directory, write CSV", cmd_bench, (
+        ("directory", {}),
+        ("--out", {"required": True, "metavar": "FILE"}),
+    )),
 }
 
 
@@ -282,27 +267,81 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solve stochastic constraint satisfaction problems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_line))
+    for name, (help_line, func, arguments) in COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_line)
+        for argument in arguments:
+            if isinstance(argument[0], str):
+                subparser.add_argument(argument[0], **argument[1])
+            else:
+                group = subparser.add_mutually_exclusive_group(required=True)
+                for flag, keywords in argument:
+                    group.add_argument(flag, **keywords)
+        subparser.set_defaults(func=func)
     return parser
+
+
+def _scan(command: str, tokens: list[str]) -> argparse.Namespace | None:
+    """What `build_parser().parse_args([command, *tokens])` returns when the
+    call is a plain valid one (see `_parse_args`), else None."""
+    _, func, arguments = COMMANDS[command]
+    one_of = next((a for a in arguments if not isinstance(a[0], str)), ())
+    flat = [a for argument in arguments
+            for a in ((argument,) if isinstance(argument[0], str) else argument)]
+    unfilled = [name for name, _ in flat if not name.startswith("-")]  # positionals
+    options = {flag: keywords for flag, keywords in flat if flag.startswith("-")}
+    values: dict = {}  # positional name or flag -> value
+    tokens = iter(tokens)
+    for token in tokens:
+        if not token.startswith("-"):
+            if not unfilled:
+                return None
+            values[unfilled.pop(0)] = token
+            continue
+        keywords = options.get(token)
+        if keywords is None or token in values:
+            return None
+        if keywords.get("action") == "store_true":
+            values[token] = True
+            continue
+        value = next(tokens, "-")  # a missing value ends the scan as a dash does
+        if value.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[token] = value
+    if (unfilled or (one_of and sum(f in values for f, _ in one_of) != 1)
+            or any(k.get("required") and f not in values for f, k in options.items())):
+        return None
+    for flag, keywords in options.items():
+        unset = False if keywords.get("action") == "store_true" else None
+        values.setdefault(flag, keywords.get("default", unset))
+    return argparse.Namespace(command=command, func=func, **{
+        name.lstrip("-").replace("-", "_"): value for name, value in values.items()})
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse a command line as `build_parser().parse_args(argv)` does.
 
-    When `argv` starts with a subcommand, only that subcommand's parser is
-    built: a full build constructs a help formatter per argument and costs
-    more than the search of a small instance. The lone parser is the one
-    `add_parser` would make, so its help, usage and error text are the
-    same. Anything else, and extra arguments, which the root parser
-    reports, goes to the full parser. Raises `SystemExit` as argparse does.
+    Building that parser costs more than the search of a small instance, so
+    when `argv[0]` names a subcommand, the rest is first scanned against its
+    `COMMANDS` entry. A token that does not start with "-" fills the next
+    positional; an exact long flag is a store_true flag or takes the next
+    token, which must not start with "-", through its `type` and `choices`.
+    If then every positional is filled, every required option and exactly
+    one flag of a one-of group given, and no option given twice, the scan
+    returns argparse's Namespace, defaults, `func` and `command` included.
+    Anything else goes to the full parser, which owns the bytes of help and
+    of every error: help, "--opt=value", abbreviations, "--", values that
+    start with "-", repeats, bad values and missing arguments. Raises
+    `SystemExit` as argparse does.
     """
     if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"stocs {argv[0]}")
-        COMMANDS[argv[0]][1](parser)
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
+        args = _scan(argv[0], argv[1:])
+        if args is not None:
             return args
     return build_parser().parse_args(argv)
 

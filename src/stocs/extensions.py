@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expr as _expr
-from .errors import NoFeasiblePolicyError, NoObjectiveError
+from .errors import InstanceValidationError, NoFeasiblePolicyError, NoObjectiveError
 from .model import PROB_TOL, Instance, _check_theta
 from .semantics import (
     LEAF,
@@ -128,7 +128,10 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
             env[depth] = None
         return _remember(memo, key, (total, total_sat, ChanceNode(var.name, tuple(children))))
 
-    expected, satisfaction, policy = walk(0)
+    try:
+        expected, satisfaction, policy = walk(0)
+    except OverflowError:
+        raise InstanceValidationError("objective: a value past the float range") from None
     return OptimizeResult(policy, expected, satisfaction)
 
 

@@ -282,9 +282,17 @@ def _repr(value, error: type[StocsError], what: str) -> str:
         raise error(f"{what}: an integer too long to print") from None
 
 
+def _check_number(v, what: str) -> float:
+    """_as_float(v) of an int or float that is not a bool, which is all the
+    file reader lets through; any other value is rejected, not converted."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise InstanceValidationError(f"{what}: {v!r} is not a number")
+    return _as_float(v)
+
+
 def _check_theta(theta) -> float:
     """theta as a float in [0, 1]; NaN and out-of-range values are rejected."""
-    theta = _as_float(theta)
+    theta = _check_number(theta, "theta")
     if not 0.0 <= theta <= 1.0:
         raise ThetaOutOfRangeError(f"theta {theta!r} outside [0, 1]")
     return theta
@@ -303,7 +311,7 @@ def _check_distribution(probs, domain: tuple[int, ...], what: str) -> tuple[floa
         )
     values = []
     for p in probs:
-        p = _as_float(p)
+        p = _check_number(p, what)
         if not math.isfinite(p):
             raise NonFiniteProbabilityError(f"{what}: non-finite probability {p}")
         if p < 0.0:
@@ -369,7 +377,11 @@ def _validate_cpt(var: VariableSpec, variables: tuple[VariableSpec, ...],
             raise CptParentOrderError(
                 f"conditional table for {var.name}: parent {p} does not precede it"
             )
-    rows = {tuple(int(v) for v in given): probs for given, probs in cpt.rows.items()}
+    rows = {tuple(given): probs for given, probs in cpt.rows.items()}
+    for v in itertools.chain.from_iterable(rows):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise InstanceValidationError(
+                f"conditional table for {var.name}: non-integer parent value {v!r}")
     parent_domains = [variables[index_of[p]].domain for p in parents]
     expected = set(itertools.product(*parent_domains))
     got = set(rows)
@@ -473,7 +485,7 @@ def validate_instance(raw: Instance) -> Instance:
             if name not in index_of:
                 raise UnknownScopeVariableError(f"objective: unknown variable {name!r}", name)
         _infer_type(objective.expression, "objective")
-        violation = _as_float(objective.violation_value)
+        violation = _check_number(objective.violation_value, "objective: violation_value")
         if not math.isfinite(violation):
             raise InstanceValidationError(f"objective: non-finite violation_value {violation}")
         domain_of = {v.name: v.domain for v in variables}

@@ -24,6 +24,7 @@ from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import (
     InstanceTooDeepError,
+    InstanceValidationError,
     MalformedPolicyError,
     MissingAssignmentError,
     MissingParentValueError,
@@ -240,7 +241,10 @@ def _policy_value(instance: Instance, policy: PolicyNode, objective,
             env[depth] = None
         return value if key is None else _remember(memo, key, value)
 
-    value = walk(0, policy)
+    try:
+        value = walk(0, policy)
+    except OverflowError:
+        raise InstanceValidationError("objective: a value past the float range") from None
     return violation if any(not c.fn([]) for c in instance.constant_compiled) else value
 
 

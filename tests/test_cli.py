@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -7,6 +9,8 @@ import shutil
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stocs.cli
 from stocs import (
@@ -569,6 +573,53 @@ class TestBench:
             assert len(list(csv.reader(handle))) == 3
 
 
+def declared(command):
+    """Long flag -> `add_argument` keywords, from `stocs.cli.COMMANDS`."""
+    return {flag: keywords for argument in stocs.cli.COMMANDS[command][2]
+            for flag, keywords in ((argument,) if isinstance(argument[0], str) else argument)
+            if flag.startswith("-")}
+
+
+ALL_FLAGS = sorted({flag for command in stocs.cli.COMMANDS for flag in declared(command)})
+# every subcommand, declared flag and choice, values of each type, and what
+# only the full parser handles: flag prefixes, "--opt=value", "--", help,
+# dashes and negative numbers
+TOKENS = [*stocs.cli.COMMANDS, *ALL_FLAGS, "bt", "fc", "decide", "max", "0.5", "3", " 2 ",
+          "1e400", "x", "a.scsp", "", "-", "-0.5", "--", "-h", "--help", "--alg", "--mo",
+          "--th", "--no-prune", "--to", "--theta=0.5", "bogus"]
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand, a positional and some of its flags in any order, each
+    with a value of its type or choices or a bad one, then up to two edits:
+    a token inserted, replaced or deleted."""
+    command = draw(st.sampled_from(list(stocs.cli.COMMANDS)))
+    options = declared(command)
+    pieces = [["a.scsp"]]
+    chosen = draw(st.lists(st.booleans(), min_size=len(options), max_size=len(options)))
+    for (flag, keywords), use in zip(options.items(), chosen):
+        if not use:
+            continue
+        if keywords.get("action") == "store_true":
+            pieces.append([flag])
+            continue
+        values = keywords.get("choices") or {float: ("0.5", "1e400", " 2 "),
+                                             int: ("3", " 2 ")}.get(keywords.get("type"), ("f",))
+        pieces.append([flag, draw(st.sampled_from([*values, "x", "", "-0.5"]))])
+    argv = [command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert":
+            argv.insert(at, draw(st.sampled_from(TOKENS)))
+        elif at < len(argv) and edit == "replace":
+            argv[at] = draw(st.sampled_from(TOKENS))
+        elif at < len(argv):
+            del argv[at]
+    return argv
+
+
 class TestArgumentHandling:
     def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch,
                                                        instances_dir):
@@ -621,6 +672,11 @@ class TestArgumentHandling:
         ["eval", "{a}", "--policy", "{policy}", "--samples", "200", "--seed", "3"],
         ["approx", "{b}", "--epsilon", "0.1"], ["approx", "{b}", "--top-k", "1"],
         ["optimize", "{objective}"], ["bench", "{dir}", "--out", "{csv}"],
+        ["solve", "{a}", "--theta", "0.5", "--theta", "0.6"], ["solve", "{a}", "--theta", "-0.5"],
+        ["solve", "{a}", "--stats", "--stats"],
+        ["approx", "{b}", "--epsilon", "0.1", "--epsilon", "0.2"],
+        ["solve", "", "--mode", "max"], ["solve", "{a}", "--mode", "max", "--policy-out", ""],
+        ["solve", "-", "--mode", "max"], ["oracle", "{a}", "--cap", " 3 "],
     ]
 
     @staticmethod
@@ -678,6 +734,35 @@ class TestArgumentHandling:
         monkeypatch.setattr(stocs.cli, "build_parser", refuse)
         assert run(capsys, *argv) == expected
 
+    @pytest.mark.parametrize("argv", VALID_CASES, ids=" ".join)
+    def test_a_valid_call_constructs_no_argparse_parser(self, capsys, monkeypatch,
+                                                        instances_dir, tmp_path, argv):
+        argv = self.fill(argv, instances_dir, tmp_path)
+        expected = run(capsys, *argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an argparse parser was built")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        assert run(capsys, *argv) == expected
+
+    @staticmethod
+    def outcome(parse, argv):
+        """vars() of the parse, or the SystemExit code; then stdout and stderr."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = vars(parse(argv))
+            except SystemExit as e:
+                result = e.code
+        return result, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=300, deadline=None)
+    @given(command_lines())
+    def test_the_scan_agrees_with_the_full_parser(self, argv):
+        assert (self.outcome(stocs.cli._parse_args, argv)
+                == self.outcome(lambda a: stocs.cli.build_parser().parse_args(a), argv))
+
     @pytest.mark.parametrize("argv, code", [(["solve", "{a}"], 0), (["bogus"], 2)])
     def test_console_script_reads_sys_argv(self, capsys, monkeypatch, instances_dir,
                                            tmp_path, argv, code):
@@ -730,6 +815,15 @@ class TestBadInputIsTyped:
         code, out, err = run(capsys, "optimize", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "finite" in err
+
+    def test_objective_past_the_float_range(self, capsys, tmp_path):
+        path = tmp_path / "big.scsp"
+        path.write_text(json.dumps({
+            "theta": 0.5, "variables": [{"name": "x", "kind": "decision", "domain": [0, 1]}],
+            "objective": {"text": "x * 1" + "0" * 400}}), encoding="utf-8")
+        code, out, err = run(capsys, "optimize", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: objective: a value past the float range\n"
 
     def test_huge_integer_theta(self, capsys, tmp_path):
         path = tmp_path / "bad.scsp"

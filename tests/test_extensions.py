@@ -28,6 +28,7 @@ from stocs import (
     validate_instance,
 )
 from stocs.errors import (
+    InstanceValidationError,
     MissingParentValueError,
     NoFeasiblePolicyError,
     NoObjectiveError,
@@ -187,6 +188,15 @@ class TestOptimizeExpected:
     def test_objective_required(self, instance_a):
         with pytest.raises(NoObjectiveError):
             optimize_expected(instance_a)
+
+    def test_objective_past_the_float_range_is_typed(self):
+        inst = make_instance([("x", "d", (0, 1))],
+                             objective=Objective(parse_expression("x * 1" + "0" * 400)))
+        with pytest.raises(InstanceValidationError, match="float range"):
+            optimize_expected(inst)
+        with pytest.raises(InstanceValidationError, match="float range"):
+            policy_expected_value(inst, DecisionNode("x", 1, Leaf()))
+        assert policy_expected_value(inst, DecisionNode("x", 0, Leaf())) == 0.0
 
     def test_constant_one_objective_recovers_satisfaction(self):
         rng = random.Random(19)

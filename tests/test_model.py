@@ -12,6 +12,7 @@ from stocs import (
     Objective,
     VariableSpec,
     ViolationValueWarning,
+    bt_decide,
     bt_max,
     expr_constraint,
     optimize_expected,
@@ -315,6 +316,51 @@ class TestCheckAt:
                      [expr_constraint(f"x != {k + 2}") for k in range(3000)])
         assert inst.check_at[0]([0]) is True
         assert bt_max(inst).probability == 1.0
+
+
+class TestValuesAreCheckedNotConverted:
+    """The API rejects what the file reader rejects, with a typed error."""
+
+    @staticmethod
+    def with_cpt(rows):
+        return build([VariableSpec("x", "decision", (0, 1)),
+                      VariableSpec("s", "stochastic", (0, 1),
+                                   cpt=ConditionalTable("s", ("x",), rows))])
+
+    def test_text_cpt_key(self):
+        with pytest.raises(InstanceValidationError, match="non-integer parent value 'a'"):
+            self.with_cpt({("a",): HALF, (1,): HALF})
+
+    def test_float_cpt_key(self):
+        with pytest.raises(InstanceValidationError, match="non-integer parent value 0.7"):
+            self.with_cpt({(0.7,): HALF, (1,): HALF})
+
+    def test_bool_probabilities(self):
+        with pytest.raises(InstanceValidationError, match="True is not a number"):
+            build([VariableSpec("s", "stochastic", (0, 1), probabilities=(True, False))])
+
+    def test_text_probabilities(self):
+        with pytest.raises(InstanceValidationError, match="'0.5' is not a number"):
+            build([VariableSpec("s", "stochastic", (0, 1), probabilities=("0.5", "0.5"))])
+
+    def test_text_theta(self):
+        with pytest.raises(InstanceValidationError, match="theta: '0.5' is not a number"):
+            build([X], theta="0.5")
+
+    def test_bool_theta(self):
+        with pytest.raises(InstanceValidationError, match="theta: True is not a number"):
+            build([X], theta=True)
+
+    @pytest.mark.parametrize("theta", ["0.5", True])
+    def test_theta_override(self, theta):
+        instance = build([X])
+        with pytest.raises(InstanceValidationError, match="is not a number"):
+            bt_decide(instance, theta_override=theta)
+
+    @pytest.mark.parametrize("violation", ["-1", False])
+    def test_violation_value(self, violation):
+        with pytest.raises(InstanceValidationError, match="violation_value: .* is not a number"):
+            build([X], objective=Objective(parse_expression("x"), violation))
 
 
 class TestObjectiveWarning:
