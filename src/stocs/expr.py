@@ -21,11 +21,12 @@ lets objectives use indicator terms like ``10 * (x = s)``. The operands of
 
 from __future__ import annotations
 
+import itertools
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter, mul
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import (
     BadExpressionTypeError,
@@ -83,122 +84,104 @@ _LEVEL_ATOM = 8
 _CONNECTIVES = tuple(op for op, level in _BINARY_LEVEL.items() if level < _LEVEL_NOT)
 _ARITHMETIC = tuple(op for op, level in _BINARY_LEVEL.items() if level > _LEVEL_CMP)
 
+# Literals are ASCII digits and blanks are ASCII blanks. Each match is one
+# token after blanks; the empty match at the end of the text is the end
+# token. _BAD_RE finds the first character that starts no token.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op><=|>=|!=|[=<>+\-*()]))"
-)
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int" | "name" | "op" | "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.lastgroup is None:
-            at = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise ExpressionSyntaxError(f"unexpected character {text[at]!r}", at)
-        kind = m.lastgroup
-        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
+    r"[ \t\n\r\f\v]*([0-9]+|[A-Za-z_][A-Za-z0-9_]*|<=|>=|!=|[=<>+\-*()]|\Z)")
+_BAD_RE = re.compile(r"[^ \t\n\r\f\v0-9A-Za-z_<>=+\-*()!]|!(?!=)")
+_KEYWORDS = ("and", "or", "not")
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+    """Recursive descent over the token texts; ``names`` collects the
+    variable names in first-occurrence order as their references are built.
+    A token's position is found again only for an error message."""
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def __init__(self, text: str, names: dict):
+        if (bad := _BAD_RE.search(text)) is not None:
+            raise ExpressionSyntaxError(f"unexpected character {bad[0]!r}", bad.start())
+        self.text, self.tokens, self.i, self.names = text, _TOKEN_RE.findall(text), 0, names
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> Expr:
-        node = self.parse_binary(1)
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        return node
+    def error(self, message: str, kind: type = ExpressionSyntaxError) -> Exception:
+        token = next(itertools.islice(_TOKEN_RE.finditer(self.text), self.i, None))
+        return kind(message, token.start(1))
 
     def parse_binary(self, minimum: int) -> Expr:
         """Operators of level >= ``minimum``, left-associative; a second
         comparison in a row is a ChainedComparisonError."""
         node = self.parse_unary(minimum)
+        tokens = self.tokens
         # only operator tokens and the keywords and/or spell a key of the table
-        while (level := _BINARY_LEVEL.get(self.peek().text, 0)) >= minimum:
-            op = self.advance().text
+        while (level := _BINARY_LEVEL.get(op := tokens[self.i], 0)) >= minimum:
+            self.i += 1
             node = Binary(op, node, self.parse_binary(level + 1))
-            if level == _LEVEL_CMP and _BINARY_LEVEL.get(self.peek().text) == _LEVEL_CMP:
-                raise ChainedComparisonError("chained comparison", self.peek().pos)
+            if level == _LEVEL_CMP and _BINARY_LEVEL.get(tokens[self.i]) == _LEVEL_CMP:
+                raise self.error("chained comparison", ChainedComparisonError)
         return node
 
     def parse_unary(self, minimum: int) -> Expr:
-        tok = self.peek()
+        token = self.tokens[self.i]
+        if token.isidentifier() and token not in _KEYWORDS:
+            self.i += 1
+            self.names[token] = None
+            return VariableRef(token)
         # below its own level `not` is no operand: `x + not y` is an error
-        if tok.text == "not" and minimum <= _LEVEL_NOT:
-            self.advance()
+        if token == "not" and minimum <= _LEVEL_NOT:
+            self.i += 1
             return Unary("not", self.parse_binary(_LEVEL_NOT))
-        if tok.text == "-":
-            self.advance()
+        if token == "-":
+            self.i += 1
             return Unary("-", self.parse_unary(_LEVEL_NEG))
         return self.parse_atom()
 
     def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
+        token = self.tokens[self.i]
+        if token in _KEYWORDS:
+            raise self.error(f"unexpected keyword {token!r}")
+        if token.isdigit():
             try:
-                return IntLiteral(int(tok.text))
+                node = IntLiteral(int(token))
             except ValueError:  # more digits than sys.get_int_max_str_digits()
-                raise ExpressionSyntaxError("integer literal too long", tok.pos) from None
-        if tok.kind == "name":
-            if tok.text in ("and", "or", "not"):
-                raise ExpressionSyntaxError(f"unexpected keyword {tok.text!r}", tok.pos)
-            self.advance()
-            return VariableRef(tok.text)
-        if tok.text == "(":
-            self.advance()
-            node = self.parse_binary(1)
-            if self.peek().text != ")":
-                raise ExpressionSyntaxError("expected ')'", self.peek().pos)
-            self.advance()
+                raise self.error("integer literal too long") from None
+            self.i += 1
             return node
-        shown = tok.text if tok.kind != "end" else "end of input"
-        raise ExpressionSyntaxError(f"expected expression, found {shown}", tok.pos)
+        if token == "(":
+            self.i += 1
+            node = self.parse_binary(1)
+            if self.tokens[self.i] != ")":
+                raise self.error("expected ')'")
+            self.i += 1
+            return node
+        raise self.error(f"expected expression, found {token or 'end of input'}")
 
 
-def parse_expression(text: str) -> Expr:
-    """Parse ``text`` into an expression tree.
+def parse_expression(text: str, names: dict | None = None) -> Expr:
+    """Parse ``text`` into an expression tree, and add the names of its
+    variables to ``names``, if given, in first-occurrence order.
 
     Raises ExpressionSyntaxError (with a character offset) on malformed
     input, including chained comparisons, and ExpressionTooDeepError when
     parentheses nest past the interpreter's recursion limit.
     """
+    parser = _Parser(text, {} if names is None else names)
     try:
-        return _Parser(text).parse()
+        node = parser.parse_binary(1)
+        if parser.tokens[parser.i]:
+            raise parser.error(f"unexpected trailing input {parser.tokens[parser.i]!r}")
+        return node
     except RecursionError:
         raise ExpressionTooDeepError("expression nests too deeply to parse") from None
 
 
 def _level(node: Expr) -> int:
     """Precedence level of a node; TypeError for anything else."""
+    if isinstance(node, (IntLiteral, VariableRef)):
+        return _LEVEL_ATOM
     if isinstance(node, Binary) and node.op in _BINARY_LEVEL:
         return _BINARY_LEVEL[node.op]
     if isinstance(node, Unary) and node.op in ("-", "not"):
         return _LEVEL_NEG if node.op == "-" else _LEVEL_NOT
-    if isinstance(node, (IntLiteral, VariableRef)):
-        return _LEVEL_ATOM
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -213,17 +196,22 @@ def _spine(node: Expr, ops: tuple[str, ...]) -> tuple[list[Binary], Expr]:
     return spine, node
 
 
-def infer_type(node: Expr) -> str:
-    """Return "int" or "bool" for a well-typed expression.
+def infer_type(node: Expr, names: dict | None = None) -> str:
+    """Return "int" or "bool" for a well-typed expression, and add the names
+    of its variables to ``names``, if given, in first-occurrence order.
 
     Arithmetic and comparisons accept both kinds (booleans act as 0/1);
     ``and``/``or``/``not`` insist on boolean operands.
     """
+    if names is None:
+        names = {}
     level = _level(node)
     if level == _LEVEL_ATOM:
+        if isinstance(node, VariableRef):
+            names[node.name] = None
         return "int"
     if isinstance(node, Unary):
-        operand = infer_type(node.operand)
+        operand = infer_type(node.operand, names)
         if node.op == "-":
             return "int"
         if operand != "bool":
@@ -232,38 +220,30 @@ def infer_type(node: Expr) -> str:
             )
         return "bool"
     if level == _LEVEL_CMP:
-        infer_type(node.left)
-        infer_type(node.right)
+        infer_type(node.left, names)
+        infer_type(node.right, names)
         return "bool"
     ops = _ARITHMETIC if node.op in _ARITHMETIC else _CONNECTIVES
     spine, leftmost = _spine(node, ops)
     # operands in left-to-right order, each with the node that joins it
     for parent, side in [(spine[-1], leftmost)] + [(p, p.right) for p in reversed(spine)]:
-        if infer_type(side) != "bool" and ops == _CONNECTIVES:
+        if infer_type(side, names) != "bool" and ops == _CONNECTIVES:
             raise BadExpressionTypeError(
                 f"{parent.op} needs boolean operands, got {format_expression(side)!r}"
             )
     return "int" if ops == _ARITHMETIC else "bool"
 
 
-def _walk(node: Expr) -> Iterator[Expr]:
-    """Pre-order walk with an explicit stack, so long operator chains fit."""
+def variables_in(node: Expr) -> list[str]:
+    """Variable names in first-occurrence order, without duplicates: a
+    pre-order walk with an explicit stack, so long operator chains fit."""
+    seen: dict[str, None] = {}
     stack = [node]
     while stack:
         node = stack.pop()
-        yield node
-        for field in ("operand", "right", "left"):
-            child = getattr(node, field, None)
-            if child is not None:
-                stack.append(child)
-
-
-def variables_in(node: Expr) -> list[str]:
-    """Variable names in first-occurrence order, without duplicates."""
-    seen: dict[str, None] = {}
-    for sub in _walk(node):
-        if isinstance(sub, VariableRef):
-            seen.setdefault(sub.name)
+        if isinstance(node, VariableRef):
+            seen.setdefault(node.name)
+        stack += [c for f in ("operand", "right", "left") if (c := getattr(node, f, None)) is not None]
     return list(seen)
 
 

@@ -27,6 +27,7 @@ numbers the non-leaf nodes in preorder of their first occurrence.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -41,6 +42,7 @@ from .model import (
     Objective,
     VariableSpec,
     _as_float,
+    _only,
     validate_instance,
 )
 from .semantics import LEAF, ChanceNode, DecisionNode, Leaf, PolicyNode
@@ -56,9 +58,9 @@ class FormatWarning(UserWarning):
     """An instance document contains keys this version does not know."""
 
 
-def _require(obj: Any, kind: type, what: str):
+def _require(obj: Any, kind: type, what: str, field: str = ""):
     if not isinstance(obj, kind):
-        raise FormatError(f"{what} must be a {kind.__name__}, got {type(obj).__name__}")
+        raise FormatError(f"{what}{field} must be a {kind.__name__}, got {type(obj).__name__}")
     return obj
 
 
@@ -78,27 +80,31 @@ def _load_json(text: str) -> Any:
         raise FormatError("not valid JSON: an integer literal too long to read") from None
 
 
-def _int_list(obj: Any, what: str) -> list[int]:
-    _require(obj, list, what)
-    out = []
-    for v in obj:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise FormatError(f"{what} must contain integers, got {v!r}")
-        out.append(v)
-    return out
+# Each reader tests a whole list in one pass of C loops, and walks it value
+# by value only to word the first value it refuses.
+
+def _int_tuple(obj: Any, what: str, field: str = "") -> tuple[int, ...]:
+    if type(obj) is not list or not _only({int}, obj):
+        _require(obj, list, what, field)
+        for v in obj:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise FormatError(f"{what}{field} must contain integers, got {v!r}")
+    return tuple(obj)
 
 
-def _num_list(obj: Any, what: str) -> list[float]:
-    _require(obj, list, what)
-    out = []
-    for v in obj:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise FormatError(f"{what} must contain numbers, got {v!r}")
-        number = _as_float(v)
-        if not math.isfinite(number):
-            raise FormatError(f"{what} must contain finite numbers, got {v!r}")
-        out.append(number)
-    return out
+def _float_tuple(obj: Any, what: str, field: str, renormalize: bool) -> tuple[float, ...]:
+    if type(obj) is not list or not (_only({float}, obj) and all(map(math.isfinite, obj))):
+        _require(obj, list, what, field)
+        obj = [_finite(v, what + field) for v in obj]
+    return tuple(_rescale(obj) if renormalize else obj)
+
+
+def _finite(v: Any, what: str) -> float:
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise FormatError(f"{what} must contain numbers, got {v!r}")
+    if not math.isfinite(number := _as_float(v)):
+        raise FormatError(f"{what} must contain finite numbers, got {v!r}")
+    return number
 
 
 def _rescale(probs: list[float]) -> list[float]:
@@ -121,22 +127,20 @@ def _parse_cpt(obj: Any, child: str, renormalize: bool) -> ConditionalTable:
     _warn_unknown(obj, ("parents", "rows"), what)
     if "parents" not in obj or "rows" not in obj:
         raise FormatError(f"{what} needs parents and rows")
-    parents = _require(obj["parents"], list, f"{what} parents")
+    parents = _require(obj["parents"], list, what, " parents")
     for p in parents:
-        _require(p, str, f"{what} parent")
+        _require(p, str, what, " parent")
     rows: dict[tuple[int, ...], tuple[float, ...]] = {}
-    for i, row in enumerate(_require(obj["rows"], list, f"{what} rows")):
-        _require(row, dict, f"{what} row {i}")
-        _warn_unknown(row, ("given", "probabilities"), f"{what} row {i}")
+    for i, row in enumerate(_require(obj["rows"], list, what, " rows")):
+        at = f"{what} row {i}"
+        _require(row, dict, at)
+        _warn_unknown(row, ("given", "probabilities"), at)
         if "given" not in row or "probabilities" not in row:
-            raise FormatError(f"{what} row {i} needs given and probabilities")
-        given = tuple(_int_list(row["given"], f"{what} row {i} given"))
+            raise FormatError(f"{at} needs given and probabilities")
+        given = _int_tuple(row["given"], at, " given")
         if given in rows:
             raise FormatError(f"{what} has two rows for {list(given)}")
-        probs = _num_list(row["probabilities"], f"{what} row {i} probabilities")
-        if renormalize:
-            probs = _rescale(probs)
-        rows[given] = tuple(probs)
+        rows[given] = _float_tuple(row["probabilities"], at, " probabilities", renormalize)
     return ConditionalTable(child, tuple(parents), rows)
 
 
@@ -147,15 +151,12 @@ def _parse_variable(obj: Any, position: int, renormalize: bool) -> VariableSpec:
     for key in ("name", "kind", "domain"):
         if key not in obj:
             raise FormatError(f"{what} misses {key!r}")
-    name = _require(obj["name"], str, f"{what} name")
-    kind = _require(obj["kind"], str, f"{what} kind")
-    domain = tuple(_int_list(obj["domain"], f"{what} domain"))
+    name = _require(obj["name"], str, what, " name")
+    kind = _require(obj["kind"], str, what, " kind")
+    domain = _int_tuple(obj["domain"], what, " domain")
     probabilities = None
     if "probabilities" in obj:
-        probs = _num_list(obj["probabilities"], f"{what} probabilities")
-        if renormalize:
-            probs = _rescale(probs)
-        probabilities = tuple(probs)
+        probabilities = _float_tuple(obj["probabilities"], what, " probabilities", renormalize)
     cpt = _parse_cpt(obj["cpt"], name, renormalize) if "cpt" in obj else None
     return VariableSpec(name, kind, domain, probabilities=probabilities, cpt=cpt)
 
@@ -167,19 +168,21 @@ def _parse_constraint(obj: Any, position: int) -> Constraint:
         _warn_unknown(obj, ("type", "text"), what)
         if "text" not in obj:
             raise FormatError(f"{what} misses 'text'")
-        ast = _expr.parse_expression(_require(obj["text"], str, f"{what} text"))
-        return Constraint(scope=tuple(_expr.variables_in(ast)), expression=ast)
+        names: dict = {}
+        ast = _expr.parse_expression(_require(obj["text"], str, what, " text"), names)
+        return Constraint(scope=tuple(names), expression=ast)
     if obj.get("type") == "table":
         _warn_unknown(obj, ("type", "scope", "tuples"), what)
         if "scope" not in obj or "tuples" not in obj:
             raise FormatError(f"{what} needs scope and tuples")
-        scope = _require(obj["scope"], list, f"{what} scope")
+        scope = _require(obj["scope"], list, what, " scope")
         for s in scope:
-            _require(s, str, f"{what} scope entry")
-        tuples = _require(obj["tuples"], list, f"{what} tuples")
-        allowed = frozenset(
-            tuple(_int_list(t, f"{what} tuple {i}")) for i, t in enumerate(tuples)
-        )
+            _require(s, str, what, " scope entry")
+        tuples = _require(obj["tuples"], list, what, " tuples")
+        if _only({list}, tuples) and _only({int}, itertools.chain.from_iterable(tuples)):
+            allowed = frozenset(map(tuple, tuples))
+        else:
+            allowed = frozenset(_int_tuple(t, f"{what} tuple {i}") for i, t in enumerate(tuples))
         return Constraint(scope=tuple(scope), allowed=allowed)
     raise FormatError(f"{what} type must be 'expr' or 'table', got {obj.get('type')!r}")
 
@@ -188,7 +191,9 @@ def parse_instance(text: str, renormalize: bool = False) -> Instance:
     """Parse and validate one .scsp JSON document.
 
     With renormalize=True, probability vectors are scaled to sum to 1
-    before validation (negative entries still fail).
+    before validation (negative entries still fail). Every fault of the
+    file's shape is found before any model check runs, so it is the one
+    reported; validation keeps the records built here.
     """
     doc = _load_json(text)
     _require(doc, dict, "instance document")
@@ -238,10 +243,12 @@ def parse_instance(text: str, renormalize: bool = False) -> Instance:
 def _read(path, error: type[StocsError]) -> str:
     """The UTF-8 text of a file; other bytes raise ``error``."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.read().decode("utf-8")
     except UnicodeDecodeError as e:
         raise error(f"not UTF-8 text ({e.reason} at byte {e.start})") from None
+    # the newlines text mode reads: cheaper than its decoder for one read
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def load_instance(path, renormalize: bool = False) -> Instance:

@@ -12,9 +12,10 @@ concurrent searches.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
-import re
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,7 +56,6 @@ PROB_TOL = 1e-9
 # the most policies the oracle enumerates, and where policy counts stop
 ORACLE_CAP = 10 ** 6
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class ViolationValueWarning(UserWarning):
@@ -298,51 +298,64 @@ def _check_theta(theta) -> float:
     return theta
 
 
-def _check_name(name, what: str) -> str:
-    if not isinstance(name, str) or not _NAME_RE.match(name):
-        raise InstanceValidationError(f"{what} name {name!r} is not an identifier")
-    return name
+_PRINTABLE = 10 ** 639  # a smaller integer prints under any int digit limit
+
+
+def _only(types: set, values) -> bool:
+    """Whether the type of every value is one of ``types`` (a bool is not an
+    int). Each check runs this one pass of C loops over a whole field, and
+    walks the field value by value only if it fails, to word the first fault."""
+    return {*map(type, values)} <= types
 
 
 def _check_distribution(probs, domain: tuple[int, ...], what: str) -> tuple[float, ...]:
+    """probs as a tuple of floats: the same tuple when it is one already."""
     if len(probs) != len(domain):
         raise ProbabilityLengthMismatchError(
             f"{what}: {len(probs)} probabilities for {len(domain)} domain values"
         )
-    values = []
-    for p in probs:
-        p = _check_number(p, what)
-        if not math.isfinite(p):
-            raise NonFiniteProbabilityError(f"{what}: non-finite probability {p}")
-        if p < 0.0:
-            raise NegativeProbabilityError(f"{what}: negative probability {p}")
-        values.append(p)
-    total = sum(values)
+    if not (type(probs) is tuple and _only({float}, probs) and all(map(math.isfinite, probs))
+            and min(probs) >= 0.0):
+        values = []
+        for p in probs:
+            p = _check_number(p, what)
+            if not math.isfinite(p):
+                raise NonFiniteProbabilityError(f"{what}: non-finite probability {p}")
+            if p < 0.0:
+                raise NegativeProbabilityError(f"{what}: negative probability {p}")
+            values.append(p)
+        probs = tuple(values)
+    total = sum(probs)
     if abs(total - 1.0) > PROB_TOL:
         raise BadProbabilitySumError(f"{what}: probabilities sum to {total!r}", total)
-    return tuple(values)
+    return probs
 
 
 def _validate_variable(raw: VariableSpec) -> VariableSpec:
-    name = _check_name(raw.name, "variable")
+    name = raw.name
+    if not isinstance(name, str) or not (name.isascii() and name.isidentifier()):
+        raise InstanceValidationError(f"variable name {name!r} is not an identifier")
     if raw.kind not in ("decision", "stochastic"):
         raise InstanceValidationError(f"variable {name}: unknown kind {raw.kind!r}")
     domain = tuple(raw.domain)
     if not domain:
         raise EmptyDomainError(f"variable {name}: empty domain")
-    for v in domain:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise InstanceValidationError(f"variable {name}: non-integer domain value {v!r}")
-        _repr(v, InstanceValidationError, f"variable {name}")  # dump_instance writes it
-    if any(a >= b for a, b in zip(domain, domain[1:])):
-        raise UnsortedDomainError(f"variable {name}: domain must be strictly increasing")
+    if not (_only({int}, domain) and -_PRINTABLE < domain[0] and domain[-1] < _PRINTABLE
+            and all(map(operator.lt, domain, domain[1:]))):
+        for v in domain:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise InstanceValidationError(f"variable {name}: non-integer domain value {v!r}")
+            _repr(v, InstanceValidationError, f"variable {name}")  # dump_instance writes it
+        if any(a >= b for a, b in zip(domain, domain[1:])):
+            raise UnsortedDomainError(f"variable {name}: domain must be strictly increasing")
+    same = type(raw) is VariableSpec and domain is raw.domain  # then keep raw, not a copy
 
     if raw.kind == "decision":
         if raw.probabilities is not None:
             raise ProbabilitiesOnDecisionError(f"variable {name}: probabilities on a decision variable")
         if raw.cpt is not None:
             raise ProbabilitiesOnDecisionError(f"variable {name}: conditional table on a decision variable")
-        return VariableSpec(name, "decision", domain)
+        return raw if same else VariableSpec(name, "decision", domain)
 
     if raw.probabilities is not None and raw.cpt is not None:
         raise InstanceValidationError(
@@ -350,14 +363,15 @@ def _validate_variable(raw: VariableSpec) -> VariableSpec:
         )
     if raw.probabilities is not None:
         probs = _check_distribution(raw.probabilities, domain, f"variable {name}")
-        return VariableSpec(name, "stochastic", domain, probabilities=probs)
+        return raw if same and probs is raw.probabilities else VariableSpec(name, "stochastic", domain, probs)
     if raw.cpt is None:
         raise MissingDistributionError(f"variable {name}: stochastic variable needs a distribution")
-    return VariableSpec(name, "stochastic", domain, cpt=raw.cpt)  # cpt checked later
+    return raw if same else VariableSpec(name, "stochastic", domain, cpt=raw.cpt)  # cpt checked later
 
 
 def _validate_cpt(var: VariableSpec, variables: tuple[VariableSpec, ...],
                   index_of: dict[str, int]) -> ConditionalTable:
+    """The normalized table, rows in parent-value order: ``var.cpt`` when it is one."""
     cpt = var.cpt
     assert cpt is not None
     child_idx = index_of[var.name]
@@ -400,14 +414,30 @@ def _validate_cpt(var: VariableSpec, variables: tuple[VariableSpec, ...],
         given: _check_distribution(probs, var.domain, f"conditional table for {var.name} row {given}")
         for given, probs in sorted(rows.items())
     }
+    if type(cpt) is ConditionalTable and parents is cpt.parents and type(cpt.rows) is dict \
+            and _same(tuple(checked), tuple(cpt.rows)) \
+            and _same(tuple(checked.values()), tuple(cpt.rows.values())):
+        return cpt
     return ConditionalTable(var.name, parents, checked)
 
 
-def _infer_type(node: _expr.Expr, label: str) -> str:
+def _check_expression(node: _expr.Expr, index_of: dict[str, int],
+                      label: str) -> tuple[tuple[str, ...], str]:
+    """variables_in and infer_type of an expression, from one walk; an unknown
+    name is reported before any fault the type check meets."""
+    names: dict = {}
     try:
-        return _expr.infer_type(node)
+        kind = _expr.infer_type(node, names)
     except RecursionError:
-        raise ExpressionTooDeepError(f"{label}: expression nests too deeply to check") from None
+        kind = ExpressionTooDeepError(f"{label}: expression nests too deeply to check")
+    except (StocsError, TypeError) as fault:  # raised below, after the names
+        kind = fault
+    for name in names if isinstance(kind, str) else _expr.variables_in(node):
+        if name not in index_of:
+            raise UnknownScopeVariableError(f"{label}: unknown variable {name!r}", name)
+    if not isinstance(kind, str):
+        raise kind
+    return tuple(names), kind
 
 
 def _validate_constraint(raw: Constraint, variables: tuple[VariableSpec, ...],
@@ -416,15 +446,13 @@ def _validate_constraint(raw: Constraint, variables: tuple[VariableSpec, ...],
         raise InstanceValidationError(f"{label}: need exactly one of a table or an expression")
 
     if raw.expression is not None:
-        names = _expr.variables_in(raw.expression)
-        for name in names:
-            if name not in index_of:
-                raise UnknownScopeVariableError(f"{label}: unknown variable {name!r}", name)
-        if _infer_type(raw.expression, label) != "bool":
+        scope, kind = _check_expression(raw.expression, index_of, label)
+        if kind != "bool":
             raise NonBooleanConstraintError(
                 f"{label}: expression {_expr.format_expression(raw.expression)!r} is not boolean"
             )
-        return Constraint(scope=tuple(names), expression=raw.expression)
+        return raw if type(raw) is Constraint and _same(scope, raw.scope) \
+            else Constraint(scope, None, raw.expression)
 
     scope = tuple(raw.scope)
     if not scope:
@@ -436,39 +464,40 @@ def _validate_constraint(raw: Constraint, variables: tuple[VariableSpec, ...],
         if name in seen:
             raise DuplicateScopeVariableError(f"{label}: duplicate scope variable {name!r}")
         seen.add(name)
-    domains = [variables[index_of[name]].domain for name in scope]
-    tuples = set()
-    for t in raw.allowed:
+    sets = [frozenset(variables[index_of[name]].domain) for name in scope]
+    tuples = raw.allowed
+    for t in tuples:
         t = tuple(t)
         if len(t) != len(scope):
             raise ArityMismatchError(f"{label}: tuple {_repr(t, InstanceValidationError, label)} "
                                      f"has arity {len(t)}, scope has {len(scope)}")
-        for value, name, domain in zip(t, scope, domains):
-            if value not in domain:
+        for value, name, values in zip(t, scope, sets):
+            if value not in values:
                 raise OutOfDomainValueError(
                     f"{label}: value {_repr(value, InstanceValidationError, label)} "
                     f"not in domain of {name}")
-        tuples.add(t)
-    return Constraint(scope=scope, allowed=frozenset(tuples))
+    if not (type(tuples) is frozenset and _only({tuple}, tuples)):
+        tuples = frozenset(map(tuple, tuples))
+    return raw if type(raw) is Constraint and scope is raw.scope and tuples is raw.allowed \
+        else Constraint(scope, tuples)
 
 
 def validate_instance(raw: Instance) -> Instance:
     """Check every model invariant and return a normalized instance.
 
-    Idempotent: validating the result returns an equal instance.
+    Idempotent: validating a normalized instance returns that instance.
     """
     variables_in_order = tuple(raw.variables)
     names = [v.name for v in variables_in_order]
-    dup = {n for n in names if names.count(n) > 1}
-    if dup:
-        raise DuplicateNameError(f"duplicate variable name {sorted(dup)[0]!r}")
     index_of = {n: i for i, n in enumerate(names)}
+    if len(index_of) < len(names):
+        dup = [n for n, count in collections.Counter(names).items() if count > 1]
+        raise DuplicateNameError(f"duplicate variable name {sorted(dup)[0]!r}")
 
-    variables = tuple(_validate_variable(v) for v in variables_in_order)
+    variables = tuple(map(_validate_variable, variables_in_order))
     variables = tuple(
-        v if v.cpt is None else VariableSpec(
-            v.name, v.kind, v.domain, cpt=_validate_cpt(v, variables, index_of)
-        )
+        v if v.cpt is None or v.cpt is (cpt := _validate_cpt(v, variables, index_of))
+        else VariableSpec(v.name, v.kind, v.domain, cpt=cpt)
         for v in variables
     )
 
@@ -481,10 +510,7 @@ def validate_instance(raw: Instance) -> Instance:
 
     objective = raw.objective
     if objective is not None:
-        for name in _expr.variables_in(objective.expression):
-            if name not in index_of:
-                raise UnknownScopeVariableError(f"objective: unknown variable {name!r}", name)
-        _infer_type(objective.expression, "objective")
+        _check_expression(objective.expression, index_of, "objective")
         violation = _check_number(objective.violation_value, "objective: violation_value")
         if not math.isfinite(violation):
             raise InstanceValidationError(f"objective: non-finite violation_value {violation}")
@@ -497,12 +523,16 @@ def validate_instance(raw: Instance) -> Instance:
                 ViolationValueWarning,
                 stacklevel=2,
             )
-        objective = Objective(objective.expression, violation)
+        if type(objective) is not Objective or violation is not objective.violation_value:
+            objective = Objective(objective.expression, violation)
 
-    return Instance(
-        variables=variables,
-        constraints=constraints,
-        theta=theta,
-        objective=objective,
-        name=str(raw.name or ""),
-    )
+    name = str(raw.name or "")
+    if type(raw) is Instance and _same(variables, raw.variables) and theta is raw.theta \
+            and _same(constraints, raw.constraints) and objective is raw.objective and name is raw.name:
+        return raw  # every record is normalized already
+    return Instance(variables, constraints, theta, objective, name)
+
+
+def _same(new: tuple, old) -> bool:
+    """Whether ``old`` is a tuple of the very objects in ``new``."""
+    return type(old) is tuple and len(old) == len(new) and all(map(operator.is_, new, old))

@@ -892,6 +892,32 @@ class TestBadInputIsTyped:
             assert (code, out) == (2, ""), argv
             assert err == "error: not UTF-8 text (invalid start byte at byte 0)\n"
 
+    @pytest.mark.parametrize("digit", ["\u0661", "\uff11"], ids=["arabic-indic", "fullwidth"])
+    def test_a_non_ascii_digit_is_a_syntax_error(self, capsys, instances_dir, tmp_path, digit):
+        # int() reads both as 1, so `1 = <digit>` once made this constraint true
+        doc = json.loads((instances_dir / "production.scsp").read_text(encoding="utf-8"))
+        text = doc["constraints"][0]["text"] + " or 1 = " + digit
+        doc["constraints"][0]["text"] = text
+        path = tmp_path / "digit.scsp"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: unexpected character {digit!r} (at position {len(text) - 1})\n"
+
+    def test_a_long_chain_fails_fast(self, capsys, tmp_path):
+        # the duplicate-name check counts the names in one pass; counting each
+        # name anew took 7.6 s for this chain on a 2-vCPU host, against 0.3 s
+        chain = [{"name": f"x{i}", "kind": "decision", "domain": [0, 1]} if i % 2 == 0
+                 else {"name": f"s{i}", "kind": "stochastic", "domain": [0, 1],
+                       "probabilities": [0.5, 0.5]} for i in range(20000)]
+        path = tmp_path / "chain.scsp"
+        path.write_text(json.dumps({"theta": 0.5, "variables": chain}), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "solve", str(path))
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 20000 variables need about")
+
     def test_redundant_parentheses_parse_and_solve(self, capsys, tmp_path):
         # about three stack frames per parenthesis: 200 fit under the limit of 1000
         path = self.write(tmp_path, [{"name": "x", "kind": "decision", "domain": [0, 1]}],

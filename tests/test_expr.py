@@ -85,6 +85,32 @@ class TestParsing:
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("NOT x = 1 AND y = 2")
 
+    @pytest.mark.parametrize("text, position", [
+        ("x = \u0661", 4),  # ARABIC-INDIC DIGIT ONE, which int() reads as 1
+        ("x = 1\uff12", 5),  # FULLWIDTH DIGIT TWO after an ASCII digit
+        ("x\u00a0= 1", 1),  # NO-BREAK SPACE, which str.isspace() calls a blank
+        ("x = 1 \u2028", 6),  # LINE SEPARATOR at the end
+    ], ids=["arabic-indic-digit", "fullwidth-digit", "no-break-space", "line-separator"])
+    def test_digits_and_blanks_are_ascii(self, text, position):
+        with pytest.raises(ExpressionSyntaxError, match="unexpected character") as info:
+            parse_expression(text)
+        assert info.value.position == position
+
+    @pytest.mark.parametrize("text", ["x = 1 ", "x = 1\t\n", "  x = 1\r\n "])
+    def test_blanks_around_an_expression(self, text):
+        assert parse_expression(text) == Binary("=", x("x"), IntLiteral(1))
+
+    def test_names_are_collected_in_first_occurrence_order(self):
+        names = {}
+        node = parse_expression("b + a * (c - b) >= a", names)
+        assert list(names) == variables_in(node) == ["b", "a", "c"]
+
+    def test_one_walk_gives_type_and_names(self):
+        names = {}
+        node = parse_expression("not (q = 1) or -p * r > q")
+        assert infer_type(node, names) == "bool"
+        assert list(names) == variables_in(node) == ["q", "p", "r"]
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
