@@ -58,10 +58,12 @@ def _load(path: str, renormalize: bool = False) -> Instance:
     # surface format/validation warnings on stderr, deterministically
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        instance = load_instance(path, renormalize=renormalize)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    return instance
+        try:
+            return load_instance(path, renormalize=renormalize)
+        finally:
+            # before the error a failed load raises, which they may explain
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
 
 
 def _rules(args: argparse.Namespace) -> PruneRules:

@@ -144,13 +144,14 @@ def optimize_chance_constrained(instance: Instance, theta: float | None = None,
     first feasible policy in enumeration order.
     """
     threshold = instance.theta if theta is None else _check_theta(theta)
-    _compiled_objective(instance)  # fail fast without an objective
+    objective, violation = _compiled_objective(instance)  # fails fast without one
+    key_at = instance._key_table(instance.objective)
     best: OptimizeResult | None = None
     for policy in enumerate_policies(instance, cap=cap):
         satisfaction = policy_satisfaction(instance, policy)
         if satisfaction < threshold - PROB_TOL:
             continue
-        value = policy_expected_value(instance, policy)
+        value = _policy_value(instance, policy, objective, violation, key_at)
         if best is None or value > best.expected_value:
             best = OptimizeResult(policy, value, satisfaction)
     if best is None:

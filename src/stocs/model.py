@@ -476,6 +476,11 @@ def _validate_constraint(raw: Constraint, variables: tuple[VariableSpec, ...],
                 raise OutOfDomainValueError(
                     f"{label}: value {_repr(value, InstanceValidationError, label)} "
                     f"not in domain of {name}")
+    if not _only({int}, itertools.chain.from_iterable(tuples)):
+        # 1 == 1.0 == True, so a float or bool passes the domain test above
+        for value in itertools.chain.from_iterable(tuples):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InstanceValidationError(f"{label}: non-integer table value {value!r}")
     if not (type(tuples) is frozenset and _only({tuple}, tuples)):
         tuples = frozenset(map(tuple, tuples))
     return raw if type(raw) is Constraint and scope is raw.scope and tuples is raw.allowed \

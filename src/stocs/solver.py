@@ -5,11 +5,11 @@ decision values and weighting stochastic branches by probability. They
 run in two modes:
 
   max    - compute the exact maximal satisfaction and an argmax policy.
-  decide - answer "is some policy >= theta" with a witness, pruning
-           against locally required thresholds.
+  decide - answer "is some policy >= theta" with a witness, by
+           backtracking within a lower and an upper threshold.
 
 A decision node stops scanning its values once one suffices: in decide
-mode once a value meets the local requirement, in max mode once a value
+mode once a value reaches the upper threshold, in max mode once a value
 reaches satisfaction 1.0. The latter is the oracle's own stop rule, so
 the argmax stays the oracle's first depth-first optimum.
 
@@ -26,14 +26,12 @@ longer branch-independent) and only domain wipeout remains. A value left
 in a domain has passed every constraint that ends at its variable, so
 forward checking never checks those constraints again on assignment.
 
-At unkeyed depths decide mode keeps a lower and an upper accumulator per
-chance node. The locally required threshold only caps how much of a
-child's exact value gets computed, so a child may report an interval
-rather than a point; when the accumulated intervals straddle the
-threshold, straddling children are re-scored exactly (max mode) until
-the verdict is settled. A naive single-accumulator scheme is unsound
-there: an early-stopped sibling's surplus above its local requirement
-can be exactly what a later shortfall needs.
+At unkeyed depths decide mode searches a window (lo, hi), the paper's
+BT(theta_l, theta_h) and the chance-node form of alpha-beta, and returns
+one value per subtree (see decide_value). A decision value must beat the
+best so far. Chance branch i of probability q must reach required_threshold
+of lo and need not pass (hi - total) / q, where total sums the exact values
+of the branches before it. The root window is theta - PROB_TOL on both sides.
 
 Max mode caches subtree results by key (AND/OR search with caching).
 The key of depth d (Instance.key_at) holds what the subtree below d reads
@@ -42,8 +40,8 @@ part of each linear sum. Equal keys mean an identical subproblem, its live
 domains and masses included, so one key serves bt and fc; depths keyed on
 the whole prefix never repeat a key and skip the cache. A hit is the
 first-found optimum of an identical subproblem, so values and argmax
-policies do not change. At a keyed depth decide mode answers (v, v, policy)
-from max mode, so every entry is exact and serves every requirement. A walk
+policies do not change. At a keyed depth decide mode answers from max
+mode, so every entry is exact and serves every window. A walk
 stores each key once, and at most CACHE_ENTRIES keys (0 turns caching off).
 
 Prune rules can be disabled independently; verdicts and values never
@@ -283,128 +281,86 @@ class _Search:
     # decide mode
     # ------------------------------------------------------------------
     #
-    # decide_value returns (lo, hi, policy), max mode's (v, v, policy) if keyed, with:
-    #   lo <= true subtree max <= hi
-    #   the policy's exact satisfaction is >= lo
-    #   conclusiveness: lo >= required or hi < required
+    # decide_value(depth, lo, hi) returns (v, policy), with:
+    #   v < lo:  the subtree's maximum is below lo
+    #   v >= hi: the policy scores at least v
+    #   else:    v is the subtree's maximum, bit-equal to max mode's, and
+    #            the policy attains it
 
-    def decide_value(self, depth: int, required: float) -> tuple[float, float, PolicyNode]:
+    def decide_value(self, depth: int, lo: float, hi: float) -> tuple[float, PolicyNode]:
         if depth == self.n:
-            return 1.0, 1.0, LEAF
+            return 1.0, LEAF
         if self.key_at[depth] is not None:
-            value, policy = self.max_value(depth)
-            return value, value, policy
+            return self.max_value(depth)
         var = self.inst.variables[depth]
         if var.kind == "decision":
-            return self._decide_decision(depth, var, required)
-        return self._decide_chance(depth, var, required)
+            return self._decide_decision(depth, var, lo, hi)
+        return self._decide_chance(depth, var, lo, hi)
 
     def _decide_decision(self, depth: int, var: VariableSpec,
-                         required: float) -> tuple[float, float, PolicyNode]:
-        best_lo = -1.0
+                         lo: float, hi: float) -> tuple[float, PolicyNode]:
+        best = -1.0
         best_pos = -1
         best_child: PolicyNode | None = None
-        node_hi = 0.0
-        stopped = False
         live = self.live[depth]
         for k, pos in enumerate(live):
+            # a value must beat the best so far: that is its floor
+            floor = min(hi, max(lo, best))
             mark = len(self.trail)
             if not self._enter(depth, var.domain[pos]):
-                lo, hi, child = 0.0, 0.0, None
+                score, child = 0.0, None
+            elif self.use_mass and self.rules.fc_mass and self._ub(depth) < floor:
+                self.stats.fc_mass_prunes += 1
+                score, child = -1.0, None
             else:
-                bound = self._ub(depth)
-                if self.use_mass and self.rules.fc_mass and bound < required:
-                    self.stats.fc_mass_prunes += 1
-                    lo, hi, child = 0.0, bound, None
-                else:
-                    lo, hi, child = self.decide_value(depth + 1, required)
-                    hi = min(hi, bound)
+                score, child = self.decide_value(depth + 1, floor, hi)
             self._undo(mark)
             self.env[depth] = None
-            if lo > best_lo:
-                best_lo, best_pos, best_child = lo, pos, child
-            node_hi = max(node_hi, hi)
-            if lo >= required and self.rules.decision_stop:
+            if score > best:
+                best, best_pos, best_child = score, pos, child
+            if best >= min(hi, 1.0) and self.rules.decision_stop:
                 if k + 1 < len(live):
                     self.stats.decision_prunes += 1
-                    stopped = True
                 break
-        if best_pos < 0:
-            return 0.0, 0.0, DecisionNode(var.name, var.domain[0], self.first[depth + 1])
-        if best_child is None:
-            best_child = self.first[depth + 1]
-        hi = 1.0 if stopped else max(node_hi, best_lo)
-        return best_lo, hi, DecisionNode(var.name, var.domain[best_pos], best_child)
+        if best <= 0.0:
+            # as in max mode; below a positive lo this is a miss
+            return 0.0, DecisionNode(var.name, var.domain[0], self.first[depth + 1])
+        return best, DecisionNode(var.name, var.domain[best_pos], best_child)
 
     def _decide_chance(self, depth: int, var: VariableSpec,
-                       required: float) -> tuple[float, float, PolicyNode]:
+                       lo: float, hi: float) -> tuple[float, PolicyNode]:
         probs = self.inst.distribution(depth, self.env)
         k = len(var.domain)
         suffix = [0.0] * (k + 1)
         for i in range(k - 1, -1, -1):
             suffix[i] = suffix[i + 1] + probs[i]
         children: list[PolicyNode] = [self.first[depth + 1]] * k
-        bounds: list[tuple[float, float]] = [(0.0, 0.0)] * k
-        a_lo = 0.0
-        a_hi = 0.0
-        abort_hi = None
+        total = 0.0
+        missed = False
         live = self.live[depth]
         for i, (w, q) in enumerate(zip(var.domain, probs)):
-            if self.rules.chance_abort:
-                if a_lo >= required:
-                    # settled satisfiable; leave the rest at the default subtree
-                    self.stats.chance_prunes += 1
-                    return a_lo, a_hi + suffix[i], ChanceNode(var.name, tuple(children))
-                if a_hi + suffix[i] < required:
-                    self.stats.chance_prunes += 1
-                    abort_hi = a_hi + suffix[i]
-                    break
+            if self.rules.chance_abort and (missed or total >= hi or total + suffix[i] < lo):
+                # settled either way; the rest keep the default subtree
+                self.stats.chance_prunes += 1
+                break
             if q == 0.0 or i not in live:
                 continue  # exact 0 contribution, default child stands
-            child_required = required_threshold(required, q, a_hi, suffix[i + 1])
+            floor = required_threshold(lo, q, total, suffix[i + 1])
             mark = len(self.trail)
             if not self._enter(depth, w):
-                lo, hi = 0.0, 0.0
+                score = 0.0
+            elif self.use_mass and self.rules.fc_mass and self._ub(depth) < floor:
+                self.stats.fc_mass_prunes += 1
+                score = -1.0
             else:
-                bound = self._ub(depth)
-                if self.use_mass and self.rules.fc_mass and bound < child_required:
-                    self.stats.fc_mass_prunes += 1
-                    lo, hi = 0.0, bound
-                else:
-                    lo, hi, child = self.decide_value(depth + 1, child_required)
-                    hi = min(hi, bound)
-                    children[i] = child
+                score, children[i] = self.decide_value(depth + 1, floor, (hi - total) / q)
             self._undo(mark)
             self.env[depth] = None
-            bounds[i] = (lo, hi)
-            a_lo += q * lo
-            a_hi += q * min(hi, 1.0)
-        node = ChanceNode(var.name, tuple(children))
-        if abort_hi is not None:
-            return a_lo, abort_hi, node
-        if a_lo >= required or a_hi < required:
-            return a_lo, a_hi, node
-        # The intervals straddle the requirement: settle straddling branches
-        # exactly, in domain order, until either accumulator crosses it.
-        for i, (w, q) in enumerate(zip(var.domain, probs)):
-            lo, hi = bounds[i]
-            if q == 0.0 or lo >= hi:
-                continue
-            mark = len(self.trail)
-            entered = self._enter(depth, w)
-            assert entered, "straddling branch was explored before"
-            exact, child = self.max_value(depth + 1)
-            self._undo(mark)
-            self.env[depth] = None
-            children[i] = child
-            a_lo += q * (exact - lo)
-            a_hi += q * (exact - min(hi, 1.0))
-            bounds[i] = (exact, exact)
-            node = ChanceNode(var.name, tuple(children))
-            if a_lo >= required or a_hi < required:
-                return a_lo, a_hi, node
-        # every branch exact: collapse the accumulators' rounding gap
-        return a_lo, a_lo, node
+            if score < floor:
+                missed = True  # this branch's maximum cannot lift the node to lo
+            else:
+                total += q * score
+        return -1.0 if missed else total, ChanceNode(var.name, tuple(children))
 
 
 def _run_max(instance: Instance, fc: bool, rules: PruneRules | None) -> SatisfactionResult:
@@ -425,8 +381,8 @@ def _run_decide(instance: Instance, fc: bool, theta_override: float | None,
     search = _Search(instance, fc, rules or PruneRules())
     if search.root_dead:
         return DecideResult(False, None, search.stats)
-    lo, _, policy = search.decide_value(0, required)
-    if lo >= required:
+    value, policy = search.decide_value(0, required, required)
+    if value >= required:
         return DecideResult(True, policy, search.stats)
     return DecideResult(False, None, search.stats)
 

@@ -34,6 +34,7 @@ from stocs.errors import (
     NoObjectiveError,
     ThetaOutOfRangeError,
 )
+from stocs import expr
 from conftest import make_instance
 
 TOL = 1e-9
@@ -254,6 +255,20 @@ class TestChanceConstrainedOptimize:
         inst = load_instance(instances_dir / "objective.scsp")
         with pytest.raises(ThetaOutOfRangeError):
             optimize_chance_constrained(inst, theta=theta)
+
+    def test_objective_compiles_once_per_call(self, instance_b, monkeypatch):
+        inst = with_objective(instance_b, "10 * (x = s)")
+        compiled = []
+        compile_expression = expr.compile_expression
+
+        def counting(node, index_of):
+            compiled.append(node)
+            return compile_expression(node, index_of)
+
+        monkeypatch.setattr(expr, "compile_expression", counting)
+        optimize_chance_constrained(inst, theta=0.0)
+        assert len(list(enumerate_policies(inst))) == 4
+        assert compiled.count(inst.objective.expression) == 1
 
     def test_infeasible_threshold(self, instance_a):
         inst = with_objective(instance_a, "10 * (x = s)")

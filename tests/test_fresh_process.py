@@ -1,0 +1,126 @@
+"""The command line in fresh interpreters, as a user runs it.
+
+Each command runs as ``python -X dev -W error -m stocs ...`` in its own
+process, so import-time work, argument scanning, help and usage errors,
+exit codes and the files one command writes for another are checked
+outside the test process, and any warning fails the command.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SUBCOMMANDS = ("solve", "oracle", "eval", "approx", "optimize", "bench")
+
+
+def stocs(*args, timeout=60):
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "stocs", *map(str, args)],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        encoding="utf-8", timeout=timeout)
+
+
+def assert_input_error(done):
+    assert done.returncode == 2, done.stderr
+    assert any(line.startswith("error: ") for line in done.stderr.splitlines()), done.stderr
+
+
+@pytest.mark.parametrize("argv", [(), *((name,) for name in SUBCOMMANDS)],
+                         ids=["root", *SUBCOMMANDS])
+def test_help_exits_zero(argv):
+    done = stocs(*argv, "--help")
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert done.stdout.startswith("usage: ")
+
+
+def test_unknown_subcommand_is_a_usage_error():
+    done = stocs("bogus")
+    assert done.returncode == 2
+    assert "invalid choice" in done.stderr
+
+
+def make_chain(n):
+    return [{"name": f"x{i}", "kind": "decision", "domain": [0, 1]} if i % 2 == 0
+            else {"name": f"s{i}", "kind": "stochastic", "domain": [0, 1],
+                  "probabilities": [0.5, 0.5]} for i in range(n)]
+
+
+@pytest.fixture(scope="module")
+def faulty(tmp_path_factory):
+    """Input files that must each fail with a typed error."""
+    tmp_path = tmp_path_factory.mktemp("faulty")
+    # Python converts at most 4,300 digits of an int to or from text, and the
+    # 28-variable chain's policy count has 16,384 bits
+    big = "1" + "0" * 5000
+    (tmp_path / "big.scsp").write_text('{"theta": ' + big + ', "variables": []}')
+    (tmp_path / "big.json").write_text('{"kind":"decision","variable":"x","value":' + big
+                                       + ',"child":{"kind":"leaf"}}')
+    chain = make_chain(28)
+    (tmp_path / "chain.scsp").write_text(json.dumps({"theta": 0.5, "variables": chain}))
+    # 1 = 2 fixes every value at 0, but eval must still check the policy
+    (tmp_path / "constant.scsp").write_text(json.dumps({
+        "theta": 0.5, "variables": chain[:2],
+        "constraints": [{"type": "expr", "text": "1 = 2"}]}))
+    (tmp_path / "leaf.json").write_text('{"kind":"leaf"}')
+    (tmp_path / "overflow.scsp").write_text(json.dumps({
+        "theta": 0.5, "variables": chain[:1], "objective": {"text": "x0 * 1" + "0" * 400}}))
+    # the duplicate-name check is linear, so this fails fast on its depth
+    (tmp_path / "long_chain.scsp").write_text(json.dumps({"theta": 0.5, "variables": make_chain(20000)}))
+    # int() reads ARABIC-INDIC DIGIT ONE as 1, but a literal is ASCII digits
+    production = json.loads((ROOT / "instances" / "production.scsp").read_text(encoding="utf-8"))
+    production["constraints"][0]["text"] += " or 1 = \u0661"
+    (tmp_path / "digit.scsp").write_text(json.dumps(production), encoding="utf-8")
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "{tmp}/big.scsp"),
+    ("eval", "instances/a.scsp", "--policy", "{tmp}/big.json"),
+    ("oracle", "{tmp}/chain.scsp"),
+    ("eval", "{tmp}/constant.scsp", "--policy", "{tmp}/leaf.json"),
+    ("optimize", "{tmp}/overflow.scsp"),
+    ("solve", "{tmp}/digit.scsp"),
+], ids=["big-theta", "big-policy-value", "oracle-past-cap", "malformed-policy-false-constant",
+        "objective-past-float-range", "non-ascii-digit"])
+def test_input_errors_exit_two(faulty, argv):
+    assert_input_error(stocs(*(a.format(tmp=faulty) for a in argv)))
+
+
+def test_a_20000_variable_chain_fails_fast(faulty):
+    assert_input_error(stocs("solve", faulty / "long_chain.scsp", timeout=20))
+
+
+@pytest.mark.parametrize("full, scanned", [
+    (("--theta=0.8",), ("--theta", "0.8")),
+    (("--alg", "fc", "--mo", "max"), ("--algorithm", "fc", "--mode", "max")),
+], ids=["equals-sign", "abbreviations"])
+def test_spellings_only_the_full_parser_reads(full, scanned):
+    # the scan reads the spelled-out options; argparse reads the others
+    full = stocs("solve", "instances/production.scsp", *full)
+    scanned = stocs("solve", "instances/production.scsp", *scanned)
+    assert full.stdout
+    assert (full.returncode, full.stdout, full.stderr) == (
+        scanned.returncode, scanned.stdout, scanned.stderr)
+
+
+@pytest.mark.parametrize("name", ["production", "conditional"])
+def test_written_policies_evaluate_in_another_process(tmp_path, name):
+    instance = f"instances/{name}.scsp"
+    theta = json.loads((ROOT / instance).read_text(encoding="utf-8"))["theta"]
+    done = stocs("solve", instance, "--algorithm", "fc", "--mode", "max",
+                 "--policy-out", tmp_path / "p.json")
+    evaluated = stocs("eval", instance, "--policy", tmp_path / "p.json")
+    assert done.stdout.startswith("MAX p=")
+    assert done.stdout.removeprefix("MAX p=") == evaluated.stdout.removeprefix("EVAL p=")
+    # the decide witness meets theta
+    done = stocs("solve", instance, "--policy-out", tmp_path / "w.json")
+    witness = stocs("eval", instance, "--policy", tmp_path / "w.json")
+    assert done.stdout == f"SAT p>={theta:.9f}\n"
+    assert witness.stdout.startswith("EVAL p=")
+    assert float(witness.stdout.removeprefix("EVAL p=")) >= theta

@@ -14,9 +14,11 @@ from stocs import (
     ViolationValueWarning,
     bt_decide,
     bt_max,
+    dump_instance,
     expr_constraint,
     optimize_expected,
     parse_expression,
+    parse_instance,
     table_constraint,
     validate_instance,
 )
@@ -141,6 +143,46 @@ class TestValidation:
         with pytest.raises(OutOfDomainValueError):
             build([VariableSpec("x", "decision", (0, 1))],
                   [table_constraint(("x",), [(7,)])])
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_table_value_must_be_an_integer(self, value):
+        # both equal 1, so a domain test alone takes them; dump_instance
+        # would then write a file that parse_instance refuses
+        with pytest.raises(InstanceValidationError, match="non-integer table value"):
+            build([X], [Constraint(("x",), frozenset({(value,)}))])
+
+    def test_api_records_normalize_to_what_a_file_gives(self):
+        # lists for tuples, int probabilities, unsorted or list table rows, an
+        # expression scope out of order and plain sets all become the records
+        # parse_instance builds; those validate to themselves
+        y = VariableSpec("y", "decision", (0, 1))
+        rows = {(1,): [0.5, 0.5], (0,): (0.25, 0.75)}
+        raw = Instance(
+            variables=(X, y,
+                       VariableSpec("s", "stochastic", (0, 1), probabilities=[0.5, 0.5]),
+                       VariableSpec("u", "stochastic", (0, 1), probabilities=(1, 0)),
+                       VariableSpec("t", "stochastic", (0, 1), cpt=ConditionalTable("t", ("x",), rows))),
+            constraints=(Constraint(("y", "x"), None, parse_expression("x = y")),
+                         Constraint(("x",), {(0,)}),
+                         Constraint(["x", "y"], frozenset({(0, 1)})),
+                         Constraint(("x", "y"), [[0, 1], [1, 0]])),
+            theta=0.5)
+        normalized = Instance(
+            variables=(X, y,
+                       VariableSpec("s", "stochastic", (0, 1), probabilities=(0.5, 0.5)),
+                       VariableSpec("u", "stochastic", (0, 1), probabilities=(1.0, 0.0)),
+                       VariableSpec("t", "stochastic", (0, 1), cpt=ConditionalTable(
+                           "t", ("x",), {(0,): (0.25, 0.75), (1,): (0.5, 0.5)}))),
+            constraints=(Constraint(("x", "y"), None, parse_expression("x = y")),
+                         Constraint(("x",), frozenset({(0,)})),
+                         Constraint(("x", "y"), frozenset({(0, 1)})),
+                         Constraint(("x", "y"), frozenset({(0, 1), (1, 0)}))),
+            theta=0.5)
+        got = validate_instance(raw)
+        assert got == normalized
+        assert list(got.variables[4].cpt.rows) == [(0,), (1,)]
+        assert validate_instance(got) is got
+        assert parse_instance(dump_instance(got)) == got
 
     def test_duplicate_scope_variable(self):
         with pytest.raises(DuplicateScopeVariableError):

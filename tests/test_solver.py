@@ -184,6 +184,37 @@ class TestDecideMode:
             # once unsatisfiable, stays unsatisfiable as theta grows
             assert verdicts == sorted(verdicts, reverse=True)
 
+    def test_window_contract(self):
+        # decide_value(depth, lo, hi) -> (v, policy): v < lo says the maximum
+        # is below lo, v >= hi that the policy scores at least v, and any v in
+        # between is max mode's value, bit for bit, with a policy attaining it.
+        # A bound exactly on the maximum may go either way by rounding (hence
+        # decide's theta - PROB_TOL), so bounds near it sit 1e-12 off or more.
+        rng = random.Random(67)
+        makers = (random_instance, random_cpt_instance, random_linear_instance,
+                  lambda r: random_instance(r, max_vars=7, zero_prob=True))
+        exact = 0
+        for i in range(120):
+            inst = makers[i % 4](rng)
+            for fc, rules in itertools.product((False, True), ALL_RULES[i % 4::4]):
+                probe = _Search(inst, fc, rules)
+                if probe.root_dead:
+                    continue
+                best = probe.max_value(0)[0]
+                for _ in range(2):
+                    near = (best - 1e-12, best + 1e-12, best - 1e-9, best + 1e-9)
+                    lo, hi = sorted(rng.sample((rng.random(), rng.random(), *near), 2))
+                    value, policy = _Search(inst, fc, rules).decide_value(0, lo, hi)
+                    if value < lo:
+                        assert best < lo
+                    elif value >= hi:
+                        assert policy_satisfaction(inst, policy) >= value - 1e-12
+                    else:
+                        exact += 1
+                        assert value == best
+                        assert policy_satisfaction(inst, policy) == pytest.approx(value, abs=1e-12)
+        assert exact >= 500
+
     def test_early_stopped_siblings_cannot_hide_mass(self):
         # x must cover the s1=1 half by matching the yet-unseen s2; the
         # s1=0 half satisfies for free. True max 0.75: a solver that
@@ -347,7 +378,7 @@ class TestSearchState:
 
     def test_trail_restores_after_decide(self, production):
         search = _Search(production, fc=True, rules=PruneRules())
-        search.decide_value(0, production.theta)
+        search.decide_value(0, production.theta, production.theta)
         assert search.live == [tuple(range(len(v.domain))) for v in production.variables]
         assert search.mass == [1.0] * production.n
         assert search.trail == []
@@ -365,7 +396,8 @@ class TestSearchState:
             if mode == "max":
                 search.max_value(0)
             else:
-                search.decide_value(0, max(0.0, inst.theta - 1e-9))
+                required = max(0.0, inst.theta - 1e-9)
+                search.decide_value(0, required, required)
             assert (search.live, search.mass) == after_unary
             assert search.trail == []
             assert search.env == [None] * inst.n
@@ -556,15 +588,15 @@ class TestContextCache:
         for fc in (False, True):
             for theta in (0.3, 0.87, 0.97):
                 search = _Search(inst, fc, PruneRules())
-                search.decide_value(0, theta)
+                search.decide_value(0, theta, theta)
                 assert search.memo
                 assert all(len(entry) == 2 for entry in search.memo.values())
             want = entered(fc).max_value(2)
             search = entered(fc)
-            assert search.decide_value(2, 0.5) == (want[0], *want)
+            assert search.decide_value(2, 0.5, 0.5) == want
             nodes, hits = search.stats.nodes_visited, search.stats.cache_hits
             for required in (0.1, 0.9, 1.0):
-                assert search.decide_value(2, required) == (want[0], *want)
+                assert search.decide_value(2, required, required) == want
             # the later requirements read the first one's entry and search nothing
             assert search.stats.nodes_visited == nodes
             assert search.stats.cache_hits == hits + 3
@@ -580,8 +612,8 @@ class TestContextCache:
         inst = make_instance(variables, [expr_constraint(f"{total} >= 2")])
         assert all(get is None for get in inst.key_at)
         assert bt_max(inst).probability == fc_max(inst).probability == 0.8125
-        assert bt_decide(inst, 0.3).stats.nodes_visited == 477
-        assert fc_decide(inst, 0.3).stats.nodes_visited == 288
+        assert bt_decide(inst, 0.3).stats.nodes_visited == 434
+        assert fc_decide(inst, 0.3).stats.nodes_visited == 254
         assert bt_max(inst).stats.nodes_visited == 1734
         assert fc_max(inst).stats.nodes_visited == 1086
 
@@ -596,7 +628,7 @@ class TestContextCache:
             if theta is None:
                 search.max_value(0)
             else:
-                search.decide_value(0, theta)
+                search.decide_value(0, theta, theta)
             return len(search.memo)
 
         full = {(fc, theta): stored(fc, theta) for fc in (False, True) for theta in thetas}
