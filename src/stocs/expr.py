@@ -21,6 +21,7 @@ lets objectives use indicator terms like ``10 * (x = s)``. The operands of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from bisect import bisect_left
@@ -185,6 +186,11 @@ def _level(node: Expr) -> int:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _check_literal(value) -> None:  # a literal's digits go into generated code
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InstanceValidationError(f"non-integer literal {value!r}")
+
+
 def _spine(node: Expr, ops: tuple[str, ...]) -> tuple[list[Binary], Expr]:
     """The nodes of a left-associative chain of ``ops``, top down, and its
     leftmost operand: a loop over long chains instead of one recursion per
@@ -209,6 +215,8 @@ def infer_type(node: Expr, names: dict | None = None) -> str:
     if level == _LEVEL_ATOM:
         if isinstance(node, VariableRef):
             names[node.name] = None
+        else:
+            _check_literal(node.value)
         return "int"
     if isinstance(node, Unary):
         operand = infer_type(node.operand, names)
@@ -260,8 +268,9 @@ def _render(node: Expr, name_text: Callable[[str], str], python: bool) -> str:
 
     def render(node: Expr) -> str:
         if isinstance(node, IntLiteral):
+            _check_literal(node.value)
             try:
-                return str(node.value)
+                return int.__repr__(node.value)  # the digits, also of an int subclass
             except ValueError:  # more digits than sys.get_int_max_str_digits()
                 raise InstanceValidationError("integer literal too long to print") from None
         if isinstance(node, VariableRef):
@@ -295,17 +304,22 @@ def compile_expression(node: Expr, index_of: dict[str, int]) -> Callable:
     operators as the expression language does, so the generated source uses
     format_expression's minimal parentheses. Comparison results are Python
     bools, which arithmetic treats as 0/1; ``and``/``or`` see only boolean
-    operands in a well-typed expression, so they return bools too.
+    operands in a well-typed expression, so they return bools too. Equal
+    sources share one pure function, compiled once while the memo holds it.
 
     Raises ExpressionTooDeepError when the source nests too deeply for
     Python's compiler.
     """
     try:
-        source = "lambda env: " + _render(node, lambda name: f"env[{index_of[name]}]",
-                                          python=True)
-        return eval(compile(source, "<constraint>", "eval"), {"__builtins__": {}})
+        return _compile_source("lambda env: " + _render(
+            node, lambda name: f"env[{index_of[name]}]", python=True))
     except (SyntaxError, RecursionError, MemoryError) as e:
         raise ExpressionTooDeepError(f"expression nests too deeply to compile: {e}") from None
+
+
+@functools.lru_cache(maxsize=1024)  # a failure raises, so it is never stored
+def _compile_source(source: str) -> Callable:
+    return eval(compile(source, "<constraint>", "eval"), {"__builtins__": {}})
 
 
 def _sum_terms(node: Expr, sign: int, out: list) -> list:

@@ -14,6 +14,7 @@ from stocs.errors import (
     InstanceValidationError,
     StocsError,
 )
+from stocs import expr, parse_instance
 from stocs.expr import (
     _BINARY_LEVEL,
     _LEVEL_NEG,
@@ -151,6 +152,27 @@ def test_literal_too_long_to_print_is_a_validation_error(reader):
         reader(Binary("<", IntLiteral(1), IntLiteral(10 ** 5000)))
 
 
+@pytest.mark.parametrize("value", [1.5, True, "1"], ids=["float", "bool", "text"])
+@pytest.mark.parametrize("reader", [infer_type, format_expression,
+                                    lambda n: compile_expression(n, {"x": 0})],
+                         ids=["type", "format", "compile"])
+def test_non_integer_literal_is_a_validation_error(reader, value):
+    # its text would be pasted into the generated code
+    with pytest.raises(InstanceValidationError, match=re.escape(f"non-integer literal {value!r}")):
+        reader(Binary(">=", x("x"), IntLiteral(value)))
+
+
+def test_int_subclass_literal_prints_its_digits():
+    class Named(int):
+        def __str__(self):
+            return "env"
+        __repr__ = __str__
+
+    node = Binary(">=", x("x"), IntLiteral(Named(1)))
+    assert format_expression(node) == "x >= 1"
+    assert compile_expression(node, {"x": 0})([1]) is True
+
+
 class TestTypes:
     def test_comparison_is_boolean(self):
         assert infer_type(parse_expression("x = s")) == "bool"
@@ -208,6 +230,34 @@ class TestEvaluation:
     def test_too_deep_for_the_parser_is_a_typed_error(self):
         with pytest.raises(ExpressionTooDeepError):
             parse_expression("(" * 400 + "x" + ")" * 400 + " = 1")
+
+
+class TestCompileMemo:
+    def test_equal_sources_compile_once(self, monkeypatch):
+        text = ('{"theta": 0.5, "variables": [{"name": "x", "kind": "decision", "domain": [0, 1]}], '
+                '"constraints": [{"type": "expr", "text": "x >= 1"}, {"type": "expr", "text": "x <= 1"}]}')
+        sources = []
+        monkeypatch.setattr(expr, "compile", lambda source, *rest: sources.append(source)
+                            or compile(source, *rest), raising=False)
+        expr._compile_source.cache_clear()
+        first, second = parse_instance(text), parse_instance(text)
+        assert first is not second
+        assert all(a.fn is b.fn for a, b in zip(first.compiled, second.compiled, strict=True))
+        assert sources == ["lambda env: env[0] >= 1", "lambda env: env[0] <= 1"]
+
+    def test_a_failure_is_raised_again(self):
+        node = x("a")
+        for _ in range(250):
+            node = Binary("-", x("a"), node)
+        for _ in range(2):
+            with pytest.raises(ExpressionTooDeepError):
+                compile_expression(Binary(">=", node, IntLiteral(0)), {"a": 0})
+
+    def test_holds_at_most_its_bound(self):
+        bound = expr._compile_source.cache_info().maxsize
+        for k in range(bound + 5):
+            compile_expression(Binary("=", x("a"), IntLiteral(k)), {"a": 0})
+        assert expr._compile_source.cache_info().currsize == bound
 
 
 # A tree-walking reference for the generated code: booleans count as 0/1 in

@@ -352,6 +352,32 @@ class TestCheckAt:
         assert inst.check_at[1]([0, 1]) is False
         assert calls == ["y = 1", "x = y"]
 
+    def test_a_warm_memo_stays_behind_the_module_name(self, monkeypatch):
+        def load():
+            return build([VariableSpec("x", "decision", (0, 1, 2)),
+                          VariableSpec("s", "stochastic", (0, 1), probabilities=HALF)],
+                         [expr_constraint(t) for t in ("x >= s", "x != 1", "x + s <= 2")],
+                         objective=Objective(parse_expression("10 * x"), 0.0))
+
+        optimize_expected(load())  # compiles every constraint and the objective
+        seen, calls = [], []
+        compile_expression = expr.compile_expression
+
+        def logged(node, index_of):
+            fn, text = compile_expression(node, index_of), expr.format_expression(node)
+            seen.append(text)
+            return lambda env: calls.append(text) or fn(env)
+
+        monkeypatch.setattr(expr, "compile_expression", logged)
+        inst = load()
+        assert inst.check_at[0]([2, 0]) is True and inst.check_at[1]([2, 0]) is True
+        assert seen == ["x >= s", "x != 1", "x + s <= 2"]
+        assert calls == ["x != 1", "x >= s", "x + s <= 2"]
+        seen.clear()
+        calls.clear()
+        assert optimize_expected(inst).expected_value == 10.0  # x = 2 fails x + s <= 2 at s = 1
+        assert seen == ["10 * x"] and "10 * x" in calls
+
     def test_thousands_of_constraints_at_one_depth(self):
         # the test nests about log2(3000) calls, not 3000
         inst = build([VariableSpec("x", "decision", (0, 1))],
@@ -403,6 +429,12 @@ class TestValuesAreCheckedNotConverted:
     def test_violation_value(self, violation):
         with pytest.raises(InstanceValidationError, match="violation_value: .* is not a number"):
             build([X], objective=Objective(parse_expression("x"), violation))
+
+    @pytest.mark.parametrize("value", [1.5, True, "1"], ids=["float", "bool", "text"])
+    def test_literal(self, value):
+        node = Binary(">=", VariableRef("x"), IntLiteral(value))
+        with pytest.raises(InstanceValidationError, match=f"non-integer literal {value!r}"):
+            build([VariableSpec("x", "decision", (0, 1, 2))], [Constraint(("x",), None, node)])
 
 
 class TestObjectiveWarning:
