@@ -101,35 +101,25 @@ def _write_policy(path: str, policy) -> None:
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = _load(args.instance, renormalize=args.renormalize)
     rules = _rules(args)
-    run_max = bt_max if args.algorithm == "bt" else fc_max
-    run_decide = bt_decide if args.algorithm == "bt" else fc_decide
-
     if args.mode == "max":
         if args.theta is not None:
             print("warning: --theta has no effect in max mode", file=sys.stderr)
-        result = run_max(instance, rules=rules)
+        result = (bt_max if args.algorithm == "bt" else fc_max)(instance, rules=rules)
         print(f"MAX p={_fmt(result.probability)}")
-        if args.policy_out:
-            _write_policy(args.policy_out, result.policy)
-        if args.stats:
-            _print_stats(result.stats)
-        return 0
-
-    result = run_decide(instance, theta_override=args.theta, rules=rules)
-    theta = instance.theta if args.theta is None else args.theta
-    if result.satisfiable:
-        print(f"SAT p>={_fmt(theta)}")
-        if args.policy_out:
-            _write_policy(args.policy_out, result.policy)
-        if args.stats:
-            _print_stats(result.stats)
-        return 0
-    print(f"UNSAT max={_fmt(run_max(instance, rules=rules).probability)}")
-    if args.policy_out:
+        found = True
+    else:
+        run_decide = bt_decide if args.algorithm == "bt" else fc_decide
+        result = run_decide(instance, theta_override=args.theta, rules=rules)
+        found = result.satisfiable
+        theta = instance.theta if args.theta is None else args.theta
+        print(f"SAT p>={_fmt(theta)}" if found else f"UNSAT max={_fmt(result.maximum)}")
+    if args.policy_out and found:
+        _write_policy(args.policy_out, result.policy)
+    elif args.policy_out:
         print("warning: no policy written for an UNSAT verdict", file=sys.stderr)
     if args.stats:
         _print_stats(result.stats)
-    return 1
+    return 0 if found else 1
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

@@ -304,28 +304,55 @@ def serialize_policy(policy: PolicyNode) -> str:
     occurrence, by object identity; a later occurrence of node k is written
     ``{"ref":k}``. Leaves are always written inline, so a policy that
     repeats no non-leaf node is written as a plain tree.
+
+    One walk appends the text, each name and value object dumped once. It
+    raises what dumping a dict tree of the policy would: a non-node first.
     """
     numbers: dict[int, int] = {}
+    texts: dict[int, str] = {}  # id of a name or value -> its JSON text
+    held: list[Any] = []  # those names and values, so that no id is reused
+    failed: list[Exception] = []
+    out: list[str] = []
+    write = out.append
 
-    def encode(node: PolicyNode) -> dict[str, Any]:
+    def text(obj: Any) -> str:
+        known = texts.get(id(obj))
+        if known is None:
+            held.append(obj)
+            try:  # json writes an exact int as its repr, 30 times slower
+                known = repr(obj) if type(obj) is int else json.dumps(obj)
+            except (TypeError, ValueError) as e:
+                failed.append(e)
+                known = ""
+            texts[id(obj)] = known
+        return known
+
+    def encode(node: PolicyNode) -> None:
         if isinstance(node, Leaf):
-            return {"kind": "leaf"}
+            return write('{"kind":"leaf"}')
         k = numbers.get(id(node))
         if k is not None:
-            return {"ref": k}
+            return write(f'{{"ref":{k}}}')
         numbers[id(node)] = len(numbers)
         if isinstance(node, DecisionNode):
-            return {"kind": "decision", "variable": node.variable,
-                    "value": node.chosen_value, "child": encode(node.child)}
-        if isinstance(node, ChanceNode):
-            return {"kind": "chance", "variable": node.variable,
-                    "children": [encode(c) for c in node.children]}
-        raise MalformedPolicyError(f"not a policy node: {node!r}")
+            write(f'{{"kind":"decision","variable":{text(node.variable)},'
+                  f'"value":{text(node.chosen_value)},"child":')
+            encode(node.child)
+            return write("}")
+        if not isinstance(node, ChanceNode):
+            raise MalformedPolicyError(f"not a policy node: {node!r}")
+        write(f'{{"kind":"chance","variable":{text(node.variable)},"children":[')
+        for i, child in enumerate(node.children):
+            if i:
+                write(",")
+            encode(child)
+        write("]}")
 
-    try:
-        return json.dumps(encode(policy), separators=(",", ":"))
-    except ValueError:  # an integer of more digits than sys.get_int_max_str_digits()
-        raise MalformedPolicyError("policy holds an integer too long to write") from None
+    encode(policy)
+    if failed:  # json's first error; a ValueError is an int past the digit limit
+        raise (MalformedPolicyError("policy holds an integer too long to write")
+               if isinstance(failed[0], ValueError) else failed[0]) from None
+    return "".join(out)
 
 
 def parse_policy(text: str) -> PolicyNode:

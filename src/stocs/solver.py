@@ -41,7 +41,8 @@ domains and masses included, so one key serves bt and fc; depths keyed on
 the whole prefix never repeat a key and skip the cache. A hit is the
 first-found optimum of an identical subproblem, so values and argmax
 policies do not change. At a keyed depth decide mode answers from max
-mode, so every entry is exact and serves every window. A walk
+mode, so every entry is exact and serves every window: after a miss at the
+root, max mode runs on the same search and memo for the UNSAT maximum. A walk
 stores each key once, and at most CACHE_ENTRIES keys (0 turns caching off).
 
 Prune rules can be disabled independently; verdicts and values never
@@ -97,6 +98,7 @@ class DecideResult:
     satisfiable: bool
     policy: PolicyNode | None  # witness when satisfiable
     stats: SearchStats
+    maximum: float | None = None  # the maximal satisfaction when unsatisfiable
 
 
 def required_threshold(parent_required: float, branch_probability: float | None = None,
@@ -380,11 +382,13 @@ def _run_decide(instance: Instance, fc: bool, theta_override: float | None,
         return DecideResult(True, first_policy(instance), SearchStats())
     search = _Search(instance, fc, rules or PruneRules())
     if search.root_dead:
-        return DecideResult(False, None, search.stats)
+        return DecideResult(False, None, search.stats, 0.0)
     value, policy = search.decide_value(0, required, required)
     if value >= required:
         return DecideResult(True, policy, search.stats)
-    return DecideResult(False, None, search.stats)
+    # max mode finishes on decide's memo of exact entries, counted apart
+    stats, search.stats = search.stats, SearchStats()
+    return DecideResult(False, None, stats, min(1.0, max(search.max_value(0)[0], 0.0)))
 
 
 def bt_max(instance: Instance, rules: PruneRules | None = None) -> SatisfactionResult:

@@ -6,13 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from gen import random_instance, random_policy
+from gen import random_cpt_instance, random_instance, random_linear_instance, random_policy
 from stocs import (
     ChanceNode,
     DecisionNode,
     FormatWarning,
     Leaf,
+    bt_decide,
+    bt_max,
     dump_instance,
+    fc_decide,
     fc_max,
     load_instance,
     parse_instance,
@@ -339,6 +342,91 @@ class TestPolicyFormat:
         assert same_tree(parsed, policy)
         assert _distinct_nodes(parsed) == _distinct_nodes(policy) < 2 ** 12
         assert serialize_policy(parsed) == text
+
+
+def _dict_serialize(policy) -> str:
+    """The policy writer as it was before it appended text in one walk: a
+    dict tree, then one `json.dumps`. The reference for its bytes."""
+    numbers: dict[int, int] = {}
+
+    def encode(node):
+        if isinstance(node, Leaf):
+            return {"kind": "leaf"}
+        k = numbers.get(id(node))
+        if k is not None:
+            return {"ref": k}
+        numbers[id(node)] = len(numbers)
+        if isinstance(node, DecisionNode):
+            return {"kind": "decision", "variable": node.variable,
+                    "value": node.chosen_value, "child": encode(node.child)}
+        if isinstance(node, ChanceNode):
+            return {"kind": "chance", "variable": node.variable,
+                    "children": [encode(c) for c in node.children]}
+        raise MalformedPolicyError(f"not a policy node: {node!r}")
+
+    try:
+        return json.dumps(encode(policy), separators=(",", ":"))
+    except ValueError:
+        raise MalformedPolicyError("policy holds an integer too long to write") from None
+
+
+def _written(write, policy):
+    """The text a writer returns, or the type and message of its error."""
+    try:
+        return write(policy)
+    except Exception as e:
+        return type(e), str(e)
+
+
+class TestPolicyWriterBytes:
+    """The one-walk writer gives the dict-plus-json.dumps writer's bytes or error."""
+
+    def test_generated_witnesses(self):
+        rng = random.Random(83)
+        makers = (random_instance, random_cpt_instance, random_linear_instance,
+                  lambda r: random_instance(r, max_vars=7, zero_prob=True))
+        written = 0
+        for i in range(80):
+            inst = makers[i % 4](rng)
+            policies = [bt_max(inst).policy, fc_max(inst).policy, random_policy(rng, inst)]
+            for decide in (bt_decide, fc_decide):
+                policies += [decide(inst, theta).policy for theta in (0.2, 0.6)]
+            for policy in policies:
+                if policy is not None:
+                    assert serialize_policy(policy) == _dict_serialize(policy)
+                    written += 1
+        assert written > 400
+
+    def test_shared_ref_graphs(self):
+        decision = DecisionNode("x", 0, Leaf())
+        chance = ChanceNode("s2", (decision, decision, Leaf()))
+        graphs = [ChanceNode("s1", (chance, chance)), DecisionNode("y", 1, chance),
+                  ChanceNode("s0", (DecisionNode("y", 2, chance), chance, decision)),
+                  fc_max(coin_chain(16)).policy, parse_policy(serialize_policy(chance))]
+        for policy in graphs:
+            assert serialize_policy(policy) == _dict_serialize(policy)
+        assert '{"ref":' in serialize_policy(graphs[-2])
+
+    @pytest.mark.parametrize("policy", [
+        DecisionNode('q"uote\\back\nline\x00', 0, Leaf()),
+        ChanceNode("caf\u00e9 \u2028 \U0001f3b2", (Leaf(), DecisionNode("\t", -7, Leaf()))),
+        DecisionNode("x", True, DecisionNode("y", False, Leaf())),
+        ChanceNode("s", (DecisionNode("x", True, Leaf()), DecisionNode("x", 1, Leaf()))),
+        DecisionNode("x", 10**5000, Leaf()),
+        DecisionNode("x", -(10**5000), ChanceNode("s", (Leaf(), "leaf"))),
+        DecisionNode("x", 2**200, Leaf()),
+        DecisionNode("x", float("nan"), Leaf()),
+        DecisionNode("x", {1, 2}, Leaf()),
+        DecisionNode(("x",), [0], Leaf()),
+        DecisionNode("x", {1}, DecisionNode("y", 10**5000, Leaf())),
+        ChanceNode("s", (Leaf(), 0)),
+        "leaf",
+        None,
+    ], ids=["escaped-name", "unicode-names", "bools", "bool-and-int", "huge-int",
+            "huge-int-then-non-node", "wide-int", "nan", "set-value", "list-name-and-value",
+            "set-then-huge-int", "int-child", "string", "none"])
+    def test_api_built_nodes(self, policy):
+        assert _written(serialize_policy, policy) == _written(_dict_serialize, policy)
 
 
 def _distinct_nodes(policy) -> int:

@@ -124,3 +124,16 @@ def test_written_policies_evaluate_in_another_process(tmp_path, name):
     assert done.stdout == f"SAT p>={theta:.9f}\n"
     assert witness.stdout.startswith("EVAL p=")
     assert float(witness.stdout.removeprefix("EVAL p=")) >= theta
+
+
+def test_unsat_prints_the_maximum_and_decide_counters():
+    # the maximum comes from max mode on the decide search's own memo; the
+    # STATS line holds decide's counters alone
+    done = stocs("solve", "instances/a.scsp", "--theta", "0.6", "--stats")
+    best = stocs("solve", "instances/a.scsp", "--mode", "max")
+    assert (done.returncode, done.stderr, best.returncode) == (1, "", 0)
+    unsat, stats = done.stdout.splitlines()
+    assert unsat.removeprefix("UNSAT max=") == best.stdout.strip().removeprefix("MAX p=")
+    assert unsat.startswith("UNSAT max=")
+    assert stats == ("STATS nodes=5 chance_prunes=1 decision_prunes=0 fc_wipeouts=0"
+                     " fc_mass_prunes=0 cache_hits=0")

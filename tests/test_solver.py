@@ -642,3 +642,58 @@ class TestContextCache:
                 for theta in thetas[1:]:
                     assert (run_decide(inst, theta).satisfiable
                             == uncached(run_decide, inst, theta).satisfiable)
+
+
+class TestUnsatMaximum:
+    """An UNSAT verdict carries the maximum, from max mode on decide's own search."""
+
+    def test_maximum_is_a_fresh_max_bit_for_bit(self):
+        rng = random.Random(89)
+        makers = (random_instance, random_cpt_instance, random_linear_instance,
+                  lambda r: random_instance(r, max_vars=7, zero_prob=True))
+        unsat = 0
+        for i in range(60):
+            inst = makers[i % 4](rng)
+            for rules in ALL_RULES:
+                for run_max, run_decide in ((bt_max, bt_decide), (fc_max, fc_decide)):
+                    best = run_max(inst, rules=rules).probability
+                    for theta in (0.1, 0.5, 0.9, best, max(0.0, best - 1e-6),
+                                  min(1.0, best + 1e-6)):
+                        got = run_decide(inst, theta, rules=rules)
+                        if got.satisfiable:
+                            assert got.maximum is None
+                        else:
+                            unsat += 1
+                            assert got.maximum == best
+        assert unsat > 3000
+
+    def test_a_false_constant_gives_zero(self):
+        inst = make_instance([("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5))],
+                             [expr_constraint("1 = 2")])
+        for run_decide in (bt_decide, fc_decide):
+            got = run_decide(inst, 0.5)
+            assert (got.satisfiable, got.maximum) == (False, 0.0)
+
+    def test_the_second_pass_reads_decide_memo(self, monkeypatch):
+        # decide keeps its own counters; the max pass after a miss counts
+        # apart and visits a fraction of a fresh max's nodes
+        made = []
+
+        class Recorded(solver.SearchStats):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        inst = inventory_instance(4)
+        best = bt_max(inst).probability
+        fresh = {run: run(inst).stats.nodes_visited for run in (bt_max, fc_max)}
+        assert fresh == {bt_max: 141, fc_max: 78}
+        monkeypatch.setattr(solver, "SearchStats", Recorded)
+        for run_decide, decide_stats, second_nodes in (
+                (bt_decide, (136, 1, 9, 0, 0, 27), 12), (fc_decide, (77, 1, 3, 9, 0, 24), 8)):
+            made.clear()
+            got = run_decide(inst, 0.9)
+            assert (got.satisfiable, got.maximum) == (False, best)
+            assert got.stats is made[0]
+            assert tuple(got.stats.as_dict().values()) == decide_stats
+            assert [s.nodes_visited for s in made[1:]] == [second_nodes]
