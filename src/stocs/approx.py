@@ -48,6 +48,7 @@ from .errors import (
     BadKError,
     BadSampleCountError,
     NoHeuristicPolicyError,
+    StocsError,
     UnsupportedConditionalParentsError,
 )
 from .model import Instance, _as_float
@@ -105,10 +106,9 @@ def restricted_tree_bounds(instance: Instance, epsilon: float | None = None,
     if (epsilon is None) == (top_k is None):
         raise BadEpsilonError("give exactly one of epsilon or top_k")
     if epsilon is not None:
-        try:
-            epsilon = _as_float(epsilon)
-        except (TypeError, ValueError):
-            raise BadEpsilonError(f"epsilon {epsilon!r} is not a number") from None
+        if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
+            raise BadEpsilonError(f"epsilon {epsilon!r} is not a number")
+        epsilon = _as_float(epsilon)
         if not 0.0 <= epsilon <= 1.0:  # NaN too
             raise BadEpsilonError(f"epsilon {epsilon!r} outside [0, 1]")
     elif not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1:
@@ -412,7 +412,9 @@ def monte_carlo_policy_eval(instance: Instance, policy: PolicyNode, n: int,
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadSampleCountError(f"sample count {n!r} must be a positive integer")
-    seed = int(seed) & _MASK64
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise StocsError(f"seed {seed!r} must be an integer")
+    seed &= _MASK64
     wins = _PathTrie(instance, policy).wins(n, seed)
     estimate = wins / n
     ci_low, ci_high = _wilson(wins, n)

@@ -179,10 +179,10 @@ def _expect_leaf(depth: int, node: PolicyNode) -> None:
         raise _misplaced(f"a leaf at depth {depth}", node)
 
 
-def _check_depth(instance: Instance, frames_per_variable: int = 1) -> None:
-    """Raise InstanceTooDeepError when a recursion taking ``frames_per_variable``
-    frames per variable would pass the recursion limit (never raised here)."""
-    frames = frames_per_variable * instance.n + _FRAME_MARGIN
+def _check_depth(instance: Instance) -> None:
+    """Raise InstanceTooDeepError when a recursion taking one frame per
+    variable would pass the recursion limit (never raised here)."""
+    frames = instance.n + _FRAME_MARGIN
     limit = sys.getrecursionlimit()
     if frames > limit:
         raise InstanceTooDeepError(

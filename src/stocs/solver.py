@@ -2,7 +2,8 @@
 
 Both algorithms walk the variable order depth-first, maximizing over
 decision values and weighting stochastic branches by probability. They
-run in two modes:
+run in two modes, each one recursive method (max_value, decide_value)
+taking one stack frame per variable:
 
   max    - compute the exact maximal satisfaction and an argmax policy.
   decide - answer "is some policy >= theta" with a witness, by
@@ -55,7 +56,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonpositiveBranchProbabilityError
-from .model import PROB_TOL, CompiledConstraint, Instance, VariableSpec, _check_theta
+from .model import PROB_TOL, CompiledConstraint, Instance, _check_theta
 from .semantics import (
     LEAF,
     ChanceNode,
@@ -124,11 +125,9 @@ class _Search:
     """One search over one instance; owns all mutable state."""
 
     def __init__(self, instance: Instance, fc: bool, rules: PruneRules):
-        # two frames per variable: the value and its decision or chance step
-        _check_depth(instance, frames_per_variable=2)
+        _check_depth(instance)
         self.inst = instance
         self.n = n = instance.n
-        self.fc = fc
         self.rules = rules
         self.use_mass = fc and not instance.has_cpts
         self.stats = SearchStats()
@@ -138,6 +137,14 @@ class _Search:
         self.trail: list[tuple[int, tuple[int, ...], float]] = []
         self.first = _rigid_policies(instance)
         self.key_at = instance.key_at
+        # Each depth's assignment test, picked once: bt checks the constraints
+        # completed there, fc fires the ones left one variable short and checks
+        # nothing. Under fc the completed ones need no check: each fired when
+        # its second-to-last variable was assigned (unary ones were pruned up
+        # front) and removed every value that violates it, so a value still
+        # in the domain satisfies them all.
+        self.check_at = (None,) * n if fc else instance.check_at
+        self.fire_at = instance.fc_fire_at if fc else ((),) * n
         self.memo: dict = {}
         self.root_dead = any(not c.fn(self.env) for c in instance.constant_compiled)
         if fc and not self.root_dead:
@@ -190,25 +197,11 @@ class _Search:
         return True
 
     def _undo(self, mark: int) -> None:
+        """Pop the trail back to ``mark``; only fc pushes, so bt never calls it."""
         trail = self.trail
         while len(trail) > mark:
             j, live, mass = trail.pop()
             self.live[j], self.mass[j] = live, mass
-
-    def _enter(self, depth: int, value: int) -> bool:
-        """Assign env[depth]=value, check completed constraints, fire FC.
-
-        Under forward checking the constraints completed here need no
-        check: each fired when its second-to-last variable was assigned
-        (unary ones were pruned up front) and removed every value that
-        violates it, so a value still in the domain satisfies them all.
-        """
-        self.stats.nodes_visited += 1
-        self.env[depth] = value
-        if self.fc:
-            return self._forward_check(self.inst.fc_fire_at[depth])
-        test = self.inst.check_at[depth]
-        return test is None or test(self.env)
 
     # ------------------------------------------------------------------
     # max mode
@@ -217,67 +210,71 @@ class _Search:
     def max_value(self, depth: int) -> tuple[float, PolicyNode]:
         if depth == self.n:
             return 1.0, LEAF
-        var = self.inst.variables[depth]
+        env, trail, stats = self.env, self.trail, self.stats
         get_key = self.key_at[depth]
-        if get_key is None:
-            if var.kind == "decision":
-                return self._max_decision(depth, var)
-            return self._max_chance(depth, var)
-        key = depth, get_key(self.env)
-        hit = self.memo.get(key)
-        if hit is not None:
-            self.stats.cache_hits += 1
-            return hit
-        return _remember(self.memo, key, self._max_decision(depth, var)
-                         if var.kind == "decision" else self._max_chance(depth, var))
-
-    def _max_decision(self, depth: int, var: VariableSpec) -> tuple[float, PolicyNode]:
-        best = -1.0
-        best_pos = -1
-        best_child: PolicyNode | None = None
-        live = self.live[depth]
-        for k, pos in enumerate(live):
-            mark = len(self.trail)
-            if not self._enter(depth, var.domain[pos]):
-                score, child = 0.0, None
-            elif (self.use_mass and self.rules.fc_mass and best >= 0.0
-                    and self._ub(depth) <= best):
-                # cannot beat the best so far; ties keep the earlier value
-                self.stats.fc_mass_prunes += 1
-                score, child = -1.0, None
+        key = None
+        if get_key is not None:
+            key = depth, get_key(env)
+            hit = self.memo.get(key)
+            if hit is not None:
+                stats.cache_hits += 1
+                return hit
+        var = self.inst.variables[depth]
+        test, fire = self.check_at[depth], self.fire_at[depth]
+        if var.kind == "decision":
+            best = -1.0
+            best_pos = -1
+            best_child: PolicyNode | None = None
+            live = self.live[depth]
+            for k, pos in enumerate(live):
+                stats.nodes_visited += 1
+                env[depth] = var.domain[pos]
+                mark = len(trail)
+                if not ((test is None or test(env)) and (not fire or self._forward_check(fire))):
+                    score, child = 0.0, None
+                elif (self.use_mass and self.rules.fc_mass and best >= 0.0
+                        and self._ub(depth) <= best):
+                    # cannot beat the best so far; ties keep the earlier value
+                    stats.fc_mass_prunes += 1
+                    score, child = -1.0, None
+                else:
+                    score, child = self.max_value(depth + 1)
+                if len(trail) > mark:
+                    self._undo(mark)
+                env[depth] = None
+                if score > best:
+                    best, best_pos, best_child = score, pos, child
+                if best >= 1.0 and self.rules.decision_stop:
+                    # nothing scores higher; the oracle stops at 1.0 the same way
+                    if k + 1 < len(live):
+                        stats.decision_prunes += 1
+                    break
+            if best <= 0.0:
+                # nothing scores: normalize to the first depth-first subtree so
+                # the argmax matches plain backtracking and the oracle exactly
+                result = 0.0, DecisionNode(var.name, var.domain[0], self.first[depth + 1])
             else:
-                score, child = self.max_value(depth + 1)
-            self._undo(mark)
-            self.env[depth] = None
-            if score > best:
-                best, best_pos, best_child = score, pos, child
-            if best >= 1.0 and self.rules.decision_stop:
-                # nothing scores higher; the oracle stops at 1.0 the same way
-                if k + 1 < len(live):
-                    self.stats.decision_prunes += 1
-                break
-        if best <= 0.0:
-            # nothing scores: normalize to the first depth-first subtree so
-            # the argmax matches plain backtracking and the oracle exactly
-            return 0.0, DecisionNode(var.name, var.domain[0], self.first[depth + 1])
-        # a positive best came from max_value, which always returns a child
-        return best, DecisionNode(var.name, var.domain[best_pos], best_child)
-
-    def _max_chance(self, depth: int, var: VariableSpec) -> tuple[float, PolicyNode]:
-        probs = self.inst.distribution(depth, self.env)
-        children = [self.first[depth + 1]] * len(probs)
-        total = 0.0
-        for i in self.live[depth]:
-            q = probs[i]
-            if q == 0.0:
-                continue
-            mark = len(self.trail)
-            if self._enter(depth, var.domain[i]):
-                score, children[i] = self.max_value(depth + 1)
-                total += q * score
-            self._undo(mark)
-            self.env[depth] = None
-        return total, ChanceNode(var.name, tuple(children))
+                # a positive best came from max_value, which always returns a child
+                result = best, DecisionNode(var.name, var.domain[best_pos], best_child)
+        else:
+            probs = self.inst.distribution(depth, env)
+            children = [self.first[depth + 1]] * len(probs)
+            total = 0.0
+            for i in self.live[depth]:
+                q = probs[i]
+                if q == 0.0:
+                    continue
+                stats.nodes_visited += 1
+                env[depth] = var.domain[i]
+                mark = len(trail)
+                if (test is None or test(env)) and (not fire or self._forward_check(fire)):
+                    score, children[i] = self.max_value(depth + 1)
+                    total += q * score
+                if len(trail) > mark:
+                    self._undo(mark)
+                env[depth] = None
+            result = total, ChanceNode(var.name, tuple(children))
+        return _remember(self.memo, key, result)
 
     # ------------------------------------------------------------------
     # decide mode
@@ -294,44 +291,41 @@ class _Search:
             return 1.0, LEAF
         if self.key_at[depth] is not None:
             return self.max_value(depth)
+        env, trail, stats = self.env, self.trail, self.stats
         var = self.inst.variables[depth]
+        test, fire = self.check_at[depth], self.fire_at[depth]
         if var.kind == "decision":
-            return self._decide_decision(depth, var, lo, hi)
-        return self._decide_chance(depth, var, lo, hi)
-
-    def _decide_decision(self, depth: int, var: VariableSpec,
-                         lo: float, hi: float) -> tuple[float, PolicyNode]:
-        best = -1.0
-        best_pos = -1
-        best_child: PolicyNode | None = None
-        live = self.live[depth]
-        for k, pos in enumerate(live):
-            # a value must beat the best so far: that is its floor
-            floor = min(hi, max(lo, best))
-            mark = len(self.trail)
-            if not self._enter(depth, var.domain[pos]):
-                score, child = 0.0, None
-            elif self.use_mass and self.rules.fc_mass and self._ub(depth) < floor:
-                self.stats.fc_mass_prunes += 1
-                score, child = -1.0, None
-            else:
-                score, child = self.decide_value(depth + 1, floor, hi)
-            self._undo(mark)
-            self.env[depth] = None
-            if score > best:
-                best, best_pos, best_child = score, pos, child
-            if best >= min(hi, 1.0) and self.rules.decision_stop:
-                if k + 1 < len(live):
-                    self.stats.decision_prunes += 1
-                break
-        if best <= 0.0:
-            # as in max mode; below a positive lo this is a miss
-            return 0.0, DecisionNode(var.name, var.domain[0], self.first[depth + 1])
-        return best, DecisionNode(var.name, var.domain[best_pos], best_child)
-
-    def _decide_chance(self, depth: int, var: VariableSpec,
-                       lo: float, hi: float) -> tuple[float, PolicyNode]:
-        probs = self.inst.distribution(depth, self.env)
+            best = -1.0
+            best_pos = -1
+            best_child: PolicyNode | None = None
+            live = self.live[depth]
+            for k, pos in enumerate(live):
+                # a value must beat the best so far: that is its floor
+                floor = min(hi, max(lo, best))
+                stats.nodes_visited += 1
+                env[depth] = var.domain[pos]
+                mark = len(trail)
+                if not ((test is None or test(env)) and (not fire or self._forward_check(fire))):
+                    score, child = 0.0, None
+                elif self.use_mass and self.rules.fc_mass and self._ub(depth) < floor:
+                    stats.fc_mass_prunes += 1
+                    score, child = -1.0, None
+                else:
+                    score, child = self.decide_value(depth + 1, floor, hi)
+                if len(trail) > mark:
+                    self._undo(mark)
+                env[depth] = None
+                if score > best:
+                    best, best_pos, best_child = score, pos, child
+                if best >= min(hi, 1.0) and self.rules.decision_stop:
+                    if k + 1 < len(live):
+                        stats.decision_prunes += 1
+                    break
+            if best <= 0.0:
+                # as in max mode; below a positive lo this is a miss
+                return 0.0, DecisionNode(var.name, var.domain[0], self.first[depth + 1])
+            return best, DecisionNode(var.name, var.domain[best_pos], best_child)
+        probs = self.inst.distribution(depth, env)
         k = len(var.domain)
         suffix = [0.0] * (k + 1)
         for i in range(k - 1, -1, -1):
@@ -343,21 +337,24 @@ class _Search:
         for i, (w, q) in enumerate(zip(var.domain, probs)):
             if self.rules.chance_abort and (missed or total >= hi or total + suffix[i] < lo):
                 # settled either way; the rest keep the default subtree
-                self.stats.chance_prunes += 1
+                stats.chance_prunes += 1
                 break
             if q == 0.0 or i not in live:
                 continue  # exact 0 contribution, default child stands
             floor = required_threshold(lo, q, total, suffix[i + 1])
-            mark = len(self.trail)
-            if not self._enter(depth, w):
+            stats.nodes_visited += 1
+            env[depth] = w
+            mark = len(trail)
+            if not ((test is None or test(env)) and (not fire or self._forward_check(fire))):
                 score = 0.0
             elif self.use_mass and self.rules.fc_mass and self._ub(depth) < floor:
-                self.stats.fc_mass_prunes += 1
+                stats.fc_mass_prunes += 1
                 score = -1.0
             else:
                 score, children[i] = self.decide_value(depth + 1, floor, (hi - total) / q)
-            self._undo(mark)
-            self.env[depth] = None
+            if len(trail) > mark:
+                self._undo(mark)
+            env[depth] = None
             if score < floor:
                 missed = True  # this branch's maximum cannot lift the node to lo
             else:

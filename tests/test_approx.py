@@ -27,6 +27,7 @@ from stocs.errors import (
     BadSampleCountError,
     MalformedPolicyError,
     NoHeuristicPolicyError,
+    StocsError,
     UnsupportedConditionalParentsError,
 )
 from conftest import make_instance
@@ -61,7 +62,8 @@ class TestRestrictedTreeBounds:
         with pytest.raises(BadEpsilonError):
             restricted_tree_bounds(instance_a, epsilon=0.1, top_k=2)
 
-    @pytest.mark.parametrize("epsilon", [-0.1, 1.1, float("nan"), "abc", 10**400, [0.1]])
+    @pytest.mark.parametrize("epsilon", [-0.1, 1.1, float("nan"), "abc", 10**400, [0.1],
+                                         True, False, "0.5", 1j])
     def test_epsilon_range(self, instance_a, epsilon):
         with pytest.raises(BadEpsilonError):
             restricted_tree_bounds(instance_a, epsilon=epsilon)
@@ -207,6 +209,18 @@ class TestMonteCarlo:
         policy = DecisionNode("x", 0, ChanceNode("s", (Leaf(), Leaf())))
         with pytest.raises(BadSampleCountError):
             monte_carlo_policy_eval(instance_a, policy, n, seed=1)
+
+    @pytest.mark.parametrize("seed", ["x", None, 1.7, 1.0, True, False, "1"])
+    def test_seed_must_be_an_int(self, instance_a, seed):
+        policy = DecisionNode("x", 0, ChanceNode("s", (Leaf(), Leaf())))
+        with pytest.raises(StocsError, match="seed"):
+            monte_carlo_policy_eval(instance_a, policy, 10, seed=seed)
+
+    def test_negative_seed_reduces_mod_2_64(self, instance_a):
+        policy = DecisionNode("x", 0, ChanceNode("s", (Leaf(), Leaf())))
+        got = monte_carlo_policy_eval(instance_a, policy, 50, seed=-1)
+        assert got.seed == 18446744073709551615
+        assert got == monte_carlo_policy_eval(instance_a, policy, 50, seed=2 ** 64 - 1)
 
 
 def _cpt_case():

@@ -40,6 +40,8 @@ from stocs.errors import (
     ThetaOutOfRangeError,
 )
 from stocs import solver
+from stocs.cli import main
+from stocs.formats import dump_instance
 from stocs.solver import _Search
 from conftest import make_instance, same_tree, uncached
 
@@ -48,9 +50,21 @@ ALL_RULES = [PruneRules(*bits) for bits in itertools.product((True, False), repe
 
 
 class _CheckedSearch(_Search):
-    """A search that checks its forward-checking state at every node."""
+    """A search that checks its forward-checking state on entering every
+    subtree, where env[depth:] is still unassigned."""
 
-    def _enter(self, depth, value):
+    checks = 0
+
+    def max_value(self, depth):
+        self._check(depth)
+        return super().max_value(depth)
+
+    def decide_value(self, depth, lo, hi):
+        self._check(depth)
+        return super().decide_value(depth, lo, hi)
+
+    def _check(self, depth):
+        self.checks += 1
         assert self.env[depth:] == [None] * (self.n - depth)
         for j, var in enumerate(self.inst.variables):
             live = self.live[j]
@@ -61,7 +75,6 @@ class _CheckedSearch(_Search):
                 assert self.mass[j] == sum(var.probabilities[pos] for pos in live)
             else:
                 assert self.mass[j] == 1.0
-        return super()._enter(depth, value)
 
 
 class TestMaxMode:
@@ -333,12 +346,20 @@ class TestDepthLimit:
             with pytest.raises(InstanceTooDeepError):
                 run(inst)
 
-    def test_within_the_limit_solves(self):
-        inst = self.chain(300)
+    def test_within_the_limit_solves(self, capsys, tmp_path):
+        # one frame per variable: 800 variables fit under the default limit
+        # of 1000 with the margin the caller's own stack needs
+        inst = self.chain(800)
         for solve in (bt_max, fc_max):
             assert solve(inst).probability == 1.0
         for solve in (bt_decide, fc_decide):
             assert solve(inst).satisfiable
+        path = tmp_path / "chain.scsp"
+        path.write_text(dump_instance(inst), encoding="utf-8")
+        for mode, want in (("max", "MAX p=1.000000000\n"), ("decide", "SAT p>=0.500000000\n")):
+            for algorithm in ("bt", "fc"):
+                code = main(["solve", str(path), "--mode", mode, "--algorithm", algorithm])
+                assert (code, capsys.readouterr()) == (0, (want, ""))
 
 
 class TestRequiredThreshold:
@@ -387,6 +408,7 @@ class TestSearchState:
         rng = random.Random(59)
         instances = [random_instance(rng, zero_prob=i % 2 == 0) for i in range(24)]
         instances += [random_cpt_instance(rng) for _ in range(12)]
+        searches = checks = 0
         for inst, rules, mode in itertools.product(instances, ALL_RULES, ("max", "decide")):
             search = _CheckedSearch(inst, fc=True, rules=rules)
             if search.root_dead:
@@ -398,9 +420,13 @@ class TestSearchState:
             else:
                 required = max(0.0, inst.theta - 1e-9)
                 search.decide_value(0, required, required)
+            assert search.checks >= 1
+            searches, checks = searches + 1, checks + search.checks
             assert (search.live, search.mass) == after_unary
             assert search.trail == []
             assert search.env == [None] * inst.n
+        # the checks also ran inside the recursion, not only at each root
+        assert checks > searches
 
     def test_searches_do_not_leak_between_runs(self, instance_c):
         first = fc_max(instance_c)
@@ -580,9 +606,15 @@ class TestContextCache:
         inst = inventory_instance(3)
         assert [d for d, get in enumerate(inst.key_at) if get is None] == [0, 1]
 
+        def assign(search, depth, value):
+            # the search's own assignment step: bt checks, fc fires
+            search.env[depth] = value
+            test, fire = search.check_at[depth], search.fire_at[depth]
+            return (test is None or test(search.env)) and (not fire or search._forward_check(fire))
+
         def entered(fc):
             search = _Search(inst, fc, PruneRules())
-            assert search._enter(0, 1) and search._enter(1, 0)  # x1=1, s1=0
+            assert assign(search, 0, 1) and assign(search, 1, 0)  # x1=1, s1=0
             return search
 
         for fc in (False, True):
