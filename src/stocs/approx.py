@@ -32,12 +32,19 @@ chunk size bounds the memory this takes, whatever n is. The walk keeps
 each draw x = word >> 11 an integer: x * 2**-53 < c exactly when
 x < ceil(c * 2**53), so bisecting x into thresholds ceil(c * 2**53) over
 the cumulative probabilities c finds the value the spec above names.
+
+Sampling stops after the first batch that settles the count: every branch
+that owns a draw in [0, 2**53) is built at every built state, and every
+leaf reached has one outcome. Each remaining sample, the one in progress
+too, then ends in that outcome, so the count is the full walk's; sure and
+hopeless policies cost one batch.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
@@ -321,6 +328,8 @@ class _PathTrie:
         self.tables: dict[tuple, list[int]] = {}  # per distinct distribution row
         self.keyed: dict[tuple, _State] = {}  # states at keyed depths
         self.states = 0
+        self.open = 0  # branches some draw reaches that are not built yet
+        self.outcomes: set[bool] = set()  # ``ok`` of every leaf a built branch reached
         self.root = self._walk(0, policy, [None] * instance.n, True)
 
     def _walk(self, depth: int, node: PolicyNode, env: list,
@@ -352,6 +361,8 @@ class _PathTrie:
                 last = max(i for i, q in enumerate(probs) if q > 0.0)
                 cum[last:] = [max(t, 2 ** 53) for t in cum[last:]]
             self.states += 1
+            # value i takes the draws in [cum[i - 1], min(cum[i], 2**53))
+            self.open += sum(lo < min(hi, 2 ** 53) for lo, hi in zip([0, *cum], cum))
             state = _State(cum, depth, chance.children, ok, tuple(env))
             _remember(self.keyed, key, state)
         return state, ok
@@ -364,6 +375,9 @@ class _PathTrie:
         test = self.instance.check_at[depth]
         ok = state.ok and (test is None or test(env))
         branch = state.branches[i] = self._walk(depth + 1, state.children[i], env, ok)
+        self.open -= 1
+        if branch[0] is None:
+            self.outcomes.add(branch[1])
         return branch
 
     def wins(self, n: int, seed: int) -> int:
@@ -371,15 +385,19 @@ class _PathTrie:
         ``seed`` per stochastic variable in every sample.
 
         Every path passes one chance state per stochastic variable, so the
-        draws form one flat stream and a sample ends every m-th draw.
+        draws form one flat stream and a sample ends every m-th draw. Once
+        a batch leaves no reachable branch to build and one leaf outcome,
+        the remaining samples count without being drawn: none could differ
+        or raise.
         """
         root_state, root_ok = self.root
         if root_state is None:  # no stochastic variable: every sample is alike
             return n if root_ok else 0
         grow = self.grow
         state = root_state
-        wins = 0
-        for xs in _draws(seed, n * len(self.instance.stochastic_indices)):
+        wins = used = 0
+        m = len(self.instance.stochastic_indices)
+        for xs in _draws(seed, n * m):
             for x in xs:
                 i = bisect_right(state.cum, x)
                 branch = state.branches[i]
@@ -389,6 +407,10 @@ class _PathTrie:
                 if state is None:
                     wins += ok
                     state = root_state
+            used += len(xs)
+            if not self.open and len(self.outcomes) == 1:
+                # every draw from here on follows built branches to this outcome
+                return wins + (n - used // m) * next(iter(self.outcomes))
         return wins
 
 
@@ -412,6 +434,8 @@ def monte_carlo_policy_eval(instance: Instance, policy: PolicyNode, n: int,
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadSampleCountError(f"sample count {n!r} must be a positive integer")
+    if n > sys.float_info.max:  # the Wilson interval divides by float(n)
+        raise BadSampleCountError("sample count is past the float range")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise StocsError(f"seed {seed!r} must be an integer")
     seed &= _MASK64

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -451,3 +452,97 @@ class TestBatchedDraws:
         for c in cum:
             for x in range(math.floor(c * 2 ** 53) - 2, math.ceil(c * 2 ** 53) + 3):
                 assert bisect_right(state.cum, x) == bisect_right(cum, x * 2.0 ** -53)
+
+
+def _count_chunks(monkeypatch):
+    """Record the length of every batch the sampler draws."""
+    chunks = []
+    draws = approx._draws
+
+    def counted(seed, total):
+        for xs in draws(seed, total):
+            chunks.append(len(xs))
+            yield xs
+
+    monkeypatch.setattr(approx, "_draws", counted)
+    return chunks
+
+
+# instance_b's recourse policy x = s: every sample satisfies
+SURE_B = ChanceNode("s", (DecisionNode("x", 0, Leaf()), DecisionNode("x", 1, Leaf())))
+
+
+def _hopeless_case():
+    inst = make_instance(
+        [("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5))],
+        [expr_constraint("x != x")])
+    return inst, DecisionNode("x", 0, ChanceNode("s", (Leaf(), Leaf())))
+
+
+class TestSettledStop:
+    """Sampling stops after the first batch that leaves every reachable
+    branch built and every leaf reached with one outcome."""
+
+    def test_sure_and_hopeless_policies_draw_one_chunk(self, monkeypatch, instance_b):
+        chunks = _count_chunks(monkeypatch)
+        got = monte_carlo_policy_eval(instance_b, SURE_B, 10 ** 6, seed=1)
+        assert (got.estimate, got.ci_high, chunks) == (1.0, 1.0, [CHUNK])
+        chunks.clear()
+        got = monte_carlo_policy_eval(*_hopeless_case(), 10 ** 6, seed=1)
+        assert (got.estimate, got.ci_low, chunks) == (0.0, 0.0, [CHUNK])
+
+    def test_mixed_outcomes_draw_every_chunk(self, monkeypatch):
+        chunks = _count_chunks(monkeypatch)
+        inst, policy = _shared_case()
+        n = 5000
+        wins = approx._PathTrie(inst, policy).wins(n, 3)
+        assert 0 < wins < n
+        assert sum(chunks) == n * len(inst.stochastic_indices)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, None])
+    def test_sure_witnesses_match_the_per_sample_loop(self, monkeypatch, chunk):
+        # small chunks make the stop fall inside a sample
+        if chunk is not None:
+            monkeypatch.setattr(approx, "_CHUNK", chunk)
+        chunks = _count_chunks(monkeypatch)
+        rng = random.Random(71)
+        stopped = 0
+        for make in (random_instance, random_cpt_instance) * 25:
+            inst = make(rng)
+            found = fc_max(inst)
+            if found.probability != 1.0:
+                continue
+            for n, seed in ((1, 3), (250, 17), (301, MASK64), (4000, 5)):
+                chunks.clear()
+                assert (approx._PathTrie(inst, found.policy).wins(n, seed)
+                        == _reference_wins(inst, found.policy, n, seed))
+                stopped += sum(chunks) < n * len(inst.stochastic_indices)
+        assert stopped >= 5
+
+    @pytest.mark.parametrize("probs, values", [
+        # 0.5 + 1e-300 rounds to 0.5, so s = 1 owns no u
+        ((0.5, 1e-300, 0.5), (0, 5, 1)),
+        # the sum passes 1 within PROB_TOL, so s = 2 starts past every u
+        ((0.5, 0.5, 1e-10), (0, 1, 5)),
+    ])
+    def test_a_branch_no_draw_reaches_holds_no_stop_back(self, monkeypatch, probs, values):
+        # the value has positive mass; its malformed node (x = 5) is never walked
+        i = values.index(5)
+        c = [0.0, *accumulate(probs)]
+        assert probs[i] > 0.0 and c[i] >= min(c[i + 1], 1.0)
+        inst = make_instance([("s", "s", (0, 1, 2), probs), ("x", "d", (0, 1))])
+        policy = ChanceNode("s", tuple(DecisionNode("x", v, Leaf()) for v in values))
+        chunks = _count_chunks(monkeypatch)
+        got = monte_carlo_policy_eval(inst, policy, 10 ** 4, seed=2)
+        assert got.estimate == _reference_wins(inst, policy, 10 ** 4, 2) / 10 ** 4 == 1.0
+        assert chunks == [CHUNK]
+
+    def test_sample_count_past_the_float_range(self, monkeypatch, instance_b):
+        chunks = _count_chunks(monkeypatch)
+        largest = int(sys.float_info.max)
+        assert monte_carlo_policy_eval(instance_b, SURE_B, largest, seed=1).estimate == 1.0
+        chunks.clear()
+        for n in (largest + 1, 10 ** 400):
+            with pytest.raises(BadSampleCountError, match="float range"):
+                monte_carlo_policy_eval(instance_b, SURE_B, n, seed=1)
+        assert chunks == []

@@ -377,6 +377,16 @@ class TestOtherCommands:
         assert re.fullmatch(
             r"EST p=0\.\d{9} ci=\[0\.\d{9},0\.\d{9}\] n=500 seed=7\n", out)
 
+    def test_eval_sample_count_past_the_float_range(self, capsys, instances_dir, tmp_path):
+        # a sure policy, whose sampling would stop after one chunk
+        policy = ChanceNode("s", (DecisionNode("x", 0, Leaf()), DecisionNode("x", 1, Leaf())))
+        path = tmp_path / "p.json"
+        path.write_text(serialize_policy(policy), encoding="utf-8")
+        code, out, err = run(capsys, "eval", str(instances_dir / "b.scsp"), "--policy",
+                             str(path), "--samples", "1" + "0" * 400)
+        assert (code, out) == (2, "")
+        assert err == "error: sample count is past the float range\n"
+
     def test_approx_epsilon_zero_is_exact(self, capsys, instances_dir):
         code, out, _ = run(capsys, "approx", str(instances_dir / "fc_demo.scsp"),
                            "--epsilon", "0.0")

@@ -137,3 +137,18 @@ def test_unsat_prints_the_maximum_and_decide_counters():
     assert unsat.startswith("UNSAT max=")
     assert stats == ("STATS nodes=5 chance_prunes=1 decision_prunes=0 fc_wipeouts=0"
                      " fc_mass_prunes=0 cache_hits=0")
+
+
+def test_sampling_a_sure_witness_stops_early(tmp_path):
+    # every sample of production's maximal witness satisfies the constraints,
+    # so the sampler stops after its first batch of draws
+    done = stocs("solve", "instances/production.scsp", "--algorithm", "fc", "--mode", "max",
+                 "--policy-out", tmp_path / "p.json")
+    assert done.stdout == "MAX p=1.000000000\n"
+    done = stocs("eval", "instances/production.scsp", "--policy", tmp_path / "p.json",
+                 "--samples", 100_000_000, "--seed", 1, timeout=20)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert done.stdout.startswith("EST p=1.000000000 ")
+    assert done.stdout.endswith(" n=100000000 seed=1\n")
+    assert_input_error(stocs("eval", "instances/production.scsp", "--policy", tmp_path / "p.json",
+                             "--samples", "1" + "0" * 400, timeout=20))
