@@ -58,17 +58,17 @@ from .errors import (
     StocsError,
     UnsupportedConditionalParentsError,
 )
-from .model import Instance, _as_float
+from .model import Instance, _as_float, _repr
 from .semantics import (
     PolicyNode,
     _check_depth,
     _expect_chance,
     _expect_decision,
     _expect_leaf,
+    _remember,
     _rigid_policies,
     policy_satisfaction,
 )
-from .solver import _remember
 
 __all__ = [
     "Interval", "SampleEstimate", "HeuristicPolicy", "WILSON_Z",
@@ -119,10 +119,10 @@ def restricted_tree_bounds(instance: Instance, epsilon: float | None = None,
         if not 0.0 <= epsilon <= 1.0:  # NaN too
             raise BadEpsilonError(f"epsilon {epsilon!r} outside [0, 1]")
     elif not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1:
-        raise BadKError(f"top_k {top_k!r} must be a positive integer")
+        raise BadKError(f"top_k {_repr(top_k, BadKError, 'top_k')} must be a positive integer")
 
     _check_depth(instance)
-    if any(not c.fn([]) for c in instance.constant_compiled):
+    if instance.constant_false:
         return Interval(0.0, 0.0)
     env: list = [None] * instance.n
     key_at = instance.key_at
@@ -213,7 +213,7 @@ def most_probable_scenario_policy(instance: Instance) -> HeuristicPolicy:
     _check_depth(instance)
     pinned = _most_probable_values(instance)
     env: list = [None] * instance.n
-    if any(not c.fn(env) for c in instance.constant_compiled):
+    if instance.constant_false:
         raise NoHeuristicPolicyError("a constant constraint is false")
 
     def solve(depth: int) -> bool:
@@ -348,7 +348,7 @@ class _PathTrie:
             depth += 1
         if depth == instance.n:
             _expect_leaf(depth, node)
-            return None, ok and all(c.fn(env) for c in instance.constant_compiled)
+            return None, ok and not instance.constant_false
         chance = _expect_chance(instance, depth, node)
         get = instance.key_at[depth]
         key = None if get is None else (id(chance), get(env), ok)
@@ -433,7 +433,9 @@ def monte_carlo_policy_eval(instance: Instance, policy: PolicyNode, n: int,
     bit-identical estimates. The 95% interval uses the Wilson score.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise BadSampleCountError(f"sample count {n!r} must be a positive integer")
+        raise BadSampleCountError(
+            f"sample count {_repr(n, BadSampleCountError, 'sample count')} "
+            "must be a positive integer")
     if n > sys.float_info.max:  # the Wilson interval divides by float(n)
         raise BadSampleCountError("sample count is past the float range")
     if not isinstance(seed, int) or isinstance(seed, bool):

@@ -122,7 +122,11 @@ class OracleCapExceededError(StocsError):
     first such count above the cap, so a lower bound on the instance's."""
 
     def __init__(self, policy_count: int, cap: int):
-        super().__init__(f"instance has more than {cap} policies, the oracle cap")
+        try:
+            message = f"instance has more than {cap} policies, the oracle cap"
+        except ValueError:  # an int of more digits than Python converts to text
+            message = "instance has more policies than the oracle cap"
+        super().__init__(message)
         self.policy_count = policy_count
         self.cap = cap
 

@@ -32,11 +32,11 @@ from .semantics import (
     PolicyNode,
     _check_depth,
     _policy_value,
+    _remember,
     _rigid_policies,
     enumerate_policies,
     policy_satisfaction,
 )
-from .solver import _remember
 
 __all__ = [
     "OptimizeResult",
@@ -74,7 +74,7 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
     objective, violation = _compiled_objective(instance)
     _check_depth(instance)
     first = _rigid_policies(instance)
-    if any(not c.fn([]) for c in instance.constant_compiled):
+    if instance.constant_false:
         return OptimizeResult(first[0], violation, 0.0)
     n = instance.n
     env: list = [None] * n

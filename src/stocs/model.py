@@ -109,7 +109,7 @@ class Objective:
 def table_constraint(scope: Sequence[str], tuples: Sequence[Sequence[int]]) -> Constraint:
     return Constraint(
         scope=tuple(scope),
-        allowed=frozenset(tuple(int(v) for v in t) for t in tuples),
+        allowed=frozenset(map(tuple, tuples)),
     )
 
 
@@ -239,6 +239,12 @@ class Instance:
     @cached_property
     def constant_compiled(self) -> tuple[CompiledConstraint, ...]:
         return tuple(c for c in self.compiled if not c.scope_idx)
+
+    @cached_property
+    def constant_false(self) -> bool:
+        """Whether some constraint over no variables is false, so that every
+        leaf violates it. Every walker reads this flag, not the constraints."""
+        return not all(c.fn([]) for c in self.constant_compiled)
 
 
 def _count_policies(variables: Sequence[VariableSpec], cap: int) -> int:

@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _FRAME_MARGIN = 100  # stack frames for a recursion's caller and helpers
+# keys one walk stores at most; past it the walk caches nothing more
+CACHE_ENTRIES = 100_000
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,7 @@ def _misplaced(expected: str, node) -> MalformedPolicyError:
     return MalformedPolicyError(f"{where}, got {_repr(node, MalformedPolicyError, where)}")
 
 
-def _env_from_mapping(instance: Instance, assignment: Mapping[str, int],
-                      require_all: bool) -> list:
+def _env_from_mapping(instance: Instance, assignment: Mapping[str, int]) -> list:
     env: list = [None] * instance.n
     for i, var in enumerate(instance.variables):
         if var.name in assignment:
@@ -107,7 +108,7 @@ def _env_from_mapping(instance: Instance, assignment: Mapping[str, int],
             if value not in var.domain:
                 raise _not_in_domain(OutOfDomainValueError, var.name, value, var.domain)
             env[i] = value
-        elif require_all:
+        else:
             raise PartialAssignmentError(f"no value for variable {var.name}")
     return env
 
@@ -147,9 +148,9 @@ def scenario_probability(instance: Instance, scenario: Mapping[str, int],
 
 def check_assignment(instance: Instance, assignment: Mapping[str, int]) -> bool:
     """True iff the complete assignment satisfies every constraint."""
-    env = _env_from_mapping(instance, assignment, require_all=True)
-    return (all(c.fn(env) for c in instance.constant_compiled)
-            and all(test(env) for test in instance.check_at if test is not None))
+    env = _env_from_mapping(instance, assignment)
+    return not instance.constant_false and all(
+        test(env) for test in instance.check_at if test is not None)
 
 
 def _expect_decision(instance: Instance, depth: int, node: PolicyNode) -> DecisionNode:
@@ -179,6 +180,13 @@ def _expect_leaf(depth: int, node: PolicyNode) -> None:
         raise _misplaced(f"a leaf at depth {depth}", node)
 
 
+def _remember(memo: dict, key: tuple | None, result):
+    """Store a subtree result under its key (None: not cached) while there is room."""
+    if key is not None and len(memo) < CACHE_ENTRIES:
+        memo[key] = result
+    return result
+
+
 def _check_depth(instance: Instance) -> None:
     """Raise InstanceTooDeepError when a recursion taking one frame per
     variable would pass the recursion limit (never raised here)."""
@@ -199,30 +207,22 @@ def _policy_value(instance: Instance, policy: PolicyNode, objective,
     Constraints are checked as soon as their last scope variable gets a
     value, so subtrees below a violated constraint are not walked. A false
     constant constraint violates every leaf, but the walk still checks the
-    policy. From its second visit on, a node object is scored once per key:
-    ``key_at[depth]`` (Instance.key_at, or Instance._key_table of the
-    objective) holds all that the walk below reads of the assigned prefix.
-    So a policy that shares no subtree computes no key, and one that does
-    scores each node and key at most twice.
+    policy. At a keyed depth a node object is scored once per key, from its
+    first visit, as the sampler does: ``key_at[depth]`` (Instance.key_at, or
+    Instance._key_table of the objective) holds all that the walk below
+    reads of the assigned prefix.
     """
-    from .solver import _remember  # solver imports this module
-
     _check_depth(instance)
     env: list = [None] * instance.n
     memo: dict = {}
-    seen: set[int] = set()  # ids of the nodes visited so far
 
     def walk(depth: int, node: PolicyNode) -> float:
         if depth == instance.n:
             _expect_leaf(depth, node)
             return 1.0 if objective is None else float(objective(env))
-        key = None
-        if id(node) not in seen:
-            seen.add(id(node))
-        elif key_at[depth] is not None:
-            key = (depth, id(node), key_at[depth](env))
-            if key in memo:
-                return memo[key]
+        key = None if key_at[depth] is None else (depth, id(node), key_at[depth](env))
+        if key in memo:
+            return memo[key]
         var = instance.variables[depth]
         test = instance.check_at[depth]
         if var.kind == "decision":
@@ -239,13 +239,13 @@ def _policy_value(instance: Instance, policy: PolicyNode, objective,
                 env[depth] = w
                 value += q * (walk(depth + 1, child) if test is None or test(env) else violation)
             env[depth] = None
-        return value if key is None else _remember(memo, key, value)
+        return _remember(memo, key, value)
 
     try:
         value = walk(0, policy)
     except OverflowError:
         raise InstanceValidationError("objective: a value past the float range") from None
-    return violation if any(not c.fn([]) for c in instance.constant_compiled) else value
+    return violation if instance.constant_false else value
 
 
 def policy_satisfaction(instance: Instance, policy: PolicyNode) -> float:

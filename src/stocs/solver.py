@@ -44,7 +44,8 @@ first-found optimum of an identical subproblem, so values and argmax
 policies do not change. At a keyed depth decide mode answers from max
 mode, so every entry is exact and serves every window: after a miss at the
 root, max mode runs on the same search and memo for the UNSAT maximum. A walk
-stores each key once, and at most CACHE_ENTRIES keys (0 turns caching off).
+stores each key once, and at most semantics.CACHE_ENTRIES keys (0 turns
+caching off).
 
 Prune rules can be disabled independently; verdicts and values never
 change, only the work done (and the witness in decide mode).
@@ -56,7 +57,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonpositiveBranchProbabilityError
-from .model import PROB_TOL, CompiledConstraint, Instance, _check_theta
+from .model import PROB_TOL, CompiledConstraint, Instance, _check_theta, _repr
 from .semantics import (
     LEAF,
     ChanceNode,
@@ -65,6 +66,7 @@ from .semantics import (
     SatisfactionResult,
     SearchStats,
     _check_depth,
+    _remember,
     _rigid_policies,
     first_policy,
 )
@@ -74,17 +76,6 @@ __all__ = [
     "bt_max", "fc_max", "bt_decide", "fc_decide",
     "required_threshold",
 ]
-
-# keys one walk stores at most; past it the walk caches nothing more
-CACHE_ENTRIES = 100_000
-
-
-def _remember(memo: dict, key: tuple | None, result):
-    """Store a subtree result under its key (None: not cached) while there is room."""
-    if key is not None and len(memo) < CACHE_ENTRIES:
-        memo[key] = result
-    return result
-
 
 @dataclass(frozen=True)
 class PruneRules:
@@ -114,9 +105,8 @@ def required_threshold(parent_required: float, branch_probability: float | None 
     if branch_probability is None:
         return parent_required
     if branch_probability <= 0.0:
-        raise NonpositiveBranchProbabilityError(
-            f"chance branch probability {branch_probability!r} must be positive"
-        )
+        error, what = NonpositiveBranchProbabilityError, "chance branch probability"
+        raise error(f"{what} {_repr(branch_probability, error, what)} must be positive")
     needed = (parent_required - accumulated - remaining) / branch_probability
     return min(1.0, max(0.0, needed))
 
@@ -146,7 +136,7 @@ class _Search:
         self.check_at = (None,) * n if fc else instance.check_at
         self.fire_at = instance.fc_fire_at if fc else ((),) * n
         self.memo: dict = {}
-        self.root_dead = any(not c.fn(self.env) for c in instance.constant_compiled)
+        self.root_dead = instance.constant_false
         if fc and not self.root_dead:
             # unary prunes hold for the whole search: drop them from the trail
             self.root_dead = not self._forward_check(instance.unary_compiled)

@@ -8,7 +8,7 @@ from stocs import (
     Instance,
     VariableSpec,
     expr_constraint,
-    solver,
+    semantics,
     validate_instance,
 )
 
@@ -47,7 +47,7 @@ def uncached(run, *args, **kwargs):
     """Call a search, optimize_expected, restricted_tree_bounds or a walk of
     one given policy with the subtree cache off: it may store no entry."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "CACHE_ENTRIES", 0)
+        patch.setattr(semantics, "CACHE_ENTRIES", 0)
         return run(*args, **kwargs)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -73,6 +74,11 @@ class TestRestrictedTreeBounds:
     def test_k_must_be_positive(self, instance_a, k):
         with pytest.raises(BadKError):
             restricted_tree_bounds(instance_a, top_k=k)
+
+    def test_k_past_the_digit_limit(self, instance_a):
+        # Python prints at most 4,300 digits of an int: the message leaves it out
+        with pytest.raises(BadKError, match="^top_k: an integer too long to print$"):
+            restricted_tree_bounds(instance_a, top_k=-10**5000)
 
     def test_top_k_covering_the_domain_is_exact(self, fc_demo):
         got = restricted_tree_bounds(fc_demo, top_k=3)
@@ -210,6 +216,12 @@ class TestMonteCarlo:
         policy = DecisionNode("x", 0, ChanceNode("s", (Leaf(), Leaf())))
         with pytest.raises(BadSampleCountError):
             monte_carlo_policy_eval(instance_a, policy, n, seed=1)
+
+    def test_sample_count_past_the_digit_limit(self, instance_a):
+        policy = DecisionNode("x", 0, ChanceNode("s", (Leaf(), Leaf())))
+        with pytest.raises(BadSampleCountError,
+                           match="^sample count: an integer too long to print$"):
+            monte_carlo_policy_eval(instance_a, policy, -10**5000, seed=1)
 
     @pytest.mark.parametrize("seed", ["x", None, 1.7, 1.0, True, False, "1"])
     def test_seed_must_be_an_int(self, instance_a, seed):
@@ -546,3 +558,29 @@ class TestSettledStop:
             with pytest.raises(BadSampleCountError, match="float range"):
                 monte_carlo_policy_eval(instance_b, SURE_B, n, seed=1)
         assert chunks == []
+
+
+def test_constant_constraint_runs_once_per_instance():
+    # four built leaves, two sampling runs and every other walker: one call
+    inst = make_instance([("s0", "s", (0, 1), (0.5, 0.5)), ("s1", "s", (0, 1), (0.5, 0.5)),
+                          ("x", "d", (0, 1))], [expr_constraint("1 = 1")])
+    calls = []
+
+    def counted(fn):
+        def counting(env):
+            calls.append(1)
+            return fn(env)
+        return counting
+
+    inst.__dict__["compiled"] = tuple(dataclasses.replace(c, fn=counted(c.fn))
+                                      for c in inst.compiled)
+    policy = ChanceNode("s0", tuple(ChanceNode("s1", (DecisionNode("x", 0, Leaf()),) * 2)
+                                    for _ in range(2)))
+    for seed in (1, 2):
+        assert monte_carlo_policy_eval(inst, policy, 1000, seed).estimate == 1.0
+    assert len(calls) == 1
+    assert policy_satisfaction(inst, policy) == 1.0
+    assert fc_max(inst).probability == 1.0
+    assert restricted_tree_bounds(inst, epsilon=0.0) == approx.Interval(1.0, 1.0)
+    assert most_probable_scenario_policy(inst).exact_satisfaction == 1.0
+    assert len(calls) == 1

@@ -437,6 +437,17 @@ class TestValuesAreCheckedNotConverted:
             build([VariableSpec("x", "decision", (0, 1, 2))], [Constraint(("x",), None, node)])
 
 
+    def test_table_constraint_keeps_its_values(self):
+        # refused as Constraint(("x",), frozenset({(1.7,)})) is, not read as x = 1
+        x = VariableSpec("x", "decision", (0, 1, 2))
+        constraint = table_constraint(["x"], [[1.7], [True]])
+        assert sorted(map(repr, constraint.allowed)) == ["(1.7,)", "(True,)"]
+        with pytest.raises(OutOfDomainValueError, match="value 1.7 not in domain of x"):
+            build([x], [constraint])
+        with pytest.raises(InstanceValidationError, match="non-integer table value True"):
+            build([x], [table_constraint(["x"], [[True]])])
+
+
 class TestObjectiveWarning:
     def test_warns_when_violation_can_beat_the_objective(self):
         objective = Objective(parse_expression("x + s"), violation_value=100.0)

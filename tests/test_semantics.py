@@ -1,9 +1,12 @@
+import ast
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 from gen import random_instance, random_policy
+import stocs
 from stocs import (
     ChanceNode,
     DecisionNode,
@@ -189,6 +192,23 @@ class TestPolicySatisfaction:
                                match=r"^expected a decision node for x at depth 0, got Leaf\(\)$"):
                 score(inst, Leaf())
 
+    def test_shared_subtree_is_scored_once_per_key(self):
+        # both values of s0 reach one x1 node with one key at depth 1
+        inst = make_instance([("s0", "s", (0, 1), (0.5, 0.5)), ("x1", "d", (0, 1)),
+                              ("s2", "s", (0, 1), (0.5, 0.5))], [expr_constraint("x1 = s2")])
+        assert inst.key_at[1] is not None
+        calls = []
+        test = inst.check_at[2]
+
+        def counting(env):
+            calls.append(tuple(env))
+            return test(env)
+
+        inst.__dict__["check_at"] = (None, None, counting)
+        shared = DecisionNode("x1", 1, ChanceNode("s2", (Leaf(), Leaf())))
+        assert policy_satisfaction(inst, ChanceNode("s0", (shared, shared))) == 0.5
+        assert calls == [(0, 1, 0), (0, 1, 1)]
+
     def test_matches_scenario_sum_formulation(self):
         rng = random.Random(23)
         for _ in range(25):
@@ -267,6 +287,11 @@ class TestEnumeration:
         assert alternating(8).policy_count == 2 ** 15
         assert alternating(48).policy_count == 2 ** 30
 
+    def test_cap_past_the_digit_limit(self, instance_b):
+        with pytest.raises(OracleCapExceededError,
+                           match="^instance has more policies than the oracle cap$"):
+            oracle_max_satisfaction(instance_b, cap=-10**5000)
+
     def test_empty_instance_has_one_policy(self):
         inst = make_instance([])
         assert inst.policy_count == 1
@@ -339,3 +364,17 @@ def test_rigid_policy_table_shares_subtrees(instances_dir):
         for tree, below in zip(table, table[1:]):
             children = tree.children if isinstance(tree, ChanceNode) else (tree.child,)
             assert all(child is below for child in children)
+
+
+def test_walkers_import_nothing_from_the_search():
+    # layers: model -> semantics -> {solver, approx, extensions} -> cli
+    for name in ("semantics", "approx", "extensions"):
+        tree = ast.parse((Path(stocs.__file__).parent / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            assert not any(m.split(".")[-1] == "solver" for m in modules), (name, node.lineno)

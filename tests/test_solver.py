@@ -39,7 +39,7 @@ from stocs.errors import (
     NonpositiveBranchProbabilityError,
     ThetaOutOfRangeError,
 )
-from stocs import solver
+from stocs import semantics, solver
 from stocs.cli import main
 from stocs.formats import dump_instance
 from stocs.solver import _Search
@@ -317,7 +317,7 @@ class TestPruneRules:
                         == bt_decide(inst, theta_override=theta).satisfiable)
 
     def test_all_rules_off_still_exact(self, instance_c, monkeypatch):
-        monkeypatch.setattr(solver, "CACHE_ENTRIES", 0)
+        monkeypatch.setattr(semantics, "CACHE_ENTRIES", 0)
         rules = PruneRules(decision_stop=False, chance_abort=False,
                            fc_wipeout=False, fc_mass=False)
         assert fc_max(instance_c, rules=rules).probability == pytest.approx(0.5)
@@ -384,6 +384,11 @@ class TestRequiredThreshold:
     def test_nonpositive_branch_probability(self):
         with pytest.raises(NonpositiveBranchProbabilityError):
             required_threshold(0.5, branch_probability=0.0)
+
+    def test_branch_probability_past_the_digit_limit(self):
+        with pytest.raises(NonpositiveBranchProbabilityError,
+                           match="^chance branch probability: an integer too long to print$"):
+            required_threshold(0.5, -10**5000)
 
 
 class TestSearchState:
@@ -665,7 +670,7 @@ class TestContextCache:
 
         full = {(fc, theta): stored(fc, theta) for fc in (False, True) for theta in thetas}
         for cap in (5, 20):
-            monkeypatch.setattr(solver, "CACHE_ENTRIES", cap)
+            monkeypatch.setattr(semantics, "CACHE_ENTRIES", cap)
             for (fc, theta), keys in full.items():
                 assert stored(fc, theta) == min(cap, keys)
             for run_max, run_decide in ((bt_max, bt_decide), (fc_max, fc_decide)):
