@@ -19,10 +19,11 @@ The sampling walk is compiled on first visit. Under a fixed policy,
 everything a sample does at a chance node except the draw depends only on
 the node, on whether a constraint has failed yet and on what the walk below
 reads of the path to it (Instance.key_at; the whole path at an unkeyed
-depth): node validation, the distribution, its cumulative table and the
-constraint checks. So the first sample to reach such a state does that work
-and stores the outcome in a graph of states; later samples only bisect a
-draw into the table and follow the stored branch.
+depth): the distribution, its cumulative table and the constraint checks.
+So the first sample to reach such a state does that work and stores the
+outcome in a graph of states; later samples only bisect a draw into the
+table and follow the stored branch. The policy's shape is checked in full
+before the first draw (semantics._check_policy), so the walk trusts it.
 
 The draws are made in batches. Every sample takes exactly one word per
 stochastic variable, so n samples read the first n * m words of the
@@ -62,9 +63,7 @@ from .model import Instance, _as_float, _repr
 from .semantics import (
     PolicyNode,
     _check_depth,
-    _expect_chance,
-    _expect_decision,
-    _expect_leaf,
+    _check_policy,
     _remember,
     _rigid_policies,
     policy_satisfaction,
@@ -316,11 +315,12 @@ class _PathTrie:
     that is ``Instance.key_at``, elsewhere the whole path. So a state is one
     ``(chance node, key, ok)``, or one branch into it where the depth has no
     key, and policies that share subtrees get one state per shared subtree.
-    Node validation, the distribution, the threshold table and the
-    constraint checks (one ``Instance.check_at`` test per depth) run once
-    per state, in the same order and at the same sample as a plain walk
-    would first run them. A branch is grown from a copy of its state's
-    ``env``. ``states`` counts the states built.
+    The distribution, the threshold table and the constraint checks (one
+    ``Instance.check_at`` test per depth) run once per state, in the same
+    order and at the same sample as a plain walk would first run them. A
+    branch is grown from a copy of its state's ``env``. ``states`` counts
+    the states built. The policy must pass semantics._check_policy and the
+    instance must have no false constant constraint.
     """
 
     def __init__(self, instance: Instance, policy: PolicyNode):
@@ -338,20 +338,16 @@ class _PathTrie:
         (its state, built on first visit) or the end of the order, checking
         constraints in depth order until one fails."""
         instance = self.instance
-        variables = instance.variables
-        while depth < instance.n and variables[depth].kind == "decision":
-            dec = _expect_decision(instance, depth, node)
-            env[depth] = dec.chosen_value
+        while depth < instance.n and instance.variables[depth].kind == "decision":
+            env[depth] = node.chosen_value
             test = instance.check_at[depth]
             ok = ok and (test is None or test(env))
-            node = dec.child
+            node = node.child
             depth += 1
         if depth == instance.n:
-            _expect_leaf(depth, node)
-            return None, ok and not instance.constant_false
-        chance = _expect_chance(instance, depth, node)
+            return None, ok
         get = instance.key_at[depth]
-        key = None if get is None else (id(chance), get(env), ok)
+        key = None if get is None else (id(node), get(env), ok)
         state = self.keyed.get(key)
         if state is None:
             probs = instance.distribution(depth, env)
@@ -363,7 +359,7 @@ class _PathTrie:
             self.states += 1
             # value i takes the draws in [cum[i - 1], min(cum[i], 2**53))
             self.open += sum(lo < min(hi, 2 ** 53) for lo, hi in zip([0, *cum], cum))
-            state = _State(cum, depth, chance.children, ok, tuple(env))
+            state = _State(cum, depth, node.children, ok, tuple(env))
             _remember(self.keyed, key, state)
         return state, ok
 
@@ -387,8 +383,7 @@ class _PathTrie:
         Every path passes one chance state per stochastic variable, so the
         draws form one flat stream and a sample ends every m-th draw. Once
         a batch leaves no reachable branch to build and one leaf outcome,
-        the remaining samples count without being drawn: none could differ
-        or raise.
+        the remaining samples count without being drawn: none could differ.
         """
         root_state, root_ok = self.root
         if root_state is None:  # no stochastic variable: every sample is alike
@@ -441,7 +436,8 @@ def monte_carlo_policy_eval(instance: Instance, policy: PolicyNode, n: int,
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise StocsError(f"seed {seed!r} must be an integer")
     seed &= _MASK64
-    wins = _PathTrie(instance, policy).wins(n, seed)
+    _check_policy(instance, policy)
+    wins = 0 if instance.constant_false else _PathTrie(instance, policy).wins(n, seed)
     estimate = wins / n
     ci_low, ci_high = _wilson(wins, n)
     return SampleEstimate(estimate, n, ci_low, ci_high, seed)

@@ -31,11 +31,11 @@ from .semantics import (
     DecisionNode,
     PolicyNode,
     _check_depth,
+    _check_policy,
     _policy_value,
     _remember,
     _rigid_policies,
     enumerate_policies,
-    policy_satisfaction,
 )
 
 __all__ = [
@@ -61,6 +61,8 @@ def _compiled_objective(instance: Instance):
 def policy_expected_value(instance: Instance, policy: PolicyNode) -> float:
     """Expected objective value of a policy, violation_value on bad leaves."""
     objective, violation = _compiled_objective(instance)
+    _check_depth(instance)
+    _check_policy(instance, policy)
     return _policy_value(instance, policy, objective, violation,
                          instance._key_table(instance.objective))
 
@@ -148,7 +150,7 @@ def optimize_chance_constrained(instance: Instance, theta: float | None = None,
     key_at = instance._key_table(instance.objective)
     best: OptimizeResult | None = None
     for policy in enumerate_policies(instance, cap=cap):
-        satisfaction = policy_satisfaction(instance, policy)
+        satisfaction = _policy_value(instance, policy, None, 0.0, instance.key_at)
         if satisfaction < threshold - PROB_TOL:
             continue
         value = _policy_value(instance, policy, objective, violation, key_at)

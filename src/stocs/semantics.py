@@ -8,7 +8,9 @@ some policy reaches satisfaction >= theta (non-strict, with 1e-9 slack).
 Scenario probabilities follow the chain rule (a plain product without
 conditional tables), and one walker scores any given policy. Policies
 built by the searches share equal subtrees, so the walker scores a subtree
-once per node object and key (Instance.key_at), not once per path.
+once per node object and key (Instance.key_at), not once per path. A given
+policy's shape is checked once, in full, where it enters the API
+(_check_policy); the walkers trust it, so no walk scores a malformed tree.
 
 The oracle enumerates every policy and is the ground truth the search
 algorithms are tested against. It is deliberately naive and guarded by a
@@ -153,31 +155,35 @@ def check_assignment(instance: Instance, assignment: Mapping[str, int]) -> bool:
         test(env) for test in instance.check_at if test is not None)
 
 
-def _expect_decision(instance: Instance, depth: int, node: PolicyNode) -> DecisionNode:
-    var = instance.variables[depth]
-    if not isinstance(node, DecisionNode) or node.variable != var.name:
-        raise _misplaced(f"a decision node for {var.name} at depth {depth}", node)
-    if node.chosen_value not in var.domain:
-        raise _not_in_domain(MalformedPolicyError, f"decision {var.name}", node.chosen_value,
-                             var.domain)
-    return node
-
-
-def _expect_chance(instance: Instance, depth: int, node: PolicyNode) -> ChanceNode:
-    var = instance.variables[depth]
-    if not isinstance(node, ChanceNode) or node.variable != var.name:
-        raise _misplaced(f"a chance node for {var.name} at depth {depth}", node)
-    if len(node.children) != len(var.domain):
-        raise MalformedPolicyError(
-            f"chance node for {var.name} has {len(node.children)} children, "
-            f"domain has {len(var.domain)}"
-        )
-    return node
-
-
-def _expect_leaf(depth: int, node: PolicyNode) -> None:
-    if not isinstance(node, Leaf):
-        raise _misplaced(f"a leaf at depth {depth}", node)
+def _check_policy(instance: Instance, policy: PolicyNode) -> None:
+    """Raise MalformedPolicyError unless ``policy`` is a policy tree of the
+    instance. The check goes depth by depth over the distinct node objects
+    at each depth, in the order they are first reached, so it sees every
+    node once per depth, also below a violated constraint or a
+    zero-probability value, and reports a shallowest fault."""
+    level = {id(policy): policy}
+    for depth, var in enumerate(instance.variables):
+        below: dict = {}
+        for node in level.values():
+            if var.kind == "decision":
+                if not isinstance(node, DecisionNode) or node.variable != var.name:
+                    raise _misplaced(f"a decision node for {var.name} at depth {depth}", node)
+                if node.chosen_value not in var.domain:
+                    raise _not_in_domain(MalformedPolicyError, f"decision {var.name}",
+                                         node.chosen_value, var.domain)
+                below[id(node.child)] = node.child
+            else:
+                if not isinstance(node, ChanceNode) or node.variable != var.name:
+                    raise _misplaced(f"a chance node for {var.name} at depth {depth}", node)
+                if len(node.children) != len(var.domain):
+                    raise MalformedPolicyError(f"chance node for {var.name} has "
+                                               f"{len(node.children)} children, "
+                                               f"domain has {len(var.domain)}")
+                below.update((id(child), child) for child in node.children)
+        level = below
+    for node in level.values():
+        if not isinstance(node, Leaf):
+            raise _misplaced(f"a leaf at depth {instance.n}", node)
 
 
 def _remember(memo: dict, key: tuple | None, result):
@@ -201,24 +207,24 @@ def _check_depth(instance: Instance) -> None:
 
 def _policy_value(instance: Instance, policy: PolicyNode, objective,
                   violation: float, key_at: tuple) -> float:
-    """Expected leaf value of a given policy: ``objective(env)`` (1.0 when
-    None) on leaves satisfying every constraint, ``violation`` on the rest.
+    """Expected leaf value of a policy that _check_policy passes:
+    ``objective(env)`` (1.0 when None) on leaves satisfying every
+    constraint, ``violation`` on the rest.
 
     Constraints are checked as soon as their last scope variable gets a
-    value, so subtrees below a violated constraint are not walked. A false
-    constant constraint violates every leaf, but the walk still checks the
-    policy. At a keyed depth a node object is scored once per key, from its
-    first visit, as the sampler does: ``key_at[depth]`` (Instance.key_at, or
-    Instance._key_table of the objective) holds all that the walk below
-    reads of the assigned prefix.
+    value, so subtrees below a violated constraint are not walked, and
+    under a false constant constraint nothing is. At a keyed depth a node
+    object is scored once per key, from its first visit, as the sampler
+    does: ``key_at[depth]`` (Instance.key_at, or Instance._key_table of the
+    objective) holds all that the walk below reads of the assigned prefix.
     """
-    _check_depth(instance)
+    if instance.constant_false:
+        return violation
     env: list = [None] * instance.n
     memo: dict = {}
 
     def walk(depth: int, node: PolicyNode) -> float:
         if depth == instance.n:
-            _expect_leaf(depth, node)
             return 1.0 if objective is None else float(objective(env))
         key = None if key_at[depth] is None else (depth, id(node), key_at[depth](env))
         if key in memo:
@@ -226,14 +232,12 @@ def _policy_value(instance: Instance, policy: PolicyNode, objective,
         var = instance.variables[depth]
         test = instance.check_at[depth]
         if var.kind == "decision":
-            dec = _expect_decision(instance, depth, node)
-            env[depth] = dec.chosen_value
-            value = walk(depth + 1, dec.child) if test is None or test(env) else violation
+            env[depth] = node.chosen_value
+            value = walk(depth + 1, node.child) if test is None or test(env) else violation
         else:
-            chance = _expect_chance(instance, depth, node)
             probs = instance.distribution(depth, env)
             value = 0.0
-            for w, q, child in zip(var.domain, probs, chance.children):
+            for w, q, child in zip(var.domain, probs, node.children):
                 if q == 0.0:
                     continue
                 env[depth] = w
@@ -242,14 +246,15 @@ def _policy_value(instance: Instance, policy: PolicyNode, objective,
         return _remember(memo, key, value)
 
     try:
-        value = walk(0, policy)
+        return walk(0, policy)
     except OverflowError:
         raise InstanceValidationError("objective: a value past the float range") from None
-    return violation if instance.constant_false else value
 
 
 def policy_satisfaction(instance: Instance, policy: PolicyNode) -> float:
     """Probability mass of the policy's satisfying leaves."""
+    _check_depth(instance)
+    _check_policy(instance, policy)
     return _policy_value(instance, policy, None, 0.0, instance.key_at)
 
 
@@ -294,7 +299,7 @@ def oracle_max_satisfaction(instance: Instance, cap: int = ORACLE_CAP) -> Satisf
     stats = SearchStats()
     for policy in enumerate_policies(instance, cap=cap):
         stats.nodes_visited += 1
-        score = policy_satisfaction(instance, policy)
+        score = _policy_value(instance, policy, None, 0.0, instance.key_at)
         if score > best:
             best = score
             best_policy = policy
@@ -320,24 +325,21 @@ def scenarios(instance: Instance) -> Iterator[dict[str, int]]:
 def induced_assignment(instance: Instance, policy: PolicyNode,
                        scenario: Mapping[str, int]) -> dict[str, int]:
     """Complete assignment obtained by running the policy on a scenario."""
+    _check_policy(instance, policy)
     env: dict[str, int] = {}
     node = policy
-    for depth, var in enumerate(instance.variables):
+    for var in instance.variables:
         if var.kind == "decision":
-            dec = _expect_decision(instance, depth, node)
-            env[var.name] = dec.chosen_value
-            node = dec.child
+            env[var.name] = node.chosen_value
+            node = node.child
         else:
-            chance = _expect_chance(instance, depth, node)
             if var.name not in scenario:
                 raise MissingAssignmentError(f"scenario misses stochastic variable {var.name}")
             value = scenario[var.name]
             if value not in var.domain:
                 raise _not_in_domain(OutOfDomainValueError, var.name, value, var.domain)
             env[var.name] = value
-            node = chance.children[var.domain.index(value)]
-    if not isinstance(node, Leaf):
-        raise _misplaced("a leaf after all variables", node)
+            node = node.children[var.domain.index(value)]
     return env
 
 
@@ -358,10 +360,7 @@ def _rigid_policies(instance: Instance,
     return table
 
 
-def first_policy(instance: Instance, depth: int = 0) -> PolicyNode:
-    """The first policy in enumeration order from ``depth`` down.
-
-    Decision variables take their first domain value; chance nodes branch
-    over the full domain with identical subtrees.
-    """
-    return _rigid_policies(instance)[depth]
+def first_policy(instance: Instance) -> PolicyNode:
+    """The first policy in enumeration order: decision variables take their
+    first domain value, and chance nodes repeat one subtree per value."""
+    return _rigid_policies(instance)[0]

@@ -247,14 +247,14 @@ def _cpt_case():
 
 
 def _zero_case():
-    # zero mass on the first s1 value and on the last s2 value; the branch
-    # behind s1 = 0 is malformed (x = 7) and must never be walked
+    # zero mass on the first s1 value and on the last s2 value: no sample
+    # walks the branch behind s1 = 0 (x = 2) or s2 = 2
     inst = make_instance(
         [("s1", "s", (0, 1, 2), (0.0, 0.3, 0.7)), ("x", "d", (0, 1, 2)),
          ("s2", "s", (0, 1, 2), (0.25, 0.75, 0.0))],
         [expr_constraint("x = s2")])
     tail = ChanceNode("s2", (Leaf(), Leaf(), Leaf()))
-    policy = ChanceNode("s1", (DecisionNode("x", 7, tail),
+    policy = ChanceNode("s1", (DecisionNode("x", 2, tail),
                                DecisionNode("x", 0, tail), DecisionNode("x", 1, tail)))
     return inst, policy
 
@@ -302,6 +302,19 @@ def _keyed_states(instance, node, depth=0, env=None, ok=True, out=None):
     return out
 
 
+def _record_grown(monkeypatch):
+    """Record the (depth, value index) of every branch the sampler builds."""
+    grown = []
+    grow = approx._PathTrie.grow
+
+    def recording(trie, state, i):
+        grown.append((state.depth, i))
+        return grow(trie, state, i)
+
+    monkeypatch.setattr(approx._PathTrie, "grow", recording)
+    return grown
+
+
 class TestSampledWalkGoldens:
     """Estimates pinned bit for bit; they predate the per-path compiled walk."""
 
@@ -322,6 +335,13 @@ class TestSampledWalkGoldens:
         got = monte_carlo_policy_eval(inst, policy, n, seed)
         assert got == SampleEstimate(want[0], n, want[1], want[2], seed & (2 ** 64 - 1))
 
+    @pytest.mark.parametrize("n, seed", [(1000, 3), (2500, 2 ** 64 + 11)])
+    def test_zero_case_never_walks_a_zero_mass_branch(self, monkeypatch, n, seed):
+        grown = _record_grown(monkeypatch)
+        monte_carlo_policy_eval(*_zero_case(), n, seed)
+        assert {(0, 1), (0, 2), (2, 0), (2, 1)} <= set(grown)
+        assert (0, 0) not in grown and (2, 2) not in grown
+
     def test_shared_case_really_shares_subtrees(self):
         inst, policy = _shared_case()
         paths, ids = _chance_paths(inst, policy)
@@ -333,7 +353,7 @@ class TestSampledWalkTrie:
         inst = make_instance(
             [("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5)), ("y", "d", (0, 1))],
             [expr_constraint("x = 1")])
-        # x = 0 violates the constraint at depth 0; the walk goes on anyway
+        # x = 0 violates the constraint at depth 0; the check covers what is below
         policy = DecisionNode("x", 0, ChanceNode("s", (DecisionNode("y", 0, Leaf()),
                                                        DecisionNode("y", 5, Leaf()))))
         with pytest.raises(MalformedPolicyError,
@@ -531,23 +551,24 @@ class TestSettledStop:
                 stopped += sum(chunks) < n * len(inst.stochastic_indices)
         assert stopped >= 5
 
-    @pytest.mark.parametrize("probs, values", [
+    @pytest.mark.parametrize("probs, i", [
         # 0.5 + 1e-300 rounds to 0.5, so s = 1 owns no u
-        ((0.5, 1e-300, 0.5), (0, 5, 1)),
+        ((0.5, 1e-300, 0.5), 1),
         # the sum passes 1 within PROB_TOL, so s = 2 starts past every u
-        ((0.5, 0.5, 1e-10), (0, 1, 5)),
+        ((0.5, 0.5, 1e-10), 2),
     ])
-    def test_a_branch_no_draw_reaches_holds_no_stop_back(self, monkeypatch, probs, values):
-        # the value has positive mass; its malformed node (x = 5) is never walked
-        i = values.index(5)
+    def test_a_branch_no_draw_reaches_holds_no_stop_back(self, monkeypatch, probs, i):
+        # the value has positive mass, but no sample walks its branch
         c = [0.0, *accumulate(probs)]
         assert probs[i] > 0.0 and c[i] >= min(c[i + 1], 1.0)
         inst = make_instance([("s", "s", (0, 1, 2), probs), ("x", "d", (0, 1))])
-        policy = ChanceNode("s", tuple(DecisionNode("x", v, Leaf()) for v in values))
+        policy = ChanceNode("s", tuple(DecisionNode("x", v, Leaf()) for v in (0, 1, 1)))
         chunks = _count_chunks(monkeypatch)
+        grown = _record_grown(monkeypatch)
         got = monte_carlo_policy_eval(inst, policy, 10 ** 4, seed=2)
         assert got.estimate == _reference_wins(inst, policy, 10 ** 4, 2) / 10 ** 4 == 1.0
         assert chunks == [CHUNK]
+        assert sorted(grown) == [(0, k) for k in range(3) if k != i]
 
     def test_sample_count_past_the_float_range(self, monkeypatch, instance_b):
         chunks = _count_chunks(monkeypatch)

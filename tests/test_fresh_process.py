@@ -68,6 +68,12 @@ def faulty(tmp_path_factory):
         "theta": 0.5, "variables": chain[:2],
         "constraints": [{"type": "expr", "text": "1 = 2"}]}))
     (tmp_path / "leaf.json").write_text('{"kind":"leaf"}')
+    # s = 1 violates x = s in a.scsp, so no walk goes below it; eval still checks it
+    (tmp_path / "past_the_end.json").write_text(json.dumps({
+        "kind": "decision", "variable": "x", "value": 0, "child": {
+            "kind": "chance", "variable": "s", "children": [
+                {"kind": "leaf"},
+                {"kind": "decision", "variable": "x", "value": 0, "child": {"kind": "leaf"}}]}}))
     (tmp_path / "overflow.scsp").write_text(json.dumps({
         "theta": 0.5, "variables": chain[:1], "objective": {"text": "x0 * 1" + "0" * 400}}))
     # the duplicate-name check is linear, so this fails fast on its depth
@@ -84,10 +90,12 @@ def faulty(tmp_path_factory):
     ("eval", "instances/a.scsp", "--policy", "{tmp}/big.json"),
     ("oracle", "{tmp}/chain.scsp"),
     ("eval", "{tmp}/constant.scsp", "--policy", "{tmp}/leaf.json"),
+    ("eval", "instances/a.scsp", "--policy", "{tmp}/past_the_end.json"),
     ("optimize", "{tmp}/overflow.scsp"),
     ("solve", "{tmp}/digit.scsp"),
 ], ids=["big-theta", "big-policy-value", "oracle-past-cap", "malformed-policy-false-constant",
-        "objective-past-float-range", "non-ascii-digit"])
+        "malformed-node-below-a-violated-branch", "objective-past-float-range",
+        "non-ascii-digit"])
 def test_input_errors_exit_two(faulty, argv):
     assert_input_error(stocs(*(a.format(tmp=faulty) for a in argv)))
 

@@ -45,18 +45,19 @@ def rigid_a(value):
     return DecisionNode("x", value, ChanceNode("s", (Leaf(), Leaf())))
 
 
-def scored_a(*extra):
+def scored_a(*extra, probabilities=(0.5, 0.5)):
     # instance a with an objective, so that both walks can score it
     return make_instance(
-        [("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5))],
+        [("x", "d", (0, 1)), ("s", "s", (0, 1), probabilities)],
         [expr_constraint("x = s"), *extra],
         objective=Objective(parse_expression("10 * x")))
 
 
-def scored_pairs():
+def scored_pairs(*extra, probabilities=(0.5, 0.5)):
     """Each walk over a given policy, on scored_a and on scored_a with a
     false constant constraint, under which every leaf violates."""
-    instances = (scored_a(), scored_a(expr_constraint("1 = 2")))
+    instances = (scored_a(*extra, probabilities=probabilities),
+                 scored_a(*extra, expr_constraint("1 = 2"), probabilities=probabilities))
     return [(score, inst) for score in SCORES for inst in instances]
 
 
@@ -64,7 +65,11 @@ def sampled(instance, policy):
     return monte_carlo_policy_eval(instance, policy, 50, seed=1)
 
 
-SCORES = (policy_satisfaction, policy_expected_value, sampled)
+def induced(instance, policy):
+    return induced_assignment(instance, policy, {"s": 0})
+
+
+SCORES = (policy_satisfaction, policy_expected_value, sampled, induced)
 
 
 def alternating(n):
@@ -186,6 +191,29 @@ class TestPolicySatisfaction:
                                match=r"^expected a leaf at depth 2, got DecisionNode"):
                 score(inst, bad)
 
+    def test_node_below_a_violated_constraint(self):
+        # x = 0 violates x = 1, so no walk goes below the decision
+        for score, inst in scored_pairs(expr_constraint("x = 1")):
+            with pytest.raises(MalformedPolicyError,
+                               match=r"^expected a chance node for s at depth 1, got Leaf\(\)$"):
+                score(inst, DecisionNode("x", 0, Leaf()))
+
+    def test_node_below_a_zero_probability_value(self):
+        # s = 1 has no mass, so no walk goes below it
+        bad = DecisionNode("x", 0, ChanceNode("s", (Leaf(), DecisionNode("x", 0, Leaf()))))
+        for score, inst in scored_pairs(probabilities=(1.0, 0.0)):
+            with pytest.raises(MalformedPolicyError,
+                               match=r"^expected a leaf at depth 2, got DecisionNode"):
+                score(inst, bad)
+
+    def test_the_shallowest_fault_is_reported(self, instance_b):
+        # the first branch holds a fault at depth 2, the second one at depth 1
+        bad = ChanceNode("s", (DecisionNode("x", 0, DecisionNode("x", 0, Leaf())), Leaf()))
+        for score in (policy_satisfaction, sampled, induced):
+            with pytest.raises(MalformedPolicyError,
+                               match=r"^expected a decision node for x at depth 1, got Leaf\(\)$"):
+                score(instance_b, bad)
+
     def test_leaf_for_the_whole_policy(self):
         for score, inst in scored_pairs():
             with pytest.raises(MalformedPolicyError,
@@ -237,7 +265,7 @@ class TestInducedAssignment:
         bad = ChanceNode("s", (DecisionNode("x", 0, Leaf()),
                                DecisionNode("x", 1, DecisionNode("x", 0, Leaf()))))
         with pytest.raises(MalformedPolicyError,
-                           match=r"^expected a leaf after all variables, got DecisionNode"):
+                           match=r"^expected a leaf at depth 2, got DecisionNode"):
             induced_assignment(instance_b, bad, {"s": 1})
 
 
@@ -359,8 +387,9 @@ def test_rigid_policy_table_shares_subtrees(instances_dir):
         inst = load_instance(path)
         table = _rigid_policies(inst)
         assert len(table) == inst.n + 1
+        assert table[0] == first_policy(inst)
         for depth, tree in enumerate(table):
-            assert tree == fresh(inst, depth) == first_policy(inst, depth)
+            assert tree == fresh(inst, depth)
         for tree, below in zip(table, table[1:]):
             children = tree.children if isinstance(tree, ChanceNode) else (tree.child,)
             assert all(child is below for child in children)
