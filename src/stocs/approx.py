@@ -29,16 +29,27 @@ The draws are made in batches. Every sample takes exactly one word per
 stochastic variable, so n samples read the first n * m words of the
 stream, and word k depends only on the seed and k. Up to _CHUNK words
 are mixed at once on one big int with a 128-bit lane per word; the fixed
-chunk size bounds the memory this takes, whatever n is. The walk keeps
-each draw x = word >> 11 an integer: x * 2**-53 < c exactly when
+chunk size bounds the memory this takes, whatever n is, and each batch's
+lanes follow from the last one's by one addition. The walk keeps each
+draw x = word >> 11 an integer: x * 2**-53 < c exactly when
 x < ceil(c * 2**53), so bisecting x into thresholds ceil(c * 2**53) over
 the cumulative probabilities c finds the value the spec above names.
 
-Sampling stops after the first batch that settles the count: every branch
-that owns a draw in [0, 2**53) is built at every built state, and every
-leaf reached has one outcome. Each remaining sample, the one in progress
-too, then ends in that outcome, so the count is the full walk's; sure and
-hopeless policies cost one batch.
+The walk by draw stops after the first batch that completes the trie:
+every branch that owns a draw in [0, 2**53) is built at every built
+state. If every leaf reached has one outcome, each remaining sample, the
+one in progress too, ends in it, so the count is the full walk's; sure
+and hopeless policies cost one batch. Otherwise the sample in progress
+ends on built branches and the rest are counted by draw class, in
+batches of m * (_CHUNK // m) words that start at a sample boundary. The
+thresholds of a variable's rows cut [0, 2**53) into intervals, and all
+draws in one interval take one value at every state of that variable.
+bytes.translate maps each word's top byte to its interval; only a draw
+whose top byte spans a threshold is bisected. A Counter counts the
+samples' tuples of intervals, and each distinct tuple walks the trie
+once. A variable with more than 254 intervals, a sample longer than a
+batch, or under four remaining samples per possible tuple keeps the
+walk by draw to the end.
 """
 
 from __future__ import annotations
@@ -47,6 +58,7 @@ import math
 import struct
 import sys
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
@@ -64,6 +76,7 @@ from .semantics import (
     PolicyNode,
     _check_depth,
     _check_policy,
+    CACHE_ENTRIES,
     _remember,
     _rigid_policies,
     policy_satisfaction,
@@ -254,45 +267,101 @@ def _lanes(width: int) -> tuple[int, int, int]:
     return ones, steps, ones * _MASK64
 
 
-def _draws(seed: int, total: int):
-    """Yield the draws ``word >> 11`` of splitmix64 words 1 to ``total`` from
-    ``seed`` (word k mixes ``seed + k * GOLDEN`` mod 2**64), in order, in
-    tuples of at most ``_CHUNK``.
+def _words(seed: int, first: int, total: int, width: int):
+    """Yield ``(count, z)`` for the splitmix64 words ``first`` to
+    ``first + total - 1`` from ``seed`` (word k mixes ``seed + k * GOLDEN``
+    mod 2**64), in batches of ``width`` words, at most ``_CHUNK``; the last
+    may be shorter. Lane k of ``z``, 128 bits wide, holds the batch's k-th
+    word in its low 64 bits; bits 64 to 96 are clear.
 
-    Each tuple is mixed on one int with a 128-bit lane per word. ``m64``
-    cuts every lane to 64 bits before each multiply, and 64 by 64 bits fit
-    the lane, so no bit crosses into a lane read back. Lanes are packed
-    and unpacked little-endian on every host. The lane constants are built
-    once per chunk width and cut down for a shorter batch.
+    ``m64`` cuts every lane to 64 bits before each multiply, and 64 by 64
+    bits fit the lane, so no bit crosses into a lane read back. The lane
+    constants are built once for ``_CHUNK`` lanes and cut down to ``width``
+    and to a shorter last batch; each batch's lane base is the previous
+    one's plus ``width * GOLDEN`` in every lane.
     """
-    width = _CHUNK
-    ones, steps, m64 = _lanes(width)
-    layout = "<" + "Q8x" * width
-    for first in range(1, total + 1, width):
-        count = min(width, total + 1 - first)
+    ones, steps, m64 = _lanes(_CHUNK)
+    if width < _CHUNK:
+        low = (1 << 128 * width) - 1
+        ones, steps, m64 = ones & low, steps & low, m64 & low
+    base = (steps + ((seed + first * _GOLDEN) & _MASK64) * ones) & m64
+    stride = 0  # built at the second batch: a caller may stop after one
+    for start in range(first, first + total, width):
+        if start > first:
+            stride = stride or ((width * _GOLDEN) & _MASK64) * ones
+            base = (base + stride) & m64
+        count = min(width, first + total - start)
         if count < width:
-            layout = "<" + "Q8x" * count
             low = (1 << 128 * count) - 1
-            steps, ones, m64 = steps & low, ones & low, m64 & low
-        z = (steps + ((seed + first * _GOLDEN) & _MASK64) * ones) & m64
-        z = ((z ^ (z >> 30)) & m64) * _MIX1 & m64
+            base, m64 = base & low, m64 & low
+        z = ((base ^ (base >> 30)) & m64) * _MIX1 & m64
         z = ((z ^ (z >> 27)) & m64) * _MIX2 & m64
-        # bits 64 to 96 of z ^ (z >> 31) are clear, so >> 11 keeps 53 clean bits
-        yield struct.unpack(layout, ((z ^ (z >> 31)) >> 11).to_bytes(16 * count, "little"))
+        yield count, z ^ (z >> 31)
+
+
+def _draws(seed: int, total: int, first: int = 1):
+    """Yield the draws ``word >> 11`` of splitmix64 words ``first`` to
+    ``first + total - 1`` from ``seed``, in order, in tuples of at most
+    ``_CHUNK``. Lanes are unpacked little-endian on every host."""
+    for count, z in _words(seed, first, total, _CHUNK):
+        # bits 64 to 96 of a lane are clear, so >> 11 keeps 53 clean bits
+        yield struct.unpack("<" + "Q8x" * count, (z >> 11).to_bytes(16 * count, "little"))
+
+
+def _cum(probs: tuple[float, ...]) -> list[int]:
+    """The integer draw thresholds ``ceil(c * 2**53)`` of the cumulative
+    probabilities ``c``, raised to at least ``2**53`` from the last positive
+    value on: value i takes the draws in ``[cum[i - 1], cum[i])``."""
+    cum = [math.ceil(c * 2.0 ** 53) for c in accumulate(probs)]
+    last = max(i for i, q in enumerate(probs) if q > 0.0)
+    cum[last:] = [max(t, 2 ** 53) for t in cum[last:]]
+    return cum
+
+
+_STRADDLE = 255  # class byte of a top byte whose 2**45 draws span a threshold
+
+
+def _classes(instance: Instance, samples: int) -> list[tuple[bytes, list[int]]]:
+    """Per stochastic position, a 256-entry ``bytes.translate`` table from a
+    draw's top byte (``x >> 45``) to its interval among the thresholds the
+    variable has in any row, and the intervals' lower ends. A top byte whose
+    draws span a threshold maps to ``_STRADDLE``.
+
+    Empty when a batch cannot hold a whole sample, when some position has
+    more than 254 intervals, or when ``samples`` is under four per tuple of
+    intervals: samples that seldom repeat a tuple cost more to count than
+    to walk."""
+    if len(instance.stochastic_indices) > _CHUNK:
+        return []
+    out = []
+    tuples = 1
+    for depth in instance.stochastic_indices:
+        var = instance.variables[depth]
+        rows = (var.probabilities,) if var.cpt is None else var.cpt.rows.values()
+        bounds = sorted({t for probs in rows for t in _cum(probs) if 0 < t < 2 ** 53})
+        tuples *= len(bounds) + 1
+        if len(bounds) > 253 or 4 * tuples > samples:
+            return []
+        table = bytearray(256)
+        for k, t in enumerate(bounds, 1):
+            b = t >> 45
+            table[b:] = bytes([k]) * (256 - b)
+            if t & (2 ** 45 - 1):  # t lies inside top byte b's draws
+                table[b] = _STRADDLE
+        out.append((bytes(table), [0, *bounds]))
+    return out
 
 
 class _State:
     """One chance node reached with one key: what the walk below it reads
     of the path from the root.
 
-    ``cum`` holds the integer draw thresholds ``ceil(c * 2**53)`` of the
-    node's cumulative probabilities ``c`` (not the probabilities), raised to
-    at least ``2**53`` from the last positive value on. Every draw is below
-    ``2**53``, so one in the rounding gap past a total under 1 bisects to
-    that last positive value. ``branches`` holds, per value index, the built
-    ``(next state or None, ok)`` pair, or None until a sample first takes
-    that value. ``env`` is the environment of the first path to build the
-    state, assigned before ``depth``.
+    ``cum`` holds the node's integer draw thresholds (``_cum``), not its
+    probabilities. Every draw is below ``2**53``, so one in the rounding gap
+    past a total under 1 bisects to the last positive value. ``branches``
+    holds, per value index, the built ``(next state or None, ok)`` pair, or
+    None until a sample first takes that value. ``env`` is the environment
+    of the first path to build the state, assigned before ``depth``.
     """
 
     __slots__ = ("cum", "branches", "depth", "children", "ok", "env")
@@ -353,9 +422,7 @@ class _PathTrie:
             probs = instance.distribution(depth, env)
             cum = self.tables.get(probs)
             if cum is None:
-                cum = self.tables[probs] = [math.ceil(c * 2.0 ** 53) for c in accumulate(probs)]
-                last = max(i for i, q in enumerate(probs) if q > 0.0)
-                cum[last:] = [max(t, 2 ** 53) for t in cum[last:]]
+                cum = self.tables[probs] = _cum(probs)
             self.states += 1
             # value i takes the draws in [cum[i - 1], min(cum[i], 2**53))
             self.open += sum(lo < min(hi, 2 ** 53) for lo, hi in zip([0, *cum], cum))
@@ -382,8 +449,11 @@ class _PathTrie:
 
         Every path passes one chance state per stochastic variable, so the
         draws form one flat stream and a sample ends every m-th draw. Once
-        a batch leaves no reachable branch to build and one leaf outcome,
-        the remaining samples count without being drawn: none could differ.
+        a batch leaves no reachable branch to build, the walk by draw can
+        stop. With one leaf outcome, the remaining samples count without
+        being drawn: none could differ. With both, and a class table for
+        every position (``_classes``), the sample in progress ends on built
+        branches and the rest are counted by draw class (``_count``).
         """
         root_state, root_ok = self.root
         if root_state is None:  # no stochastic variable: every sample is alike
@@ -392,6 +462,7 @@ class _PathTrie:
         state = root_state
         wins = used = 0
         m = len(self.instance.stochastic_indices)
+        classes = None
         for xs in _draws(seed, n * m):
             for x in xs:
                 i = bisect_right(state.cum, x)
@@ -403,9 +474,67 @@ class _PathTrie:
                     wins += ok
                     state = root_state
             used += len(xs)
-            if not self.open and len(self.outcomes) == 1:
-                # every draw from here on follows built branches to this outcome
-                return wins + (n - used // m) * next(iter(self.outcomes))
+            if not self.open:
+                if len(self.outcomes) == 1:
+                    # every draw from here on follows built branches to this outcome
+                    return wins + (n - used // m) * next(iter(self.outcomes))
+                if classes is None:
+                    classes = _classes(self.instance, n - used // m)
+                if classes:
+                    break
+        else:
+            return wins
+        if used % m:
+            for x in next(_draws(seed, m - used % m, used + 1)):
+                state, ok = state.branches[bisect_right(state.cum, x)]
+            wins += ok
+        return wins + self._count(seed, -(-used // m), n, classes)
+
+    def _count(self, seed: int, done: int, n: int, classes: list) -> int:
+        """Satisfying samples among samples ``done`` to ``n - 1``, once every
+        branch a draw reaches is built.
+
+        Each batch holds whole samples, so stochastic position j takes every
+        m-th word from the j-th. The top bytes of such a column map to
+        intervals through the position's class table; a draw whose top byte
+        spans a threshold is bisected whole. Samples whose draws fall in the
+        same intervals take the same values at every state, so each distinct
+        tuple of intervals is walked once per count table, which is scored and
+        emptied whenever it passes ``CACHE_ENTRIES`` tuples.
+        """
+        m = len(classes)
+        counts: Counter = Counter()
+        wins = 0
+        for count, z in _words(seed, done * m + 1, (n - done) * m, m * (_CHUNK // m)):
+            words = z.to_bytes(16 * count, "little")
+            tops = words[7::16]
+            columns = []
+            for j, (table, lows) in enumerate(classes):
+                column = tops[j::m].translate(table)
+                k = column.find(_STRADDLE)
+                if k >= 0:
+                    column = bytearray(column)
+                    while k >= 0:
+                        at = 16 * (k * m + j)
+                        x = int.from_bytes(words[at:at + 8], "little") >> 11
+                        column[k] = bisect_right(lows, x) - 1
+                        k = column.find(_STRADDLE, k + 1)
+                columns.append(column)
+            counts.update(zip(*columns))
+            if len(counts) > CACHE_ENTRIES:  # memory stays bounded, whatever n is
+                wins += self._score(counts, classes)
+                counts.clear()
+        return wins + self._score(counts, classes)
+
+    def _score(self, counts: Counter, classes: list) -> int:
+        """Satisfying samples among ``counts`` of interval tuples, walking
+        each tuple once from the root."""
+        wins = 0
+        for key, times in counts.items():
+            state = self.root[0]
+            for k, (_, lows) in zip(key, classes):
+                state, ok = state.branches[bisect_right(state.cum, lows[k])]
+            wins += ok * times
         return wins
 
 

@@ -19,7 +19,6 @@ CSV file, never on a stream.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import time
@@ -156,6 +155,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import csv  # only bench writes CSV; the other commands skip its import
     directory = Path(args.directory)
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)

@@ -3,7 +3,7 @@ import math
 import random
 import sys
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import pytest
 
@@ -487,16 +487,17 @@ class TestBatchedDraws:
 
 
 def _count_chunks(monkeypatch):
-    """Record the length of every batch the sampler draws."""
+    """Record the length of every batch of words the sampler mixes, whether
+    it walks them draw by draw or counts them by class."""
     chunks = []
-    draws = approx._draws
+    words = approx._words
 
-    def counted(seed, total):
-        for xs in draws(seed, total):
-            chunks.append(len(xs))
-            yield xs
+    def counted(*args):
+        for count, z in words(*args):
+            chunks.append(count)
+            yield count, z
 
-    monkeypatch.setattr(approx, "_draws", counted)
+    monkeypatch.setattr(approx, "_words", counted)
     return chunks
 
 
@@ -579,6 +580,163 @@ class TestSettledStop:
             with pytest.raises(BadSampleCountError, match="float range"):
                 monte_carlo_policy_eval(instance_b, SURE_B, n, seed=1)
         assert chunks == []
+
+
+def _record_counted(monkeypatch):
+    """Record the (first sample, n) of every run of the counting path."""
+    counted = []
+    count = approx._PathTrie._count
+
+    def recording(trie, seed, done, n, classes):
+        counted.append((done, n))
+        return count(trie, seed, done, n, classes)
+
+    monkeypatch.setattr(approx._PathTrie, "_count", recording)
+    return counted
+
+
+THIRDS = (1 / 3, 1 / 3, 1 / 3)
+
+
+def _table_case(probs):
+    # recourse x = s, then a fair t: s > 0 or t = 1 wins, so both outcomes show
+    values = tuple(range(len(probs)))
+    inst = make_instance(
+        [("s", "s", values, probs), ("x", "d", values), ("t", "s", (0, 1), (0.5, 0.5))],
+        [expr_constraint("x = s and (s > 0 or t = 1)")])
+    tail = ChanceNode("t", (Leaf(), Leaf()))
+    return inst, ChanceNode("s", tuple(DecisionNode("x", v, tail) for v in values))
+
+
+def _one_variable_case():
+    inst = make_instance([("s", "s", (0, 1, 2), THIRDS)], [expr_constraint("s != 1")])
+    return inst, ChanceNode("s", (Leaf(),) * 3)
+
+
+def _many_rows_case(rows, gap_row=None):
+    # s1 reaches only its first two values, yet the union of thresholds runs
+    # over every row of s2's table: two per row, one for the row without a
+    # middle value
+    def row(v):
+        p = (v + 1) / 1000
+        return (p, 0.0, 1 - p) if v == gap_row else (p, 0.4, 0.6 - p)
+
+    cpt = ConditionalTable("s2", ("s1",), {(v,): row(v) for v in range(rows)})
+    inst = make_instance(
+        [("s1", "s", tuple(range(rows)), (0.5, 0.5) + (0.0,) * (rows - 2)),
+         ("s2", "s", (0, 1, 2), cpt)],
+        [expr_constraint("s2 != 2")])
+    return inst, ChanceNode("s1", (ChanceNode("s2", (Leaf(),) * 3),) * rows)
+
+
+class TestCountingPath:
+    """Once the trie is complete and its leaves show both outcomes, the
+    remaining samples are counted by the intervals their draws fall in."""
+
+    @pytest.mark.parametrize("probs", [
+        (0.5, 0.5),  # the threshold 2**52 starts a top-byte bucket
+        THIRDS,  # thresholds inside a bucket
+        (0.7, 0.2, 0.1, 0.0),  # the draw 2**53 - 1 falls past the total
+        (0.1, 0.2, 0.3, 0.15, 0.25),
+    ])
+    def test_class_tables_pick_what_bisecting_picks(self, probs):
+        inst, _ = _table_case(probs)
+        (table, lows), _ = approx._classes(inst, 10 ** 9)
+        cum = approx._cum(probs)
+        probes = {0, 2 ** 53 - 1}
+        for t in cum:
+            probes |= {x for x in range(t - 2, t + 3) if 0 <= x < 2 ** 53}
+            b = min(t >> 45, 255)
+            probes |= {b << 45, ((b + 1) << 45) - 1}
+        for x in probes:
+            k = table[x >> 45]
+            if k == approx._STRADDLE:
+                k = bisect_right(lows, x) - 1
+            assert bisect_right(cum, lows[k]) == bisect_right(cum, x), x
+        assert (approx._STRADDLE in table) == (probs != (0.5, 0.5))
+        if probs[-1] == 0.0:
+            assert bisect_right(cum, lows[table[255]]) == 2
+
+    @pytest.mark.parametrize("probs", [(0.5, 0.5), THIRDS, (0.7, 0.2, 0.1, 0.0)])
+    def test_counts_match_the_per_sample_loop(self, monkeypatch, probs):
+        counted = _record_counted(monkeypatch)
+        inst, policy = _table_case(probs)
+        for n, seed in ((3000, 3), (4001, MASK64)):
+            counted.clear()
+            trie = approx._PathTrie(inst, policy)
+            assert trie.wins(n, seed) == _reference_wins(inst, policy, n, seed)
+            assert len(counted) == 1 and 0 < counted[0][0] < n
+
+    def test_a_conditional_position_unites_its_rows(self, monkeypatch):
+        counted = _record_counted(monkeypatch)
+        inst, policy = _cpt_case()
+        rows = inst.variables[2].cpt.rows.values()
+        assert len({tuple(approx._cum(probs)) for probs in rows}) == 3
+        _, (_, lows) = approx._classes(inst, 10 ** 9)
+        assert len(lows) == 7  # six distinct thresholds below 2**53
+        for n, seed in ((3000, 3), (5000, 2 ** 64 + 11)):
+            assert (approx._PathTrie(inst, policy).wins(n, seed)
+                    == _reference_wins(inst, policy, n, seed & MASK64))
+        assert len(counted) == 2
+
+    def test_a_full_count_table_is_scored_and_emptied(self, monkeypatch):
+        # with room for two tuples, nearly every batch scores its table
+        monkeypatch.setattr(approx, "CACHE_ENTRIES", 2)
+        counted = _record_counted(monkeypatch)
+        inst, policy = _cpt_case()
+        assert (approx._PathTrie(inst, policy).wins(3000, 3)
+                == _reference_wins(inst, policy, 3000, 3))
+        assert counted
+
+    @pytest.mark.parametrize("gap_row, counts", [(None, False), (126, True)])
+    def test_more_than_254_intervals_keep_the_walk_by_draw(self, monkeypatch, gap_row, counts):
+        counted = _record_counted(monkeypatch)
+        inst, policy = _many_rows_case(127, gap_row)
+        intervals = len({t for probs in inst.variables[1].cpt.rows.values()
+                         for t in approx._cum(probs) if t < 2 ** 53}) + 1
+        assert intervals == (254 if counts else 255)
+        assert bool(approx._classes(inst, 10 ** 9)) == counts
+        trie = approx._PathTrie(inst, policy)
+        assert trie.wins(4000, 7) == _reference_wins(inst, policy, 4000, 7)
+        # the trie is complete with both outcomes: only the limit decides
+        assert (trie.open, len(trie.outcomes), bool(counted)) == (0, 2, counts)
+
+    def test_rare_tuples_keep_the_walk_by_draw(self, monkeypatch):
+        # 2 * 7 possible tuples: counting needs four remaining samples each
+        counted = _record_counted(monkeypatch)
+        inst, policy = _table_case((0.1, 0.2, 0.3, 0.05, 0.15, 0.1, 0.1))
+        assert approx._classes(inst, 4 * 14) and not approx._classes(inst, 4 * 14 - 1)
+        for n, want in ((CHUNK // 2 + 55, False), (CHUNK // 2 + 56, True)):
+            counted.clear()
+            trie = approx._PathTrie(inst, policy)
+            assert trie.wins(n, 1) == _reference_wins(inst, policy, n, 1)
+            assert (trie.open, bool(counted)) == (0, want)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, None])
+    def test_samples_past_a_whole_batch_match_the_per_sample_loop(self, monkeypatch, chunk):
+        # n * m is no multiple of the batch, and at 7 the trie completes
+        # inside a sample
+        if chunk is not None:
+            monkeypatch.setattr(approx, "_CHUNK", chunk)
+        counted = _record_counted(monkeypatch)
+        for case in (_one_variable_case, lambda: _table_case(THIRDS), _cpt_case, _shared_case):
+            inst, policy = case()
+            m = len(inst.stochastic_indices)
+            for n, seed in ((2999, 5), (3001, 17)):
+                counted.clear()
+                assert (approx._PathTrie(inst, policy).wins(n, seed)
+                        == _reference_wins(inst, policy, n, seed))
+                assert bool(counted) == (m <= approx._CHUNK)
+
+    @pytest.mark.parametrize("width", [1, 3, CHUNK - 1, CHUNK])
+    def test_words_at_any_width_and_start_match_scalar_splitmix64(self, width):
+        seed, first, total = 5, 7, 2 * width + 3
+        got = []
+        for count, z in approx._words(seed, first, total, width):
+            assert count <= width
+            raw = z.to_bytes(16 * count, "little")
+            got += [int.from_bytes(raw[16 * k:16 * k + 8], "little") for k in range(count)]
+        assert got == list(islice(_splitmix64(seed), first - 1, first - 1 + total))
 
 
 def test_constant_constraint_runs_once_per_instance():

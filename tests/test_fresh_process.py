@@ -160,3 +160,14 @@ def test_sampling_a_sure_witness_stops_early(tmp_path):
     assert done.stdout.endswith(" n=100000000 seed=1\n")
     assert_input_error(stocs("eval", "instances/production.scsp", "--policy", tmp_path / "p.json",
                              "--samples", "1" + "0" * 400, timeout=20))
+
+
+def test_importing_the_cli_leaves_csv_unloaded():
+    # only `bench` writes CSV, so `csv` is imported inside cmd_bench
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c",
+         "import sys, stocs.cli; print(sorted({'csv', '_csv'} & set(sys.modules)))"],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        encoding="utf-8", timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
