@@ -27,29 +27,29 @@ before the first draw (semantics._check_policy), so the walk trusts it.
 
 The draws are made in batches. Every sample takes exactly one word per
 stochastic variable, so n samples read the first n * m words of the
-stream, and word k depends only on the seed and k. Up to _CHUNK words
-are mixed at once on one big int with a 128-bit lane per word; the fixed
-chunk size bounds the memory this takes, whatever n is, and each batch's
-lanes follow from the last one's by one addition. The walk keeps each
-draw x = word >> 11 an integer: x * 2**-53 < c exactly when
-x < ceil(c * 2**53), so bisecting x into thresholds ceil(c * 2**53) over
-the cumulative probabilities c finds the value the spec above names.
+stream, and word k depends only on the seed and k. One batch holds
+m * (_CHUNK // m) words, whole samples, or _CHUNK words when a sample is
+longer; they are mixed at once on one big int with a 128-bit lane per
+word. The fixed batch size bounds the memory this takes, whatever n is,
+and each batch's lanes follow from the last one's by one addition. The
+walk keeps each draw x = word >> 11 an integer: x * 2**-53 < c exactly
+when x < ceil(c * 2**53), so bisecting x into thresholds ceil(c * 2**53)
+over the cumulative probabilities c finds the value the spec above names.
 
 The walk by draw stops after the first batch that completes the trie:
 every branch that owns a draw in [0, 2**53) is built at every built
-state. If every leaf reached has one outcome, each remaining sample, the
-one in progress too, ends in it, so the count is the full walk's; sure
-and hopeless policies cost one batch. Otherwise the sample in progress
-ends on built branches and the rest are counted by draw class, in
-batches of m * (_CHUNK // m) words that start at a sample boundary. The
-thresholds of a variable's rows cut [0, 2**53) into intervals, and all
-draws in one interval take one value at every state of that variable.
-bytes.translate maps each word's top byte to its interval; only a draw
-whose top byte spans a threshold is bisected. A Counter counts the
-samples' tuples of intervals, and each distinct tuple walks the trie
-once. A variable with more than 254 intervals, a sample longer than a
-batch, or under four remaining samples per possible tuple keeps the
-walk by draw to the end.
+state. If every leaf reached has one outcome, each remaining sample, one
+in progress too, ends in it, so the count is the full walk's; sure and
+hopeless policies cost one batch. Otherwise the rest of the stream is
+counted by draw class. The thresholds of the tables built at a
+variable's depth, the rows some draw reaches, cut [0, 2**53) into
+intervals, and all draws in one interval take one value at every state
+of that variable. bytes.translate maps each word's top byte to its
+interval; only a draw whose top byte spans a threshold is bisected. A
+Counter counts the samples' tuples of intervals, and each distinct tuple
+walks the trie once. A variable with more than 254 intervals, a sample
+longer than a batch, or under four remaining samples per possible tuple
+keeps the walk by draw to the end.
 """
 
 from __future__ import annotations
@@ -267,12 +267,12 @@ def _lanes(width: int) -> tuple[int, int, int]:
     return ones, steps, ones * _MASK64
 
 
-def _words(seed: int, first: int, total: int, width: int):
-    """Yield ``(count, z)`` for the splitmix64 words ``first`` to
-    ``first + total - 1`` from ``seed`` (word k mixes ``seed + k * GOLDEN``
-    mod 2**64), in batches of ``width`` words, at most ``_CHUNK``; the last
-    may be shorter. Lane k of ``z``, 128 bits wide, holds the batch's k-th
-    word in its low 64 bits; bits 64 to 96 are clear.
+def _words(seed: int, total: int, width: int):
+    """Yield ``(count, z)`` for the splitmix64 words 1 to ``total`` from
+    ``seed`` (word k mixes ``seed + k * GOLDEN`` mod 2**64), in batches of
+    ``width`` words, at most ``_CHUNK``; the last may be shorter. Lane k of
+    ``z``, 128 bits wide, holds the batch's k-th word in its low 64 bits;
+    bits 64 to 96 are clear.
 
     ``m64`` cuts every lane to 64 bits before each multiply, and 64 by 64
     bits fit the lane, so no bit crosses into a lane read back. The lane
@@ -284,28 +284,19 @@ def _words(seed: int, first: int, total: int, width: int):
     if width < _CHUNK:
         low = (1 << 128 * width) - 1
         ones, steps, m64 = ones & low, steps & low, m64 & low
-    base = (steps + ((seed + first * _GOLDEN) & _MASK64) * ones) & m64
+    base = (steps + ((seed + _GOLDEN) & _MASK64) * ones) & m64
     stride = 0  # built at the second batch: a caller may stop after one
-    for start in range(first, first + total, width):
-        if start > first:
+    for start in range(0, total, width):
+        if start:
             stride = stride or ((width * _GOLDEN) & _MASK64) * ones
             base = (base + stride) & m64
-        count = min(width, first + total - start)
+        count = min(width, total - start)
         if count < width:
             low = (1 << 128 * count) - 1
             base, m64 = base & low, m64 & low
         z = ((base ^ (base >> 30)) & m64) * _MIX1 & m64
         z = ((z ^ (z >> 27)) & m64) * _MIX2 & m64
         yield count, z ^ (z >> 31)
-
-
-def _draws(seed: int, total: int, first: int = 1):
-    """Yield the draws ``word >> 11`` of splitmix64 words ``first`` to
-    ``first + total - 1`` from ``seed``, in order, in tuples of at most
-    ``_CHUNK``. Lanes are unpacked little-endian on every host."""
-    for count, z in _words(seed, first, total, _CHUNK):
-        # bits 64 to 96 of a lane are clear, so >> 11 keeps 53 clean bits
-        yield struct.unpack("<" + "Q8x" * count, (z >> 11).to_bytes(16 * count, "little"))
 
 
 def _cum(probs: tuple[float, ...]) -> list[int]:
@@ -319,37 +310,6 @@ def _cum(probs: tuple[float, ...]) -> list[int]:
 
 
 _STRADDLE = 255  # class byte of a top byte whose 2**45 draws span a threshold
-
-
-def _classes(instance: Instance, samples: int) -> list[tuple[bytes, list[int]]]:
-    """Per stochastic position, a 256-entry ``bytes.translate`` table from a
-    draw's top byte (``x >> 45``) to its interval among the thresholds the
-    variable has in any row, and the intervals' lower ends. A top byte whose
-    draws span a threshold maps to ``_STRADDLE``.
-
-    Empty when a batch cannot hold a whole sample, when some position has
-    more than 254 intervals, or when ``samples`` is under four per tuple of
-    intervals: samples that seldom repeat a tuple cost more to count than
-    to walk."""
-    if len(instance.stochastic_indices) > _CHUNK:
-        return []
-    out = []
-    tuples = 1
-    for depth in instance.stochastic_indices:
-        var = instance.variables[depth]
-        rows = (var.probabilities,) if var.cpt is None else var.cpt.rows.values()
-        bounds = sorted({t for probs in rows for t in _cum(probs) if 0 < t < 2 ** 53})
-        tuples *= len(bounds) + 1
-        if len(bounds) > 253 or 4 * tuples > samples:
-            return []
-        table = bytearray(256)
-        for k, t in enumerate(bounds, 1):
-            b = t >> 45
-            table[b:] = bytes([k]) * (256 - b)
-            if t & (2 ** 45 - 1):  # t lies inside top byte b's draws
-                table[b] = _STRADDLE
-        out.append((bytes(table), [0, *bounds]))
-    return out
 
 
 class _State:
@@ -394,7 +354,7 @@ class _PathTrie:
 
     def __init__(self, instance: Instance, policy: PolicyNode):
         self.instance = instance
-        self.tables: dict[tuple, list[int]] = {}  # per distinct distribution row
+        self.tables: dict[tuple, list[int]] = {}  # per depth and distinct row
         self.keyed: dict[tuple, _State] = {}  # states at keyed depths
         self.states = 0
         self.open = 0  # branches some draw reaches that are not built yet
@@ -420,9 +380,9 @@ class _PathTrie:
         state = self.keyed.get(key)
         if state is None:
             probs = instance.distribution(depth, env)
-            cum = self.tables.get(probs)
+            cum = self.tables.get((depth, probs))
             if cum is None:
-                cum = self.tables[probs] = _cum(probs)
+                cum = self.tables[depth, probs] = _cum(probs)
             self.states += 1
             # value i takes the draws in [cum[i - 1], min(cum[i], 2**53))
             self.open += sum(lo < min(hi, 2 ** 53) for lo, hi in zip([0, *cum], cum))
@@ -448,12 +408,13 @@ class _PathTrie:
         ``seed`` per stochastic variable in every sample.
 
         Every path passes one chance state per stochastic variable, so the
-        draws form one flat stream and a sample ends every m-th draw. Once
-        a batch leaves no reachable branch to build, the walk by draw can
-        stop. With one leaf outcome, the remaining samples count without
-        being drawn: none could differ. With both, and a class table for
-        every position (``_classes``), the sample in progress ends on built
-        branches and the rest are counted by draw class (``_count``).
+        draws form one flat stream and a sample ends every m-th draw. Its
+        batches hold whole samples unless a sample is longer than
+        ``_CHUNK``. They are walked draw by draw until one leaves no
+        reachable branch to build. With one leaf outcome, the remaining
+        samples then count without being drawn: none could differ. With
+        both, and a class table for every position (``_classes``), the rest
+        of the stream is counted by draw class (``_count``).
         """
         root_state, root_ok = self.root
         if root_state is None:  # no stochastic variable: every sample is alike
@@ -463,8 +424,17 @@ class _PathTrie:
         wins = used = 0
         m = len(self.instance.stochastic_indices)
         classes = None
-        for xs in _draws(seed, n * m):
-            for x in xs:
+        counts: Counter = Counter()
+        for count, z in _words(seed, n * m, m * (_CHUNK // m) or _CHUNK):
+            if classes:
+                self._count(counts, count, z, classes)
+                if len(counts) > CACHE_ENTRIES:  # memory stays bounded, whatever n is
+                    wins += self._score(counts, classes)
+                    counts.clear()
+                continue
+            # bits 64 to 96 of a lane are clear, so >> 11 keeps 53 clean bits;
+            # lanes are unpacked little-endian on every host
+            for x in struct.unpack("<" + "Q8x" * count, (z >> 11).to_bytes(16 * count, "little")):
                 i = bisect_right(state.cum, x)
                 branch = state.branches[i]
                 if branch is None:
@@ -473,58 +443,74 @@ class _PathTrie:
                 if state is None:
                     wins += ok
                     state = root_state
-            used += len(xs)
-            if not self.open:
+            used += count
+            if not self.open and classes is None:
                 if len(self.outcomes) == 1:
                     # every draw from here on follows built branches to this outcome
                     return wins + (n - used // m) * next(iter(self.outcomes))
-                if classes is None:
-                    classes = _classes(self.instance, n - used // m)
-                if classes:
-                    break
-        else:
-            return wins
-        if used % m:
-            for x in next(_draws(seed, m - used % m, used + 1)):
-                state, ok = state.branches[bisect_right(state.cum, x)]
-            wins += ok
-        return wins + self._count(seed, -(-used // m), n, classes)
+                classes = self._classes(n - used // m)
+        return wins + self._score(counts, classes)
 
-    def _count(self, seed: int, done: int, n: int, classes: list) -> int:
-        """Satisfying samples among samples ``done`` to ``n - 1``, once every
-        branch a draw reaches is built.
+    def _classes(self, samples: int) -> list[tuple[bytes, list[int]]]:
+        """Per stochastic position, a 256-entry ``bytes.translate`` table from a
+        draw's top byte (``x >> 45``) to its interval among the thresholds of
+        the tables built at that depth, and the intervals' lower ends. On a
+        complete trie those are the tables of the rows some draw reaches. A
+        top byte whose draws span a threshold maps to ``_STRADDLE``.
 
-        Each batch holds whole samples, so stochastic position j takes every
+        Empty when a batch cannot hold a whole sample, when some position has
+        more than 254 intervals, or when ``samples`` is under four per tuple of
+        intervals: samples that seldom repeat a tuple cost more to count than
+        to walk."""
+        stochastic = self.instance.stochastic_indices
+        if len(stochastic) > _CHUNK:
+            return []
+        cuts: dict[int, set[int]] = {depth: set() for depth in stochastic}
+        for (depth, _), cum in self.tables.items():
+            cuts[depth].update(t for t in cum if 0 < t < 2 ** 53)
+        out = []
+        tuples = 1
+        for depth in stochastic:
+            bounds = sorted(cuts[depth])
+            tuples *= len(bounds) + 1
+            if len(bounds) > 253 or 4 * tuples > samples:
+                return []
+            table = bytearray(256)
+            for k, t in enumerate(bounds, 1):
+                b = t >> 45
+                table[b:] = bytes([k]) * (256 - b)
+                if t & (2 ** 45 - 1):  # t lies inside top byte b's draws
+                    table[b] = _STRADDLE
+            out.append((bytes(table), [0, *bounds]))
+        return out
+
+    def _count(self, counts: Counter, count: int, z: int, classes: list) -> None:
+        """Add the interval tuples of one batch of ``count`` words (``z``, as
+        ``_words`` yields them) to ``counts``.
+
+        The batch holds whole samples, so stochastic position j takes every
         m-th word from the j-th. The top bytes of such a column map to
         intervals through the position's class table; a draw whose top byte
         spans a threshold is bisected whole. Samples whose draws fall in the
         same intervals take the same values at every state, so each distinct
-        tuple of intervals is walked once per count table, which is scored and
-        emptied whenever it passes ``CACHE_ENTRIES`` tuples.
+        tuple of intervals is walked once (``_score``).
         """
         m = len(classes)
-        counts: Counter = Counter()
-        wins = 0
-        for count, z in _words(seed, done * m + 1, (n - done) * m, m * (_CHUNK // m)):
-            words = z.to_bytes(16 * count, "little")
-            tops = words[7::16]
-            columns = []
-            for j, (table, lows) in enumerate(classes):
-                column = tops[j::m].translate(table)
-                k = column.find(_STRADDLE)
-                if k >= 0:
-                    column = bytearray(column)
-                    while k >= 0:
-                        at = 16 * (k * m + j)
-                        x = int.from_bytes(words[at:at + 8], "little") >> 11
-                        column[k] = bisect_right(lows, x) - 1
-                        k = column.find(_STRADDLE, k + 1)
-                columns.append(column)
-            counts.update(zip(*columns))
-            if len(counts) > CACHE_ENTRIES:  # memory stays bounded, whatever n is
-                wins += self._score(counts, classes)
-                counts.clear()
-        return wins + self._score(counts, classes)
+        words = z.to_bytes(16 * count, "little")
+        tops = words[7::16]
+        columns = []
+        for j, (table, lows) in enumerate(classes):
+            column = tops[j::m].translate(table)
+            k = column.find(_STRADDLE)
+            if k >= 0:
+                column = bytearray(column)
+                while k >= 0:
+                    at = 16 * (k * m + j)
+                    x = int.from_bytes(words[at:at + 8], "little") >> 11
+                    column[k] = bisect_right(lows, x) - 1
+                    k = column.find(_STRADDLE, k + 1)
+            columns.append(column)
+        counts.update(zip(*columns))
 
     def _score(self, counts: Counter, classes: list) -> int:
         """Satisfying samples among ``counts`` of interval tuples, walking

@@ -94,9 +94,6 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
         test = instance.check_at[depth]
         if var.kind == "decision":
             best = None
-            best_sat = 0.0
-            best_value = var.domain[0]
-            best_child = first[depth + 1]
             for w in var.domain:
                 env[depth] = w
                 if test is None or test(env):
@@ -106,7 +103,6 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
                 env[depth] = None
                 if best is None or value > best:
                     best, best_sat, best_value, best_child = value, sat, w, child
-            assert best is not None
             return _remember(memo, key, (best, best_sat,
                                          DecisionNode(var.name, best_value, best_child)))
         probs = instance.distribution(depth, env)

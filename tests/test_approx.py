@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import struct
 import sys
 from bisect import bisect_right
 from itertools import accumulate, islice
@@ -453,9 +454,11 @@ class TestBatchedDraws:
     @pytest.mark.parametrize("seed", [0, 5, MASK64])
     @pytest.mark.parametrize("total", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
     def test_draws_match_scalar_splitmix64(self, seed, total):
-        batches = list(approx._draws(seed, total))
-        assert all(1 <= len(xs) <= CHUNK for xs in batches)
-        got = [x for xs in batches for x in xs]
+        # unpacked as the walk unpacks them: little-endian, a draw per lane
+        batches = list(approx._words(seed, total, CHUNK))
+        assert all(1 <= count <= CHUNK for count, _ in batches)
+        got = [x for count, z in batches
+               for x in struct.unpack("<" + "Q8x" * count, (z >> 11).to_bytes(16 * count, "little"))]
         want = [word >> 11 for word, _ in zip(_splitmix64(seed), range(total))]
         assert got == want
 
@@ -583,13 +586,13 @@ class TestSettledStop:
 
 
 def _record_counted(monkeypatch):
-    """Record the (first sample, n) of every run of the counting path."""
+    """Record the word count of every batch the counting path classifies."""
     counted = []
     count = approx._PathTrie._count
 
-    def recording(trie, seed, done, n, classes):
-        counted.append((done, n))
-        return count(trie, seed, done, n, classes)
+    def recording(trie, counts, words, z, classes):
+        counted.append(words)
+        return count(trie, counts, words, z, classes)
 
     monkeypatch.setattr(approx._PathTrie, "_count", recording)
     return counted
@@ -613,20 +616,27 @@ def _one_variable_case():
     return inst, ChanceNode("s", (Leaf(),) * 3)
 
 
-def _many_rows_case(rows, gap_row=None):
-    # s1 reaches only its first two values, yet the union of thresholds runs
-    # over every row of s2's table: two per row, one for the row without a
-    # middle value
+def _many_rows_case(rows, gap_row=None, reached=2):
+    # s1 puts mass on its first ``reached`` values only; s2's table has two
+    # distinct thresholds per row, one for the row without a middle value
     def row(v):
-        p = (v + 1) / 1000
+        p = 0.1 + v / 1000
         return (p, 0.0, 1 - p) if v == gap_row else (p, 0.4, 0.6 - p)
 
     cpt = ConditionalTable("s2", ("s1",), {(v,): row(v) for v in range(rows)})
     inst = make_instance(
-        [("s1", "s", tuple(range(rows)), (0.5, 0.5) + (0.0,) * (rows - 2)),
+        [("s1", "s", tuple(range(rows)), (1 / reached,) * reached + (0.0,) * (rows - reached)),
          ("s2", "s", (0, 1, 2), cpt)],
         [expr_constraint("s2 != 2")])
     return inst, ChanceNode("s1", (ChanceNode("s2", (Leaf(),) * 3),) * rows)
+
+
+def _complete_trie(inst, policy):
+    """A trie whose sampling walk has built every branch some draw reaches."""
+    trie = approx._PathTrie(inst, policy)
+    trie.wins(3000, 3)
+    assert trie.open == 0
+    return trie
 
 
 class TestCountingPath:
@@ -640,8 +650,7 @@ class TestCountingPath:
         (0.1, 0.2, 0.3, 0.15, 0.25),
     ])
     def test_class_tables_pick_what_bisecting_picks(self, probs):
-        inst, _ = _table_case(probs)
-        (table, lows), _ = approx._classes(inst, 10 ** 9)
+        (table, lows), _ = _complete_trie(*_table_case(probs))._classes(10 ** 9)
         cum = approx._cum(probs)
         probes = {0, 2 ** 53 - 1}
         for t in cum:
@@ -661,23 +670,36 @@ class TestCountingPath:
     def test_counts_match_the_per_sample_loop(self, monkeypatch, probs):
         counted = _record_counted(monkeypatch)
         inst, policy = _table_case(probs)
+        m = len(inst.stochastic_indices)
         for n, seed in ((3000, 3), (4001, MASK64)):
             counted.clear()
             trie = approx._PathTrie(inst, policy)
             assert trie.wins(n, seed) == _reference_wins(inst, policy, n, seed)
-            assert len(counted) == 1 and 0 < counted[0][0] < n
+            # the walk takes the first batches and the count the rest, in whole samples
+            assert 0 < sum(counted) < n * m and all(c % m == 0 for c in counted)
 
     def test_a_conditional_position_unites_its_rows(self, monkeypatch):
         counted = _record_counted(monkeypatch)
         inst, policy = _cpt_case()
         rows = inst.variables[2].cpt.rows.values()
         assert len({tuple(approx._cum(probs)) for probs in rows}) == 3
-        _, (_, lows) = approx._classes(inst, 10 ** 9)
+        _, (_, lows) = _complete_trie(inst, policy)._classes(10 ** 9)
         assert len(lows) == 7  # six distinct thresholds below 2**53
         for n, seed in ((3000, 3), (5000, 2 ** 64 + 11)):
+            counted.clear()
             assert (approx._PathTrie(inst, policy).wins(n, seed)
                     == _reference_wins(inst, policy, n, seed & MASK64))
-        assert len(counted) == 2
+            assert counted
+
+    def test_rows_no_draw_reaches_cut_no_intervals(self, monkeypatch):
+        # s1 reaches 2 of s2's 127 rows: 4 thresholds and 5 intervals, not 255
+        counted = _record_counted(monkeypatch)
+        inst, policy = _many_rows_case(127)
+        trie = approx._PathTrie(inst, policy)
+        assert trie.wins(4000, 7) == _reference_wins(inst, policy, 4000, 7)
+        assert counted
+        (_, s1_lows), (_, s2_lows) = trie._classes(10 ** 9)
+        assert (len(s1_lows), len(s2_lows)) == (2, 5)
 
     def test_a_full_count_table_is_scored_and_emptied(self, monkeypatch):
         # with room for two tuples, nearly every batch scores its table
@@ -690,14 +712,16 @@ class TestCountingPath:
 
     @pytest.mark.parametrize("gap_row, counts", [(None, False), (126, True)])
     def test_more_than_254_intervals_keep_the_walk_by_draw(self, monkeypatch, gap_row, counts):
+        # s1 reaches every row; 127 * 254 tuples need 129,032 remaining samples
         counted = _record_counted(monkeypatch)
-        inst, policy = _many_rows_case(127, gap_row)
+        inst, policy = _many_rows_case(127, gap_row, reached=127)
         intervals = len({t for probs in inst.variables[1].cpt.rows.values()
                          for t in approx._cum(probs) if t < 2 ** 53}) + 1
         assert intervals == (254 if counts else 255)
-        assert bool(approx._classes(inst, 10 ** 9)) == counts
         trie = approx._PathTrie(inst, policy)
-        assert trie.wins(4000, 7) == _reference_wins(inst, policy, 4000, 7)
+        n = 140_000
+        assert trie.wins(n, 7) == _reference_wins(inst, policy, n, 7)
+        assert bool(trie._classes(4 * 127 * 254)) == counts
         # the trie is complete with both outcomes: only the limit decides
         assert (trie.open, len(trie.outcomes), bool(counted)) == (0, 2, counts)
 
@@ -705,7 +729,8 @@ class TestCountingPath:
         # 2 * 7 possible tuples: counting needs four remaining samples each
         counted = _record_counted(monkeypatch)
         inst, policy = _table_case((0.1, 0.2, 0.3, 0.05, 0.15, 0.1, 0.1))
-        assert approx._classes(inst, 4 * 14) and not approx._classes(inst, 4 * 14 - 1)
+        trie = _complete_trie(inst, policy)
+        assert trie._classes(4 * 14) and not trie._classes(4 * 14 - 1)
         for n, want in ((CHUNK // 2 + 55, False), (CHUNK // 2 + 56, True)):
             counted.clear()
             trie = approx._PathTrie(inst, policy)
@@ -714,8 +739,8 @@ class TestCountingPath:
 
     @pytest.mark.parametrize("chunk", [1, 2, 7, None])
     def test_samples_past_a_whole_batch_match_the_per_sample_loop(self, monkeypatch, chunk):
-        # n * m is no multiple of the batch, and at 7 the trie completes
-        # inside a sample
+        # n * m is no multiple of the batch, and at 1 and 2 the inventory
+        # case's samples are longer than a batch
         if chunk is not None:
             monkeypatch.setattr(approx, "_CHUNK", chunk)
         counted = _record_counted(monkeypatch)
@@ -730,13 +755,14 @@ class TestCountingPath:
 
     @pytest.mark.parametrize("width", [1, 3, CHUNK - 1, CHUNK])
     def test_words_at_any_width_and_start_match_scalar_splitmix64(self, width):
-        seed, first, total = 5, 7, 2 * width + 3
+        # the stream starts at word 1, and each batch where the last one ended
+        seed, total = 5, 2 * width + 3
         got = []
-        for count, z in approx._words(seed, first, total, width):
+        for count, z in approx._words(seed, total, width):
             assert count <= width
             raw = z.to_bytes(16 * count, "little")
             got += [int.from_bytes(raw[16 * k:16 * k + 8], "little") for k in range(count)]
-        assert got == list(islice(_splitmix64(seed), first - 1, first - 1 + total))
+        assert got == list(islice(_splitmix64(seed), total))
 
 
 def test_constant_constraint_runs_once_per_instance():
