@@ -1,18 +1,21 @@
 """Complete search: backtracking and forward checking over policy trees.
 
 Both algorithms walk the variable order depth-first, maximizing over
-decision values and weighting stochastic branches by probability. They
-run in two modes, each one recursive method (max_value, decide_value)
-taking one stack frame per variable:
+decision values and weighting stochastic branches by probability. One
+recursive method, value, serves both modes and takes one stack frame per
+variable:
 
-  max    - compute the exact maximal satisfaction and an argmax policy.
-  decide - answer "is some policy >= theta" with a witness, by
-           backtracking within a lower and an upper threshold.
+  max    - value(depth): the exact maximal satisfaction and an argmax
+           policy.
+  decide - value(depth, lo, hi): answer "is some policy >= theta" with a
+           witness, by backtracking within a lower and an upper threshold.
 
-A decision node stops scanning its values once one suffices: in decide
-mode once a value reaches the upper threshold, in max mode once a value
-reaches satisfaction 1.0. The latter is the oracle's own stop rule, so
-the argmax stays the oracle's first depth-first optimum.
+The modes share the memo, the decision loop and its normalization; a chance
+node has one body per mode, so max mode does no window work. A decision
+node stops scanning its values once one suffices: in decide mode once a
+value reaches the upper threshold, in max mode once a value reaches
+satisfaction 1.0. The latter is the oracle's own stop rule, so the argmax
+stays the oracle's first depth-first optimum.
 
 Forward checking additionally prunes future variables after each
 assignment: every constraint with exactly one unassigned scope variable
@@ -29,7 +32,7 @@ forward checking never checks those constraints again on assignment.
 
 At unkeyed depths decide mode searches a window (lo, hi), the paper's
 BT(theta_l, theta_h) and the chance-node form of alpha-beta, and returns
-one value per subtree (see decide_value). A decision value must beat the
+one value per subtree (see value). A decision value must beat the
 best so far. Chance branch i of probability q must reach required_threshold
 of lo and need not pass (hi - total) / q, where total sums the exact values
 of the branches before it. The root window is theta - PROB_TOL on both sides.
@@ -194,16 +197,25 @@ class _Search:
             self.live[j], self.mass[j] = live, mass
 
     # ------------------------------------------------------------------
-    # max mode
+    # the search
     # ------------------------------------------------------------------
+    #
+    # value(depth) is max mode: the subtree's exact maximum and an argmax
+    # policy. value(depth, lo, hi) is decide mode and returns (v, policy), with:
+    #   v < lo:  the subtree's maximum is below lo
+    #   v >= hi: the policy scores at least v
+    #   else:    v is the subtree's maximum, bit-equal to max mode's, and
+    #            the policy attains it
 
-    def max_value(self, depth: int) -> tuple[float, PolicyNode]:
+    def value(self, depth: int, lo: float | None = None,
+              hi: float = 1.0) -> tuple[float, PolicyNode]:
         if depth == self.n:
             return 1.0, LEAF
         env, trail, stats = self.env, self.trail, self.stats
         get_key = self.key_at[depth]
         key = None
         if get_key is not None:
+            lo, hi = None, 1.0  # keyed depths run max mode: every entry is exact
             key = depth, get_key(env)
             hit = self.memo.get(key)
             if hit is not None:
@@ -216,38 +228,48 @@ class _Search:
             best_pos = -1
             best_child: PolicyNode | None = None
             live = self.live[depth]
+            stop = hi if hi < 1.0 else 1.0  # nothing scores above 1.0
             for k, pos in enumerate(live):
+                if lo is not None:
+                    # a value must beat the best so far: that is its floor
+                    floor = min(hi, max(lo, best))
                 stats.nodes_visited += 1
                 env[depth] = var.domain[pos]
                 mark = len(trail)
                 if not ((test is None or test(env)) and (not fire or self._forward_check(fire))):
                     score, child = 0.0, None
-                elif (self.use_mass and self.rules.fc_mass and best >= 0.0
-                        and self._ub(depth) <= best):
-                    # cannot beat the best so far; ties keep the earlier value
+                elif self.use_mass and self.rules.fc_mass and (
+                        best >= 0.0 and self._ub(depth) <= best if lo is None
+                        else self._ub(depth) < floor):
+                    # cannot beat the best so far (max mode keeps the earlier
+                    # value on a tie) or cannot reach the floor
                     stats.fc_mass_prunes += 1
                     score, child = -1.0, None
+                elif lo is None:
+                    score, child = self.value(depth + 1)
                 else:
-                    score, child = self.max_value(depth + 1)
+                    score, child = self.value(depth + 1, floor, hi)
                 if len(trail) > mark:
                     self._undo(mark)
                 env[depth] = None
                 if score > best:
                     best, best_pos, best_child = score, pos, child
-                if best >= 1.0 and self.rules.decision_stop:
-                    # nothing scores higher; the oracle stops at 1.0 the same way
+                if best >= stop and self.rules.decision_stop:
+                    # in max mode the oracle stops at 1.0 the same way
                     if k + 1 < len(live):
                         stats.decision_prunes += 1
                     break
             if best <= 0.0:
                 # nothing scores: normalize to the first depth-first subtree so
-                # the argmax matches plain backtracking and the oracle exactly
+                # the argmax matches plain backtracking and the oracle exactly;
+                # below a positive lo this is a miss
                 result = 0.0, DecisionNode(var.name, var.domain[0], self.first[depth + 1])
             else:
-                # a positive best came from max_value, which always returns a child
+                # a positive best came from value, which always returns a child
                 result = best, DecisionNode(var.name, var.domain[best_pos], best_child)
-        else:
-            probs = self.inst.distribution(depth, env)
+            return _remember(self.memo, key, result)
+        probs = self.inst.distribution(depth, env)
+        if lo is None:
             children = [self.first[depth + 1]] * len(probs)
             total = 0.0
             for i in self.live[depth]:
@@ -258,69 +280,17 @@ class _Search:
                 env[depth] = var.domain[i]
                 mark = len(trail)
                 if (test is None or test(env)) and (not fire or self._forward_check(fire)):
-                    score, children[i] = self.max_value(depth + 1)
+                    score, children[i] = self.value(depth + 1)
                     total += q * score
                 if len(trail) > mark:
                     self._undo(mark)
                 env[depth] = None
-            result = total, ChanceNode(var.name, tuple(children))
-        return _remember(self.memo, key, result)
-
-    # ------------------------------------------------------------------
-    # decide mode
-    # ------------------------------------------------------------------
-    #
-    # decide_value(depth, lo, hi) returns (v, policy), with:
-    #   v < lo:  the subtree's maximum is below lo
-    #   v >= hi: the policy scores at least v
-    #   else:    v is the subtree's maximum, bit-equal to max mode's, and
-    #            the policy attains it
-
-    def decide_value(self, depth: int, lo: float, hi: float) -> tuple[float, PolicyNode]:
-        if depth == self.n:
-            return 1.0, LEAF
-        if self.key_at[depth] is not None:
-            return self.max_value(depth)
-        env, trail, stats = self.env, self.trail, self.stats
-        var = self.inst.variables[depth]
-        test, fire = self.check_at[depth], self.fire_at[depth]
-        if var.kind == "decision":
-            best = -1.0
-            best_pos = -1
-            best_child: PolicyNode | None = None
-            live = self.live[depth]
-            for k, pos in enumerate(live):
-                # a value must beat the best so far: that is its floor
-                floor = min(hi, max(lo, best))
-                stats.nodes_visited += 1
-                env[depth] = var.domain[pos]
-                mark = len(trail)
-                if not ((test is None or test(env)) and (not fire or self._forward_check(fire))):
-                    score, child = 0.0, None
-                elif self.use_mass and self.rules.fc_mass and self._ub(depth) < floor:
-                    stats.fc_mass_prunes += 1
-                    score, child = -1.0, None
-                else:
-                    score, child = self.decide_value(depth + 1, floor, hi)
-                if len(trail) > mark:
-                    self._undo(mark)
-                env[depth] = None
-                if score > best:
-                    best, best_pos, best_child = score, pos, child
-                if best >= min(hi, 1.0) and self.rules.decision_stop:
-                    if k + 1 < len(live):
-                        stats.decision_prunes += 1
-                    break
-            if best <= 0.0:
-                # as in max mode; below a positive lo this is a miss
-                return 0.0, DecisionNode(var.name, var.domain[0], self.first[depth + 1])
-            return best, DecisionNode(var.name, var.domain[best_pos], best_child)
-        probs = self.inst.distribution(depth, env)
+            return _remember(self.memo, key, (total, ChanceNode(var.name, tuple(children))))
         k = len(var.domain)
         suffix = [0.0] * (k + 1)
         for i in range(k - 1, -1, -1):
             suffix[i] = suffix[i + 1] + probs[i]
-        children: list[PolicyNode] = [self.first[depth + 1]] * k
+        children = [self.first[depth + 1]] * k
         total = 0.0
         missed = False
         live = self.live[depth]
@@ -341,7 +311,7 @@ class _Search:
                 stats.fc_mass_prunes += 1
                 score = -1.0
             else:
-                score, children[i] = self.decide_value(depth + 1, floor, (hi - total) / q)
+                score, children[i] = self.value(depth + 1, floor, (hi - total) / q)
             if len(trail) > mark:
                 self._undo(mark)
             env[depth] = None
@@ -356,7 +326,7 @@ def _run_max(instance: Instance, fc: bool, rules: PruneRules | None) -> Satisfac
     search = _Search(instance, fc, rules or PruneRules())
     if search.root_dead:
         return SatisfactionResult(0.0, search.first[0], search.stats)
-    value, policy = search.max_value(0)
+    value, policy = search.value(0)
     return SatisfactionResult(min(1.0, max(value, 0.0)), policy, search.stats)
 
 
@@ -370,12 +340,12 @@ def _run_decide(instance: Instance, fc: bool, theta_override: float | None,
     search = _Search(instance, fc, rules or PruneRules())
     if search.root_dead:
         return DecideResult(False, None, search.stats, 0.0)
-    value, policy = search.decide_value(0, required, required)
+    value, policy = search.value(0, required, required)
     if value >= required:
         return DecideResult(True, policy, search.stats)
     # max mode finishes on decide's memo of exact entries, counted apart
     stats, search.stats = search.stats, SearchStats()
-    return DecideResult(False, None, stats, min(1.0, max(search.max_value(0)[0], 0.0)))
+    return DecideResult(False, None, stats, min(1.0, max(search.value(0)[0], 0.0)))
 
 
 def bt_max(instance: Instance, rules: PruneRules | None = None) -> SatisfactionResult:

@@ -55,13 +55,9 @@ class _CheckedSearch(_Search):
 
     checks = 0
 
-    def max_value(self, depth):
+    def value(self, depth, lo=None, hi=1.0):
         self._check(depth)
-        return super().max_value(depth)
-
-    def decide_value(self, depth, lo, hi):
-        self._check(depth)
-        return super().decide_value(depth, lo, hi)
+        return super().value(depth, lo, hi)
 
     def _check(self, depth):
         self.checks += 1
@@ -198,7 +194,7 @@ class TestDecideMode:
             assert verdicts == sorted(verdicts, reverse=True)
 
     def test_window_contract(self):
-        # decide_value(depth, lo, hi) -> (v, policy): v < lo says the maximum
+        # value(depth, lo, hi) -> (v, policy): v < lo says the maximum
         # is below lo, v >= hi that the policy scores at least v, and any v in
         # between is max mode's value, bit for bit, with a policy attaining it.
         # A bound exactly on the maximum may go either way by rounding (hence
@@ -213,11 +209,11 @@ class TestDecideMode:
                 probe = _Search(inst, fc, rules)
                 if probe.root_dead:
                     continue
-                best = probe.max_value(0)[0]
+                best = probe.value(0)[0]
                 for _ in range(2):
                     near = (best - 1e-12, best + 1e-12, best - 1e-9, best + 1e-9)
                     lo, hi = sorted(rng.sample((rng.random(), rng.random(), *near), 2))
-                    value, policy = _Search(inst, fc, rules).decide_value(0, lo, hi)
+                    value, policy = _Search(inst, fc, rules).value(0, lo, hi)
                     if value < lo:
                         assert best < lo
                     elif value >= hi:
@@ -396,7 +392,7 @@ class TestSearchState:
         search = _Search(fc_demo, fc=True, rules=PruneRules())
         live_before = list(search.live)
         mass_before = list(search.mass)
-        search.max_value(0)
+        search.value(0)
         assert search.live == live_before
         assert search.mass == mass_before
         assert search.trail == []
@@ -404,7 +400,7 @@ class TestSearchState:
 
     def test_trail_restores_after_decide(self, production):
         search = _Search(production, fc=True, rules=PruneRules())
-        search.decide_value(0, production.theta, production.theta)
+        search.value(0, production.theta, production.theta)
         assert search.live == [tuple(range(len(v.domain))) for v in production.variables]
         assert search.mass == [1.0] * production.n
         assert search.trail == []
@@ -421,10 +417,10 @@ class TestSearchState:
             after_unary = (list(search.live), list(search.mass))
             assert search.trail == []
             if mode == "max":
-                search.max_value(0)
+                search.value(0)
             else:
                 required = max(0.0, inst.theta - 1e-9)
-                search.decide_value(0, required, required)
+                search.value(0, required, required)
             assert search.checks >= 1
             searches, checks = searches + 1, checks + search.checks
             assert (search.live, search.mass) == after_unary
@@ -625,15 +621,15 @@ class TestContextCache:
         for fc in (False, True):
             for theta in (0.3, 0.87, 0.97):
                 search = _Search(inst, fc, PruneRules())
-                search.decide_value(0, theta, theta)
+                search.value(0, theta, theta)
                 assert search.memo
                 assert all(len(entry) == 2 for entry in search.memo.values())
-            want = entered(fc).max_value(2)
+            want = entered(fc).value(2)
             search = entered(fc)
-            assert search.decide_value(2, 0.5, 0.5) == want
+            assert search.value(2, 0.5, 0.5) == want
             nodes, hits = search.stats.nodes_visited, search.stats.cache_hits
             for required in (0.1, 0.9, 1.0):
-                assert search.decide_value(2, required, required) == want
+                assert search.value(2, required, required) == want
             # the later requirements read the first one's entry and search nothing
             assert search.stats.nodes_visited == nodes
             assert search.stats.cache_hits == hits + 3
@@ -663,9 +659,9 @@ class TestContextCache:
         def stored(fc, theta):
             search = _Search(inst, fc, PruneRules())
             if theta is None:
-                search.max_value(0)
+                search.value(0)
             else:
-                search.decide_value(0, theta, theta)
+                search.value(0, theta, theta)
             return len(search.memo)
 
         full = {(fc, theta): stored(fc, theta) for fc in (False, True) for theta in thetas}
