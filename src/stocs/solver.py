@@ -46,7 +46,8 @@ the whole prefix never repeat a key and skip the cache. A hit is the
 first-found optimum of an identical subproblem, so values and argmax
 policies do not change. At a keyed depth decide mode answers from max
 mode, so every entry is exact and serves every window: after a miss at the
-root, max mode runs on the same search and memo for the UNSAT maximum. A walk
+root, max mode runs on the same search and memo for the maximum, which
+settles the verdict, so it never contradicts the maximum. A walk
 stores each key once, and at most semantics.CACHE_ENTRIES keys (0 turns
 caching off).
 
@@ -343,9 +344,14 @@ def _run_decide(instance: Instance, fc: bool, theta_override: float | None,
     value, policy = search.value(0, required, required)
     if value >= required:
         return DecideResult(True, policy, search.stats)
-    # max mode finishes on decide's memo of exact entries, counted apart
+    # max mode finishes on decide's memo of exact entries, counted apart. It
+    # has the last word: a window bound can round one ulp above a branch
+    # value that meets it exactly (see required_threshold).
     stats, search.stats = search.stats, SearchStats()
-    return DecideResult(False, None, stats, min(1.0, max(search.value(0)[0], 0.0)))
+    maximum, policy = search.value(0)
+    if maximum >= required:
+        return DecideResult(True, policy, stats)
+    return DecideResult(False, None, stats, min(1.0, max(maximum, 0.0)))
 
 
 def bt_max(instance: Instance, rules: PruneRules | None = None) -> SatisfactionResult:

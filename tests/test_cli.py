@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import random
 import re
 import shutil
 import time
@@ -49,6 +50,7 @@ from stocs.cli import CSV_HEADER, main
 from stocs.semantics import SearchStats
 from stocs.solver import DecideResult
 from conftest import make_instance, same_tree
+from gen import random_instance
 from test_extensions import coin_chain
 
 
@@ -68,6 +70,16 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(instances_dir / "a.scsp"),
                              "--theta", "0.6")
         assert (code, out, err) == (1, "UNSAT max=0.500000000\n", "")
+
+    def test_a_verdict_at_the_maximum_agrees_with_it(self, capsys, tmp_path):
+        # the maximum is 0.4042342521905289, theta - PROB_TOL exactly, where
+        # decide's window alone reads a miss by one ulp
+        path = tmp_path / "boundary.scsp"
+        path.write_text(dump_instance(random_instance(random.Random(2026))), encoding="utf-8")
+        assert run(capsys, "solve", str(path), "--mode", "max") == (0, "MAX p=0.404234252\n", "")
+        for algorithm in ("bt", "fc"):
+            assert run(capsys, "solve", str(path), "--theta", "0.4042342531905289",
+                       "--algorithm", algorithm) == (0, "SAT p>=0.404234253\n", "")
 
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "solve", "missing.scsp")

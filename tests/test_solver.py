@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from stocs import (
     DecisionNode,
     Leaf,
     Objective,
+    PROB_TOL,
     PruneRules,
     bt_decide,
     bt_max,
@@ -183,6 +185,31 @@ class TestDecideMode:
                 expected = best >= theta - TOL
                 assert bt_decide(inst, theta_override=theta).satisfiable == expected
                 assert fc_decide(inst, theta_override=theta).satisfiable == expected
+
+    def test_verdicts_agree_with_the_maximum_at_the_boundary(self):
+        # theta at the maximum m plus PROB_TOL and its two float neighbours:
+        # a window bound there can round one ulp above a branch that meets it
+        # exactly, and the verdict must still be m >= theta - PROB_TOL
+        rng = random.Random(2026)
+        makers = (random_instance, random_cpt_instance, random_linear_instance)
+        runs = 0
+        for i in range(600):
+            inst = makers[i % 3](rng)
+            best = bt_max(inst).probability
+            near = best + PROB_TOL
+            for theta in (near, math.nextafter(near, 0.0), math.nextafter(near, 2.0)):
+                if theta > 1.0:
+                    continue
+                verdicts = []
+                for solve in (bt_decide, fc_decide):
+                    got = solve(inst, theta)
+                    runs += 1
+                    assert got.satisfiable == (best >= theta - PROB_TOL)
+                    if got.satisfiable:
+                        assert policy_satisfaction(inst, got.policy) >= theta - PROB_TOL
+                    verdicts.append(got.satisfiable)
+                assert verdicts[0] == verdicts[1]
+        assert runs > 2000
 
     def test_theta_monotone(self):
         rng = random.Random(61)
