@@ -18,12 +18,13 @@ CSV file, never on a stream.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .approx import monte_carlo_policy_eval, restricted_tree_bounds
@@ -38,6 +39,10 @@ from .semantics import (
     policy_satisfaction,
 )
 from .solver import PruneRules, bt_decide, bt_max, fc_decide, fc_max
+
+if TYPE_CHECKING:
+    import argparse
+    Args = argparse.Namespace | SimpleNamespace  # from the full parser or the scan
 
 __all__ = ["main"]
 
@@ -65,7 +70,7 @@ def _load(path: str, renormalize: bool = False) -> Instance:
                 print(f"warning: {w.message}", file=sys.stderr)
 
 
-def _rules(args: argparse.Namespace) -> PruneRules:
+def _rules(args: Args) -> PruneRules:
     return PruneRules(
         decision_stop=not args.no_prune_decision_stop,
         chance_abort=not args.no_prune_chance_abort,
@@ -97,7 +102,7 @@ def _write_policy(path: str, policy) -> None:
         os.close(fd)
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: Args) -> int:
     instance = _load(args.instance, renormalize=args.renormalize)
     rules = _rules(args)
     if args.mode == "max":
@@ -121,14 +126,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0 if found else 1
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: Args) -> int:
     instance = _load(args.instance)
     result = oracle_max_satisfaction(instance, cap=args.cap)
     print(f"MAX p={_fmt(result.probability)}")
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: Args) -> int:
     instance = _load(args.instance)
     policy = parse_policy(_read(args.policy, MalformedPolicyError))
     if args.samples is None:
@@ -140,21 +145,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_approx(args: argparse.Namespace) -> int:
+def cmd_approx(args: Args) -> int:
     instance = _load(args.instance)
     bounds = restricted_tree_bounds(instance, epsilon=args.epsilon, top_k=args.top_k)
     print(f"BOUNDS lb={_fmt(bounds.lb)} ub={_fmt(bounds.ub)}")
     return 0
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
+def cmd_optimize(args: Args) -> int:
     instance = _load(args.instance)
     result = optimize_expected(instance)
     print(f"OPT ev={_fmt(result.expected_value)} p={_fmt(result.satisfaction)}")
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: Args) -> int:
     import csv  # only bench writes CSV; the other commands skip its import
     directory = Path(args.directory)
     if not directory.is_dir():
@@ -254,6 +259,7 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # help and usage errors only; a valid call is scanned
     parser = argparse.ArgumentParser(
         prog="stocs",
         description="Solve stochastic constraint satisfaction problems.",
@@ -272,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scan(command: str, tokens: list[str]) -> argparse.Namespace | None:
-    """What `build_parser().parse_args([command, *tokens])` returns when the
-    call is a plain valid one (see `_parse_args`), else None."""
+def _scan(command: str, tokens: list[str]) -> SimpleNamespace | None:
+    """The attributes `build_parser().parse_args([command, *tokens])` returns
+    when the call is a plain valid one (see `_parse_args`), else None."""
     _, func, arguments = COMMANDS[command]
     one_of = next((a for a in arguments if not isinstance(a[0], str)), ())
     flat = [a for argument in arguments
@@ -311,11 +317,11 @@ def _scan(command: str, tokens: list[str]) -> argparse.Namespace | None:
     for flag, keywords in options.items():
         unset = False if keywords.get("action") == "store_true" else None
         values.setdefault(flag, keywords.get("default", unset))
-    return argparse.Namespace(command=command, func=func, **{
+    return SimpleNamespace(command=command, func=func, **{
         name.lstrip("-").replace("-", "_"): value for name, value in values.items()})
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
+def _parse_args(argv: list[str]) -> Args:
     """Parse a command line as `build_parser().parse_args(argv)` does.
 
     Building that parser costs more than the search of a small instance, so
@@ -325,7 +331,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     token, which must not start with "-", through its `type` and `choices`.
     If then every positional is filled, every required option and exactly
     one flag of a one-of group given, and no option given twice, the scan
-    returns argparse's Namespace, defaults, `func` and `command` included.
+    returns argparse's attributes, defaults, `func` and `command` included.
     Anything else goes to the full parser, which owns the bytes of help and
     of every error: help, "--opt=value", abbreviations, "--", values that
     start with "-", repeats, bad values and missing arguments. Raises
@@ -338,7 +344,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args: Args) -> int:
     """Run parsed arguments; map errors to exit codes, report them on stderr."""
     try:
         return args.func(args)

@@ -163,11 +163,66 @@ def test_sampling_a_sure_witness_stops_early(tmp_path):
 
 
 def test_importing_the_cli_leaves_csv_unloaded():
-    # only `bench` writes CSV, so `csv` is imported inside cmd_bench
+    # only `bench` writes CSV, so `csv` is imported inside cmd_bench; only
+    # help and usage errors need the full parser, so `argparse` is imported
+    # inside build_parser
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
     done = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-c",
-         "import sys, stocs.cli; print(sorted({'csv', '_csv'} & set(sys.modules)))"],
+         "import sys, stocs.cli; print(sorted({'argparse', 'csv', '_csv'} & set(sys.modules)))"],
         cwd=ROOT, env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         encoding="utf-8", timeout=60)
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
+# each command's (exit code, stdout, stderr), run in turn by one interpreter
+_RUN_EACH = """
+import contextlib, io, json, sys
+from stocs.cli import main
+runs = [hash("stocs")]
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_streams_do_not_depend_on_the_hash_seed(tmp_path):
+    # str hashes, and so set and dict-of-set orders, change with
+    # PYTHONHASHSEED; no stream or written policy may
+    commands = [["solve", f"instances/{name}.scsp", "--algorithm", algorithm, "--mode", mode,
+                 "--stats", "--policy-out", f"{{out}}/{name}-{algorithm}-{mode}.json"]
+                for name in ("production", "conditional")
+                for algorithm in ("bt", "fc") for mode in ("max", "decide")]
+    commands += [
+        ["solve", "instances/a.scsp", "--theta", "0.6", "--stats"],
+        ["eval", "instances/production.scsp", "--policy", "{out}/production-fc-max.json",
+         "--samples", "20000", "--seed", "7"],
+        ["eval", "instances/conditional.scsp", "--policy", "{out}/conditional-bt-decide.json",
+         "--samples", "20000", "--seed", "7"],
+        ["approx", "instances/b.scsp", "--epsilon", "0.1"],
+        ["approx", "instances/production.scsp", "--top-k", "1"],
+        ["optimize", "instances/objective.scsp"],
+    ]
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    seen = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        out.mkdir()
+        argvs = [[a.format(out=out) for a in argv] for argv in commands]
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", _RUN_EACH, json.dumps(argvs)],
+            cwd=ROOT, env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            capture_output=True, encoding="utf-8", timeout=60)
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
+        str_hash, *runs = json.loads(done.stdout)
+        written = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        seen.append((str_hash, runs, written))
+    (hash0, runs0, written0), (hash1, runs1, written1) = seen
+    assert hash0 != hash1
+    assert [code for code, _, _ in runs0] == [0] * 8 + [1] + [0] * 5
+    assert all(out for _, out, _ in runs0)
+    assert len(written0) == 8
+    assert (runs0, written0) == (runs1, written1)
