@@ -24,7 +24,6 @@ import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .approx import monte_carlo_policy_eval, restricted_tree_bounds
@@ -39,10 +38,6 @@ from .semantics import (
     policy_satisfaction,
 )
 from .solver import PruneRules, bt_decide, bt_max, fc_decide, fc_max
-
-if TYPE_CHECKING:
-    import argparse
-    Args = argparse.Namespace | SimpleNamespace  # from the full parser or the scan
 
 __all__ = ["main"]
 
@@ -70,7 +65,7 @@ def _load(path: str, renormalize: bool = False) -> Instance:
                 print(f"warning: {w.message}", file=sys.stderr)
 
 
-def _rules(args: Args) -> PruneRules:
+def _rules(args: SimpleNamespace) -> PruneRules:
     return PruneRules(
         decision_stop=not args.no_prune_decision_stop,
         chance_abort=not args.no_prune_chance_abort,
@@ -102,7 +97,7 @@ def _write_policy(path: str, policy) -> None:
         os.close(fd)
 
 
-def cmd_solve(args: Args) -> int:
+def cmd_solve(args: SimpleNamespace) -> int:
     instance = _load(args.instance, renormalize=args.renormalize)
     rules = _rules(args)
     if args.mode == "max":
@@ -126,14 +121,14 @@ def cmd_solve(args: Args) -> int:
     return 0 if found else 1
 
 
-def cmd_oracle(args: Args) -> int:
+def cmd_oracle(args: SimpleNamespace) -> int:
     instance = _load(args.instance)
     result = oracle_max_satisfaction(instance, cap=args.cap)
     print(f"MAX p={_fmt(result.probability)}")
     return 0
 
 
-def cmd_eval(args: Args) -> int:
+def cmd_eval(args: SimpleNamespace) -> int:
     instance = _load(args.instance)
     policy = parse_policy(_read(args.policy, MalformedPolicyError))
     if args.samples is None:
@@ -145,21 +140,21 @@ def cmd_eval(args: Args) -> int:
     return 0
 
 
-def cmd_approx(args: Args) -> int:
+def cmd_approx(args: SimpleNamespace) -> int:
     instance = _load(args.instance)
     bounds = restricted_tree_bounds(instance, epsilon=args.epsilon, top_k=args.top_k)
     print(f"BOUNDS lb={_fmt(bounds.lb)} ub={_fmt(bounds.ub)}")
     return 0
 
 
-def cmd_optimize(args: Args) -> int:
+def cmd_optimize(args: SimpleNamespace) -> int:
     instance = _load(args.instance)
     result = optimize_expected(instance)
     print(f"OPT ev={_fmt(result.expected_value)} p={_fmt(result.satisfaction)}")
     return 0
 
 
-def cmd_bench(args: Args) -> int:
+def cmd_bench(args: SimpleNamespace) -> int:
     import csv  # only bench writes CSV; the other commands skip its import
     directory = Path(args.directory)
     if not directory.is_dir():
@@ -258,7 +253,7 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     import argparse  # help and usage errors only; a valid call is scanned
     parser = argparse.ArgumentParser(
         prog="stocs",
@@ -321,7 +316,7 @@ def _scan(command: str, tokens: list[str]) -> SimpleNamespace | None:
         name.lstrip("-").replace("-", "_"): value for name, value in values.items()})
 
 
-def _parse_args(argv: list[str]) -> Args:
+def _parse_args(argv: list[str]) -> SimpleNamespace:
     """Parse a command line as `build_parser().parse_args(argv)` does.
 
     Building that parser costs more than the search of a small instance, so
@@ -341,10 +336,10 @@ def _parse_args(argv: list[str]) -> Args:
         args = _scan(argv[0], argv[1:])
         if args is not None:
             return args
-    return build_parser().parse_args(argv)
+    return build_parser().parse_args(argv, SimpleNamespace())
 
 
-def _dispatch(args: Args) -> int:
+def _dispatch(args: SimpleNamespace) -> int:
     """Run parsed arguments; map errors to exit codes, report them on stderr."""
     try:
         return args.func(args)

@@ -2,11 +2,9 @@
 
 Both algorithms walk the variable order depth-first, maximizing over
 decision values and weighting stochastic branches by probability. One
-recursive method, value, serves both modes and takes one stack frame per
-variable:
+recursive method, value, runs both modes at one stack frame per variable:
 
-  max    - value(depth): the exact maximal satisfaction and an argmax
-           policy.
+  max    - value(depth): the exact maximal satisfaction and an argmax policy.
   decide - value(depth, lo, hi): answer "is some policy >= theta" with a
            witness, by backtracking within a lower and an upper threshold.
 
@@ -270,9 +268,9 @@ class _Search:
                 result = best, DecisionNode(var.name, var.domain[best_pos], best_child)
             return _remember(self.memo, key, result)
         probs = self.inst.distribution(depth, env)
+        children = [self.first[depth + 1]] * len(probs)
+        total = 0.0
         if lo is None:
-            children = [self.first[depth + 1]] * len(probs)
-            total = 0.0
             for i in self.live[depth]:
                 q = probs[i]
                 if q == 0.0:
@@ -291,8 +289,6 @@ class _Search:
         suffix = [0.0] * (k + 1)
         for i in range(k - 1, -1, -1):
             suffix[i] = suffix[i + 1] + probs[i]
-        children = [self.first[depth + 1]] * k
-        total = 0.0
         missed = False
         live = self.live[depth]
         for i, (w, q) in enumerate(zip(var.domain, probs)):
