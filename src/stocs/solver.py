@@ -44,10 +44,9 @@ the whole prefix never repeat a key and skip the cache. A hit is the
 first-found optimum of an identical subproblem, so values and argmax
 policies do not change. At a keyed depth decide mode answers from max
 mode, so every entry is exact and serves every window: after a miss at the
-root, max mode runs on the same search and memo for the maximum, which
-settles the verdict, so it never contradicts the maximum. A walk
-stores each key once, and at most semantics.CACHE_ENTRIES keys (0 turns
-caching off).
+root, max mode runs on the same search and memo, and its maximum settles
+the verdict. A walk stores each key once, and at most
+semantics.CACHE_ENTRIES keys (0 turns caching off).
 
 Prune rules can be disabled independently; verdicts and values never
 change, only the work done (and the witness in decide mode).
@@ -228,6 +227,7 @@ class _Search:
             best_child: PolicyNode | None = None
             live = self.live[depth]
             stop = hi if hi < 1.0 else 1.0  # nothing scores above 1.0
+            prune_mass = self.use_mass and self.rules.fc_mass
             for k, pos in enumerate(live):
                 if lo is not None:
                     # a value must beat the best so far: that is its floor
@@ -237,7 +237,7 @@ class _Search:
                 mark = len(trail)
                 if not ((test is None or test(env)) and (not fire or self._forward_check(fire))):
                     score, child = 0.0, None
-                elif self.use_mass and self.rules.fc_mass and (
+                elif prune_mass and (
                         best >= 0.0 and self._ub(depth) <= best if lo is None
                         else self._ub(depth) < floor):
                     # cannot beat the best so far (max mode keeps the earlier
