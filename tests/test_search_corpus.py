@@ -10,17 +10,15 @@ from search_corpus import FAMILIES, instances, rows
 
 EXPECTED = json.loads((Path(__file__).resolve().parent / "search_corpus.json")
                       .read_text(encoding="utf-8"))
-INSTANCES = list(instances())
+PREFIXES = [name for name, _ in FAMILIES] + ["inventory"]
 
 
-def test_the_corpus_pins_every_run():
-    got = [key for name, instance, all_rules in INSTANCES
-           for key, _ in rows(name, instance, all_rules)]
-    assert got == list(EXPECTED)
+def test_every_pinned_row_belongs_to_a_family():
+    assert {key.split("-")[0] for key in EXPECTED} == set(PREFIXES)
 
 
-@pytest.mark.parametrize("family", [name for name, _ in FAMILIES] + ["inventory"])
+@pytest.mark.parametrize("family", PREFIXES)
 def test_each_run_gives_its_pinned_output(family):
-    wrong = {key: row for name, instance, all_rules in INSTANCES if name.startswith(f"{family}-")
-             for key, row in rows(name, instance, all_rules) if row != EXPECTED[key]}
-    assert not wrong
+    got = {key: row for name, instance, all_rules in instances() if name.startswith(f"{family}-")
+           for key, row in rows(name, instance, all_rules)}
+    assert got == {key: row for key, row in EXPECTED.items() if key.startswith(f"{family}-")}
