@@ -54,6 +54,7 @@ from .formats import (
     serialize_policy,
 )
 from .model import (
+    ORACLE_CAP,
     PROB_TOL,
     ConditionalTable,
     Constraint,
@@ -66,7 +67,6 @@ from .model import (
     validate_instance,
 )
 from .semantics import (
-    ORACLE_CAP,
     ChanceNode,
     DecisionNode,
     Leaf,
@@ -90,7 +90,6 @@ from .solver import (
     bt_max,
     fc_decide,
     fc_max,
-    required_threshold,
 )
 
 __all__ = [
@@ -106,8 +105,7 @@ __all__ = [
     "is_satisfiable_oracle", "first_policy", "induced_assignment", "scenarios",
     "ORACLE_CAP",
     # solver
-    "PruneRules", "DecideResult", "required_threshold", "bt_max", "fc_max",
-    "bt_decide", "fc_decide",
+    "PruneRules", "DecideResult", "bt_max", "fc_max", "bt_decide", "fc_decide",
     # approx
     "Interval", "SampleEstimate", "HeuristicPolicy", "restricted_tree_bounds",
     "most_probable_scenario_policy", "monte_carlo_policy_eval", "WILSON_Z",

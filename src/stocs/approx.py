@@ -28,28 +28,27 @@ before the first draw (semantics._check_policy), so the walk trusts it.
 The draws are made in batches. Every sample takes exactly one word per
 stochastic variable, so n samples read the first n * m words of the
 stream, and word k depends only on the seed and k. One batch holds
-m * (_CHUNK // m) words, whole samples, or _CHUNK words when a sample is
-longer; they are mixed at once on one big int with a 128-bit lane per
-word. The fixed batch size bounds the memory this takes, whatever n is,
-and each batch's lanes follow from the last one's by one addition. The
-walk keeps each draw x = word >> 11 an integer: x * 2**-53 < c exactly
-when x < ceil(c * 2**53), so bisecting x into thresholds ceil(c * 2**53)
-over the cumulative probabilities c finds the value the spec above names.
+m * max(1, _CHUNK // m) words, whole samples, mixed at once on one big
+int with a 128-bit lane per word. The fixed batch size bounds the memory
+this takes, whatever n is, and each batch's lanes follow from the last
+one's by one addition. The walk keeps each draw x = word >> 11 an
+integer: x * 2**-53 < c exactly when x < ceil(c * 2**53), so bisecting
+x into thresholds ceil(c * 2**53) over the cumulative probabilities c
+finds the value the spec above names.
 
 The walk by draw stops after the first batch that completes the trie:
 every branch that owns a draw in [0, 2**53) is built at every built
-state. If every leaf reached has one outcome, each remaining sample, one
-in progress too, ends in it, so the count is the full walk's; sure and
-hopeless policies cost one batch. Otherwise the rest of the stream is
-counted by draw class. The thresholds of the tables built at a
-variable's depth, the rows some draw reaches, cut [0, 2**53) into
-intervals, and all draws in one interval take one value at every state
-of that variable. bytes.translate maps each word's top byte to its
-interval; only a draw whose top byte spans a threshold is bisected. A
-Counter counts the samples' tuples of intervals, and each distinct tuple
-walks the trie once. A variable with more than 254 intervals, a sample
-longer than a batch, or under four remaining samples per possible tuple
-keeps the walk by draw to the end.
+state. If every leaf reached has one outcome, each remaining sample ends
+in it, so the count is the full walk's; sure and hopeless policies cost
+one batch. Otherwise the rest of the stream is counted by draw class.
+The thresholds of the tables built at a variable's depth, the rows some
+draw reaches, cut [0, 2**53) into intervals, and all draws in one
+interval take one value at every state of that variable. bytes.translate
+maps each word's top byte to its interval; only a draw whose top byte
+spans a threshold is bisected. A Counter counts the samples' tuples of
+intervals, and each distinct tuple walks the trie once. A variable with
+more than 254 intervals, or under four remaining samples per possible
+tuple, keeps the walk by draw to the end.
 """
 
 from __future__ import annotations
@@ -63,6 +62,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 
+from . import semantics
 from .errors import (
     BadEpsilonError,
     BadKError,
@@ -71,12 +71,11 @@ from .errors import (
     StocsError,
     UnsupportedConditionalParentsError,
 )
-from .model import Instance, _as_float, _repr
+from .model import Instance, _check_number, _repr
 from .semantics import (
     PolicyNode,
     _check_depth,
     _check_policy,
-    CACHE_ENTRIES,
     _remember,
     _rigid_policies,
     policy_satisfaction,
@@ -125,9 +124,7 @@ def restricted_tree_bounds(instance: Instance, epsilon: float | None = None,
     if (epsilon is None) == (top_k is None):
         raise BadEpsilonError("give exactly one of epsilon or top_k")
     if epsilon is not None:
-        if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
-            raise BadEpsilonError(f"epsilon {epsilon!r} is not a number")
-        epsilon = _as_float(epsilon)
+        epsilon = _check_number(epsilon, "epsilon", BadEpsilonError)
         if not 0.0 <= epsilon <= 1.0:  # NaN too
             raise BadEpsilonError(f"epsilon {epsilon!r} outside [0, 1]")
     elif not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1:
@@ -270,17 +267,17 @@ def _lanes(width: int) -> tuple[int, int, int]:
 def _words(seed: int, total: int, width: int):
     """Yield ``(count, z)`` for the splitmix64 words 1 to ``total`` from
     ``seed`` (word k mixes ``seed + k * GOLDEN`` mod 2**64), in batches of
-    ``width`` words, at most ``_CHUNK``; the last may be shorter. Lane k of
-    ``z``, 128 bits wide, holds the batch's k-th word in its low 64 bits;
-    bits 64 to 96 are clear.
+    ``width`` words; the last may be shorter. Lane k of ``z``, 128 bits
+    wide, holds the batch's k-th word in its low 64 bits; bits 64 to 96 are
+    clear.
 
     ``m64`` cuts every lane to 64 bits before each multiply, and 64 by 64
     bits fit the lane, so no bit crosses into a lane read back. The lane
-    constants are built once for ``_CHUNK`` lanes and cut down to ``width``
-    and to a shorter last batch; each batch's lane base is the previous
-    one's plus ``width * GOLDEN`` in every lane.
+    constants are built once for at least ``_CHUNK`` lanes and cut down to
+    ``width`` and to a shorter last batch; each batch's lane base is the
+    previous one's plus ``width * GOLDEN`` in every lane.
     """
-    ones, steps, m64 = _lanes(_CHUNK)
+    ones, steps, m64 = _lanes(max(width, _CHUNK))
     if width < _CHUNK:
         low = (1 << 128 * width) - 1
         ones, steps, m64 = ones & low, steps & low, m64 & low
@@ -409,12 +406,11 @@ class _PathTrie:
 
         Every path passes one chance state per stochastic variable, so the
         draws form one flat stream and a sample ends every m-th draw. Its
-        batches hold whole samples unless a sample is longer than
-        ``_CHUNK``. They are walked draw by draw until one leaves no
-        reachable branch to build. With one leaf outcome, the remaining
-        samples then count without being drawn: none could differ. With
-        both, and a class table for every position (``_classes``), the rest
-        of the stream is counted by draw class (``_count``).
+        batches hold whole samples. They are walked draw by draw until one
+        leaves no reachable branch to build. With one leaf outcome, the
+        remaining samples then count without being drawn: none could differ.
+        With both, and a class table for every position (``_classes``), the
+        rest of the stream is counted by draw class (``_count``).
         """
         root_state, root_ok = self.root
         if root_state is None:  # no stochastic variable: every sample is alike
@@ -425,10 +421,10 @@ class _PathTrie:
         m = len(self.instance.stochastic_indices)
         classes = None
         counts: Counter = Counter()
-        for count, z in _words(seed, n * m, m * (_CHUNK // m) or _CHUNK):
+        for count, z in _words(seed, n * m, m * max(1, _CHUNK // m)):
             if classes:
                 self._count(counts, count, z, classes)
-                if len(counts) > CACHE_ENTRIES:  # memory stays bounded, whatever n is
+                if len(counts) > semantics.CACHE_ENTRIES:  # memory stays bounded, whatever n is
                     wins += self._score(counts, classes)
                     counts.clear()
                 continue
@@ -458,13 +454,10 @@ class _PathTrie:
         complete trie those are the tables of the rows some draw reaches. A
         top byte whose draws span a threshold maps to ``_STRADDLE``.
 
-        Empty when a batch cannot hold a whole sample, when some position has
-        more than 254 intervals, or when ``samples`` is under four per tuple of
-        intervals: samples that seldom repeat a tuple cost more to count than
-        to walk."""
+        Empty when some position has more than 254 intervals, or when
+        ``samples`` is under four per tuple of intervals: samples that seldom
+        repeat a tuple cost more to count than to walk."""
         stochastic = self.instance.stochastic_indices
-        if len(stochastic) > _CHUNK:
-            return []
         cuts: dict[int, set[int]] = {depth: set() for depth in stochastic}
         for (depth, _), cum in self.tables.items():
             cuts[depth].update(t for t in cum if 0 < t < 2 ** 53)
@@ -549,7 +542,7 @@ def monte_carlo_policy_eval(instance: Instance, policy: PolicyNode, n: int,
     if n > sys.float_info.max:  # the Wilson interval divides by float(n)
         raise BadSampleCountError("sample count is past the float range")
     if not isinstance(seed, int) or isinstance(seed, bool):
-        raise StocsError(f"seed {seed!r} must be an integer")
+        raise StocsError(f"seed {_repr(seed, StocsError, 'seed')} must be an integer")
     seed &= _MASK64
     _check_policy(instance, policy)
     wins = 0 if instance.constant_false else _PathTrie(instance, policy).wins(n, seed)

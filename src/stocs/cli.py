@@ -30,13 +30,8 @@ from .approx import monte_carlo_policy_eval, restricted_tree_bounds
 from .errors import MalformedPolicyError, MismatchBetweenAlgorithmsError, StocsError
 from .extensions import optimize_expected
 from .formats import _read, load_instance, parse_policy, serialize_policy
-from .model import Instance
-from .semantics import (
-    ORACLE_CAP,
-    SearchStats,
-    oracle_max_satisfaction,
-    policy_satisfaction,
-)
+from .model import ORACLE_CAP, Instance
+from .semantics import SearchStats, oracle_max_satisfaction, policy_satisfaction
 from .solver import PruneRules, bt_decide, bt_max, fc_decide, fc_max
 
 __all__ = ["main"]

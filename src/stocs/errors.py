@@ -135,10 +135,6 @@ class OracleCapExceededError(StocsError):
 # solving / approximation / optimization
 # ---------------------------------------------------------------------------
 
-class NonpositiveBranchProbabilityError(StocsError):
-    pass
-
-
 class InstanceTooDeepError(StocsError):
     """A search or tree walk would recurse past the interpreter's recursion limit."""
 

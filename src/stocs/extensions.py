@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 from . import expr as _expr
 from .errors import InstanceValidationError, NoFeasiblePolicyError, NoObjectiveError
-from .model import PROB_TOL, Instance, _check_theta
+from .model import ORACLE_CAP, PROB_TOL, Instance, _check_theta
 from .semantics import (
     LEAF,
-    ORACLE_CAP,
     ChanceNode,
     DecisionNode,
     PolicyNode,

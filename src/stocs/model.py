@@ -57,7 +57,6 @@ PROB_TOL = 1e-9
 ORACLE_CAP = 10 ** 6
 
 
-
 class ViolationValueWarning(UserWarning):
     """The objective's violation value beats every achievable objective value."""
 
@@ -288,11 +287,11 @@ def _repr(value, error: type[StocsError], what: str) -> str:
         raise error(f"{what}: an integer too long to print") from None
 
 
-def _check_number(v, what: str) -> float:
+def _check_number(v, what: str, error: type[StocsError] = InstanceValidationError) -> float:
     """_as_float(v) of an int or float that is not a bool, which is all the
     file reader lets through; any other value is rejected, not converted."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise InstanceValidationError(f"{what}: {v!r} is not a number")
+        raise error(f"{what}: {_repr(v, error, what)} is not a number")
     return _as_float(v)
 
 

@@ -39,7 +39,7 @@ from .model import ORACLE_CAP, PROB_TOL, Instance, _check_theta, _count_policies
 
 __all__ = [
     "Leaf", "DecisionNode", "ChanceNode", "PolicyNode",
-    "SearchStats", "SatisfactionResult", "ORACLE_CAP",
+    "SearchStats", "SatisfactionResult",
     "scenario_probability", "check_assignment", "policy_satisfaction",
     "enumerate_policies", "oracle_max_satisfaction", "is_satisfiable_oracle",
     "scenarios", "induced_assignment", "first_policy",
@@ -282,6 +282,8 @@ def enumerate_policies(instance: Instance, cap: int = ORACLE_CAP) -> Iterator[Po
     tie-breaking rule used by the search algorithms.
     """
     _check_depth(instance)
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise StocsError(f"cap {_repr(cap, StocsError, 'cap')} is not an integer")
     count = _count_policies(instance.variables, cap)
     if count > cap:
         raise OracleCapExceededError(count, cap)

@@ -30,10 +30,11 @@ forward checking never checks those constraints again on assignment.
 
 At unkeyed depths decide mode searches a window (lo, hi), the paper's
 BT(theta_l, theta_h) and the chance-node form of alpha-beta, and returns
-one value per subtree (see value). A decision value must beat the
-best so far. Chance branch i of probability q must reach required_threshold
-of lo and need not pass (hi - total) / q, where total sums the exact values
-of the branches before it. The root window is theta - PROB_TOL on both sides.
+one value per subtree (see value). A decision value must beat the best so
+far. Chance branch i of probability q must reach the floor (lo - total -
+suffix[i + 1]) / q and need not pass (hi - total) / q, where total sums the
+exact values of the branches before it and suffix[i + 1] the probabilities
+after it. The root window is theta - PROB_TOL on both sides.
 
 Max mode caches subtree results by key (AND/OR search with caching).
 The key of depth d (Instance.key_at) holds what the subtree below d reads
@@ -57,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonpositiveBranchProbabilityError
+from .errors import StocsError
 from .model import PROB_TOL, CompiledConstraint, Instance, _check_theta, _repr
 from .semantics import (
     LEAF,
@@ -75,7 +76,6 @@ from .semantics import (
 __all__ = [
     "PruneRules", "DecideResult",
     "bt_max", "fc_max", "bt_decide", "fc_decide",
-    "required_threshold",
 ]
 
 @dataclass(frozen=True)
@@ -92,24 +92,6 @@ class DecideResult:
     policy: PolicyNode | None  # witness when satisfiable
     stats: SearchStats
     maximum: float | None = None  # the maximal satisfaction when unsatisfiable
-
-
-def required_threshold(parent_required: float, branch_probability: float | None = None,
-                       accumulated: float = 0.0, remaining: float = 0.0) -> float:
-    """Threshold a child branch must reach for its parent to reach its own.
-
-    A decision branch passes the requirement through. A chance branch of
-    probability p, with mass `accumulated` already secured and mass
-    `remaining` still unexplored on other branches, must reach
-    (parent_required - accumulated - remaining) / p, clamped to [0, 1].
-    """
-    if branch_probability is None:
-        return parent_required
-    if branch_probability <= 0.0:
-        error, what = NonpositiveBranchProbabilityError, "chance branch probability"
-        raise error(f"{what} {_repr(branch_probability, error, what)} must be positive")
-    needed = (parent_required - accumulated - remaining) / branch_probability
-    return min(1.0, max(0.0, needed))
 
 
 class _Search:
@@ -298,7 +280,7 @@ class _Search:
                 break
             if q == 0.0 or i not in live:
                 continue  # exact 0 contribution, default child stands
-            floor = required_threshold(lo, q, total, suffix[i + 1])
+            floor = min(1.0, (lo - total - suffix[i + 1]) / q)  # nothing scores above 1.0
             stats.nodes_visited += 1
             env[depth] = w
             mark = len(trail)
@@ -319,22 +301,29 @@ class _Search:
         return -1.0 if missed else total, ChanceNode(var.name, tuple(children))
 
 
+def _check_rules(rules: PruneRules | None) -> PruneRules:
+    if rules is None or isinstance(rules, PruneRules):
+        return rules or PruneRules()
+    raise StocsError(f"rules {_repr(rules, StocsError, 'rules')} is not a PruneRules")
+
+
 def _run_max(instance: Instance, fc: bool, rules: PruneRules | None) -> SatisfactionResult:
-    search = _Search(instance, fc, rules or PruneRules())
+    search = _Search(instance, fc, _check_rules(rules))
     if search.root_dead:
         return SatisfactionResult(0.0, search.first[0], search.stats)
     value, policy = search.value(0)
-    return SatisfactionResult(min(1.0, max(value, 0.0)), policy, search.stats)
+    return SatisfactionResult(min(1.0, value), policy, search.stats)
 
 
 def _run_decide(instance: Instance, fc: bool, theta_override: float | None,
                 rules: PruneRules | None) -> DecideResult:
+    rules = _check_rules(rules)
     theta = instance.theta if theta_override is None else _check_theta(theta_override)
     required = max(0.0, theta - PROB_TOL)
     if required <= 0.0:
         # every policy qualifies; hand back the first depth-first one
         return DecideResult(True, first_policy(instance), SearchStats())
-    search = _Search(instance, fc, rules or PruneRules())
+    search = _Search(instance, fc, rules)
     if search.root_dead:
         return DecideResult(False, None, search.stats, 0.0)
     value, policy = search.value(0, required, required)
@@ -342,12 +331,12 @@ def _run_decide(instance: Instance, fc: bool, theta_override: float | None,
         return DecideResult(True, policy, search.stats)
     # max mode finishes on decide's memo of exact entries, counted apart. It
     # has the last word: a window bound can round one ulp above a branch
-    # value that meets it exactly (see required_threshold).
+    # value that meets it exactly (see the floor in value's chance body).
     stats, search.stats = search.stats, SearchStats()
     maximum, policy = search.value(0)
     if maximum >= required:
         return DecideResult(True, policy, stats)
-    return DecideResult(False, None, stats, min(1.0, max(maximum, 0.0)))
+    return DecideResult(False, None, stats, min(1.0, maximum))
 
 
 def bt_max(instance: Instance, rules: PruneRules | None = None) -> SatisfactionResult:

@@ -44,6 +44,7 @@ from stocs import (
     restricted_tree_bounds,
     scenario_probability,
     serialize_policy,
+    validate_instance,
 )
 from stocs.approx import monte_carlo_policy_eval
 from stocs.cli import main as cli_main
@@ -253,22 +254,31 @@ def test_criterion_7_production_plan_hits_frozen_value(instances_dir, capsys):
         assert fc_decide(inst).satisfiable
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="printing 500 units in both quarters already covers every demand, "
-           "so the best rigid plan ties the adaptive optimum at satisfaction "
-           "1.0 and no strict gap exists on this instance",
-)
+def best_rigid(instance: Instance) -> float:
+    grid = instance.variables[0].domain
+    return max(policy_satisfaction(instance, rigid_policy(instance, {"x1": a, "x2": b}))
+               for a in grid for b in grid)
+
+
 def test_criterion_7_adaptive_plan_strictly_beats_rigid(instances_dir, capsys):
     with announce(capsys, 7, "recourse strict dominance"):
         inst = load_instance(instances_dir / "production.scsp")
-        grid = inst.variables[0].domain
-        best_rigid = max(
-            policy_satisfaction(inst, rigid_policy(inst, {"x1": a, "x2": b}))
-            for a in grid for b in grid
-        )
-        adaptive = bt_max(inst).probability
-        assert adaptive > best_rigid + TOL
+        # printing 500 units in both quarters covers every demand, so on
+        # production itself a rigid plan already ties the adaptive optimum
+        assert bt_max(inst).probability == best_rigid(inst) == 1.0
+        # with at most 200 units left in stock at the end, the second
+        # quarter's plan must follow the first quarter's demand
+        storage = validate_instance(Instance(
+            variables=inst.variables, theta=inst.theta, name="production-storage",
+            constraints=(*inst.constraints, expr_constraint("x1 - s1 + x2 - s2 <= 200"))))
+        oracle = oracle_max_satisfaction(storage)
+        assert oracle.stats.nodes_visited == storage.policy_count == 15_625
+        adaptive = bt_max(storage)
+        for got in (adaptive, fc_max(storage), oracle):
+            assert abs(got.probability - 0.6) <= TOL
+        rigid = best_rigid(storage)
+        assert abs(rigid - 0.52) <= TOL
+        assert adaptive.probability > rigid + TOL
 
 
 def test_criterion_8_later_decisions_never_hurt(capsys):

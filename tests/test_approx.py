@@ -23,6 +23,7 @@ from stocs import (
     oracle_max_satisfaction,
     policy_satisfaction,
     restricted_tree_bounds,
+    semantics,
 )
 from stocs.errors import (
     BadEpsilonError,
@@ -66,7 +67,7 @@ class TestRestrictedTreeBounds:
             restricted_tree_bounds(instance_a, epsilon=0.1, top_k=2)
 
     @pytest.mark.parametrize("epsilon", [-0.1, 1.1, float("nan"), "abc", 10**400, [0.1],
-                                         True, False, "0.5", 1j])
+                                         True, False, "0.5", 1j, [10**5000]])
     def test_epsilon_range(self, instance_a, epsilon):
         with pytest.raises(BadEpsilonError):
             restricted_tree_bounds(instance_a, epsilon=epsilon)
@@ -224,7 +225,7 @@ class TestMonteCarlo:
                            match="^sample count: an integer too long to print$"):
             monte_carlo_policy_eval(instance_a, policy, -10**5000, seed=1)
 
-    @pytest.mark.parametrize("seed", ["x", None, 1.7, 1.0, True, False, "1"])
+    @pytest.mark.parametrize("seed", ["x", None, 1.7, 1.0, True, False, "1", [10**5000]])
     def test_seed_must_be_an_int(self, instance_a, seed):
         policy = DecisionNode("x", 0, ChanceNode("s", (Leaf(), Leaf())))
         with pytest.raises(StocsError, match="seed"):
@@ -703,12 +704,18 @@ class TestCountingPath:
 
     def test_a_full_count_table_is_scored_and_emptied(self, monkeypatch):
         # with room for two tuples, nearly every batch scores its table
-        monkeypatch.setattr(approx, "CACHE_ENTRIES", 2)
+        monkeypatch.setattr(semantics, "CACHE_ENTRIES", 2)
         counted = _record_counted(monkeypatch)
+        scored = []
+        score = approx._PathTrie._score
+        monkeypatch.setattr(approx._PathTrie, "_score", lambda trie, counts, classes:
+                            scored.append(len(counts)) or score(trie, counts, classes))
         inst, policy = _cpt_case()
         assert (approx._PathTrie(inst, policy).wins(3000, 3)
                 == _reference_wins(inst, policy, 3000, 3))
         assert counted
+        # every counted batch scores its full table, and the end scores the rest
+        assert len(scored) == len(counted) + 1 and min(scored[:-1]) > 2
 
     @pytest.mark.parametrize("gap_row, counts", [(None, False), (126, True)])
     def test_more_than_254_intervals_keep_the_walk_by_draw(self, monkeypatch, gap_row, counts):
@@ -740,18 +747,17 @@ class TestCountingPath:
     @pytest.mark.parametrize("chunk", [1, 2, 7, None])
     def test_samples_past_a_whole_batch_match_the_per_sample_loop(self, monkeypatch, chunk):
         # n * m is no multiple of the batch, and at 1 and 2 the inventory
-        # case's samples are longer than a batch
+        # case's samples are longer than _CHUNK, so a batch holds one sample
         if chunk is not None:
             monkeypatch.setattr(approx, "_CHUNK", chunk)
         counted = _record_counted(monkeypatch)
         for case in (_one_variable_case, lambda: _table_case(THIRDS), _cpt_case, _shared_case):
             inst, policy = case()
-            m = len(inst.stochastic_indices)
             for n, seed in ((2999, 5), (3001, 17)):
                 counted.clear()
                 assert (approx._PathTrie(inst, policy).wins(n, seed)
                         == _reference_wins(inst, policy, n, seed))
-                assert bool(counted) == (m <= approx._CHUNK)
+                assert counted
 
     @pytest.mark.parametrize("width", [1, 3, CHUNK - 1, CHUNK])
     def test_words_at_any_width_and_start_match_scalar_splitmix64(self, width):

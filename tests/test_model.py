@@ -411,6 +411,10 @@ class TestValuesAreCheckedNotConverted:
         with pytest.raises(InstanceValidationError, match="'0.5' is not a number"):
             build([VariableSpec("s", "stochastic", (0, 1), probabilities=("0.5", "0.5"))])
 
+    def test_unprintable_probability(self):
+        with pytest.raises(InstanceValidationError, match=": an integer too long to print$"):
+            build([VariableSpec("s", "stochastic", (0, 1), probabilities=([10**5000], 0.5))])
+
     def test_text_theta(self):
         with pytest.raises(InstanceValidationError, match="theta: '0.5' is not a number"):
             build([X], theta="0.5")
@@ -419,15 +423,20 @@ class TestValuesAreCheckedNotConverted:
         with pytest.raises(InstanceValidationError, match="theta: True is not a number"):
             build([X], theta=True)
 
-    @pytest.mark.parametrize("theta", ["0.5", True])
-    def test_theta_override(self, theta):
+    @pytest.mark.parametrize("theta, message", [
+        ("0.5", "is not a number"), (True, "is not a number"),
+        ([10**5000], "^theta: an integer too long to print$")])
+    def test_theta_override(self, theta, message):
         instance = build([X])
-        with pytest.raises(InstanceValidationError, match="is not a number"):
+        with pytest.raises(InstanceValidationError, match=message):
             bt_decide(instance, theta_override=theta)
 
-    @pytest.mark.parametrize("violation", ["-1", False])
-    def test_violation_value(self, violation):
-        with pytest.raises(InstanceValidationError, match="violation_value: .* is not a number"):
+    @pytest.mark.parametrize("violation, message", [
+        ("-1", "violation_value: .* is not a number"),
+        (False, "violation_value: .* is not a number"),
+        ([10**5000], "^objective: violation_value: an integer too long to print$")])
+    def test_violation_value(self, violation, message):
+        with pytest.raises(InstanceValidationError, match=message):
             build([X], objective=Objective(parse_expression("x"), violation))
 
     @pytest.mark.parametrize("value", [1.5, True, "1"], ids=["float", "bool", "text"])

@@ -21,24 +21,26 @@ from stocs import (
     PruneRules,
     bt_decide,
     bt_max,
+    enumerate_policies,
     expr_constraint,
     fc_decide,
     fc_max,
     first_policy,
+    is_satisfiable_oracle,
     load_instance,
     monte_carlo_policy_eval,
     most_probable_scenario_policy,
+    optimize_chance_constrained,
     optimize_expected,
     oracle_max_satisfaction,
     parse_expression,
     policy_expected_value,
     policy_satisfaction,
-    required_threshold,
     restricted_tree_bounds,
 )
 from stocs.errors import (
     InstanceTooDeepError,
-    NonpositiveBranchProbabilityError,
+    StocsError,
     ThetaOutOfRangeError,
 )
 from stocs import semantics, solver
@@ -266,6 +268,16 @@ class TestDecideMode:
             assert got.satisfiable
             assert policy_satisfaction(inst, got.policy) >= 0.7 - TOL
 
+    def test_a_chance_branch_floor_is_capped_at_one(self):
+        # with chance_abort off, (lo - total - suffix) / q passes 1.0 on a
+        # branch here; capped, fc's mass bound (1.0) lets the branch be
+        # searched (uncapped: 5 nodes and one mass prune, the same verdict)
+        inst = random_instance(random.Random(2026))
+        got = fc_decide(inst, 0.5, PruneRules(chance_abort=False))
+        assert got.stats.as_dict() == {
+            "nodes_visited": 6, "chance_prunes": 0, "decision_prunes": 3,
+            "fc_wipeouts": 1, "fc_mass_prunes": 0, "cache_hits": 1}
+
 
 class TestForwardChecking:
     def test_mass_bound_abandons_the_weak_branch(self, fc_demo):
@@ -347,6 +359,26 @@ class TestPruneRules:
         assert fc_decide(instance_c, rules=rules).satisfiable
 
 
+def _bad_arguments():
+    for entry in (enumerate_policies, oracle_max_satisfaction, is_satisfiable_oracle,
+                  optimize_chance_constrained):
+        for cap in (None, "x", 2.5, math.nan, True, 1j):
+            yield pytest.param(entry, "cap", cap, id=f"{entry.__name__}-{cap!r}")
+    for entry in (bt_max, fc_max, bt_decide, fc_decide):
+        for rules in ("x", 1):
+            yield pytest.param(entry, "rules", rules, id=f"{entry.__name__}-{rules!r}")
+
+
+@pytest.mark.parametrize("entry, name, value", _bad_arguments())
+def test_a_bad_cap_or_rules_is_a_typed_error(entry, name, value):
+    # a NaN cap would compare false with every count and turn the cap off
+    inst = make_instance([("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5))],
+                         [expr_constraint("x = s")], objective=Objective(parse_expression("x")))
+    what = "an integer" if name == "cap" else "a PruneRules"
+    with pytest.raises(StocsError, match=f"^{name} .* is not {what}$"):
+        entry(inst, **{name: value})
+
+
 class TestDepthLimit:
     @staticmethod
     def chain(n):
@@ -383,35 +415,6 @@ class TestDepthLimit:
             for algorithm in ("bt", "fc"):
                 code = main(["solve", str(path), "--mode", mode, "--algorithm", algorithm])
                 assert (code, capsys.readouterr()) == (0, (want, ""))
-
-
-class TestRequiredThreshold:
-    def test_decision_passes_through(self):
-        assert required_threshold(0.8) == 0.8
-
-    def test_chance_branch_algebra(self):
-        got = required_threshold(0.8, branch_probability=0.5, accumulated=0.0,
-                                 remaining=0.5)
-        assert got == pytest.approx(0.6)
-
-    def test_settled_mass_clamps_to_zero(self):
-        got = required_threshold(0.5, branch_probability=0.5, accumulated=0.6,
-                                 remaining=0.0)
-        assert got == 0.0
-
-    def test_impossible_requirement_clamps_to_one(self):
-        got = required_threshold(1.0, branch_probability=0.25, accumulated=0.0,
-                                 remaining=0.0)
-        assert got == 1.0
-
-    def test_nonpositive_branch_probability(self):
-        with pytest.raises(NonpositiveBranchProbabilityError):
-            required_threshold(0.5, branch_probability=0.0)
-
-    def test_branch_probability_past_the_digit_limit(self):
-        with pytest.raises(NonpositiveBranchProbabilityError,
-                           match="^chance branch probability: an integer too long to print$"):
-            required_threshold(0.5, -10**5000)
 
 
 class TestSearchState:
