@@ -167,6 +167,15 @@ class NoFeasiblePolicyError(StocsError):
     """No policy meets the satisfaction threshold during constrained optimization."""
 
 
+class FrontierCapExceededError(StocsError):
+    """A frontier of constrained optimization holds more points than the cap."""
+
+    def __init__(self, size: int, cap: int):
+        super().__init__(f"a frontier holds {size} points, above the cap of {cap}")
+        self.size = size
+        self.cap = cap
+
+
 # ---------------------------------------------------------------------------
 # parsing / file formats / CLI
 # ---------------------------------------------------------------------------

@@ -7,40 +7,60 @@ through Instance.distribution, so bt_max and the others handle tables
 as they are (forward checking then keeps only its wipeout prune, since
 pruned mass is no longer branch-independent).
 
-optimize_expected maximizes the expected objective value, where leaves
-violating a constraint score the objective's violation_value. That
-penalized expectation decomposes over the tree (max at decisions,
-weighted sum at chance nodes), so equal subtrees are solved once, keyed as
-in the search plus the objective's assigned part. Maximizing expectation
-subject to satisfaction >= theta does not decompose;
-optimize_chance_constrained does it by exhaustive policy enumeration and
-is exponential.
+The objective walks score a subtree below depth d by points (S, T): S is
+the satisfied mass of a subpolicy, and T the probability-weighted
+objective over its satisfying leaves less the objective's linear part
+sum(c_i * v_i) over the variables assigned above d. Leaves that violate a
+constraint score the objective's violation_value, so under a prefix whose
+assigned linear part is A a point scores violation + a * S + T, with
+a = A - violation. A point depends on the prefix only through the
+constraint key (Instance.key_at) and the assigned operands of the
+objective's non-linear terms, so the walks key on those alone; a value w
+of variable d shears its child's points by T += c_d * w * S. This is
+multi-objective AND/OR search (Marinescu, CP 2009) over the AND/OR graph
+of Dechter and Mateescu (AIJ 2007).
+
+policy_expected_value scores one point per policy node and key.
+optimize_expected keeps per key the upper convex hull of the points (a
+Minkowski sum at chance nodes, a union at decisions), trimmed to the
+vertices that are best for some a the depth can reach.
+optimize_chance_constrained keeps per key the points that no other point
+beats both in S and in value over that range of a, and takes the best
+point with S >= theta at the root; its cap bounds the size of a frontier.
+Only the chosen point's policy is built, from back-pointers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import expr as _expr
-from .errors import InstanceValidationError, NoFeasiblePolicyError, NoObjectiveError
-from .model import ORACLE_CAP, PROB_TOL, Instance, _check_theta
+from .errors import (
+    FrontierCapExceededError,
+    InstanceValidationError,
+    NoFeasiblePolicyError,
+    NoObjectiveError,
+)
+from .model import ORACLE_CAP, PROB_TOL, Instance, _as_float, _check_theta
 from .semantics import (
-    LEAF,
     ChanceNode,
     DecisionNode,
     PolicyNode,
+    _check_cap,
     _check_depth,
     _check_policy,
-    _policy_value,
     _remember,
     _rigid_policies,
-    enumerate_policies,
 )
 
 __all__ = [
     "OptimizeResult",
     "policy_expected_value", "optimize_expected", "optimize_chance_constrained",
 ]
+
+_PAST_RANGE = "objective: a value past the float range"
 
 
 @dataclass(frozen=True)
@@ -50,107 +70,222 @@ class OptimizeResult:
     satisfaction: float
 
 
-def _compiled_objective(instance: Instance):
+def _split_objective(instance: Instance) -> tuple:
+    """The objective as the walks read it: ``leaf(env)``, the objective less
+    its linear part on a full assignment; ``gains[d]``, which maps each value
+    w of variable d to c_d * w (inf past the float range); the key
+    table of the constraints and the non-linear terms; and the violation
+    value."""
     if instance.objective is None:
         raise NoObjectiveError("instance has no objective")
+    coefs: dict[int, int] = {}
+    terms = []
+    for c, term in _expr._sum_terms(instance.objective.expression, 1, []):
+        if isinstance(term, _expr.VariableRef):
+            i = instance.index_of[term.name]
+            coefs[i] = coefs.get(i, 0) + c
+        else:
+            terms.append(term)
     fn = _expr.compile_expression(instance.objective.expression, instance.index_of)
-    return fn, float(instance.objective.violation_value)
+    linear = [(i, c) for i, c in coefs.items() if c]
+
+    def leaf(env) -> float:
+        return float(fn(env) - sum([c * env[i] for i, c in linear]))
+
+    gains = tuple({w: _as_float(coefs.get(d, 0) * w) for w in var.domain}
+                  for d, var in enumerate(instance.variables))
+    key_at = instance._key_table(tuple(terms)) if terms else instance.key_at
+    return leaf, gains, key_at, float(instance.objective.violation_value)
+
+
+def _value(s: float, t: float, violation: float) -> float:
+    """The expected objective of a root point (a = -violation)."""
+    value = violation + (t - violation * s)
+    if not math.isfinite(value):
+        raise InstanceValidationError(_PAST_RANGE)
+    return value
 
 
 def policy_expected_value(instance: Instance, policy: PolicyNode) -> float:
     """Expected objective value of a policy, violation_value on bad leaves."""
-    objective, violation = _compiled_objective(instance)
+    split = _split_objective(instance)
     _check_depth(instance)
     _check_policy(instance, policy)
-    return _policy_value(instance, policy, objective, violation,
-                         instance._key_table(instance.objective))
+    if instance.constant_false:
+        return split[3]
+    (point,) = _frontier(instance, split, lambda points, depth: points, policy)
+    return _value(point[0], point[1], split[3])
+
+
+def _frontier(instance: Instance, split: tuple, prune, policy: PolicyNode | None = None) -> list:
+    """The root's points (S, T, back), each depth's list of points passed
+    through ``prune(points, depth)``: of every policy, or of ``policy`` (one
+    that _check_policy passes) alone. ``back`` is the value and the child
+    point at a decision, the child points at a chance node (None where the
+    branch fails or has probability 0) and None at a leaf. Constraints are
+    checked as soon as their last scope variable gets a value, so subtrees
+    below a violated constraint are not walked; a keyed depth is walked once
+    per key (and policy node), from its first visit."""
+    leaf, gains, key_at, _ = split
+    n, variables, check_at = instance.n, instance.variables, instance.check_at
+    env: list = [None] * n
+    memo: dict = {}
+
+    def walk(depth: int, node: PolicyNode | None) -> list:
+        if depth == n:
+            return [(1.0, leaf(env), None)]
+        key = None if key_at[depth] is None else (depth, id(node), key_at[depth](env))
+        if key in memo:
+            return memo[key]
+        var, test, gain = variables[depth], check_at[depth], gains[depth]
+        if var.kind == "decision":
+            points = []
+            for w in var.domain if node is None else (node.chosen_value,):
+                env[depth] = w
+                if test is None or test(env):
+                    g, child = gain[w], walk(depth + 1, node and node.child)
+                    points += [(p[0], p[1] + g * p[0], (w, p)) for p in child]
+                else:
+                    points.append((0.0, 0.0, (w, None)))
+        else:
+            points = [(0.0, 0.0, ())]
+            for j, (w, q) in enumerate(zip(var.domain, instance.distribution(depth, env))):
+                env[depth] = w
+                if q == 0.0 or not (test is None or test(env)):
+                    points = [(s, t, back + (None,)) for s, t, back in points]
+                    continue
+                g, child = gain[w], walk(depth + 1, node and node.children[j])
+                points = prune([(s + q * p[0], t + q * (p[1] + g * p[0]), back + (p,))
+                                for s, t, back in points for p in child], depth)
+        env[depth] = None
+        return _remember(memo, key, prune(points, depth))
+
+    try:
+        return walk(0, policy)
+    except OverflowError:
+        raise InstanceValidationError(_PAST_RANGE) from None
+
+
+def _slopes(gains: tuple, violation: float) -> tuple[list[float], list[float]]:
+    """Per depth, the least and the greatest a = A - violation over the
+    prefixes, A being a prefix's assigned linear part."""
+    lows, highs = [-violation], [-violation]
+    for gain in gains:
+        lows.append(lows[-1] + min(gain.values()))
+        highs.append(highs[-1] + max(gain.values()))
+    if not all(map(math.isfinite, lows + highs)):
+        raise InstanceValidationError(_PAST_RANGE)
+    return lows, highs
+
+
+def _hull(points: list, lo: float, hi: float) -> list:
+    """The points best by a * S + T for some a in [lo, hi]: for one a, the
+    first best point; else, by S, the vertices of the points' upper convex
+    hull that are best somewhere in the range, of equal points the first."""
+    if len(points) == 1:
+        return points
+    if lo == hi:
+        return [max(points, key=lambda p: lo * p[0] + p[1])]
+    hull: list = []
+    for p in sorted(points, key=itemgetter(0)):
+        s, t = p[0], p[1]
+        if hull and hull[-1][0] == s:
+            if t <= hull[-1][1]:
+                continue
+            hull.pop()
+        # drop the last vertex unless it lies strictly above the chord to p
+        while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (s - hull[-2][0])
+                                 <= (t - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append(p)
+    first, last = 0, len(hull) - 1
+    while first < last and (lo * hull[first][0] + hull[first][1]
+                            <= lo * hull[first + 1][0] + hull[first + 1][1]):
+        first += 1
+    while first < last and (hi * hull[last][0] + hull[last][1]
+                            <= hi * hull[last - 1][0] + hull[last - 1][1]):
+        last -= 1
+    return hull[first:last + 1]
+
+
+def _pareto(points: list, lo: float, cap: int) -> list:
+    """The points that no other point beats in S and in lo * S + T, of equal
+    points the first. A larger S gains more as a grows, so such a point is
+    beaten at every a >= lo. FrontierCapExceededError past ``cap`` points."""
+    if len(points) > 1:
+        front, best = [], -math.inf
+        for p in sorted(points, key=lambda p: (-p[0], -(lo * p[0] + p[1]))):
+            if (value := lo * p[0] + p[1]) > best:
+                front.append(p)
+                best = value
+        points = front
+    if len(points) > cap:
+        raise FrontierCapExceededError(len(points), cap)
+    return points
+
+
+def _result(instance: Instance, point: tuple, violation: float) -> OptimizeResult:
+    """The root point's value, satisfaction and policy. The policy is built
+    from the back-pointers, one node per point; a failed or zero-probability
+    branch, and a point without back-pointers, gets the rigid subpolicy."""
+    variables = instance.variables
+    first = _rigid_policies(instance)
+    nodes: dict = {}
+
+    def build(depth: int, point: tuple) -> PolicyNode:
+        if point is None or point[2] is None:
+            return first[depth]
+        if id(point) in nodes:
+            return nodes[id(point)]
+        var, back = variables[depth], point[2]
+        if var.kind == "decision":
+            node = DecisionNode(var.name, back[0], build(depth + 1, back[1]))
+        else:
+            children = []
+            for child in back:
+                children.append(build(depth + 1, child))
+            node = ChanceNode(var.name, tuple(children))
+        nodes[id(point)] = node
+        return node
+
+    return OptimizeResult(build(0, point), _value(point[0], point[1], violation), point[0])
 
 
 def optimize_expected(instance: Instance) -> OptimizeResult:
     """Maximize the expected (violation-penalized) objective over policies.
 
-    Ties go to the first policy in domain-order depth-first discovery.
-    Also reports the winning policy's satisfaction probability.
+    Where a depth can reach one value of a only, a tie goes to the point
+    found first in domain order; elsewhere to a hull vertex. Also reports
+    the winning policy's satisfaction probability.
     """
-    objective, violation = _compiled_objective(instance)
+    split = _split_objective(instance)
     _check_depth(instance)
-    first = _rigid_policies(instance)
     if instance.constant_false:
-        return OptimizeResult(first[0], violation, 0.0)
-    n = instance.n
-    env: list = [None] * n
-    key_at = instance._key_table(instance.objective)
-    memo: dict = {}
-
-    def walk(depth: int) -> tuple[float, float, PolicyNode]:
-        """(expected value, satisfaction, policy) of the best subtree."""
-        if depth == n:
-            return float(objective(env)), 1.0, LEAF
-        key = None if key_at[depth] is None else (depth, key_at[depth](env))
-        if key in memo:
-            return memo[key]
-        var = instance.variables[depth]
-        test = instance.check_at[depth]
-        if var.kind == "decision":
-            best = None
-            for w in var.domain:
-                env[depth] = w
-                if test is None or test(env):
-                    value, sat, child = walk(depth + 1)
-                else:
-                    value, sat, child = violation, 0.0, first[depth + 1]
-                env[depth] = None
-                if best is None or value > best:
-                    best, best_sat, best_value, best_child = value, sat, w, child
-            return _remember(memo, key, (best, best_sat,
-                                         DecisionNode(var.name, best_value, best_child)))
-        probs = instance.distribution(depth, env)
-        total = 0.0
-        # summed in policy_satisfaction's order, so the result is bit-identical
-        total_sat = 0.0
-        children = []
-        for w, q in zip(var.domain, probs):
-            if q == 0.0:
-                children.append(first[depth + 1])
-                continue
-            env[depth] = w
-            if test is None or test(env):
-                value, sat, child = walk(depth + 1)
-                total += q * value
-                total_sat += q * sat
-                children.append(child)
-            else:
-                total += q * violation
-                children.append(first[depth + 1])
-            env[depth] = None
-        return _remember(memo, key, (total, total_sat, ChanceNode(var.name, tuple(children))))
-
-    try:
-        expected, satisfaction, policy = walk(0)
-    except OverflowError:
-        raise InstanceValidationError("objective: a value past the float range") from None
-    return OptimizeResult(policy, expected, satisfaction)
+        return _result(instance, (0.0, 0.0, None), split[3])
+    lows, highs = _slopes(split[1], split[3])
+    (point,) = _frontier(instance, split,
+                         lambda points, depth: _hull(points, lows[depth], highs[depth]))
+    return _result(instance, point, split[3])
 
 
 def optimize_chance_constrained(instance: Instance, theta: float | None = None,
                                 cap: int = ORACLE_CAP) -> OptimizeResult:
     """Best expected objective among policies with satisfaction >= theta.
 
-    Exhaustive policy enumeration (the threshold does not decompose over
-    the tree); exponential and guarded by the oracle cap. Ties go to the
-    first feasible policy in enumeration order.
+    Exact; ``cap`` bounds the points a frontier may keep, and
+    FrontierCapExceededError reports a larger frontier.
     """
     threshold = instance.theta if theta is None else _check_theta(theta)
-    objective, violation = _compiled_objective(instance)  # fails fast without one
-    key_at = instance._key_table(instance.objective)
-    best: OptimizeResult | None = None
-    for policy in enumerate_policies(instance, cap=cap):
-        satisfaction = _policy_value(instance, policy, None, 0.0, instance.key_at)
-        if satisfaction < threshold - PROB_TOL:
-            continue
-        value = _policy_value(instance, policy, objective, violation, key_at)
-        if best is None or value > best.expected_value:
-            best = OptimizeResult(policy, value, satisfaction)
-    if best is None:
+    split = _split_objective(instance)
+    _check_cap(cap)
+    _check_depth(instance)
+    violation = split[3]
+    if instance.constant_false:
+        points = [(0.0, 0.0, None)]
+    else:
+        lows, _ = _slopes(split[1], violation)
+        points = _frontier(instance, split, lambda points, depth: _pareto(points, lows[depth], cap))
+    feasible = [p for p in points if p[0] >= threshold - PROB_TOL]
+    if not feasible:
         raise NoFeasiblePolicyError(f"no policy reaches satisfaction {threshold}")
-    return best
+    return _result(instance, max(feasible, key=lambda p: p[1] - violation * p[0]), violation)

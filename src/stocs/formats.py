@@ -43,6 +43,7 @@ from .model import (
     VariableSpec,
     _as_float,
     _only,
+    _total,
     validate_instance,
 )
 from .semantics import LEAF, ChanceNode, DecisionNode, Leaf, PolicyNode
@@ -110,12 +111,12 @@ def _finite(v: Any, what: str) -> float:
 def _rescale(probs: list[float]) -> list[float]:
     if any(p < 0.0 for p in probs):
         return probs  # leave it to validation to refuse
-    total = sum(probs)
+    total = _total(probs)
     if not math.isfinite(total):
         # the entries are finite, so only the sum overflowed: scale first
         peak = max(probs)
         probs = [p / peak for p in probs]
-        total = sum(probs)
+        total = _total(probs)
     if total <= 0.0:
         return probs
     return [p / total for p in probs]

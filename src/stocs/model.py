@@ -16,9 +16,10 @@ import collections
 import itertools
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Mapping, Sequence
 
 from . import expr as _expr
@@ -204,11 +205,12 @@ class Instance:
     @cached_property
     def key_at(self) -> tuple:
         """Per-depth subtree keys of the walks that check the constraints."""
-        return self._key_table(None)
+        return self._key_table(())
 
-    def _key_table(self, objective: Objective | None) -> tuple:
+    def _key_table(self, terms: tuple) -> tuple:
         """expr.key_getters over each table, CPT and expression at the depths
-        it spans, and over the objective at every depth: each leaf scores it."""
+        it spans, and over each expression of ``terms`` (an objective's
+        non-linear terms) at every depth: each leaf scores them."""
         scopes, expressions = [], []
         for c in self.compiled:
             depths = range(c.scope_idx[0] + 1 if c.scope_idx else 0, c.last_idx + 1)
@@ -218,8 +220,7 @@ class Instance:
                 expressions.append((c.source.expression, depths))
         scopes += [([self.index_of[p] for p in v.cpt.parents], range(j + 1))
                    for j, v in enumerate(self.variables) if v.cpt is not None]
-        if objective is not None:
-            expressions.append((objective.expression, range(self.n)))
+        expressions += [(term, range(self.n)) for term in terms]
         return _expr.key_getters(self.n, self.index_of, scopes, expressions)
 
     @cached_property
@@ -313,6 +314,21 @@ def _only(types: set, values) -> bool:
     return {*map(type, values)} <= types
 
 
+def _total(values) -> float:
+    """The values summed left to right from 0.0, the same bits on every
+    Python: the builtin sum() of floats is compensated since 3.12."""
+    return reduce(operator.add, values, 0.0)
+
+
+if sys.version_info < (3, 12):  # sum() adds floats left to right there, in C
+    _total = sum
+
+
+def _bad_name(name) -> InstanceValidationError:
+    what = _repr(name, InstanceValidationError, "variable name")
+    return InstanceValidationError(f"variable name {what} is not an identifier")
+
+
 def _check_distribution(probs, domain: tuple[int, ...], what: str) -> tuple[float, ...]:
     """probs as a tuple of floats: the same tuple when it is one already."""
     if len(probs) != len(domain):
@@ -330,7 +346,7 @@ def _check_distribution(probs, domain: tuple[int, ...], what: str) -> tuple[floa
                 raise NegativeProbabilityError(f"{what}: negative probability {p}")
             values.append(p)
         probs = tuple(values)
-    total = sum(probs)
+    total = _total(probs)
     if abs(total - 1.0) > PROB_TOL:
         raise BadProbabilitySumError(f"{what}: probabilities sum to {total!r}", total)
     return probs
@@ -339,9 +355,10 @@ def _check_distribution(probs, domain: tuple[int, ...], what: str) -> tuple[floa
 def _validate_variable(raw: VariableSpec) -> VariableSpec:
     name = raw.name
     if not isinstance(name, str) or not (name.isascii() and name.isidentifier()):
-        raise InstanceValidationError(f"variable name {name!r} is not an identifier")
+        raise _bad_name(name)
     if raw.kind not in ("decision", "stochastic"):
-        raise InstanceValidationError(f"variable {name}: unknown kind {raw.kind!r}")
+        kind = _repr(raw.kind, InstanceValidationError, f"variable {name}")
+        raise InstanceValidationError(f"variable {name}: unknown kind {kind}")
     domain = tuple(raw.domain)
     if not domain:
         raise EmptyDomainError(f"variable {name}: empty domain")
@@ -349,7 +366,8 @@ def _validate_variable(raw: VariableSpec) -> VariableSpec:
             and all(map(operator.lt, domain, domain[1:]))):
         for v in domain:
             if not isinstance(v, int) or isinstance(v, bool):
-                raise InstanceValidationError(f"variable {name}: non-integer domain value {v!r}")
+                v = _repr(v, InstanceValidationError, f"variable {name}")
+                raise InstanceValidationError(f"variable {name}: non-integer domain value {v}")
             _repr(v, InstanceValidationError, f"variable {name}")  # dump_instance writes it
         if any(a >= b for a, b in zip(domain, domain[1:])):
             raise UnsortedDomainError(f"variable {name}: domain must be strictly increasing")
@@ -381,14 +399,17 @@ def _validate_cpt(var: VariableSpec, variables: tuple[VariableSpec, ...],
     assert cpt is not None
     child_idx = index_of[var.name]
     if cpt.child != var.name:
+        child = _repr(cpt.child, InstanceValidationError, "conditional table child")
         raise InstanceValidationError(
-            f"conditional table child {cpt.child!r} attached to variable {var.name!r}"
+            f"conditional table child {child} attached to variable {var.name!r}"
         )
     parents = tuple(cpt.parents)
     seen = set()
     for p in parents:
-        if p not in index_of:
-            raise UnknownScopeVariableError(f"conditional table for {var.name}: unknown parent {p!r}", p)
+        if not isinstance(p, str) or p not in index_of:
+            what = f"conditional table for {var.name}"
+            raise UnknownScopeVariableError(
+                f"{what}: unknown parent {_repr(p, InstanceValidationError, what)}", p)
         if p in seen:
             raise DuplicateScopeVariableError(f"conditional table for {var.name}: duplicate parent {p!r}")
         seen.add(p)
@@ -464,8 +485,9 @@ def _validate_constraint(raw: Constraint, variables: tuple[VariableSpec, ...],
         raise InstanceValidationError(f"{label}: table constraint with empty scope")
     seen = set()
     for name in scope:
-        if name not in index_of:
-            raise UnknownScopeVariableError(f"{label}: unknown variable {name!r}", name)
+        if not isinstance(name, str) or name not in index_of:
+            raise UnknownScopeVariableError(
+                f"{label}: unknown variable {_repr(name, InstanceValidationError, label)}", name)
         if name in seen:
             raise DuplicateScopeVariableError(f"{label}: duplicate scope variable {name!r}")
         seen.add(name)
@@ -499,6 +521,8 @@ def validate_instance(raw: Instance) -> Instance:
     """
     variables_in_order = tuple(raw.variables)
     names = [v.name for v in variables_in_order]
+    if not _only({str}, names):  # before the names are hashed
+        raise _bad_name(next(n for n in names if not isinstance(n, str)))
     index_of = {n: i for i, n in enumerate(names)}
     if len(index_of) < len(names):
         dup = [n for n, count in collections.Counter(names).items() if count > 1]

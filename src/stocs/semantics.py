@@ -26,7 +26,6 @@ from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import (
     InstanceTooDeepError,
-    InstanceValidationError,
     MalformedPolicyError,
     MissingAssignmentError,
     MissingParentValueError,
@@ -205,27 +204,25 @@ def _check_depth(instance: Instance) -> None:
         )
 
 
-def _policy_value(instance: Instance, policy: PolicyNode, objective,
-                  violation: float, key_at: tuple) -> float:
-    """Expected leaf value of a policy that _check_policy passes:
-    ``objective(env)`` (1.0 when None) on leaves satisfying every
-    constraint, ``violation`` on the rest.
+def _policy_value(instance: Instance, policy: PolicyNode) -> float:
+    """Satisfied mass of a policy that _check_policy passes.
 
     Constraints are checked as soon as their last scope variable gets a
     value, so subtrees below a violated constraint are not walked, and
     under a false constant constraint nothing is. At a keyed depth a node
     object is scored once per key, from its first visit, as the sampler
-    does: ``key_at[depth]`` (Instance.key_at, or Instance._key_table of the
-    objective) holds all that the walk below reads of the assigned prefix.
+    does: ``Instance.key_at[depth]`` holds all that the walk below reads of
+    the assigned prefix.
     """
     if instance.constant_false:
-        return violation
+        return 0.0
+    key_at = instance.key_at
     env: list = [None] * instance.n
     memo: dict = {}
 
     def walk(depth: int, node: PolicyNode) -> float:
         if depth == instance.n:
-            return 1.0 if objective is None else float(objective(env))
+            return 1.0
         key = None if key_at[depth] is None else (depth, id(node), key_at[depth](env))
         if key in memo:
             return memo[key]
@@ -233,7 +230,7 @@ def _policy_value(instance: Instance, policy: PolicyNode, objective,
         test = instance.check_at[depth]
         if var.kind == "decision":
             env[depth] = node.chosen_value
-            value = walk(depth + 1, node.child) if test is None or test(env) else violation
+            value = walk(depth + 1, node.child) if test is None or test(env) else 0.0
         else:
             probs = instance.distribution(depth, env)
             value = 0.0
@@ -241,21 +238,18 @@ def _policy_value(instance: Instance, policy: PolicyNode, objective,
                 if q == 0.0:
                     continue
                 env[depth] = w
-                value += q * (walk(depth + 1, child) if test is None or test(env) else violation)
+                value += q * (walk(depth + 1, child) if test is None or test(env) else 0.0)
             env[depth] = None
         return _remember(memo, key, value)
 
-    try:
-        return walk(0, policy)
-    except OverflowError:
-        raise InstanceValidationError("objective: a value past the float range") from None
+    return walk(0, policy)
 
 
 def policy_satisfaction(instance: Instance, policy: PolicyNode) -> float:
     """Probability mass of the policy's satisfying leaves."""
     _check_depth(instance)
     _check_policy(instance, policy)
-    return _policy_value(instance, policy, None, 0.0, instance.key_at)
+    return _policy_value(instance, policy)
 
 
 def _subpolicies(instance: Instance, depth: int) -> Iterator[PolicyNode]:
@@ -282,12 +276,16 @@ def enumerate_policies(instance: Instance, cap: int = ORACLE_CAP) -> Iterator[Po
     tie-breaking rule used by the search algorithms.
     """
     _check_depth(instance)
-    if not isinstance(cap, int) or isinstance(cap, bool):
-        raise StocsError(f"cap {_repr(cap, StocsError, 'cap')} is not an integer")
+    _check_cap(cap)
     count = _count_policies(instance.variables, cap)
     if count > cap:
         raise OracleCapExceededError(count, cap)
     return _subpolicies(instance, 0)
+
+
+def _check_cap(cap) -> None:
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise StocsError(f"cap {_repr(cap, StocsError, 'cap')} is not an integer")
 
 
 def oracle_max_satisfaction(instance: Instance, cap: int = ORACLE_CAP) -> SatisfactionResult:
@@ -301,7 +299,7 @@ def oracle_max_satisfaction(instance: Instance, cap: int = ORACLE_CAP) -> Satisf
     stats = SearchStats()
     for policy in enumerate_policies(instance, cap=cap):
         stats.nodes_visited += 1
-        score = _policy_value(instance, policy, None, 0.0, instance.key_at)
+        score = _policy_value(instance, policy)
         if score > best:
             best = score
             best_policy = policy

@@ -59,7 +59,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import StocsError
-from .model import PROB_TOL, CompiledConstraint, Instance, _check_theta, _repr
+from .model import PROB_TOL, CompiledConstraint, Instance, _check_theta, _repr, _total
 from .semantics import (
     LEAF,
     ChanceNode,
@@ -162,7 +162,7 @@ class _Search:
                     return False
                 continue
             if self.use_mass:
-                self.mass[j] = sum(var.probabilities[pos] for pos in kept)
+                self.mass[j] = _total(var.probabilities[pos] for pos in kept)
             # an empty domain has zero mass under any distribution
             if self.rules.fc_mass and (not kept or self.mass[j] <= 0.0):
                 self.stats.fc_mass_prunes += 1

@@ -4,7 +4,9 @@ Sizes are capped so the enumeration oracle stays cheap: suites of several
 hundred generated instances must solve in seconds.
 """
 
+import functools
 import itertools
+import operator
 import random
 
 from stocs import (
@@ -29,7 +31,7 @@ MAX_WORK = 20000  # policy count times scenario count
 
 def distribution(rng: random.Random, k: int) -> tuple[float, ...]:
     weights = [rng.random() + 0.05 for _ in range(k)]
-    total = sum(weights)
+    total = functools.reduce(operator.add, weights)  # left to right: sum() is compensated since 3.12
     return tuple(w / total for w in weights)
 
 
@@ -80,7 +82,7 @@ def random_instance(rng: random.Random, min_vars: int = 3, max_vars: int = 6,
             probs = list(distribution(rng, size))
             if zero_prob and size > 1 and rng.random() < 0.5:
                 dead = rng.randrange(size)
-                rest = sum(probs) - probs[dead]
+                rest = functools.reduce(operator.add, probs) - probs[dead]
                 probs = [0.0 if j == dead else p / rest for j, p in enumerate(probs)]
             variables.append(VariableSpec(f"v{i}", kind, domain,
                                           probabilities=tuple(probs)))

@@ -215,6 +215,21 @@ class TestParseInstance:
         inst = parse_instance(json.dumps(doc), renormalize=True)
         assert inst.variables[1].probabilities == (0.5, 0.5)
 
+    def test_sums_run_left_to_right_on_every_python(self):
+        # the builtin sum() of floats is compensated since Python 3.12, where
+        # it gave 0.099999990000001, 0.9999999000000102 and "sum to 1.1"
+        doc = {"name": "r", "theta": 0.5, "variables": [
+            {"name": "s", "kind": "stochastic", "domain": list(range(11)),
+             "probabilities": [0.1] * 10 + [1e-7]},
+            {"name": "x", "kind": "decision", "domain": [0, 1]}],
+            "constraints": [{"type": "expr", "text": "s <= 9"}]}
+        inst = parse_instance(json.dumps(doc), renormalize=True)
+        assert inst.variables[0].probabilities[0] == 0.09999999000000102
+        assert bt_max(inst).probability == fc_max(inst).probability == 0.9999999000000103
+        doc["variables"][0]["probabilities"] = [0.1] * 11
+        with pytest.raises(BadProbabilitySumError, match=r"sum to 1\.0999999999999999$"):
+            parse_instance(json.dumps(doc))
+
     def test_shipped_instances_load(self, instances_dir):
         names = {p.stem for p in instances_dir.glob("*.scsp")}
         assert names == {"a", "b", "fc_demo", "production", "conditional",

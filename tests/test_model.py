@@ -247,9 +247,26 @@ class TestValidation:
         ([X, VariableSpec("s", "stochastic", (0, 1), cpt=ConditionalTable(
             "s", ("x",), {(0,): HALF, (1,): HALF, (10**5000,): HALF}))], [], None,
          InstanceValidationError, "^conditional table for s: an integer too long to print$"),
+        # records built through the API may hold what no file parses to: a
+        # list where a name belongs, or an unprintable integer inside one
+        ([VariableSpec(["x"], "decision", (0, 1))], [], None,
+         InstanceValidationError, r"^variable name \['x'\] is not an identifier$"),
+        ([VariableSpec("x", [10**5000], (0, 1))], [], None,
+         InstanceValidationError, "^variable x: an integer too long to print$"),
+        ([VariableSpec("x", "decision", (0, [10**5000]))], [], None,
+         InstanceValidationError, "^variable x: an integer too long to print$"),
+        ([X], [Constraint((["x"],), frozenset({(0,)}))], None,
+         UnknownScopeVariableError, r"^constraint 0: unknown variable \['x'\]$"),
+        ([X, VariableSpec("s", "stochastic", (0, 1), cpt=ConditionalTable(
+            "s", (["x"],), {(0,): HALF, (1,): HALF}))], [], None,
+         UnknownScopeVariableError, r"^conditional table for s: unknown parent \['x'\]$"),
+        ([X, VariableSpec("s", "stochastic", (0, 1), cpt=ConditionalTable(
+            [10**5000], ("x",), {(0,): HALF, (1,): HALF}))], [], None,
+         InstanceValidationError, "^conditional table child: an integer too long to print$"),
     ], ids=["name", "kind", "domain", "cpt-child", "cpt-unknown-parent", "cpt-duplicate-parent",
             "table-and-expression", "neither", "empty-table-scope", "objective-unknown-variable",
-            "big-domain-value", "big-table-value", "big-cpt-row"])
+            "big-domain-value", "big-table-value", "big-cpt-row", "list-name", "big-kind",
+            "big-non-integer-domain-value", "list-scope-name", "list-cpt-parent", "big-cpt-child"])
     def test_typed_errors(self, variables, constraints, objective, error, message):
         with pytest.raises(error, match=message):
             build(variables, constraints, objective=objective)

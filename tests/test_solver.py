@@ -46,6 +46,7 @@ from stocs.errors import (
 from stocs import semantics, solver
 from stocs.cli import main
 from stocs.formats import dump_instance
+from stocs.extensions import _split_objective
 from stocs.solver import _Search
 from conftest import make_instance, same_tree, uncached
 
@@ -583,7 +584,7 @@ class TestContextCache:
                 assert (restricted_tree_bounds(inst, **mode)
                         == uncached(restricted_tree_bounds, inst, **mode))
         assert hits > 0
-        assert any(key is not None for inst in instances for key in inst._key_table(inst.objective))
+        assert any(key is not None for inst in instances for key in _split_objective(inst)[2])
 
     def test_keys_fold_the_assigned_part_of_each_sum(self, instances_dir):
         def keys(inst, env):
