@@ -8,13 +8,12 @@ as they are (forward checking then keeps only its wipeout prune, since
 pruned mass is no longer branch-independent).
 
 The objective walks score a subtree below depth d by points (S, T): S is
-the satisfied mass of a subpolicy, and T the probability-weighted
-objective over its satisfying leaves less the objective's linear part
-sum(c_i * v_i) over the variables assigned above d. Leaves that violate a
-constraint score the objective's violation_value, so under a prefix whose
-assigned linear part is A a point scores violation + a * S + T, with
-a = A - violation. A point depends on the prefix only through the
-constraint key (Instance.key_at) and the assigned operands of the
+the satisfied mass of a subpolicy, and T its probability-weighted
+objective less the objective's linear part sum(c_i * v_i) over the
+variables assigned above d, each leaf that violates a constraint scoring
+the objective's violation_value. Under a prefix whose assigned linear part
+is A a point scores A * S + T. A point depends on the prefix only through
+the constraint key (Instance.key_at) and the assigned operands of the
 objective's non-linear terms, so the walks key on those alone; a value w
 of variable d shears its child's points by T += c_d * w * S. This is
 multi-objective AND/OR search (Marinescu, CP 2009) over the AND/OR graph
@@ -23,9 +22,9 @@ of Dechter and Mateescu (AIJ 2007).
 policy_expected_value scores one point per policy node and key.
 optimize_expected keeps per key the upper convex hull of the points (a
 Minkowski sum at chance nodes, a union at decisions), trimmed to the
-vertices that are best for some a the depth can reach.
+vertices that are best for some A the depth can reach.
 optimize_chance_constrained keeps per key the points that no other point
-beats both in S and in value over that range of a, and takes the best
+beats both in S and in value over that range of A, and takes the best
 point with S >= theta at the root; its cap bounds the size of a frontier.
 Only the chosen point's policy is built, from back-pointers.
 """
@@ -35,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from . import expr as _expr
 from .errors import (
@@ -70,12 +70,23 @@ class OptimizeResult:
     satisfaction: float
 
 
-def _split_objective(instance: Instance) -> tuple:
+class _Split(NamedTuple):
     """The objective as the walks read it: ``leaf(env)``, the objective less
     its linear part on a full assignment; ``gains[d]``, which maps each value
-    w of variable d to c_d * w (inf past the float range); the key
-    table of the constraints and the non-linear terms; and the violation
-    value."""
+    w of variable d to c_d * w; ``slopes[d]``, the least and the greatest
+    linear part A of a prefix of length d; ``key_at``, the key table of the
+    constraints and the non-linear terms; and the violation value."""
+    leaf: Callable
+    gains: list
+    slopes: list
+    key_at: tuple
+    violation: float
+
+
+def _split_objective(instance: Instance) -> _Split:
+    """The objective's _Split. A linear term whose gains would take a slope
+    past the float range is scored at the leaves with the non-linear terms,
+    so only a value that a walk reaches can raise."""
     if instance.objective is None:
         raise NoObjectiveError("instance has no objective")
     coefs: dict[int, int] = {}
@@ -86,24 +97,32 @@ def _split_objective(instance: Instance) -> tuple:
             coefs[i] = coefs.get(i, 0) + c
         else:
             terms.append(term)
+    gains, slopes = [], [(0.0, 0.0)]
+    for d, var in enumerate(instance.variables):
+        gain = {w: _as_float(coefs.get(d, 0) * w) for w in var.domain}
+        low, high = slopes[-1][0] + min(gain.values()), slopes[-1][1] + max(gain.values())
+        if not (math.isfinite(low) and math.isfinite(high)):
+            terms.append(_expr.VariableRef(var.name))
+            coefs[d] = 0
+            gain = dict.fromkeys(var.domain, 0.0)
+            low, high = slopes[-1]
+        gains.append(gain)
+        slopes.append((low, high))
     fn = _expr.compile_expression(instance.objective.expression, instance.index_of)
     linear = [(i, c) for i, c in coefs.items() if c]
 
     def leaf(env) -> float:
         return float(fn(env) - sum([c * env[i] for i, c in linear]))
 
-    gains = tuple({w: _as_float(coefs.get(d, 0) * w) for w in var.domain}
-                  for d, var in enumerate(instance.variables))
     key_at = instance._key_table(tuple(terms)) if terms else instance.key_at
-    return leaf, gains, key_at, float(instance.objective.violation_value)
+    return _Split(leaf, gains, slopes, key_at, float(instance.objective.violation_value))
 
 
-def _value(s: float, t: float, violation: float) -> float:
-    """The expected objective of a root point (a = -violation)."""
-    value = violation + (t - violation * s)
-    if not math.isfinite(value):
+def _value(t: float) -> float:
+    """The expected objective of a root point: T, as A = 0."""
+    if not math.isfinite(t):
         raise InstanceValidationError(_PAST_RANGE)
-    return value
+    return t
 
 
 def policy_expected_value(instance: Instance, policy: PolicyNode) -> float:
@@ -112,21 +131,23 @@ def policy_expected_value(instance: Instance, policy: PolicyNode) -> float:
     _check_depth(instance)
     _check_policy(instance, policy)
     if instance.constant_false:
-        return split[3]
+        return split.violation
     (point,) = _frontier(instance, split, lambda points, depth: points, policy)
-    return _value(point[0], point[1], split[3])
+    return _value(point[1])
 
 
-def _frontier(instance: Instance, split: tuple, prune, policy: PolicyNode | None = None) -> list:
+def _frontier(instance: Instance, split: _Split, prune, policy: PolicyNode | None = None) -> list:
     """The root's points (S, T, back), each depth's list of points passed
     through ``prune(points, depth)``: of every policy, or of ``policy`` (one
     that _check_policy passes) alone. ``back`` is the value and the child
     point at a decision, the child points at a chance node (None where the
-    branch fails or has probability 0) and None at a leaf. Constraints are
+    branch fails or has probability 0) and None at a leaf. A value that
+    fails a constraint adds (0, violation) at a decision and (0, q *
+    violation) at a chance node, for its probability q. Constraints are
     checked as soon as their last scope variable gets a value, so subtrees
     below a violated constraint are not walked; a keyed depth is walked once
     per key (and policy node), from its first visit."""
-    leaf, gains, key_at, _ = split
+    leaf, gains, _, key_at, violation = split
     n, variables, check_at = instance.n, instance.variables, instance.check_at
     env: list = [None] * n
     memo: dict = {}
@@ -146,13 +167,16 @@ def _frontier(instance: Instance, split: tuple, prune, policy: PolicyNode | None
                     g, child = gain[w], walk(depth + 1, node and node.child)
                     points += [(p[0], p[1] + g * p[0], (w, p)) for p in child]
                 else:
-                    points.append((0.0, 0.0, (w, None)))
+                    points.append((0.0, violation, (w, None)))
         else:
             points = [(0.0, 0.0, ())]
             for j, (w, q) in enumerate(zip(var.domain, instance.distribution(depth, env))):
                 env[depth] = w
-                if q == 0.0 or not (test is None or test(env)):
+                if q == 0.0:
                     points = [(s, t, back + (None,)) for s, t, back in points]
+                    continue
+                if not (test is None or test(env)):
+                    points = [(s, t + q * violation, back + (None,)) for s, t, back in points]
                     continue
                 g, child = gain[w], walk(depth + 1, node and node.children[j])
                 points = prune([(s + q * p[0], t + q * (p[1] + g * p[0]), back + (p,))
@@ -166,20 +190,8 @@ def _frontier(instance: Instance, split: tuple, prune, policy: PolicyNode | None
         raise InstanceValidationError(_PAST_RANGE) from None
 
 
-def _slopes(gains: tuple, violation: float) -> tuple[list[float], list[float]]:
-    """Per depth, the least and the greatest a = A - violation over the
-    prefixes, A being a prefix's assigned linear part."""
-    lows, highs = [-violation], [-violation]
-    for gain in gains:
-        lows.append(lows[-1] + min(gain.values()))
-        highs.append(highs[-1] + max(gain.values()))
-    if not all(map(math.isfinite, lows + highs)):
-        raise InstanceValidationError(_PAST_RANGE)
-    return lows, highs
-
-
 def _hull(points: list, lo: float, hi: float) -> list:
-    """The points best by a * S + T for some a in [lo, hi]: for one a, the
+    """The points best by A * S + T for some A in [lo, hi]: for one A, the
     first best point; else, by S, the vertices of the points' upper convex
     hull that are best somewhere in the range, of equal points the first."""
     if len(points) == 1:
@@ -210,8 +222,8 @@ def _hull(points: list, lo: float, hi: float) -> list:
 
 def _pareto(points: list, lo: float, cap: int) -> list:
     """The points that no other point beats in S and in lo * S + T, of equal
-    points the first. A larger S gains more as a grows, so such a point is
-    beaten at every a >= lo. FrontierCapExceededError past ``cap`` points."""
+    points the first. A larger S gains more as A grows, so such a point is
+    beaten at every A >= lo. FrontierCapExceededError past ``cap`` points."""
     if len(points) > 1:
         front, best = [], -math.inf
         for p in sorted(points, key=lambda p: (-p[0], -(lo * p[0] + p[1]))):
@@ -224,7 +236,7 @@ def _pareto(points: list, lo: float, cap: int) -> list:
     return points
 
 
-def _result(instance: Instance, point: tuple, violation: float) -> OptimizeResult:
+def _result(instance: Instance, point: tuple) -> OptimizeResult:
     """The root point's value, satisfaction and policy. The policy is built
     from the back-pointers, one node per point; a failed or zero-probability
     branch, and a point without back-pointers, gets the rigid subpolicy."""
@@ -248,7 +260,7 @@ def _result(instance: Instance, point: tuple, violation: float) -> OptimizeResul
         nodes[id(point)] = node
         return node
 
-    return OptimizeResult(build(0, point), _value(point[0], point[1], violation), point[0])
+    return OptimizeResult(build(0, point), _value(point[1]), point[0])
 
 
 def optimize_expected(instance: Instance) -> OptimizeResult:
@@ -261,11 +273,10 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
     split = _split_objective(instance)
     _check_depth(instance)
     if instance.constant_false:
-        return _result(instance, (0.0, 0.0, None), split[3])
-    lows, highs = _slopes(split[1], split[3])
+        return _result(instance, (0.0, split.violation, None))
     (point,) = _frontier(instance, split,
-                         lambda points, depth: _hull(points, lows[depth], highs[depth]))
-    return _result(instance, point, split[3])
+                         lambda points, depth: _hull(points, *split.slopes[depth]))
+    return _result(instance, point)
 
 
 def optimize_chance_constrained(instance: Instance, theta: float | None = None,
@@ -279,13 +290,12 @@ def optimize_chance_constrained(instance: Instance, theta: float | None = None,
     split = _split_objective(instance)
     _check_cap(cap)
     _check_depth(instance)
-    violation = split[3]
     if instance.constant_false:
-        points = [(0.0, 0.0, None)]
+        points = [(0.0, split.violation, None)]
     else:
-        lows, _ = _slopes(split[1], violation)
-        points = _frontier(instance, split, lambda points, depth: _pareto(points, lows[depth], cap))
+        points = _frontier(instance, split,
+                           lambda points, depth: _pareto(points, split.slopes[depth][0], cap))
     feasible = [p for p in points if p[0] >= threshold - PROB_TOL]
     if not feasible:
         raise NoFeasiblePolicyError(f"no policy reaches satisfaction {threshold}")
-    return _result(instance, max(feasible, key=lambda p: p[1] - violation * p[0]), violation)
+    return _result(instance, max(feasible, key=itemgetter(1)))

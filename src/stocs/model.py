@@ -16,7 +16,6 @@ import collections
 import itertools
 import math
 import operator
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -318,10 +317,6 @@ def _total(values) -> float:
     """The values summed left to right from 0.0, the same bits on every
     Python: the builtin sum() of floats is compensated since 3.12."""
     return reduce(operator.add, values, 0.0)
-
-
-if sys.version_info < (3, 12):  # sum() adds floats left to right there, in C
-    _total = sum
 
 
 def _bad_name(name) -> InstanceValidationError:

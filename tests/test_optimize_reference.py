@@ -22,6 +22,7 @@ import dataclasses
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -186,3 +187,40 @@ def test_an_objective_past_the_float_range_is_typed(text):
                 lambda inst: policy_expected_value(inst, policy)):
         with pytest.raises(InstanceValidationError, match="^objective: a value past the float range$"):
             run(inst)
+
+
+@pytest.mark.parametrize("variables, constraint, text", [
+    # x = 1 fails the constraint, so no leaf scores 10**309
+    ([("x", "d", (0, 1))], "x = 0", "1" + "0" * 309 + " * x"),
+    # s = 1 has probability 0
+    ([("x", "d", (0, 1)), ("s", "s", (0, 1), (1.0, 0.0))], "x <= s", "1" + "0" * 309 + " * s"),
+    # each term is in range, and no leaf reaches their sum
+    ([("x", "d", (0, 1)), ("y", "d", (0, 1))], "x + y <= 1", "1" + "0" * 308 + " * (x + y)"),
+], ids=["cut-by-a-constraint", "probability-0", "sum-of-terms"])
+def test_a_value_no_walk_reaches_is_not_scored(variables, constraint, text):
+    inst = make_instance(variables, [expr_constraint(constraint)],
+                         objective=Objective(parse_expression(text)))
+    want = reference.optimize_expected(inst)
+    got = optimize_expected(inst)
+    assert (got.expected_value, got.satisfaction) == (want.expected_value, want.satisfaction) == (
+        float(want.expected_value), 1.0)
+    assert policy_expected_value(inst, got.policy) == reference.policy_value(inst, got.policy)
+    assert optimize_chance_constrained(inst, theta=1.0) == got
+
+
+@pytest.mark.parametrize("violation", [-1000, -10 ** 6, 10 ** 6])
+def test_a_mass_below_one_is_not_charged_the_violation_value(violation):
+    # the probabilities sum to 1 - 5e-10, which validation accepts as given,
+    # and every leaf satisfies, so the value is the objective's alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a violation above the range warns
+        inst = make_instance([("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.4999999995))],
+                             [expr_constraint("x + s <= 2")],
+                             objective=Objective(parse_expression("x"), violation))
+    exact = exact_optimum(inst)
+    assert exact == Fraction(0.5) + Fraction(0.4999999995)
+    for value in (optimize_expected(inst).expected_value,
+                  optimize_chance_constrained(inst, theta=0.9).expected_value,
+                  policy_expected_value(inst, optimize_expected(inst).policy),
+                  reference.optimize_expected(inst).expected_value):
+        assert ulps(value, exact, 1.0) <= ULPS

@@ -584,7 +584,7 @@ class TestContextCache:
                 assert (restricted_tree_bounds(inst, **mode)
                         == uncached(restricted_tree_bounds, inst, **mode))
         assert hits > 0
-        assert any(key is not None for inst in instances for key in _split_objective(inst)[2])
+        assert any(key is not None for inst in instances for key in _split_objective(inst).key_at)
 
     def test_keys_fold_the_assigned_part_of_each_sum(self, instances_dir):
         def keys(inst, env):
