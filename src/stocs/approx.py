@@ -58,11 +58,11 @@ import struct
 import sys
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 
 from . import semantics
+from ._record import record
 from .errors import (
     BadEpsilonError,
     BadKError,
@@ -90,13 +90,13 @@ __all__ = [
 WILSON_Z = 1.959964  # 95% two-sided normal quantile, fixed for reproducibility
 
 
-@dataclass(frozen=True)
+@record
 class Interval:
     lb: float
     ub: float
 
 
-@dataclass(frozen=True)
+@record
 class SampleEstimate:
     estimate: float
     n: int
@@ -105,7 +105,7 @@ class SampleEstimate:
     seed: int
 
 
-@dataclass(frozen=True)
+@record
 class HeuristicPolicy:
     policy: PolicyNode
     exact_satisfaction: float

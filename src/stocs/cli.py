@@ -22,13 +22,10 @@ import os
 import sys
 import time
 import warnings
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
-from .approx import monte_carlo_policy_eval, restricted_tree_bounds
 from .errors import MalformedPolicyError, MismatchBetweenAlgorithmsError, StocsError
-from .extensions import optimize_expected
 from .formats import _read, load_instance, parse_policy, serialize_policy
 from .model import ORACLE_CAP, Instance
 from .semantics import SearchStats, oracle_max_satisfaction, policy_satisfaction
@@ -45,7 +42,28 @@ CSV_HEADER = ("instance", "algorithm", "mode", "theta", "verdict", "probability"
 
 
 def _fmt(p: float) -> str:
-    return f"{p:.9f}"
+    text = f"{p:.9f}"
+    # a negative value that rounds to zero prints unsigned, as the "z" format
+    # flag would, which Python 3.10 lacks
+    return "0.000000000" if text == "-0.000000000" else text
+
+
+# approx and extensions load on the first call of these, from `eval
+# --samples`, `approx` and `optimize`, so other commands skip their import.
+# The handlers call them through this module, where a caller may replace them.
+def monte_carlo_policy_eval(instance, policy, n, seed):
+    from .approx import monte_carlo_policy_eval
+    return monte_carlo_policy_eval(instance, policy, n, seed)
+
+
+def restricted_tree_bounds(instance, epsilon=None, top_k=None):
+    from .approx import restricted_tree_bounds
+    return restricted_tree_bounds(instance, epsilon=epsilon, top_k=top_k)
+
+
+def optimize_expected(instance):
+    from .extensions import optimize_expected
+    return optimize_expected(instance)
 
 
 def _load(path: str, renormalize: bool = False) -> Instance:
@@ -150,7 +168,9 @@ def cmd_optimize(args: SimpleNamespace) -> int:
 
 
 def cmd_bench(args: SimpleNamespace) -> int:
-    import csv  # only bench writes CSV; the other commands skip its import
+    # only bench writes CSV and globs a directory; the other commands skip these imports
+    import csv
+    from pathlib import Path
     directory = Path(args.directory)
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)

@@ -25,10 +25,10 @@ import functools
 import itertools
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import itemgetter, mul
 from typing import Callable
 
+from ._record import record
 from .errors import (
     BadExpressionTypeError,
     ChainedComparisonError,
@@ -44,28 +44,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Expr:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class IntLiteral(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class VariableRef(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Unary(Expr):
     op: str  # "-" or "not"
     operand: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Binary(Expr):
     op: str  # a key of _BINARY_LEVEL
     left: Expr

@@ -32,11 +32,11 @@ Only the chosen point's policy is built, from back-pointers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from . import expr as _expr
+from ._record import record
 from .errors import (
     FrontierCapExceededError,
     InstanceValidationError,
@@ -63,7 +63,7 @@ __all__ = [
 _PAST_RANGE = "objective: a value past the float range"
 
 
-@dataclass(frozen=True)
+@record
 class OptimizeResult:
     policy: PolicyNode
     expected_value: float

@@ -17,11 +17,11 @@ import itertools
 import math
 import operator
 import warnings
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Callable, Mapping, Sequence
 
 from . import expr as _expr
+from ._record import record
 from .errors import (
     ArityMismatchError,
     BadProbabilitySumError,
@@ -61,7 +61,7 @@ class ViolationValueWarning(UserWarning):
     """The objective's violation value beats every achievable objective value."""
 
 
-@dataclass(frozen=True)
+@record
 class ConditionalTable:
     """Distribution of a stochastic variable given earlier variables.
 
@@ -73,7 +73,7 @@ class ConditionalTable:
     rows: Mapping[tuple[int, ...], tuple[float, ...]]
 
 
-@dataclass(frozen=True)
+@record
 class VariableSpec:
     name: str
     kind: str  # "decision" | "stochastic"
@@ -82,7 +82,7 @@ class VariableSpec:
     cpt: ConditionalTable | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Constraint:
     """Either an extensional table over scope or an expression tree.
 
@@ -94,7 +94,7 @@ class Constraint:
     expression: _expr.Expr | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Objective:
     """Expression to maximize in expectation; a boolean one scores 0/1.
 
@@ -117,7 +117,7 @@ def expr_constraint(text_or_ast) -> Constraint:
     return Constraint(scope=tuple(_expr.variables_in(ast)), expression=ast)
 
 
-@dataclass(frozen=True)
+@record
 class CompiledConstraint:
     source: Constraint
     scope_idx: tuple[int, ...]  # ascending variable indices
@@ -126,7 +126,7 @@ class CompiledConstraint:
     fn: Callable
 
 
-@dataclass(frozen=True)
+@record
 class Instance:
     variables: tuple[VariableSpec, ...]
     constraints: tuple[Constraint, ...]

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, fields
 from typing import Iterator, Mapping, Sequence, Union
 
+from ._record import record
 from .errors import (
     InstanceTooDeepError,
     MalformedPolicyError,
@@ -49,19 +49,19 @@ _FRAME_MARGIN = 100  # stack frames for a recursion's caller and helpers
 CACHE_ENTRIES = 100_000
 
 
-@dataclass(frozen=True)
+@record
 class Leaf:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class DecisionNode:
     variable: str
     chosen_value: int
     child: "PolicyNode"
 
 
-@dataclass(frozen=True)
+@record
 class ChanceNode:
     variable: str
     children: tuple["PolicyNode", ...]  # one child per domain value, in domain order
@@ -72,7 +72,7 @@ PolicyNode = Union[Leaf, DecisionNode, ChanceNode]
 LEAF = Leaf()  # the one leaf every policy builder shares
 
 
-@dataclass
+@record(frozen=False)
 class SearchStats:
     nodes_visited: int = 0
     chance_prunes: int = 0
@@ -82,10 +82,10 @@ class SearchStats:
     cache_hits: int = 0  # subtree results reused from the context cache
 
     def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self.__match_args__}
 
 
-@dataclass(frozen=True)
+@record
 class SatisfactionResult:
     probability: float
     policy: PolicyNode | None

@@ -56,8 +56,8 @@ change, only the work done (and the witness in decide mode).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import StocsError
 from .model import PROB_TOL, CompiledConstraint, Instance, _check_theta, _repr, _total
 from .semantics import (
@@ -78,7 +78,7 @@ __all__ = [
     "bt_max", "fc_max", "bt_decide", "fc_decide",
 ]
 
-@dataclass(frozen=True)
+@record
 class PruneRules:
     decision_stop: bool = True   # stop scanning decision values once one suffices
     chance_abort: bool = True    # cut a chance node when settled either way
@@ -86,7 +86,7 @@ class PruneRules:
     fc_mass: bool = True         # use the probability-mass upper bound
 
 
-@dataclass(frozen=True)
+@record
 class DecideResult:
     satisfiable: bool
     policy: PolicyNode | None  # witness when satisfiable

@@ -28,7 +28,6 @@ import itertools
 import json
 import random
 import sys
-from dataclasses import astuple
 
 from gen import inventory_instance, random_cpt_instance, random_instance, random_linear_instance
 from stocs import PruneRules, bt_decide, bt_max, fc_decide, fc_max, serialize_policy
@@ -60,7 +59,8 @@ def _digest(policy) -> str | None:
 def rows(name, instance, all_rules):
     """(row key, row) for every run of one instance."""
     for rules in ALL_RULES if all_rules else ALL_RULES[:1]:
-        bits = "".join("1" if on else "0" for on in astuple(rules))
+        bits = "".join("1" if on else "0" for on in (
+            rules.decision_stop, rules.chance_abort, rules.fc_wipeout, rules.fc_mass))
         for algorithm, run in (("bt", bt_max), ("fc", fc_max)):
             got = run(instance, rules)
             yield (f"{name}/{algorithm}/max/{bits}",

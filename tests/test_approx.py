@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import struct
@@ -34,6 +33,7 @@ from stocs.errors import (
     StocsError,
     UnsupportedConditionalParentsError,
 )
+from stocs.model import CompiledConstraint
 from conftest import make_instance
 
 TOL = 1e-9
@@ -783,8 +783,9 @@ def test_constant_constraint_runs_once_per_instance():
             return fn(env)
         return counting
 
-    inst.__dict__["compiled"] = tuple(dataclasses.replace(c, fn=counted(c.fn))
-                                      for c in inst.compiled)
+    inst.__dict__["compiled"] = tuple(
+        CompiledConstraint(c.source, c.scope_idx, c.last_idx, c.second_last_idx, counted(c.fn))
+        for c in inst.compiled)
     policy = ChanceNode("s0", tuple(ChanceNode("s1", (DecisionNode("x", 0, Leaf()),) * 2)
                                     for _ in range(2)))
     for seed in (1, 2):

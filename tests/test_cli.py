@@ -60,6 +60,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("value, text", [
+    (-8.9e-16, "0.000000000"), (-0.0, "0.000000000"), (-4e-10, "0.000000000"),
+    (0.0, "0.000000000"), (-6e-10, "-0.000000001"), (-0.25, "-0.250000000"),
+    (0.5, "0.500000000"),
+])
+def test_a_negative_value_that_rounds_to_zero_prints_unsigned(value, text):
+    assert stocs.cli._fmt(value) == text
+
+
 class TestSolve:
     def test_decide_sat(self, capsys, instances_dir):
         code, out, err = run(capsys, "solve", str(instances_dir / "a.scsp"),

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import time
@@ -10,8 +9,10 @@ from stocs import (
     ChanceNode,
     ConditionalTable,
     DecisionNode,
+    Instance,
     Leaf,
     Objective,
+    VariableSpec,
     bt_decide,
     bt_max,
     enumerate_policies,
@@ -64,7 +65,8 @@ def coin_chain(n):
 
 def with_objective(instance, text, violation=0.0):
     objective = Objective(parse_expression(text), violation_value=violation)
-    return validate_instance(dataclasses.replace(instance, objective=objective))
+    return validate_instance(Instance(instance.variables, instance.constraints, instance.theta,
+                                      objective, instance.name))
 
 
 class TestConditionalScenarioProbability:
@@ -108,12 +110,13 @@ class TestConditionalSolve:
             inst = random_instance(rng)
             first = inst.variables[0]
             variables = tuple(
-                dataclasses.replace(v, probabilities=None, cpt=ConditionalTable(
+                VariableSpec(v.name, v.kind, v.domain, None, ConditionalTable(
                     v.name, (first.name,),
                     {(w,): v.probabilities for w in first.domain}))
                 if v.kind == "stochastic" and v is not first else v
                 for v in inst.variables)
-            tabled = validate_instance(dataclasses.replace(inst, variables=variables))
+            tabled = validate_instance(Instance(variables, inst.constraints, inst.theta,
+                                                inst.objective, inst.name))
             base = bt_max(inst)
             got = bt_max(tabled)
             assert got.probability == pytest.approx(base.probability, abs=TOL)

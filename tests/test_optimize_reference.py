@@ -18,7 +18,6 @@ walks and the walks they replaced both stayed under 3.5 such ulps, so
 costs at least the probability of a leaf times its value.
 """
 
-import dataclasses
 import math
 import random
 import warnings
@@ -34,6 +33,7 @@ from search_corpus import instances
 from stocs import (
     ChanceNode,
     DecisionNode,
+    Instance,
     Objective,
     bt_max,
     expr_constraint,
@@ -74,8 +74,9 @@ def _corpus():
             for violation in (low - 3, (low + high) / 2, high + 3):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")  # a violation above the range warns
-                    yield name, validate_instance(dataclasses.replace(
-                        inst, objective=Objective(expression, violation))), max(
+                    yield name, validate_instance(Instance(
+                        inst.variables, inst.constraints, inst.theta,
+                        Objective(expression, violation), inst.name)), max(
                             abs(violation), abs(low), abs(high))
 
 
@@ -162,8 +163,9 @@ def test_chance_constrained_optimum_matches_policy_enumeration():
 def test_a_frontier_past_the_cap_is_a_typed_error():
     # 0 - (x1 + x2 + x3) trades production for satisfaction, so below
     # theta = 1 a frontier keeps points of several sizes
-    inst = validate_instance(dataclasses.replace(inventory_instance(3), objective=Objective(
-        parse_expression("0 - (x1 + x2 + x3)"), -3)))
+    base = inventory_instance(3)
+    inst = validate_instance(Instance(base.variables, base.constraints, base.theta, Objective(
+        parse_expression("0 - (x1 + x2 + x3)"), -3), base.name))
     cap = 1
     while True:
         try:
