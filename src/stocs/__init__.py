@@ -53,33 +53,4 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_EXPORTS})
 
 
-__all__ = [
-    "__version__",
-    # model
-    "Instance", "VariableSpec", "Constraint", "Objective", "ConditionalTable",
-    "validate_instance", "table_constraint", "expr_constraint", "PROB_TOL",
-    "ViolationValueWarning",
-    # semantics
-    "Leaf", "DecisionNode", "ChanceNode", "PolicyNode", "SearchStats",
-    "SatisfactionResult", "policy_satisfaction", "scenario_probability",
-    "check_assignment", "enumerate_policies", "oracle_max_satisfaction",
-    "is_satisfiable_oracle", "first_policy", "induced_assignment", "scenarios",
-    "ORACLE_CAP",
-    # solver
-    "PruneRules", "DecideResult", "bt_max", "fc_max", "bt_decide", "fc_decide",
-    # approx
-    "Interval", "SampleEstimate", "HeuristicPolicy", "restricted_tree_bounds",
-    "most_probable_scenario_policy", "monte_carlo_policy_eval", "WILSON_Z",
-    # extensions
-    "OptimizeResult", "policy_expected_value", "optimize_expected", "optimize_chance_constrained",
-    # expressions
-    "Expr", "parse_expression", "format_expression", "compile_expression",
-    "infer_type", "variables_in",
-    # formats
-    "parse_instance", "load_instance", "dump_instance", "serialize_policy",
-    "parse_policy", "FormatWarning",
-    # errors
-    "StocsError", "InstanceValidationError", "FormatError",
-    "MalformedPolicyError", "OracleCapExceededError",
-    "MismatchBetweenAlgorithmsError",
-]
+__all__ = ["__version__", *_EXPORTS]

@@ -25,8 +25,8 @@ import functools
 import itertools
 import re
 from bisect import bisect_left
+from collections.abc import Callable
 from operator import itemgetter, mul
-from typing import Callable
 
 from ._record import record
 from .errors import (

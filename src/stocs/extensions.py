@@ -32,8 +32,8 @@ Only the chosen point's policy is built, from back-pointers.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from operator import itemgetter
-from typing import Callable, NamedTuple
 
 from . import expr as _expr
 from ._record import record
@@ -70,7 +70,8 @@ class OptimizeResult:
     satisfaction: float
 
 
-class _Split(NamedTuple):
+@record
+class _Split:
     """The objective as the walks read it: ``leaf(env)``, the objective less
     its linear part on a full assignment; ``gains[d]``, which maps each value
     w of variable d to c_d * w; ``slopes[d]``, the least and the greatest
@@ -130,8 +131,6 @@ def policy_expected_value(instance: Instance, policy: PolicyNode) -> float:
     split = _split_objective(instance)
     _check_depth(instance)
     _check_policy(instance, policy)
-    if instance.constant_false:
-        return split.violation
     (point,) = _frontier(instance, split, lambda points, depth: points, policy)
     return _value(point[1])
 
@@ -146,8 +145,11 @@ def _frontier(instance: Instance, split: _Split, prune, policy: PolicyNode | Non
     violation) at a chance node, for its probability q. Constraints are
     checked as soon as their last scope variable gets a value, so subtrees
     below a violated constraint are not walked; a keyed depth is walked once
-    per key (and policy node), from its first visit."""
-    leaf, gains, _, key_at, violation = split
+    per key (and policy node), from its first visit. Under a constant false
+    constraint the root's one point is (0, violation)."""
+    if instance.constant_false:
+        return [(0.0, split.violation, None)]
+    leaf, gains, key_at, violation = split.leaf, split.gains, split.key_at, split.violation
     n, variables, check_at = instance.n, instance.variables, instance.check_at
     env: list = [None] * n
     memo: dict = {}
@@ -272,8 +274,6 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
     """
     split = _split_objective(instance)
     _check_depth(instance)
-    if instance.constant_false:
-        return _result(instance, (0.0, split.violation, None))
     (point,) = _frontier(instance, split,
                          lambda points, depth: _hull(points, *split.slopes[depth]))
     return _result(instance, point)
@@ -290,11 +290,8 @@ def optimize_chance_constrained(instance: Instance, theta: float | None = None,
     split = _split_objective(instance)
     _check_cap(cap)
     _check_depth(instance)
-    if instance.constant_false:
-        points = [(0.0, split.violation, None)]
-    else:
-        points = _frontier(instance, split,
-                           lambda points, depth: _pareto(points, split.slopes[depth][0], cap))
+    points = _frontier(instance, split,
+                       lambda points, depth: _pareto(points, split.slopes[depth][0], cap))
     feasible = [p for p in points if p[0] >= threshold - PROB_TOL]
     if not feasible:
         raise NoFeasiblePolicyError(f"no policy reaches satisfaction {threshold}")

@@ -31,7 +31,6 @@ import itertools
 import json
 import math
 import warnings
-from typing import Any
 
 from . import expr as _expr
 from .errors import FormatError, MalformedPolicyError, StocsError
@@ -59,7 +58,7 @@ class FormatWarning(UserWarning):
     """An instance document contains keys this version does not know."""
 
 
-def _require(obj: Any, kind: type, what: str, field: str = ""):
+def _require(obj: object, kind: type, what: str, field: str = ""):
     if not isinstance(obj, kind):
         raise FormatError(f"{what}{field} must be a {kind.__name__}, got {type(obj).__name__}")
     return obj
@@ -72,7 +71,7 @@ def _warn_unknown(obj: dict, known: tuple[str, ...], what: str) -> None:
                           stacklevel=3)
 
 
-def _load_json(text: str) -> Any:
+def _load_json(text: str) -> object:
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -84,7 +83,7 @@ def _load_json(text: str) -> Any:
 # Each reader tests a whole list in one pass of C loops, and walks it value
 # by value only to word the first value it refuses.
 
-def _int_tuple(obj: Any, what: str, field: str = "") -> tuple[int, ...]:
+def _int_tuple(obj: object, what: str, field: str = "") -> tuple[int, ...]:
     if type(obj) is not list or not _only({int}, obj):
         _require(obj, list, what, field)
         for v in obj:
@@ -93,14 +92,14 @@ def _int_tuple(obj: Any, what: str, field: str = "") -> tuple[int, ...]:
     return tuple(obj)
 
 
-def _float_tuple(obj: Any, what: str, field: str, renormalize: bool) -> tuple[float, ...]:
+def _float_tuple(obj: object, what: str, field: str, renormalize: bool) -> tuple[float, ...]:
     if type(obj) is not list or not (_only({float}, obj) and all(map(math.isfinite, obj))):
         _require(obj, list, what, field)
         obj = [_finite(v, what + field) for v in obj]
     return tuple(_rescale(obj) if renormalize else obj)
 
 
-def _finite(v: Any, what: str) -> float:
+def _finite(v: object, what: str) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise FormatError(f"{what} must contain numbers, got {v!r}")
     if not math.isfinite(number := _as_float(v)):
@@ -122,7 +121,7 @@ def _rescale(probs: list[float]) -> list[float]:
     return [p / total for p in probs]
 
 
-def _parse_cpt(obj: Any, child: str, renormalize: bool) -> ConditionalTable:
+def _parse_cpt(obj: object, child: str, renormalize: bool) -> ConditionalTable:
     what = f"variable {child} cpt"
     _require(obj, dict, what)
     _warn_unknown(obj, ("parents", "rows"), what)
@@ -145,7 +144,7 @@ def _parse_cpt(obj: Any, child: str, renormalize: bool) -> ConditionalTable:
     return ConditionalTable(child, tuple(parents), rows)
 
 
-def _parse_variable(obj: Any, position: int, renormalize: bool) -> VariableSpec:
+def _parse_variable(obj: object, position: int, renormalize: bool) -> VariableSpec:
     what = f"variables[{position}]"
     _require(obj, dict, what)
     _warn_unknown(obj, ("name", "kind", "domain", "probabilities", "cpt"), what)
@@ -162,7 +161,7 @@ def _parse_variable(obj: Any, position: int, renormalize: bool) -> VariableSpec:
     return VariableSpec(name, kind, domain, probabilities=probabilities, cpt=cpt)
 
 
-def _parse_constraint(obj: Any, position: int) -> Constraint:
+def _parse_constraint(obj: object, position: int) -> Constraint:
     what = f"constraints[{position}]"
     _require(obj, dict, what)
     if obj.get("type") == "expr":
@@ -258,13 +257,13 @@ def load_instance(path, renormalize: bool = False) -> Instance:
 
 def dump_instance(instance: Instance) -> str:
     """Serialize an instance; parse_instance inverts it."""
-    doc: dict[str, Any] = {}
+    doc: dict[str, object] = {}
     if instance.name:
         doc["name"] = instance.name
     doc["theta"] = instance.theta
     doc["variables"] = []
     for var in instance.variables:
-        entry: dict[str, Any] = {
+        entry: dict[str, object] = {
             "name": var.name, "kind": var.kind, "domain": list(var.domain),
         }
         if var.probabilities is not None:
@@ -311,12 +310,12 @@ def serialize_policy(policy: PolicyNode) -> str:
     """
     numbers: dict[int, int] = {}
     texts: dict[int, str] = {}  # id of a name or value -> its JSON text
-    held: list[Any] = []  # those names and values, so that no id is reused
+    held: list[object] = []  # those names and values, so that no id is reused
     failed: list[Exception] = []
     out: list[str] = []
     write = out.append
 
-    def text(obj: Any) -> str:
+    def text(obj: object) -> str:
         known = texts.get(id(obj))
         if known is None:
             held.append(obj)
@@ -365,7 +364,7 @@ def parse_policy(text: str) -> PolicyNode:
     """
     nodes: list[PolicyNode | None] = []  # by number; None while being read
 
-    def decode(obj: Any) -> PolicyNode:
+    def decode(obj: object) -> PolicyNode:
         if not isinstance(obj, dict):
             raise MalformedPolicyError(f"policy node must be an object, got {obj!r}")
         if "ref" in obj:

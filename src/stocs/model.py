@@ -17,8 +17,8 @@ import itertools
 import math
 import operator
 import warnings
+from collections.abc import Callable, Mapping, Sequence
 from functools import cached_property, reduce
-from typing import Callable, Mapping, Sequence
 
 from . import expr as _expr
 from ._record import record
@@ -451,8 +451,10 @@ def _check_expression(node: _expr.Expr, index_of: dict[str, int],
         kind = _expr.infer_type(node, names)
     except RecursionError:
         kind = ExpressionTooDeepError(f"{label}: expression nests too deeply to check")
-    except (StocsError, TypeError) as fault:  # raised below, after the names
+    except StocsError as fault:  # raised below, after the names
         kind = fault
+    except TypeError as fault:  # an object that is no expression node
+        kind = InstanceValidationError(f"{label}: {fault}")
     for name in names if isinstance(kind, str) else _expr.variables_in(node):
         if name not in index_of:
             raise UnknownScopeVariableError(f"{label}: unknown variable {name!r}", name)

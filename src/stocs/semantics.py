@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from typing import Iterator, Mapping, Sequence, Union
+from collections.abc import Iterator, Mapping, Sequence
 
 from ._record import record
 from .errors import (
@@ -67,7 +67,7 @@ class ChanceNode:
     children: tuple["PolicyNode", ...]  # one child per domain value, in domain order
 
 
-PolicyNode = Union[Leaf, DecisionNode, ChanceNode]
+PolicyNode = Leaf | DecisionNode | ChanceNode
 
 LEAF = Leaf()  # the one leaf every policy builder shares
 

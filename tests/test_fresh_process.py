@@ -167,29 +167,36 @@ def test_sampling_a_sure_witness_stops_early(tmp_path):
 _NEW = "(set(sys.modules) - before)"
 
 
-@pytest.mark.parametrize("code, out", [
+@pytest.mark.parametrize("flags, code, out", [
     # only `bench` writes CSV, so `csv` is imported inside cmd_bench; only
     # help and usage errors need the full parser, so `argparse` is imported
     # inside build_parser; approx and extensions load in the handlers that
-    # call them, and no record class needs `dataclasses`
-    ("import sys; before = set(sys.modules); import stocs.cli; "
+    # call them, no record class needs `dataclasses`, and annotations name
+    # `collections.abc`, not `typing`
+    ((), "import sys; before = set(sys.modules); import stocs.cli; "
      "print(sorted({'argparse', 'csv', '_csv'} & set(sys.modules))); "
-     f"print(sorted({{'dataclasses', 'inspect', 'stocs.approx', 'stocs.extensions'}} & {_NEW}))",
+     f"print(sorted({{'dataclasses', 'inspect', 'typing', 'stocs.approx', 'stocs.extensions'}} & {_NEW}))",
      "[]\n[]\n"),
     # the package root loads a module on the first access of one of its names
-    ("import sys; before = set(sys.modules); import stocs; "
-     "print(sorted({'dataclasses', 'inspect', 'stocs.approx', 'stocs.extensions', "
+    ((), "import sys; before = set(sys.modules); import stocs; "
+     "print(sorted({'dataclasses', 'inspect', 'typing', 'stocs.approx', 'stocs.extensions', "
      f"'stocs.solver', 'stocs.cli'}} & {_NEW})); "
      "listed = set(dir(stocs)); bound = {}; exec('from stocs import *', bound); "
      "print(all(getattr(stocs, name) is bound[name] for name in stocs.__all__), "
      "sorted(bound.keys() - {'__builtins__'}) == sorted(stocs.__all__), "
      "set(stocs.__all__) <= listed, hasattr(stocs, 'no_such_name'))",
      "[]\nTrue True True False\n"),
-], ids=["cli", "package-root"])
-def test_importing_the_cli_leaves_csv_unloaded(code, out):
+    # every module, with no `site`: a `.pth` file cannot load `typing` first
+    # and so hide an import of it
+    (("-S",), "import sys; import stocs, stocs.cli, stocs.approx, stocs.extensions; "
+     "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules))); "
+     "print(sorted(set(stocs.__all__) - set(dir(stocs))))",
+     "[]\n[]\n"),
+], ids=["cli", "package-root", "every-module-without-site"])
+def test_importing_the_cli_leaves_csv_unloaded(flags, code, out):
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-c", code],
+        [sys.executable, *flags, "-X", "dev", "-W", "error", "-c", code],
         cwd=ROOT, env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         encoding="utf-8", timeout=60)
     assert (done.returncode, done.stderr, done.stdout) == (0, "", out)

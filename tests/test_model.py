@@ -263,10 +263,17 @@ class TestValidation:
         ([X, VariableSpec("s", "stochastic", (0, 1), cpt=ConditionalTable(
             [10**5000], ("x",), {(0,): HALF, (1,): HALF}))], [], None,
          InstanceValidationError, "^conditional table child: an integer too long to print$"),
+        # an expression holding what is no node: text where a parsed
+        # expression belongs, or a bare int inside one
+        ([X], [Constraint(("x",), None, "x = 1")], None,
+         InstanceValidationError, "^constraint 0: not an expression node: 'x = 1'$"),
+        ([X], [], Objective(Binary("+", VariableRef("x"), 3)),
+         InstanceValidationError, "^objective: not an expression node: 3$"),
     ], ids=["name", "kind", "domain", "cpt-child", "cpt-unknown-parent", "cpt-duplicate-parent",
             "table-and-expression", "neither", "empty-table-scope", "objective-unknown-variable",
             "big-domain-value", "big-table-value", "big-cpt-row", "list-name", "big-kind",
-            "big-non-integer-domain-value", "list-scope-name", "list-cpt-parent", "big-cpt-child"])
+            "big-non-integer-domain-value", "list-scope-name", "list-cpt-parent", "big-cpt-child",
+            "expression-text", "objective-non-node"])
     def test_typed_errors(self, variables, constraints, objective, error, message):
         with pytest.raises(error, match=message):
             build(variables, constraints, objective=objective)
