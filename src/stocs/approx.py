@@ -3,10 +3,11 @@
 restricted_tree_bounds explores only high-probability stochastic branches
 and turns the skipped mass into an interval around the true maximum; equal
 subtrees are bounded once, keyed as in the search (Instance.key_at).
-most_probable_scenario_policy solves the deterministic problem obtained by
-pinning every stochastic variable to its likeliest value and lifts the
-result into a rigid policy. monte_carlo_policy_eval estimates a given
-policy's satisfaction from seeded scenario samples.
+most_probable_scenario_policy backtracks over the decisions while each
+stochastic variable takes its likeliest value given the values set before
+it, and lifts the first solution into a rigid policy.
+monte_carlo_policy_eval estimates a given policy's satisfaction from
+seeded scenario samples.
 
 The sampler is fully specified so results are reproducible: a splitmix64
 generator produces 64-bit words from the seed, each word becomes a uniform
@@ -69,7 +70,6 @@ from .errors import (
     BadSampleCountError,
     NoHeuristicPolicyError,
     StocsError,
-    UnsupportedConditionalParentsError,
 )
 from .model import Instance, _check_number, _repr
 from .semantics import (
@@ -182,45 +182,17 @@ def restricted_tree_bounds(instance: Instance, epsilon: float | None = None,
     return Interval(lb, ub)
 
 
-def _most_probable_values(instance: Instance) -> list[int | None]:
-    """Likeliest value per stochastic variable, ties toward smaller values.
-
-    Conditional variables take the row selected by their parents' pinned
-    values, so parents must be stochastic themselves.
-    """
-    pinned: list[int | None] = [None] * instance.n
-    env: list = [None] * instance.n
-    for i, var in enumerate(instance.variables):
-        if var.kind != "stochastic":
-            continue
-        if var.cpt is not None:
-            for p in var.cpt.parents:
-                if instance.variables[instance.index_of[p]].kind == "decision":
-                    raise UnsupportedConditionalParentsError(
-                        f"{var.name} depends on decision variable {p}; the most "
-                        "probable scenario is undefined before decisions are made"
-                    )
-        probs = instance.distribution(i, env)
-        best_q = -1.0
-        best_w = var.domain[0]
-        for w, q in zip(var.domain, probs):
-            if q > best_q:
-                best_q, best_w = q, w
-        pinned[i] = best_w
-        env[i] = best_w
-    return pinned
-
-
 def most_probable_scenario_policy(instance: Instance) -> HeuristicPolicy:
     """Rigid policy from solving the most probable scenario's CSP.
 
-    Stochastic variables are pinned to their likeliest values, the
-    remaining deterministic problem is solved by plain backtracking, and
-    the decisions are kept regardless of observations. The reported
+    Plain backtracking tries every value of a decision variable and only
+    the likeliest value of a stochastic one (ties toward the smaller
+    value), read from its distribution given the values the search has
+    set so far, decisions included. The first complete assignment's
+    decisions are kept regardless of observations. The reported
     satisfaction is exact (recomputed on the full tree).
     """
     _check_depth(instance)
-    pinned = _most_probable_values(instance)
     env: list = [None] * instance.n
     if instance.constant_false:
         raise NoHeuristicPolicyError("a constant constraint is false")
@@ -230,7 +202,10 @@ def most_probable_scenario_policy(instance: Instance) -> HeuristicPolicy:
             return True
         var = instance.variables[depth]
         test = instance.check_at[depth]
-        values = var.domain if var.kind == "decision" else (pinned[depth],)
+        values = var.domain
+        if var.kind == "stochastic":
+            probs = instance.distribution(depth, env)
+            values = (values[probs.index(max(probs))],)
         for w in values:
             env[depth] = w
             if (test is None or test(env)) and solve(depth + 1):

@@ -155,10 +155,6 @@ class NoHeuristicPolicyError(StocsError):
     """The deterministic core of the heuristic is unsatisfiable."""
 
 
-class UnsupportedConditionalParentsError(StocsError):
-    """Raised where an operation cannot handle decision-variable CPT parents."""
-
-
 class NoObjectiveError(StocsError):
     pass
 

@@ -174,10 +174,7 @@ def _frontier(instance: Instance, split: _Split, prune, policy: PolicyNode | Non
             points = [(0.0, 0.0, ())]
             for j, (w, q) in enumerate(zip(var.domain, instance.distribution(depth, env))):
                 env[depth] = w
-                if q == 0.0:
-                    points = [(s, t, back + (None,)) for s, t, back in points]
-                    continue
-                if not (test is None or test(env)):
+                if q == 0.0 or not (test is None or test(env)):
                     points = [(s, t + q * violation, back + (None,)) for s, t, back in points]
                     continue
                 g, child = gain[w], walk(depth + 1, node and node.children[j])

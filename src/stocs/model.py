@@ -452,7 +452,7 @@ def _check_expression(node: _expr.Expr, index_of: dict[str, int],
     except RecursionError:
         kind = ExpressionTooDeepError(f"{label}: expression nests too deeply to check")
     except StocsError as fault:  # raised below, after the names
-        kind = fault
+        kind = type(fault)(f"{label}: {fault}")
     except TypeError as fault:  # an object that is no expression node
         kind = InstanceValidationError(f"{label}: {fault}")
     for name in names if isinstance(kind, str) else _expr.variables_in(node):

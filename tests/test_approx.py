@@ -7,7 +7,13 @@ from itertools import accumulate, islice
 
 import pytest
 
-from gen import inventory_instance, random_cpt_instance, random_instance, random_policy
+from gen import (
+    inventory_instance,
+    random_cpt_instance,
+    random_instance,
+    random_linear_instance,
+    random_policy,
+)
 from stocs import (
     ChanceNode,
     ConditionalTable,
@@ -23,6 +29,7 @@ from stocs import (
     policy_satisfaction,
     restricted_tree_bounds,
     semantics,
+    serialize_policy,
 )
 from stocs.errors import (
     BadEpsilonError,
@@ -31,7 +38,6 @@ from stocs.errors import (
     MalformedPolicyError,
     NoHeuristicPolicyError,
     StocsError,
-    UnsupportedConditionalParentsError,
 )
 from stocs.model import CompiledConstraint
 from conftest import make_instance
@@ -148,13 +154,71 @@ class TestMostProbableScenarioPolicy:
             best = oracle_max_satisfaction(inst).probability
             assert got.exact_satisfaction <= best + TOL
 
-    def test_decision_parents_in_tables_unsupported(self):
+    def test_decision_parent_selects_the_row(self):
         cpt = ConditionalTable("s", ("x",), {(0,): (0.9, 0.1), (1,): (0.2, 0.8)})
         inst = make_instance(
             [("x", "d", (0, 1)), ("s", "s", (0, 1), cpt)],
             [expr_constraint("x = s")])
-        with pytest.raises(UnsupportedConditionalParentsError):
-            most_probable_scenario_policy(inst)
+        got = most_probable_scenario_policy(inst)
+        # x = 0 makes s = 0 likeliest, which meets x = s
+        assert got.policy == DecisionNode("x", 0, ChanceNode("s", (Leaf(), Leaf())))
+        assert got.exact_satisfaction == 0.9
+
+    @pytest.mark.parametrize("make", [random_instance, random_cpt_instance,
+                                      random_linear_instance])
+    def test_matches_pinning_first_without_decision_parents(self, make):
+        rng = random.Random(41)
+        compared = 0
+        for _ in range(300):
+            inst = make(rng)
+            if any(inst.variables[inst.index_of[p]].kind == "decision"
+                   for var in inst.variables if var.cpt is not None for p in var.cpt.parents):
+                continue
+            compared += 1
+            got, want = (_heuristic_outcome(run, inst)
+                         for run in (most_probable_scenario_policy, _pinned_then_backtracked))
+            assert got == want
+        assert compared >= 50  # the CPT family gives 76 of 300
+
+
+def _heuristic_outcome(run, instance):
+    try:
+        got = run(instance)
+    except StocsError as e:
+        return type(e), str(e)
+    return serialize_policy(got.policy), got.exact_satisfaction
+
+
+def _pinned_then_backtracked(instance):
+    """The heuristic in two passes: pin every stochastic variable to its
+    likeliest value (the first of equals) given the values pinned before
+    it, then backtrack over the decisions alone. Defined where no table has
+    a decision parent."""
+    pinned: list = [None] * instance.n
+    for i, var in enumerate(instance.variables):
+        if var.kind == "stochastic":
+            best_q = -1.0
+            for w, q in zip(var.domain, instance.distribution(i, pinned)):
+                if q > best_q:
+                    best_q, pinned[i] = q, w
+    env: list = [None] * instance.n
+    if instance.constant_false:
+        raise NoHeuristicPolicyError("a constant constraint is false")
+
+    def solve(depth):
+        if depth == instance.n:
+            return True
+        var, test = instance.variables[depth], instance.check_at[depth]
+        for w in var.domain if var.kind == "decision" else (pinned[depth],):
+            env[depth] = w
+            if (test is None or test(env)) and solve(depth + 1):
+                return True
+        return False
+
+    if not solve(0):
+        raise NoHeuristicPolicyError("the most probable scenario admits no satisfying decisions")
+    policy = semantics._rigid_policies(instance, env)[0]
+    return approx.HeuristicPolicy(policy, policy_satisfaction(instance, policy))
 
 
 class TestMonteCarlo:

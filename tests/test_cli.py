@@ -6,7 +6,9 @@ import json
 import os
 import random
 import re
+import runpy
 import shutil
+import sys
 import time
 
 import pytest
@@ -674,6 +676,17 @@ class TestArgumentHandling:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "solve" in out and "bench" in out
+
+    def test_python_dash_m_runs_main(self, capsys, monkeypatch):
+        # what `python -m stocs --help` runs, in this process
+        monkeypatch.setattr(sys, "argv", ["stocs", "--help"])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("stocs", run_name="__main__")
+        assert info.value.code == 0
+        assert capsys.readouterr().out == run(capsys, "--help")[1]
+
+    def test_dir_lists_every_export(self):
+        assert set(stocs.__all__) <= set(dir(stocs))
 
     def test_no_arguments(self, capsys):
         assert run(capsys, *[])[0] == 2

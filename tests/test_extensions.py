@@ -202,6 +202,19 @@ class TestOptimizeExpected:
             policy_expected_value(inst, DecisionNode("x", 1, Leaf()))
         assert policy_expected_value(inst, DecisionNode("x", 0, Leaf())) == 0.0
 
+    def test_root_value_past_the_float_range_is_typed(self):
+        # each term fits a float and the walk sums them to inf without an
+        # OverflowError, so the root's check is what refuses it
+        big = 10**308
+        inst = make_instance([("x", "d", (big,)), ("y", "d", (big,))],
+                             objective=Objective(parse_expression("x + y")))
+        with pytest.raises(InstanceValidationError, match="float range") as info:
+            optimize_expected(inst)
+        assert info.traceback[-1].name == "_value"
+        with pytest.raises(InstanceValidationError, match="float range") as info:
+            policy_expected_value(inst, DecisionNode("x", big, DecisionNode("y", big, Leaf())))
+        assert info.traceback[-1].name == "_value"
+
     def test_constant_one_objective_recovers_satisfaction(self):
         rng = random.Random(19)
         for _ in range(20):

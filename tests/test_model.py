@@ -24,6 +24,7 @@ from stocs import (
 )
 from stocs.errors import (
     ArityMismatchError,
+    BadExpressionTypeError,
     BadProbabilitySumError,
     CptCoverageError,
     CptParentOrderError,
@@ -75,6 +76,11 @@ class TestValidation:
             build([VariableSpec("x", "decision", (0, 1))],
                   [table_constraint(("x", "z"), [(0, 0)])])
         assert info.value.variable == "z"
+
+    def test_expression_type_error_names_its_constraint(self):
+        with pytest.raises(BadExpressionTypeError) as info:
+            build([X], [expr_constraint("x = 1"), expr_constraint("not x")])
+        assert str(info.value) == "constraint 1: not needs a boolean operand, got 'x'"
 
     def test_duplicate_variable_names(self):
         with pytest.raises(DuplicateNameError):
