@@ -76,9 +76,9 @@ from .semantics import (
     PolicyNode,
     _check_depth,
     _check_policy,
+    _policy_value,
     _remember,
     _rigid_policies,
-    policy_satisfaction,
 )
 
 __all__ = [
@@ -218,8 +218,8 @@ def most_probable_scenario_policy(instance: Instance) -> HeuristicPolicy:
             "the most probable scenario admits no satisfying decisions"
         )
 
-    policy = _rigid_policies(instance, env)[0]
-    return HeuristicPolicy(policy, policy_satisfaction(instance, policy))
+    policy = _rigid_policies(instance, env)[0]  # well formed, so scored without _check_policy
+    return HeuristicPolicy(policy, _policy_value(instance, policy))
 
 
 _MASK64 = (1 << 64) - 1

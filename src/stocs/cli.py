@@ -218,10 +218,9 @@ def cmd_bench(args: SimpleNamespace) -> int:
 
 
 # subcommand -> (help line in the root parser's listing, handler, arguments).
-# An argument is (positional name or long flag, `add_argument` keywords); a
-# tuple of arguments in its place is a required group, exactly one of whose
-# flags must be given. A typed option has no string default: argparse would
-# pass it through `type`, and `_scan` does not.
+# An argument is (positional name or long flag, `add_argument` keywords). A
+# typed option has no string default: argparse would pass it through `type`,
+# and `_scan` does not.
 COMMANDS = {
     "solve": ("run the exact search on one instance", cmd_solve, (
         ("instance", {}),
@@ -255,10 +254,10 @@ COMMANDS = {
     )),
     "approx": ("bound the maximum with a restricted tree", cmd_approx, (
         ("instance", {}),
-        (("--epsilon", {"type": float, "default": None,
-                        "help": "ignore stochastic branches with probability below this"}),
-         ("--top-k", {"type": int, "default": None,
-                      "help": "keep only the k most probable branches"})),
+        ("--epsilon", {"type": float, "default": None,
+                       "help": "ignore stochastic branches with probability below this"}),
+        ("--top-k", {"type": int, "default": None,
+                     "help": "keep only the k most probable branches"}),
     )),
     "optimize": ("maximize the expected objective value", cmd_optimize, (("instance", {}),)),
     "bench": ("solve every .scsp in a directory, write CSV", cmd_bench, (
@@ -277,13 +276,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, func, arguments) in COMMANDS.items():
         subparser = sub.add_parser(name, help=help_line)
-        for argument in arguments:
-            if isinstance(argument[0], str):
-                subparser.add_argument(argument[0], **argument[1])
-            else:
-                group = subparser.add_mutually_exclusive_group(required=True)
-                for flag, keywords in argument:
-                    group.add_argument(flag, **keywords)
+        for name_or_flag, keywords in arguments:
+            subparser.add_argument(name_or_flag, **keywords)
         subparser.set_defaults(func=func)
     return parser
 
@@ -292,11 +286,8 @@ def _scan(command: str, tokens: list[str]) -> SimpleNamespace | None:
     """The attributes `build_parser().parse_args([command, *tokens])` returns
     when the call is a plain valid one (see `_parse_args`), else None."""
     _, func, arguments = COMMANDS[command]
-    one_of = next((a for a in arguments if not isinstance(a[0], str)), ())
-    flat = [a for argument in arguments
-            for a in ((argument,) if isinstance(argument[0], str) else argument)]
-    unfilled = [name for name, _ in flat if not name.startswith("-")]  # positionals
-    options = {flag: keywords for flag, keywords in flat if flag.startswith("-")}
+    unfilled = [name for name, _ in arguments if not name.startswith("-")]  # positionals
+    options = {flag: keywords for flag, keywords in arguments if flag.startswith("-")}
     values: dict = {}  # positional name or flag -> value
     tokens = iter(tokens)
     for token in tokens:
@@ -321,8 +312,7 @@ def _scan(command: str, tokens: list[str]) -> SimpleNamespace | None:
         if "choices" in keywords and value not in keywords["choices"]:
             return None
         values[token] = value
-    if (unfilled or (one_of and sum(f in values for f, _ in one_of) != 1)
-            or any(k.get("required") and f not in values for f, k in options.items())):
+    if unfilled or any(k.get("required") and f not in values for f, k in options.items()):
         return None
     for flag, keywords in options.items():
         unset = False if keywords.get("action") == "store_true" else None
@@ -339,9 +329,9 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
     `COMMANDS` entry. A token that does not start with "-" fills the next
     positional; an exact long flag is a store_true flag or takes the next
     token, which must not start with "-", through its `type` and `choices`.
-    If then every positional is filled, every required option and exactly
-    one flag of a one-of group given, and no option given twice, the scan
-    returns argparse's attributes, defaults, `func` and `command` included.
+    If then every positional is filled, every required option given, and
+    no option given twice, the scan returns argparse's attributes, defaults,
+    `func` and `command` included.
     Anything else goes to the full parser, which owns the bytes of help and
     of every error: help, "--opt=value", abbreviations, "--", values that
     start with "-", repeats, bad values and missing arguments. Raises

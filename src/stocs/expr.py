@@ -95,14 +95,13 @@ _KEYWORDS = ("and", "or", "not")
 
 
 class _Parser:
-    """Recursive descent over the token texts; ``names`` collects the
-    variable names in first-occurrence order as their references are built.
-    A token's position is found again only for an error message."""
+    """Recursive descent over the token texts. A token's position is found
+    again only for an error message."""
 
-    def __init__(self, text: str, names: dict):
+    def __init__(self, text: str):
         if (bad := _BAD_RE.search(text)) is not None:
             raise ExpressionSyntaxError(f"unexpected character {bad[0]!r}", bad.start())
-        self.text, self.tokens, self.i, self.names = text, _TOKEN_RE.findall(text), 0, names
+        self.text, self.tokens, self.i = text, _TOKEN_RE.findall(text), 0
 
     def error(self, message: str, kind: type = ExpressionSyntaxError) -> Exception:
         token = next(itertools.islice(_TOKEN_RE.finditer(self.text), self.i, None))
@@ -125,7 +124,6 @@ class _Parser:
         token = self.tokens[self.i]
         if token.isidentifier() and token not in _KEYWORDS:
             self.i += 1
-            self.names[token] = None
             return VariableRef(token)
         # below its own level `not` is no operand: `x + not y` is an error
         if token == "not" and minimum <= _LEVEL_NOT:
@@ -157,15 +155,14 @@ class _Parser:
         raise self.error(f"expected expression, found {token or 'end of input'}")
 
 
-def parse_expression(text: str, names: dict | None = None) -> Expr:
-    """Parse ``text`` into an expression tree, and add the names of its
-    variables to ``names``, if given, in first-occurrence order.
+def parse_expression(text: str) -> Expr:
+    """Parse ``text`` into an expression tree.
 
     Raises ExpressionSyntaxError (with a character offset) on malformed
     input, including chained comparisons, and ExpressionTooDeepError when
     parentheses nest past the interpreter's recursion limit.
     """
-    parser = _Parser(text, {} if names is None else names)
+    parser = _Parser(text)
     try:
         node = parser.parse_binary(1)
         if parser.tokens[parser.i]:
@@ -322,11 +319,14 @@ def _compile_source(source: str) -> Callable:
     return eval(compile(source, "<constraint>", "eval"), {"__builtins__": {}})
 
 
-def _sum_terms(node: Expr, sign: int, out: list) -> list:
-    """Append the (coefficient, term) pairs of ``sign * node`` to ``out``:
+def _linear(index_of: dict[str, int], *signed: tuple[int, Expr]) -> tuple[dict[int, int], list]:
+    """The sum of ``sign * node`` over the pairs ``signed`` as the
+    coefficient of each variable position and the list of its other terms:
     ``+``, ``-``, unary minus and products with a literal side distribute,
     literals drop out, and any other node is one term."""
-    stack = [(sign, node)]
+    coefs: dict[int, int] = {}
+    terms = []
+    stack = list(signed)
     while stack:
         c, node = stack.pop()
         if isinstance(node, Binary) and node.op in ("+", "-"):
@@ -337,9 +337,12 @@ def _sum_terms(node: Expr, sign: int, out: list) -> list:
             stack.append((c * node.left.value, node.right))
         elif isinstance(node, Binary) and node.op == "*" and isinstance(node.right, IntLiteral):
             stack.append((c * node.right.value, node.left))
+        elif isinstance(node, VariableRef):
+            i = index_of[node.name]
+            coefs[i] = coefs.get(i, 0) + c
         elif not isinstance(node, IntLiteral):
-            out.append((c, node))
-    return out
+            terms.append(node)
+    return coefs, terms
 
 
 def key_getters(n: int, index_of: dict[str, int], scopes: list, expressions: list) -> tuple:
@@ -357,22 +360,15 @@ def key_getters(n: int, index_of: dict[str, int], scopes: list, expressions: lis
     sums: list[set[tuple[tuple[int, ...], tuple[int, ...]]]] = [set() for _ in range(n)]
 
     def add(node: Expr, depths: range) -> None:
-        if _level(node) == _LEVEL_CMP:
-            terms = _sum_terms(node.right, -1, _sum_terms(node.left, 1, []))
-        else:
-            terms = _sum_terms(node, 1, [])
-            if terms == [(1, node)] and not isinstance(node, VariableRef):  # key each operand
-                spine, leftmost = _spine(node, (node.op,))
-                for operand in [getattr(node, "operand", leftmost)] + [p.right for p in spine]:
-                    add(operand, depths)
-                return
-        coefs: dict[int, int] = {}
-        for c, term in terms:
-            if isinstance(term, VariableRef):
-                i = index_of[term.name]
-                coefs[i] = coefs.get(i, 0) + c
-            else:
-                add(term, depths)
+        signed = [(1, node.left), (-1, node.right)] if _level(node) == _LEVEL_CMP else [(1, node)]
+        coefs, terms = _linear(index_of, *signed)
+        if terms == [node]:  # not linear: key each operand
+            spine, leftmost = _spine(node, (node.op,))
+            for operand in [getattr(node, "operand", leftmost)] + [p.right for p in spine]:
+                add(operand, depths)
+            return
+        for term in terms:
+            add(term, depths)
         order = sorted(i for i, c in coefs.items() if c)
         for d in depths:
             k = bisect_left(order, d)  # the assigned variables

@@ -90,14 +90,7 @@ def _split_objective(instance: Instance) -> _Split:
     so only a value that a walk reaches can raise."""
     if instance.objective is None:
         raise NoObjectiveError("instance has no objective")
-    coefs: dict[int, int] = {}
-    terms = []
-    for c, term in _expr._sum_terms(instance.objective.expression, 1, []):
-        if isinstance(term, _expr.VariableRef):
-            i = instance.index_of[term.name]
-            coefs[i] = coefs.get(i, 0) + c
-        else:
-            terms.append(term)
+    coefs, terms = _expr._linear(instance.index_of, (1, instance.objective.expression))
     gains, slopes = [], [(0.0, 0.0)]
     for d, var in enumerate(instance.variables):
         gain = {w: _as_float(coefs.get(d, 0) * w) for w in var.domain}

@@ -168,9 +168,8 @@ def _parse_constraint(obj: object, position: int) -> Constraint:
         _warn_unknown(obj, ("type", "text"), what)
         if "text" not in obj:
             raise FormatError(f"{what} misses 'text'")
-        names: dict = {}
-        ast = _expr.parse_expression(_require(obj["text"], str, what, " text"), names)
-        return Constraint(scope=tuple(names), expression=ast)
+        text = _require(obj["text"], str, what, " text")
+        return Constraint((), expression=_expr.parse_expression(text))  # validation adds the scope
     if obj.get("type") == "table":
         _warn_unknown(obj, ("type", "scope", "tuples"), what)
         if "scope" not in obj or "tuples" not in obj:
@@ -193,7 +192,8 @@ def parse_instance(text: str, renormalize: bool = False) -> Instance:
     With renormalize=True, probability vectors are scaled to sum to 1
     before validation (negative entries still fail). Every fault of the
     file's shape is found before any model check runs, so it is the one
-    reported; validation keeps the records built here.
+    reported; validation keeps the records built here, but for each
+    expression constraint, which it gives its scope.
     """
     doc = _load_json(text)
     _require(doc, dict, "instance document")

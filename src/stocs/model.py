@@ -514,48 +514,59 @@ def _validate_constraint(raw: Constraint, variables: tuple[VariableSpec, ...],
 def validate_instance(raw: Instance) -> Instance:
     """Check every model invariant and return a normalized instance.
 
-    Idempotent: validating a normalized instance returns that instance.
+    Idempotent: validating a normalized instance returns that instance. A
+    record or field of the wrong type raises InstanceValidationError.
     """
-    variables_in_order = tuple(raw.variables)
-    names = [v.name for v in variables_in_order]
-    if not _only({str}, names):  # before the names are hashed
-        raise _bad_name(next(n for n in names if not isinstance(n, str)))
-    index_of = {n: i for i, n in enumerate(names)}
-    if len(index_of) < len(names):
-        dup = [n for n, count in collections.Counter(names).items() if count > 1]
-        raise DuplicateNameError(f"duplicate variable name {sorted(dup)[0]!r}")
+    label = "variables"  # the record read, whose label a field of the wrong type takes
+    try:
+        variables_in_order = tuple(raw.variables)
+        names = []
+        for i, v in enumerate(variables_in_order):
+            label = f"variable {i}"
+            names.append(v.name)
+        if not _only({str}, names):  # before the names are hashed
+            raise _bad_name(next(n for n in names if not isinstance(n, str)))
+        index_of = {n: i for i, n in enumerate(names)}
+        if len(index_of) < len(names):
+            dup = [n for n, count in collections.Counter(names).items() if count > 1]
+            raise DuplicateNameError(f"duplicate variable name {sorted(dup)[0]!r}")
 
-    variables = tuple(map(_validate_variable, variables_in_order))
-    variables = tuple(
-        v if v.cpt is None or v.cpt is (cpt := _validate_cpt(v, variables, index_of))
-        else VariableSpec(v.name, v.kind, v.domain, cpt=cpt)
-        for v in variables
-    )
+        variables = []
+        for v in variables_in_order:
+            label = f"variable {v.name}"
+            variables.append(_validate_variable(v))
+        for j, v in enumerate(variables):
+            label = f"conditional table for {v.name}"
+            if v.cpt is not None and v.cpt is not (cpt := _validate_cpt(v, variables, index_of)):
+                variables[j] = VariableSpec(v.name, v.kind, v.domain, cpt=cpt)
+        variables = tuple(variables)
 
-    theta = _check_theta(raw.theta)
+        theta = _check_theta(raw.theta)
 
-    constraints = tuple(
-        _validate_constraint(c, variables, index_of, f"constraint {i}")
-        for i, c in enumerate(raw.constraints)
-    )
+        label = "constraints"
+        constraints = tuple(_validate_constraint(c, variables, index_of, label := f"constraint {i}")
+                            for i, c in enumerate(raw.constraints))
 
-    objective = raw.objective
-    if objective is not None:
-        _check_expression(objective.expression, index_of, "objective")
-        violation = _check_number(objective.violation_value, "objective: violation_value")
-        if not math.isfinite(violation):
-            raise InstanceValidationError(f"objective: non-finite violation_value {violation}")
-        domain_of = {v.name: v.domain for v in variables}
-        low, _ = _expr.interval_range(objective.expression, domain_of)
-        if violation > low:
-            warnings.warn(
-                f"violation_value {violation} exceeds the objective's lower bound {low}; "
-                "violating leaves may be preferred to satisfying ones",
-                ViolationValueWarning,
-                stacklevel=2,
-            )
-        if type(objective) is not Objective or violation is not objective.violation_value:
-            objective = Objective(objective.expression, violation)
+        label = "objective"
+        objective = raw.objective
+        if objective is not None:
+            _check_expression(objective.expression, index_of, "objective")
+            violation = _check_number(objective.violation_value, "objective: violation_value")
+            if not math.isfinite(violation):
+                raise InstanceValidationError(f"objective: non-finite violation_value {violation}")
+            domain_of = {v.name: v.domain for v in variables}
+            low, _ = _expr.interval_range(objective.expression, domain_of)
+            if violation > low:
+                warnings.warn(
+                    f"violation_value {violation} exceeds the objective's lower bound {low}; "
+                    "violating leaves may be preferred to satisfying ones",
+                    ViolationValueWarning,
+                    stacklevel=2,
+                )
+            if type(objective) is not Objective or violation is not objective.violation_value:
+                objective = Objective(objective.expression, violation)
+    except (TypeError, AttributeError) as fault:
+        raise InstanceValidationError(f"{label}: {fault}") from None
 
     name = str(raw.name or "")
     if type(raw) is Instance and _same(variables, raw.variables) and theta is raw.theta \

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 
 from ._record import record
 from .errors import (
@@ -101,16 +101,26 @@ def _misplaced(expected: str, node) -> MalformedPolicyError:
     return MalformedPolicyError(f"{where}, got {_repr(node, MalformedPolicyError, where)}")
 
 
-def _env_from_mapping(instance: Instance, assignment: Mapping[str, int]) -> list:
+def _missing(name: str) -> MissingAssignmentError:
+    return MissingAssignmentError(f"scenario misses stochastic variable {name}")
+
+
+def _env(instance: Instance, by_kind: Mapping[str, Mapping[str, int]],
+         missing: Callable[[str], StocsError] | None) -> list:
+    """The environment list of the values ``by_kind[var.kind]`` gives, read
+    in variable order: a value outside its domain raises
+    OutOfDomainValueError, and a variable it lacks ``missing(name)``, or
+    stays None without ``missing`` or where its kind has no mapping."""
     env: list = [None] * instance.n
     for i, var in enumerate(instance.variables):
-        if var.name in assignment:
-            value = assignment[var.name]
+        source = by_kind.get(var.kind, ())
+        if var.name in source:
+            value = source[var.name]
             if value not in var.domain:
                 raise _not_in_domain(OutOfDomainValueError, var.name, value, var.domain)
             env[i] = value
-        else:
-            raise PartialAssignmentError(f"no value for variable {var.name}")
+        elif missing is not None and var.kind in by_kind:
+            raise missing(var.name)
     return env
 
 
@@ -122,20 +132,12 @@ def scenario_probability(instance: Instance, scenario: Mapping[str, int],
     decision parents, from ``decisions``. Without tables this is the
     product of the outcome's independent probabilities.
     """
-    decisions = decisions or {}
-    env: list = [None] * instance.n
-    for i, var in enumerate(instance.variables):
-        source = scenario if var.kind == "stochastic" else decisions
-        if var.name in source:
-            value = source[var.name]
-            if value not in var.domain:
-                raise _not_in_domain(OutOfDomainValueError, var.name, value, var.domain)
-            env[i] = value
+    env = _env(instance, {"stochastic": scenario, "decision": decisions or {}}, None)
     product = 1.0
     for i in instance.stochastic_indices:
         var = instance.variables[i]
         if env[i] is None:
-            raise MissingAssignmentError(f"scenario misses stochastic variable {var.name}")
+            raise _missing(var.name)
         if var.cpt is not None:
             for p in var.cpt.parents:
                 if env[instance.index_of[p]] is None:
@@ -149,7 +151,8 @@ def scenario_probability(instance: Instance, scenario: Mapping[str, int],
 
 def check_assignment(instance: Instance, assignment: Mapping[str, int]) -> bool:
     """True iff the complete assignment satisfies every constraint."""
-    env = _env_from_mapping(instance, assignment)
+    env = _env(instance, {"decision": assignment, "stochastic": assignment},
+               lambda name: PartialAssignmentError(f"no value for variable {name}"))
     return not instance.constant_false and all(
         test(env) for test in instance.check_at if test is not None)
 
@@ -326,21 +329,15 @@ def induced_assignment(instance: Instance, policy: PolicyNode,
                        scenario: Mapping[str, int]) -> dict[str, int]:
     """Complete assignment obtained by running the policy on a scenario."""
     _check_policy(instance, policy)
-    env: dict[str, int] = {}
+    env = _env(instance, {"stochastic": scenario}, _missing)
     node = policy
-    for var in instance.variables:
+    for i, var in enumerate(instance.variables):
         if var.kind == "decision":
-            env[var.name] = node.chosen_value
+            env[i] = node.chosen_value
             node = node.child
         else:
-            if var.name not in scenario:
-                raise MissingAssignmentError(f"scenario misses stochastic variable {var.name}")
-            value = scenario[var.name]
-            if value not in var.domain:
-                raise _not_in_domain(OutOfDomainValueError, var.name, value, var.domain)
-            env[var.name] = value
-            node = node.children[var.domain.index(value)]
-    return env
+            node = node.children[var.domain.index(env[i])]
+    return {var.name: value for var, value in zip(instance.variables, env)}
 
 
 def _rigid_policies(instance: Instance,

@@ -420,12 +420,17 @@ class TestOtherCommands:
                            "--top-k", "1")
         assert (code, out) == (0, "BOUNDS lb=0.500000000 ub=1.000000000\n")
 
-    def test_approx_modes_are_exclusive(self, capsys, instances_dir):
-        code, _, _ = run(capsys, "approx", str(instances_dir / "b.scsp"),
-                         "--epsilon", "0.1", "--top-k", "1")
-        assert code == 2
-        code, _, _ = run(capsys, "approx", str(instances_dir / "b.scsp"))
-        assert code == 2
+    @pytest.mark.parametrize("flags", [("--epsilon", "0.1", "--top-k", "1"), ()],
+                             ids=["both", "neither"])
+    def test_approx_modes_are_exclusive(self, capsys, instances_dir, flags):
+        assert run(capsys, "approx", str(instances_dir / "b.scsp"), *flags) == (
+            2, "", "error: give exactly one of epsilon or top_k\n")
+
+    def test_approx_usage_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run(capsys, "approx", "-h")
+        assert code == 0
+        assert out.startswith("usage: stocs approx [-h] [--epsilon EPSILON] [--top-k TOP_K] instance\n")
 
     def test_optimize(self, capsys, instances_dir):
         code, out, _ = run(capsys, "optimize",

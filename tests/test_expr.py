@@ -1,3 +1,4 @@
+import json
 import operator
 import re
 from pathlib import Path
@@ -101,10 +102,11 @@ class TestParsing:
     def test_blanks_around_an_expression(self, text):
         assert parse_expression(text) == Binary("=", x("x"), IntLiteral(1))
 
-    def test_names_are_collected_in_first_occurrence_order(self):
-        names = {}
-        node = parse_expression("b + a * (c - b) >= a", names)
-        assert list(names) == variables_in(node) == ["b", "a", "c"]
+    def test_a_parsed_constraint_names_its_variables_in_first_occurrence_order(self):
+        variables = [{"name": n, "kind": "decision", "domain": [0, 1]} for n in "abc"]
+        inst = parse_instance(json.dumps({"theta": 1, "variables": variables, "constraints": [
+            {"type": "expr", "text": "b + a * (c - b) >= a"}]}))
+        assert inst.constraints[0].scope == ("b", "a", "c")
 
     def test_one_walk_gives_type_and_names(self):
         names = {}

@@ -275,14 +275,54 @@ class TestValidation:
          InstanceValidationError, "^constraint 0: not an expression node: 'x = 1'$"),
         ([X], [], Objective(Binary("+", VariableRef("x"), 3)),
          InstanceValidationError, "^objective: not an expression node: 3$"),
+        # records or fields of the wrong type, which only the API can build;
+        # "junk" stands for a whole record that is no Instance
+        ("junk", [], None,
+         InstanceValidationError, "^variables: 'str' object has no attribute 'variables'$"),
+        (None, [], None, InstanceValidationError, "^variables: 'NoneType' object is not iterable$"),
+        ([X], None, None, InstanceValidationError, "^constraints: 'NoneType' object is not iterable$"),
+        ([5], [], None, InstanceValidationError, "^variable 0: 'int' object has no attribute 'name'$"),
+        ([X], [X], None,
+         InstanceValidationError, "^constraint 0: 'VariableSpec' object has no attribute 'allowed'$"),
+        ([VariableSpec("x", "decision", 5)], [], None,
+         InstanceValidationError, "^variable x: 'int' object is not iterable$"),
+        ([VariableSpec("x", "decision", None)], [], None,
+         InstanceValidationError, "^variable x: 'NoneType' object is not iterable$"),
+        ([VariableSpec("s", "stochastic", (0, 1), 5)], [], None,
+         InstanceValidationError, "^variable s: object of type 'int' has no len\\(\\)$"),
+        ([X], [Constraint(None, frozenset({(0,)}))], None,
+         InstanceValidationError, "^constraint 0: 'NoneType' object is not iterable$"),
+        ([X], [Constraint(("x",), [0, 1])], None,
+         InstanceValidationError, "^constraint 0: 'int' object is not iterable$"),
+        ([X, VariableSpec("s", "stochastic", (0, 1), cpt={"child": "s"})], [], None,
+         InstanceValidationError, "^conditional table for s: 'dict' object has no attribute 'child'$"),
+        ([X, VariableSpec("s", "stochastic", (0, 1), cpt=ConditionalTable("s", ("x",), [HALF, HALF]))],
+         [], None,
+         InstanceValidationError, "^conditional table for s: 'list' object has no attribute 'items'$"),
+        ([X, VariableSpec("s", "stochastic", (0, 1),
+                          cpt=ConditionalTable("s", ("x",), {0: HALF, 1: HALF}))], [], None,
+         InstanceValidationError, "^conditional table for s: 'int' object is not iterable$"),
+        ([X, VariableSpec("s", "stochastic", (0, 1),
+                          cpt=ConditionalTable("s", ("x",), {(0,): 5, (1,): HALF}))], [], None,
+         InstanceValidationError, "^conditional table for s: object of type 'int' has no len\\(\\)$"),
+        ([X, VariableSpec("s", "stochastic", (0, 1),
+                          cpt=ConditionalTable("s", None, {(0,): HALF, (1,): HALF}))], [], None,
+         InstanceValidationError, "^conditional table for s: 'NoneType' object is not iterable$"),
+        ([X], [], parse_expression("x"),
+         InstanceValidationError, "^objective: 'VariableRef' object has no attribute 'expression'$"),
     ], ids=["name", "kind", "domain", "cpt-child", "cpt-unknown-parent", "cpt-duplicate-parent",
             "table-and-expression", "neither", "empty-table-scope", "objective-unknown-variable",
             "big-domain-value", "big-table-value", "big-cpt-row", "list-name", "big-kind",
             "big-non-integer-domain-value", "list-scope-name", "list-cpt-parent", "big-cpt-child",
-            "expression-text", "objective-non-node"])
+            "expression-text", "objective-non-node", "no-instance", "no-variables",
+            "no-constraints", "variable-no-record", "constraint-no-record", "int-domain",
+            "no-domain", "int-probabilities", "no-table-scope", "untupled-allowed", "dict-cpt",
+            "list-cpt-rows", "int-cpt-row-key", "int-cpt-row-probabilities", "no-cpt-parents",
+            "objective-no-record"])
     def test_typed_errors(self, variables, constraints, objective, error, message):
+        raw = "junk" if variables == "junk" else Instance(variables, constraints, 0.5, objective)
         with pytest.raises(error, match=message):
-            build(variables, constraints, objective=objective)
+            validate_instance(raw)
 
     def test_idempotent(self, instance_a):
         assert validate_instance(instance_a) == instance_a

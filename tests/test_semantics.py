@@ -107,6 +107,16 @@ class TestScenarioProbability:
         with pytest.raises(OutOfDomainValueError):
             scenario_probability(inst, {"s": 7})
 
+    def test_an_earlier_out_of_domain_decision_is_named_first(self):
+        inst = make_instance([("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5))])
+        with pytest.raises(OutOfDomainValueError, match=r"^x=9 not in domain \(0, 1\)$"):
+            scenario_probability(inst, {"s": 7}, decisions={"x": 9})
+
+    def test_domain_faults_come_before_a_missing_value(self):
+        inst = make_instance([("s", "s", (0, 1), (0.5, 0.5)), ("x", "d", (0, 1))])
+        with pytest.raises(OutOfDomainValueError, match=r"^x=9 not in domain \(0, 1\)$"):
+            scenario_probability(inst, {}, decisions={"x": 9})
+
     def test_probabilities_sum_to_one_over_all_scenarios(self):
         rng = random.Random(11)
         for _ in range(25):
@@ -133,6 +143,10 @@ class TestCheckAssignment:
     def test_out_of_domain_value(self, instance_a):
         with pytest.raises(OutOfDomainValueError, match=r"^x=7 not in domain \(0, 1\)$"):
             check_assignment(instance_a, {"x": 7, "s": 0})
+
+    def test_the_first_fault_in_variable_order_is_reported(self, instance_a):
+        with pytest.raises(PartialAssignmentError, match="^no value for variable x$"):
+            check_assignment(instance_a, {"s": 7})
 
 
 class TestPolicySatisfaction:
@@ -260,6 +274,11 @@ class TestInducedAssignment:
     def test_bad_scenario(self, instance_b, scenario, error, message):
         with pytest.raises(error, match=message):
             induced_assignment(instance_b, recourse_b(), scenario)
+
+    def test_the_first_fault_in_variable_order_is_reported(self):
+        inst = make_instance([("s1", "s", (0, 1), (0.5, 0.5)), ("s2", "s", (0, 1), (0.5, 0.5))])
+        with pytest.raises(MissingAssignmentError, match="^scenario misses stochastic variable s1$"):
+            induced_assignment(inst, first_policy(inst), {"s2": 7})
 
     def test_node_past_the_last_variable(self, instance_b):
         bad = ChanceNode("s", (DecisionNode("x", 0, Leaf()),
