@@ -14,9 +14,14 @@ An instance is one JSON document:
                       "tuples": [[int...]...]}...],
      "objective": {"text": str, "violation_value": num?}?}
 
-The variable array order is the observation/decision order. Unknown keys
-warn instead of failing, for forward compatibility. Emitted files are
-UTF-8 with LF newlines.
+The variable array order is the observation/decision order. The reader
+maps JSON to records and checks only what validation cannot see: that the
+text is JSON, that each node is an object with the keys it needs, that
+each array it walks or hashes is one (variables, constraints, CPT rows and
+givens, table tuples), that no two CPT rows share a given, and that each
+expression text is a string that parses. Unknown keys warn instead of
+failing, for forward compatibility. validate_instance checks every value.
+Emitted files are UTF-8 with LF newlines.
 
 A policy is one compact JSON node: {"kind":"leaf"}, {"kind":"decision",
 "variable":str,"value":int,"child":node} or {"kind":"chance",
@@ -33,7 +38,7 @@ import math
 import warnings
 
 from . import expr as _expr
-from .errors import FormatError, MalformedPolicyError, StocsError
+from .errors import FormatError, InstanceValidationError, MalformedPolicyError, StocsError
 from .model import (
     ConditionalTable,
     Constraint,
@@ -64,11 +69,8 @@ def _require(obj: object, kind: type, what: str, field: str = ""):
     return obj
 
 
-def _warn_unknown(obj: dict, known: tuple[str, ...], what: str) -> None:
-    for key in obj:
-        if key not in known:
-            warnings.warn(f"{what}: ignoring unknown key {key!r}", FormatWarning,
-                          stacklevel=3)
+def _unknown(obj: dict, known: tuple[str, ...], what: str, unknown: list[str]) -> None:
+    unknown += [f"{what}: ignoring unknown key {key!r}" for key in obj if key not in known]
 
 
 def _load_json(text: str) -> object:
@@ -76,168 +78,148 @@ def _load_json(text: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"not valid JSON: {e.msg}", e.lineno, e.colno) from None
+    except UnicodeDecodeError as e:  # bytes given for the text
+        raise FormatError(f"not UTF-8 text ({e.reason} at byte {e.start})") from None
     except ValueError:  # an integer of more digits than sys.get_int_max_str_digits()
         raise FormatError("not valid JSON: an integer literal too long to read") from None
+    except TypeError:
+        raise FormatError(f"not JSON text: got {type(text).__name__}") from None
 
 
-# Each reader tests a whole list in one pass of C loops, and walks it value
-# by value only to word the first value it refuses.
+def _tuple(obj: object) -> object:
+    """A JSON array as a tuple; any other value as it is, for validation."""
+    return tuple(obj) if type(obj) is list else obj
 
-def _int_tuple(obj: object, what: str, field: str = "") -> tuple[int, ...]:
-    if type(obj) is not list or not _only({int}, obj):
-        _require(obj, list, what, field)
-        for v in obj:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise FormatError(f"{what}{field} must contain integers, got {v!r}")
+
+_SCALARS = {int, float, str, bool, type(None)}  # the JSON values that hash
+
+
+def _key(obj: object, what: str, field: str = "") -> tuple:
+    """A JSON array that becomes a dict key or a set member, as a tuple."""
+    if not _only(_SCALARS, _require(obj, list, what, field)):
+        raise FormatError(f"{what}{field} must not hold an array or object")
     return tuple(obj)
 
 
-def _float_tuple(obj: object, what: str, field: str, renormalize: bool) -> tuple[float, ...]:
-    if type(obj) is not list or not (_only({float}, obj) and all(map(math.isfinite, obj))):
-        _require(obj, list, what, field)
-        obj = [_finite(v, what + field) for v in obj]
-    return tuple(_rescale(obj) if renormalize else obj)
-
-
-def _finite(v: object, what: str) -> float:
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise FormatError(f"{what} must contain numbers, got {v!r}")
-    if not math.isfinite(number := _as_float(v)):
-        raise FormatError(f"{what} must contain finite numbers, got {v!r}")
-    return number
-
-
-def _rescale(probs: list[float]) -> list[float]:
-    if any(p < 0.0 for p in probs):
-        return probs  # leave it to validation to refuse
-    total = _total(probs)
-    if not math.isfinite(total):
-        # the entries are finite, so only the sum overflowed: scale first
+def _vector(obj: object, renormalize: bool) -> object:
+    """A probability array as a tuple, with renormalize scaled to sum to 1
+    if its entries are finite, non-negative numbers and not bools."""
+    if not (renormalize and type(obj) is list and _only({int, float}, obj)):
+        return _tuple(obj)
+    probs = [_as_float(p) for p in obj]
+    if not (all(map(math.isfinite, probs)) and min(probs, default=0.0) >= 0.0):
+        return tuple(obj)  # for validation to refuse
+    if not math.isfinite(total := _total(probs)):  # only the sum overflowed: scale first
         peak = max(probs)
         probs = [p / peak for p in probs]
         total = _total(probs)
-    if total <= 0.0:
-        return probs
-    return [p / total for p in probs]
+    return tuple(p / total for p in probs) if total > 0.0 else tuple(obj)
 
 
-def _parse_cpt(obj: object, child: str, renormalize: bool) -> ConditionalTable:
+def _parse_cpt(obj: object, child: object, renormalize: bool,
+               unknown: list[str]) -> ConditionalTable:
     what = f"variable {child} cpt"
     _require(obj, dict, what)
-    _warn_unknown(obj, ("parents", "rows"), what)
+    _unknown(obj, ("parents", "rows"), what, unknown)
     if "parents" not in obj or "rows" not in obj:
         raise FormatError(f"{what} needs parents and rows")
-    parents = _require(obj["parents"], list, what, " parents")
-    for p in parents:
-        _require(p, str, what, " parent")
-    rows: dict[tuple[int, ...], tuple[float, ...]] = {}
+    rows: dict[tuple, object] = {}
     for i, row in enumerate(_require(obj["rows"], list, what, " rows")):
         at = f"{what} row {i}"
         _require(row, dict, at)
-        _warn_unknown(row, ("given", "probabilities"), at)
+        _unknown(row, ("given", "probabilities"), at, unknown)
         if "given" not in row or "probabilities" not in row:
             raise FormatError(f"{at} needs given and probabilities")
-        given = _int_tuple(row["given"], at, " given")
+        given = _key(row["given"], at, " given")
         if given in rows:
             raise FormatError(f"{what} has two rows for {list(given)}")
-        rows[given] = _float_tuple(row["probabilities"], at, " probabilities", renormalize)
-    return ConditionalTable(child, tuple(parents), rows)
+        rows[given] = _vector(row["probabilities"], renormalize)
+    return ConditionalTable(child, _tuple(obj["parents"]), rows)
 
 
-def _parse_variable(obj: object, position: int, renormalize: bool) -> VariableSpec:
+def _parse_variable(obj: object, position: int, renormalize: bool,
+                    unknown: list[str]) -> VariableSpec:
     what = f"variables[{position}]"
     _require(obj, dict, what)
-    _warn_unknown(obj, ("name", "kind", "domain", "probabilities", "cpt"), what)
+    _unknown(obj, ("name", "kind", "domain", "probabilities", "cpt"), what, unknown)
     for key in ("name", "kind", "domain"):
         if key not in obj:
             raise FormatError(f"{what} misses {key!r}")
-    name = _require(obj["name"], str, what, " name")
-    kind = _require(obj["kind"], str, what, " kind")
-    domain = _int_tuple(obj["domain"], what, " domain")
-    probabilities = None
-    if "probabilities" in obj:
-        probabilities = _float_tuple(obj["probabilities"], what, " probabilities", renormalize)
-    cpt = _parse_cpt(obj["cpt"], name, renormalize) if "cpt" in obj else None
-    return VariableSpec(name, kind, domain, probabilities=probabilities, cpt=cpt)
+    probabilities = _vector(obj["probabilities"], renormalize) if "probabilities" in obj else None
+    cpt = _parse_cpt(obj["cpt"], obj["name"], renormalize, unknown) if "cpt" in obj else None
+    return VariableSpec(obj["name"], obj["kind"], _tuple(obj["domain"]), probabilities, cpt)
 
 
-def _parse_constraint(obj: object, position: int) -> Constraint:
+def _parse_constraint(obj: object, position: int, unknown: list[str]) -> Constraint:
     what = f"constraints[{position}]"
     _require(obj, dict, what)
     if obj.get("type") == "expr":
-        _warn_unknown(obj, ("type", "text"), what)
+        _unknown(obj, ("type", "text"), what, unknown)
         if "text" not in obj:
             raise FormatError(f"{what} misses 'text'")
         text = _require(obj["text"], str, what, " text")
         return Constraint((), expression=_expr.parse_expression(text))  # validation adds the scope
     if obj.get("type") == "table":
-        _warn_unknown(obj, ("type", "scope", "tuples"), what)
+        _unknown(obj, ("type", "scope", "tuples"), what, unknown)
         if "scope" not in obj or "tuples" not in obj:
             raise FormatError(f"{what} needs scope and tuples")
-        scope = _require(obj["scope"], list, what, " scope")
-        for s in scope:
-            _require(s, str, what, " scope entry")
         tuples = _require(obj["tuples"], list, what, " tuples")
-        if _only({list}, tuples) and _only({int}, itertools.chain.from_iterable(tuples)):
-            allowed = frozenset(map(tuple, tuples))
-        else:
-            allowed = frozenset(_int_tuple(t, f"{what} tuple {i}") for i, t in enumerate(tuples))
-        return Constraint(scope=tuple(scope), allowed=allowed)
+        if not (_only({list}, tuples) and _only(_SCALARS, itertools.chain.from_iterable(tuples))):
+            for i, t in enumerate(tuples):  # one pass of C loops found a fault: word it
+                _key(t, f"{what} tuple {i}")
+        return Constraint(_tuple(obj["scope"]), frozenset(map(tuple, tuples)))
     raise FormatError(f"{what} type must be 'expr' or 'table', got {obj.get('type')!r}")
 
 
-def parse_instance(text: str, renormalize: bool = False) -> Instance:
-    """Parse and validate one .scsp JSON document.
-
-    With renormalize=True, probability vectors are scaled to sum to 1
-    before validation (negative entries still fail). Every fault of the
-    file's shape is found before any model check runs, so it is the one
-    reported; validation keeps the records built here, but for each
-    expression constraint, which it gives its scope.
-    """
+def _records(text: str, renormalize: bool, unknown: list[str]) -> Instance:
+    """A document's records, unvalidated; ``unknown`` gets a warning per unknown key."""
     doc = _load_json(text)
     _require(doc, dict, "instance document")
-    _warn_unknown(doc, ("name", "theta", "variables", "constraints", "objective"),
-                  "instance document")
+    _unknown(doc, ("name", "theta", "variables", "constraints", "objective"),
+             "instance document", unknown)
     if "theta" not in doc:
         raise FormatError("instance document misses 'theta'")
     if "variables" not in doc:
         raise FormatError("instance document misses 'variables'")
-    theta = doc["theta"]
-    if not isinstance(theta, (int, float)) or isinstance(theta, bool):
-        raise FormatError(f"theta must be a number, got {theta!r}")
     variables = tuple(
-        _parse_variable(v, i, renormalize)
+        _parse_variable(v, i, renormalize, unknown)
         for i, v in enumerate(_require(doc["variables"], list, "variables"))
     )
     constraints = tuple(
-        _parse_constraint(c, i)
+        _parse_constraint(c, i, unknown)
         for i, c in enumerate(_require(doc.get("constraints", []), list, "constraints"))
     )
     objective = None
     if "objective" in doc:
         obj = _require(doc["objective"], dict, "objective")
-        _warn_unknown(obj, ("text", "violation_value"), "objective")
+        _unknown(obj, ("text", "violation_value"), "objective", unknown)
         if "text" not in obj:
             raise FormatError("objective misses 'text'")
-        violation = obj.get("violation_value", 0.0)
-        if not isinstance(violation, (int, float)) or isinstance(violation, bool):
-            raise FormatError(f"violation_value must be a number, got {violation!r}")
-        violation_value = _as_float(violation)
-        if not math.isfinite(violation_value):
-            raise FormatError(f"violation_value must be finite, got {violation!r}")
-        objective = Objective(
-            _expr.parse_expression(_require(obj["text"], str, "objective text")),
-            violation_value,
-        )
-    name = doc.get("name", "")
-    return validate_instance(Instance(
-        variables=variables,
-        constraints=constraints,
-        theta=_as_float(theta),
-        objective=objective,
-        name=_require(name, str, "name"),
-    ))
+        expression = _expr.parse_expression(_require(obj["text"], str, "objective text"))
+        objective = Objective(expression, obj.get("violation_value", 0.0))
+    return Instance(variables, constraints, doc["theta"], objective, doc.get("name", ""))
+
+
+def _parse(text: str, renormalize: bool) -> Instance:
+    """parse_instance and load_instance; each warning names the line that called either."""
+    unknown: list[str] = []
+    try:
+        raw = _records(text, renormalize, unknown)
+    finally:  # a key read before a fault of the file still warns
+        for message in unknown:
+            warnings.warn(message, FormatWarning, stacklevel=3)
+    return validate_instance(raw)
+
+
+def parse_instance(text: str, renormalize: bool = False) -> Instance:
+    """Read one .scsp JSON document and validate its records.
+
+    A fault of the document's shape, which the reader finds (see above),
+    is reported before any other; validate_instance then checks the type
+    and range of every value, in its order and words. With renormalize,
+    probability arrays are scaled to sum to 1 first (see _vector).
+    """
+    return _parse(text, renormalize)
 
 
 def _read(path, error: type[StocsError]) -> str:
@@ -252,11 +234,13 @@ def _read(path, error: type[StocsError]) -> str:
 
 
 def load_instance(path, renormalize: bool = False) -> Instance:
-    return parse_instance(_read(path, FormatError), renormalize=renormalize)
+    return _parse(_read(path, FormatError), renormalize)
 
 
 def dump_instance(instance: Instance) -> str:
     """Serialize an instance; parse_instance inverts it."""
+    if not isinstance(instance, Instance):
+        raise InstanceValidationError(f"not an Instance: {type(instance).__name__}")
     doc: dict[str, object] = {}
     if instance.name:
         doc["name"] = instance.name

@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 import warnings
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence, Set
 from functools import cached_property, reduce
 
 from . import expr as _expr
@@ -288,8 +288,7 @@ def _repr(value, error: type[StocsError], what: str) -> str:
 
 
 def _check_number(v, what: str, error: type[StocsError] = InstanceValidationError) -> float:
-    """_as_float(v) of an int or float that is not a bool, which is all the
-    file reader lets through; any other value is rejected, not converted."""
+    """_as_float(v) of an int or float that is not a bool; any other value is refused."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise error(f"{what}: {_repr(v, error, what)} is not a number")
     return _as_float(v)
@@ -319,6 +318,13 @@ def _total(values) -> float:
     return reduce(operator.add, values, 0.0)
 
 
+def _sequence(value, what: str, field: str):
+    """value, refusing a str, mapping or set: tuple() reads its characters, keys or members."""
+    if type(value) is not tuple and isinstance(value, (str, Mapping, Set)):
+        raise InstanceValidationError(f"{what}: {field} must be a sequence, got {type(value).__name__}")
+    return value
+
+
 def _bad_name(name) -> InstanceValidationError:
     what = _repr(name, InstanceValidationError, "variable name")
     return InstanceValidationError(f"variable name {what} is not an identifier")
@@ -326,7 +332,7 @@ def _bad_name(name) -> InstanceValidationError:
 
 def _check_distribution(probs, domain: tuple[int, ...], what: str) -> tuple[float, ...]:
     """probs as a tuple of floats: the same tuple when it is one already."""
-    if len(probs) != len(domain):
+    if len(_sequence(probs, what, "probabilities")) != len(domain):
         raise ProbabilityLengthMismatchError(
             f"{what}: {len(probs)} probabilities for {len(domain)} domain values"
         )
@@ -354,7 +360,7 @@ def _validate_variable(raw: VariableSpec) -> VariableSpec:
     if raw.kind not in ("decision", "stochastic"):
         kind = _repr(raw.kind, InstanceValidationError, f"variable {name}")
         raise InstanceValidationError(f"variable {name}: unknown kind {kind}")
-    domain = tuple(raw.domain)
+    domain = tuple(_sequence(raw.domain, f"variable {name}", "domain"))
     if not domain:
         raise EmptyDomainError(f"variable {name}: empty domain")
     if not (_only({int}, domain) and -_PRINTABLE < domain[0] and domain[-1] < _PRINTABLE
@@ -398,7 +404,8 @@ def _validate_cpt(var: VariableSpec, variables: tuple[VariableSpec, ...],
         raise InstanceValidationError(
             f"conditional table child {child} attached to variable {var.name!r}"
         )
-    parents = tuple(cpt.parents)
+    label = f"conditional table for {var.name}"
+    parents = tuple(_sequence(cpt.parents, label, "parents"))
     seen = set()
     for p in parents:
         if not isinstance(p, str) or p not in index_of:
@@ -412,7 +419,7 @@ def _validate_cpt(var: VariableSpec, variables: tuple[VariableSpec, ...],
             raise CptParentOrderError(
                 f"conditional table for {var.name}: parent {p} does not precede it"
             )
-    rows = {tuple(given): probs for given, probs in cpt.rows.items()}
+    rows = {tuple(_sequence(given, label, "given")): probs for given, probs in cpt.rows.items()}
     for v in itertools.chain.from_iterable(rows):
         if not isinstance(v, int) or isinstance(v, bool):
             raise InstanceValidationError(
@@ -477,7 +484,7 @@ def _validate_constraint(raw: Constraint, variables: tuple[VariableSpec, ...],
         return raw if type(raw) is Constraint and _same(scope, raw.scope) \
             else Constraint(scope, None, raw.expression)
 
-    scope = tuple(raw.scope)
+    scope = tuple(_sequence(raw.scope, label, "scope"))
     if not scope:
         raise InstanceValidationError(f"{label}: table constraint with empty scope")
     seen = set()
@@ -491,7 +498,7 @@ def _validate_constraint(raw: Constraint, variables: tuple[VariableSpec, ...],
     sets = [frozenset(variables[index_of[name]].domain) for name in scope]
     tuples = raw.allowed
     for t in tuples:
-        t = tuple(t)
+        t = tuple(_sequence(t, label, "tuple"))
         if len(t) != len(scope):
             raise ArityMismatchError(f"{label}: tuple {_repr(t, InstanceValidationError, label)} "
                                      f"has arity {len(t)}, scope has {len(scope)}")
@@ -568,7 +575,8 @@ def validate_instance(raw: Instance) -> Instance:
     except (TypeError, AttributeError) as fault:
         raise InstanceValidationError(f"{label}: {fault}") from None
 
-    name = str(raw.name or "")
+    if not isinstance(name := raw.name, str):
+        raise InstanceValidationError(f"name: {_repr(name, InstanceValidationError, 'name')} is not a str")
     if type(raw) is Instance and _same(variables, raw.variables) and theta is raw.theta \
             and _same(constraints, raw.constraints) and objective is raw.objective and name is raw.name:
         return raw  # every record is normalized already

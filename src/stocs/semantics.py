@@ -110,7 +110,12 @@ def _env(instance: Instance, by_kind: Mapping[str, Mapping[str, int]],
     """The environment list of the values ``by_kind[var.kind]`` gives, read
     in variable order: a value outside its domain raises
     OutOfDomainValueError, and a variable it lacks ``missing(name)``, or
-    stays None without ``missing`` or where its kind has no mapping."""
+    stays None without ``missing`` or where its kind has no mapping. A
+    source that is no mapping raises MissingAssignmentError."""
+    for kind, source in by_kind.items():
+        if not isinstance(source, Mapping):
+            raise MissingAssignmentError(
+                f"{kind} values must come in a mapping, got {type(source).__name__}")
     env: list = [None] * instance.n
     for i, var in enumerate(instance.variables):
         source = by_kind.get(var.kind, ())

@@ -10,6 +10,7 @@ import pytest
 from error_corpus import INSTANCES_DIR, cases, outcome
 from gen import random_cpt_instance, random_instance, random_linear_instance
 from stocs import dump_instance, load_instance, parse_instance, validate_instance
+from stocs.errors import FormatError, InstanceValidationError
 
 EXPECTED = json.loads((Path(__file__).resolve().parent / "error_corpus.json")
                       .read_text(encoding="utf-8"))
@@ -27,10 +28,25 @@ def test_each_fault_gives_its_pinned_error_warnings_and_output(instance, tmp_pat
     assert not wrong
 
 
-def test_a_fault_in_the_file_shape_beats_an_earlier_model_fault():
+def test_model_faults_come_in_validation_order_value_types_included():
+    # variable 1 takes variable 0's name, and the last variable's domain
+    # holds a float: validation checks every name before any domain
     got = EXPECTED["production/duplicate-name-then-float"]
-    assert got["error"] == ["FormatError", "variables[3] domain must contain integers, got 0.5"]
-    assert got["exit"] == 2 and got["stderr"].startswith("error: ")
+    assert got["error"] == ["DuplicateNameError", "duplicate variable name 'x1'"]
+    assert got["exit"] == 2 and got["stderr"] == "error: duplicate variable name 'x1'\n"
+
+
+def test_a_fault_in_the_file_shape_beats_an_earlier_model_fault():
+    # the first variable's float domain value is a model fault; the missing
+    # key of a later constraint is one of the file's shape, and wins
+    doc = json.loads((INSTANCES_DIR / "production.scsp").read_text(encoding="utf-8"))
+    doc["variables"][0]["domain"][0] = 0.5
+    del doc["constraints"][-1]["text"]
+    with pytest.raises(FormatError, match=r"^constraints\[\d+\] misses 'text'$"):
+        parse_instance(json.dumps(doc))
+    del doc["constraints"]
+    with pytest.raises(InstanceValidationError, match="non-integer domain value 0.5$"):
+        parse_instance(json.dumps(doc))
 
 
 @pytest.mark.parametrize("make", [random_instance, random_cpt_instance, random_linear_instance])

@@ -21,15 +21,21 @@ from stocs import (
     parse_instance,
     parse_policy,
     serialize_policy,
+    validate_instance,
 )
 from stocs.cli import main
+from stocs.expr import parse_expression
+from stocs.model import ConditionalTable, Constraint, Instance, Objective, VariableSpec
 from stocs.errors import (
     BadProbabilitySumError,
     FormatError,
+    InstanceValidationError,
     MalformedPolicyError,
     NegativeProbabilityError,
+    NonFiniteProbabilityError,
     ProbabilitiesOnDecisionError,
     ThetaOutOfRangeError,
+    UnknownScopeVariableError,
 )
 from conftest import same_tree
 from test_extensions import coin_chain
@@ -86,29 +92,42 @@ class TestParseInstance:
         with pytest.raises(FormatError):
             parse_instance(json.dumps(doc))
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc.update(variables={}), "^variables must be a list, got dict$"),
-        (lambda doc: doc["variables"][0].pop("name"), r"^variables\[0\] misses 'name'$"),
-        (lambda doc: doc["variables"][1].update(probabilities=["a", 1]),
-         r"^variables\[1\] probabilities must contain numbers, got 'a'$"),
-        (lambda doc: doc["variables"][1].update(cpt={"parents": []}),
+    # a value of the wrong type is validation's to refuse, in its words
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda doc: doc.update(variables={}), FormatError, "^variables must be a list, got dict$"),
+        (lambda doc: doc["variables"][0].pop("name"), FormatError,
+         r"^variables\[0\] misses 'name'$"),
+        (lambda doc: doc["variables"][1].update(probabilities=["a", 1]), InstanceValidationError,
+         r"^variable s: 'a' is not a number$"),
+        (lambda doc: doc["variables"][1].update(cpt={"parents": []}), FormatError,
          "^variable s cpt needs parents and rows$"),
         (lambda doc: doc["variables"][1].update(cpt={"parents": [], "rows": [
-            {"probabilities": [0.5, 0.5]}]}), "^variable s cpt row 0 needs given and probabilities$"),
-        (lambda doc: doc["constraints"][0].pop("text"), r"^constraints\[0\] misses 'text'$"),
-        (lambda doc: doc["constraints"].append({"type": "table", "scope": ["x"]}),
+            {"probabilities": [0.5, 0.5]}]}), FormatError,
+         "^variable s cpt row 0 needs given and probabilities$"),
+        (lambda doc: doc["constraints"][0].pop("text"), FormatError,
+         r"^constraints\[0\] misses 'text'$"),
+        (lambda doc: doc["constraints"].append({"type": "table", "scope": ["x"]}), FormatError,
          r"^constraints\[1\] needs scope and tuples$"),
-        (lambda doc: doc.update(objective={"violation_value": 0}), "^objective misses 'text'$"),
+        (lambda doc: doc.update(objective={"violation_value": 0}), FormatError,
+         "^objective misses 'text'$"),
         (lambda doc: doc.update(objective={"text": "x", "violation_value": "x"}),
-         "^violation_value must be a number, got 'x'$"),
+         InstanceValidationError, "^objective: violation_value: 'x' is not a number$"),
+        # a given or a table tuple is hashed, so it holds no array or object
+        (lambda doc: doc["variables"][1].update(cpt={"parents": [], "rows": [
+            {"given": [[0]], "probabilities": [0.5, 0.5]}]}), FormatError,
+         "^variable s cpt row 0 given must not hold an array or object$"),
+        (lambda doc: doc["constraints"].append({"type": "table", "scope": ["x"],
+                                                "tuples": [[0], [{}]]}), FormatError,
+         r"^constraints\[1\] tuple 1 must not hold an array or object$"),
     ], ids=["variables-object", "no-name", "string-probability", "cpt-no-rows", "cpt-row-no-given",
-            "expr-no-text", "table-no-tuples", "objective-no-text", "string-violation-value"])
-    def test_malformed_documents(self, tmp_path, capsys, edit, message):
+            "expr-no-text", "table-no-tuples", "objective-no-text", "string-violation-value",
+            "array-in-given", "object-in-tuple"])
+    def test_malformed_documents(self, tmp_path, capsys, edit, error, message):
         doc = json.loads(MINIMAL)
         edit(doc)
         path = tmp_path / "bad.scsp"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(FormatError, match=message):
+        with pytest.raises(error, match=message):
             load_instance(path)
         assert main(["solve", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -116,7 +135,7 @@ class TestParseInstance:
     def test_theta_must_be_a_number(self):
         doc = json.loads(MINIMAL)
         doc["theta"] = "half"
-        with pytest.raises(FormatError):
+        with pytest.raises(InstanceValidationError):
             parse_instance(json.dumps(doc))
 
     def test_huge_integer_theta_is_out_of_range(self):
@@ -128,13 +147,13 @@ class TestParseInstance:
     def test_domain_values_must_be_integers(self):
         doc = json.loads(MINIMAL)
         doc["variables"][0]["domain"] = [0, 1.5]
-        with pytest.raises(FormatError):
+        with pytest.raises(InstanceValidationError):
             parse_instance(json.dumps(doc))
 
     def test_booleans_are_not_integers(self):
         doc = json.loads(MINIMAL)
         doc["variables"][0]["domain"] = [False, True]
-        with pytest.raises(FormatError):
+        with pytest.raises(InstanceValidationError):
             parse_instance(json.dumps(doc))
 
     def test_constraint_type_checked(self):
@@ -187,8 +206,8 @@ class TestParseInstance:
     def test_non_finite_probabilities_rejected(self, bad):
         text = MINIMAL.replace('"probabilities": [0.5, 0.5]',
                                f'"probabilities": [{bad}, 1.0]')
-        for renormalize in (False, True):
-            with pytest.raises(FormatError, match="finite"):
+        for renormalize in (False, True):  # renormalize scales no such vector
+            with pytest.raises(NonFiniteProbabilityError, match="finite"):
                 parse_instance(text, renormalize=renormalize)
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
@@ -196,7 +215,7 @@ class TestParseInstance:
     def test_non_finite_violation_value_rejected(self, bad):
         text = MINIMAL.replace('"constraints"',
                                f'"objective": {{"text": "x", "violation_value": {bad}}}, "constraints"')
-        with pytest.raises(FormatError, match="finite"):
+        with pytest.raises(InstanceValidationError, match="finite"):
             parse_instance(text)
 
     def test_non_finite_cpt_row_rejected(self):
@@ -206,7 +225,7 @@ class TestParseInstance:
             "cpt": {"parents": ["x"],
                     "rows": [{"given": [0], "probabilities": [1.0, 0.0]},
                              {"given": [1], "probabilities": [float("nan"), 1.0]}]}}
-        with pytest.raises(FormatError, match="finite"):
+        with pytest.raises(NonFiniteProbabilityError, match="finite"):
             parse_instance(json.dumps(doc), renormalize=True)
 
     def test_renormalize_survives_an_overflowing_sum(self):
@@ -237,6 +256,143 @@ class TestParseInstance:
         for path in instances_dir.glob("*.scsp"):
             inst = load_instance(path)
             assert inst.name == path.stem
+
+
+# one of each record, for the pairs below: x decides, s and t are drawn,
+# t from a table over x; a table constraint and an objective over them
+RECORDS = {
+    "theta": 0.5, "name": "pairs",
+    "variables": [
+        {"name": "x", "kind": "decision", "domain": [0, 1]},
+        {"name": "s", "kind": "stochastic", "domain": [0, 1], "probabilities": [0.5, 0.5]},
+        {"name": "t", "kind": "stochastic", "domain": [0, 1],
+         "cpt": {"parents": ["x"], "rows": [{"given": [0], "probabilities": [0.5, 0.5]},
+                                            {"given": [1], "probabilities": [1.0, 0.0]}]}}],
+    "constraints": [{"type": "expr", "text": "x = s"},
+                    {"type": "table", "scope": ["s", "t"], "tuples": [[0, 0], [1, 1]]}],
+    "objective": {"text": "x + t", "violation_value": 0},
+}
+
+
+def _through_the_api(doc: dict) -> Instance:
+    """The records of an instance document, built with the record classes
+    and no file reader, holding the document's values as they are."""
+    def variable(v):
+        cpt = v.get("cpt")
+        if cpt is not None:
+            cpt = ConditionalTable(v["name"], cpt["parents"],
+                                   {tuple(r["given"]): r["probabilities"] for r in cpt["rows"]})
+        return VariableSpec(v["name"], v["kind"], v["domain"], v.get("probabilities"), cpt)
+
+    def constraint(c):
+        if c["type"] == "expr":
+            return Constraint((), expression=parse_expression(c["text"]))
+        return Constraint(c["scope"], frozenset(map(tuple, c["tuples"])))
+
+    objective = Objective(parse_expression(doc["objective"]["text"]),
+                          doc["objective"]["violation_value"])
+    return Instance(tuple(map(variable, doc["variables"])),
+                    tuple(map(constraint, doc["constraints"])),
+                    doc["theta"], objective, doc["name"])
+
+
+def _edited(path: tuple, value) -> dict:
+    """A copy of RECORDS with ``value`` at ``path``."""
+    doc = json.loads(json.dumps(RECORDS))
+    *head, key = path
+    node = doc
+    for step in head:
+        node = node[step]
+    node[key] = value
+    return doc
+
+
+def _error(check, *args):
+    with pytest.raises(InstanceValidationError) as info:
+        check(*args)
+    return type(info.value), str(info.value)
+
+
+class TestOneCheckOneAnswer:
+    """A field of the wrong type gets validation's error, whether the
+    records come from a file or from the API."""
+
+    @pytest.mark.parametrize("path, value, error, message", [
+        (("variables", 0, "domain"), [0, 0.5], InstanceValidationError,
+         "variable x: non-integer domain value 0.5"),
+        (("variables", 0, "domain"), [False, True], InstanceValidationError,
+         "variable x: non-integer domain value False"),
+        (("variables", 0, "domain"), ["0", "1"], InstanceValidationError,
+         "variable x: non-integer domain value '0'"),
+        (("variables", 0, "domain"), {"0": 0, "1": 1}, InstanceValidationError,
+         "variable x: domain must be a sequence, got dict"),
+        (("variables", 0, "domain"), {0, 1}, InstanceValidationError,  # no file holds a set
+         "variable x: domain must be a sequence, got set"),
+        (("variables", 1, "probabilities"), {"0.5": 0, "0.25": 1}, InstanceValidationError,
+         "variable s: probabilities must be a sequence, got dict"),
+        (("variables", 1, "probabilities"), [float("nan"), 0.5], NonFiniteProbabilityError,
+         "variable s: non-finite probability nan"),
+        (("variables", 1, "probabilities"), [0.5, float("inf")], NonFiniteProbabilityError,
+         "variable s: non-finite probability inf"),
+        (("theta",), "0.5", InstanceValidationError, "theta: '0.5' is not a number"),
+        (("name",), 3, InstanceValidationError, "name: 3 is not a str"),
+        (("variables", 1, "name"), 7, InstanceValidationError,
+         "variable name 7 is not an identifier"),
+        (("variables", 2, "cpt", "parents"), [0], UnknownScopeVariableError,
+         "conditional table for t: unknown parent 0"),
+        (("variables", 2, "cpt", "rows", 0, "given"), [0.0], InstanceValidationError,
+         "conditional table for t: non-integer parent value 0.0"),
+        (("constraints", 1, "tuples"), [[0, 0], [1, 1.0]], InstanceValidationError,
+         "constraint 1: non-integer table value 1.0"),
+        (("objective", "violation_value"), "0", InstanceValidationError,
+         "objective: violation_value: '0' is not a number"),
+    ], ids=["float-in-domain", "bool-in-domain", "str-in-domain", "dict-domain", "set-domain",
+            "dict-probabilities", "nan-probability", "inf-probability", "str-theta", "int-name",
+            "int-variable-name", "int-cpt-parent", "float-cpt-given", "float-table-value",
+            "str-violation-value"])
+    def test_a_file_and_the_api_get_the_same_error(self, path, value, error, message):
+        doc = _edited(path, value)
+        api = _error(validate_instance, _through_the_api(doc))
+        assert api == (error, message)
+        if not isinstance(value, set):
+            assert _error(parse_instance, json.dumps(doc)) == api
+
+    def test_the_records_without_a_fault_are_valid(self):
+        assert validate_instance(_through_the_api(RECORDS)) == parse_instance(json.dumps(RECORDS))
+
+
+class TestEntryTypes:
+    @pytest.mark.parametrize("reader", [parse_instance, parse_policy])
+    def test_a_reader_refuses_what_is_no_text(self, reader):
+        with pytest.raises(FormatError, match="^not JSON text: got int$"):
+            reader(5)
+
+    def test_bytes_that_are_not_utf8_are_no_json(self):
+        with pytest.raises(FormatError, match="^not UTF-8 text"):
+            parse_instance(b"\xff")
+
+    def test_dump_instance_refuses_what_is_no_instance(self):
+        with pytest.raises(InstanceValidationError, match="^not an Instance: NoneType$"):
+            dump_instance(None)
+
+
+class TestUnknownKeyWarnings:
+    """Each unknown key warns from the line that called the reader."""
+
+    @pytest.mark.parametrize("path", [
+        ("note",), ("variables", 0, "note"), ("variables", 2, "cpt", "note"),
+        ("variables", 2, "cpt", "rows", 1, "note"), ("constraints", 0, "note"),
+        ("constraints", 1, "note"), ("objective", "note"),
+    ], ids=["document", "variable", "cpt", "cpt-row", "expr-constraint", "table-constraint",
+            "objective"])
+    def test_the_warning_names_the_caller(self, path, tmp_path):
+        doc = _edited(path, 1)
+        file = tmp_path / "notes.scsp"
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        for read, arg in ((parse_instance, json.dumps(doc)), (load_instance, file)):
+            with pytest.warns(FormatWarning, match="ignoring unknown key 'note'") as caught:
+                read(arg)
+            assert [w.filename for w in caught] == [__file__]
 
 
 class TestInstanceRoundTrip:

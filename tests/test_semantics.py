@@ -117,6 +117,15 @@ class TestScenarioProbability:
         with pytest.raises(OutOfDomainValueError, match=r"^x=9 not in domain \(0, 1\)$"):
             scenario_probability(inst, {}, decisions={"x": 9})
 
+    @pytest.mark.parametrize("scenario, decisions, message", [
+        (None, None, "^stochastic values must come in a mapping, got NoneType$"),
+        ({"s": 0}, [("x", 0)], "^decision values must come in a mapping, got list$"),
+    ], ids=["no-scenario", "list-of-decisions"])
+    def test_values_must_come_in_a_mapping(self, scenario, decisions, message):
+        inst = make_instance([("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5))])
+        with pytest.raises(MissingAssignmentError, match=message):
+            scenario_probability(inst, scenario, decisions)
+
     def test_probabilities_sum_to_one_over_all_scenarios(self):
         rng = random.Random(11)
         for _ in range(25):
@@ -147,6 +156,11 @@ class TestCheckAssignment:
     def test_the_first_fault_in_variable_order_is_reported(self, instance_a):
         with pytest.raises(PartialAssignmentError, match="^no value for variable x$"):
             check_assignment(instance_a, {"s": 7})
+
+    def test_values_must_come_in_a_mapping(self, instance_a):
+        with pytest.raises(MissingAssignmentError,
+                           match="^decision values must come in a mapping, got NoneType$"):
+            check_assignment(instance_a, None)
 
 
 class TestPolicySatisfaction:
@@ -270,7 +284,8 @@ class TestInducedAssignment:
         ({}, MissingAssignmentError, "^scenario misses stochastic variable s$"),
         ({"s": 7}, OutOfDomainValueError, r"^s=7 not in domain \(0, 1\)$"),
         ({"s": 10**5000}, OutOfDomainValueError, "^s: an integer too long to print$"),
-    ], ids=["missing", "out-of-domain", "past-the-digit-limit"])
+        (None, MissingAssignmentError, "^stochastic values must come in a mapping, got NoneType$"),
+    ], ids=["missing", "out-of-domain", "past-the-digit-limit", "no-mapping"])
     def test_bad_scenario(self, instance_b, scenario, error, message):
         with pytest.raises(error, match=message):
             induced_assignment(instance_b, recourse_b(), scenario)
