@@ -27,7 +27,9 @@ A policy is one compact JSON node: {"kind":"leaf"}, {"kind":"decision",
 "variable":str,"value":int,"child":node} or {"kind":"chance",
 "variable":str,"children":[node...]}. It is written as a graph: each
 distinct subtree once, and each later occurrence as {"ref":k}, where k
-numbers the non-leaf nodes in preorder of their first occurrence.
+numbers the non-leaf nodes in preorder of their first occurrence. The
+reader checks only the JSON shape it builds nodes from (see parse_policy);
+semantics._check_policy checks every value against an instance.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .model import (
     _as_float,
     _only,
     _total,
-    validate_instance,
+    _validate,
 )
 from .semantics import LEAF, ChanceNode, DecisionNode, Leaf, PolicyNode
 
@@ -208,7 +210,7 @@ def _parse(text: str, renormalize: bool) -> Instance:
     finally:  # a key read before a fault of the file still warns
         for message in unknown:
             warnings.warn(message, FormatWarning, stacklevel=3)
-    return validate_instance(raw)
+    return _validate(raw, 4)
 
 
 def parse_instance(text: str, renormalize: bool = False) -> Instance:
@@ -342,9 +344,11 @@ def serialize_policy(policy: PolicyNode) -> str:
 def parse_policy(text: str) -> PolicyNode:
     """Read a policy from JSON, rebuilding the subtrees its refs share.
 
-    A ref must name a node already read in full: one not yet numbered
-    dangles, and one still being read is an ancestor (a cycle). A policy
-    nested too deeply is malformed.
+    Each node must be an object of a known kind, a decision must have a
+    child and a chance node a children array; each variable and value passes
+    through as JSON gives it, or as None when absent. A ref must name a node
+    already read in full: one not yet numbered dangles, and one still being
+    read is an ancestor (a cycle). A policy nested too deeply is malformed.
     """
     nodes: list[PolicyNode | None] = []  # by number; None while being read
 
@@ -369,21 +373,13 @@ def parse_policy(text: str) -> PolicyNode:
         k = len(nodes)
         nodes.append(None)
         if kind == "decision":
-            if not isinstance(obj.get("variable"), str):
-                raise MalformedPolicyError("decision node needs a variable name")
-            value = obj.get("value")
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise MalformedPolicyError("decision node needs an integer value")
             if "child" not in obj:
                 raise MalformedPolicyError("decision node needs a child")
-            node = DecisionNode(obj["variable"], value, decode(obj["child"]))
+            node = DecisionNode(obj.get("variable"), obj.get("value"), decode(obj["child"]))
         elif kind == "chance":
-            if not isinstance(obj.get("variable"), str):
-                raise MalformedPolicyError("chance node needs a variable name")
-            children = obj.get("children")
-            if not isinstance(children, list) or not children:
+            if not isinstance(children := obj.get("children"), list):
                 raise MalformedPolicyError("chance node needs a children array")
-            node = ChanceNode(obj["variable"], tuple(decode(c) for c in children))
+            node = ChanceNode(obj.get("variable"), tuple(decode(c) for c in children))
         else:
             raise MalformedPolicyError(f"unknown policy node kind {kind!r}")
         nodes[k] = node

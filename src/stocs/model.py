@@ -106,10 +106,7 @@ class Objective:
 
 
 def table_constraint(scope: Sequence[str], tuples: Sequence[Sequence[int]]) -> Constraint:
-    return Constraint(
-        scope=tuple(scope),
-        allowed=frozenset(map(tuple, tuples)),
-    )
+    return Constraint(scope, frozenset(map(tuple, tuples)))  # validation reads the scope
 
 
 def expr_constraint(text_or_ast) -> Constraint:
@@ -524,6 +521,11 @@ def validate_instance(raw: Instance) -> Instance:
     Idempotent: validating a normalized instance returns that instance. A
     record or field of the wrong type raises InstanceValidationError.
     """
+    return _validate(raw, 3)
+
+
+def _validate(raw: Instance, stacklevel: int) -> Instance:
+    """validate_instance; a ViolationValueWarning names the line ``stacklevel`` frames up."""
     label = "variables"  # the record read, whose label a field of the wrong type takes
     try:
         variables_in_order = tuple(raw.variables)
@@ -564,12 +566,9 @@ def validate_instance(raw: Instance) -> Instance:
             domain_of = {v.name: v.domain for v in variables}
             low, _ = _expr.interval_range(objective.expression, domain_of)
             if violation > low:
-                warnings.warn(
-                    f"violation_value {violation} exceeds the objective's lower bound {low}; "
-                    "violating leaves may be preferred to satisfying ones",
-                    ViolationValueWarning,
-                    stacklevel=2,
-                )
+                warnings.warn(f"violation_value {violation} exceeds the objective's lower bound {low}; "
+                              "violating leaves may be preferred to satisfying ones",
+                              ViolationValueWarning, stacklevel)
             if type(objective) is not Objective or violation is not objective.violation_value:
                 objective = Objective(objective.expression, violation)
     except (TypeError, AttributeError) as fault:

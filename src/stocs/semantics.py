@@ -92,8 +92,12 @@ class SatisfactionResult:
     stats: SearchStats
 
 
-def _not_in_domain(error: type[StocsError], label: str, value, domain) -> StocsError:
-    return error(f"{label}={_repr(value, error, label)} not in domain {domain}")
+def _check_value(error: type[StocsError], var, value, what: str = "") -> None:
+    """Raise ``error`` unless value is of var's domain and an int, not a bool, as validation
+    reads a domain value (1 == 1.0 == True, so ``in`` alone lets both pass)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value not in var.domain:
+        label = what + var.name
+        raise error(f"{label}={_repr(value, error, label)} not in domain {var.domain}")
 
 
 def _misplaced(expected: str, node) -> MalformedPolicyError:
@@ -120,10 +124,8 @@ def _env(instance: Instance, by_kind: Mapping[str, Mapping[str, int]],
     for i, var in enumerate(instance.variables):
         source = by_kind.get(var.kind, ())
         if var.name in source:
-            value = source[var.name]
-            if value not in var.domain:
-                raise _not_in_domain(OutOfDomainValueError, var.name, value, var.domain)
-            env[i] = value
+            env[i] = source[var.name]
+            _check_value(OutOfDomainValueError, var, env[i])
         elif missing is not None and var.kind in by_kind:
             raise missing(var.name)
     return env
@@ -164,9 +166,10 @@ def check_assignment(instance: Instance, assignment: Mapping[str, int]) -> bool:
 
 def _check_policy(instance: Instance, policy: PolicyNode) -> None:
     """Raise MalformedPolicyError unless ``policy`` is a policy tree of the
-    instance. The check goes depth by depth over the distinct node objects
-    at each depth, in the order they are first reached, so it sees every
-    node once per depth, also below a violated constraint or a
+    instance: the one check of each node's class, variable, value and
+    children, read or built. It goes depth by depth over the distinct node
+    objects at each depth, in the order they are first reached, so it sees
+    every node once per depth, also below a violated constraint or a
     zero-probability value, and reports a shallowest fault."""
     level = {id(policy): policy}
     for depth, var in enumerate(instance.variables):
@@ -175,13 +178,14 @@ def _check_policy(instance: Instance, policy: PolicyNode) -> None:
             if var.kind == "decision":
                 if not isinstance(node, DecisionNode) or node.variable != var.name:
                     raise _misplaced(f"a decision node for {var.name} at depth {depth}", node)
-                if node.chosen_value not in var.domain:
-                    raise _not_in_domain(MalformedPolicyError, f"decision {var.name}",
-                                         node.chosen_value, var.domain)
+                _check_value(MalformedPolicyError, var, node.chosen_value, "decision ")
                 below[id(node.child)] = node.child
             else:
                 if not isinstance(node, ChanceNode) or node.variable != var.name:
                     raise _misplaced(f"a chance node for {var.name} at depth {depth}", node)
+                if not isinstance(node.children, (tuple, list)):
+                    raise MalformedPolicyError(f"chance node for {var.name}: children must be a "
+                                               f"tuple or list, got {type(node.children).__name__}")
                 if len(node.children) != len(var.domain):
                     raise MalformedPolicyError(f"chance node for {var.name} has "
                                                f"{len(node.children)} children, "

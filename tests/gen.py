@@ -215,15 +215,17 @@ def random_linear_instance(rng: random.Random, min_vars: int = 3,
         ))
 
 
-def random_policy(rng: random.Random, instance: Instance, depth: int = 0):
+def random_policy(rng: random.Random, instance: Instance, depth: int = 0,
+                  extra: tuple = ()):
+    """A policy tree; each decision takes a value of its domain or of ``extra``."""
     if depth == instance.n:
         return Leaf()
     var = instance.variables[depth]
     if var.kind == "decision":
-        return DecisionNode(var.name, rng.choice(var.domain),
-                            random_policy(rng, instance, depth + 1))
+        return DecisionNode(var.name, rng.choice(var.domain + extra),
+                            random_policy(rng, instance, depth + 1, extra))
     return ChanceNode(var.name, tuple(
-        random_policy(rng, instance, depth + 1) for _ in var.domain
+        random_policy(rng, instance, depth + 1, extra) for _ in var.domain
     ))
 
 

@@ -12,6 +12,7 @@ from stocs import (
     DecisionNode,
     FormatWarning,
     Leaf,
+    ViolationValueWarning,
     bt_decide,
     bt_max,
     dump_instance,
@@ -20,6 +21,7 @@ from stocs import (
     load_instance,
     parse_instance,
     parse_policy,
+    policy_satisfaction,
     serialize_policy,
     validate_instance,
 )
@@ -394,6 +396,16 @@ class TestUnknownKeyWarnings:
                 read(arg)
             assert [w.filename for w in caught] == [__file__]
 
+    def test_the_violation_value_warning_names_the_caller(self, tmp_path):
+        doc = _edited(("objective", "violation_value"), 100)
+        file = tmp_path / "high.scsp"
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        for check, arg in ((parse_instance, json.dumps(doc)), (load_instance, file),
+                           (validate_instance, _through_the_api(doc))):
+            with pytest.warns(ViolationValueWarning, match="^violation_value 100.0 exceeds") as caught:
+                check(arg)
+            assert [w.filename for w in caught] == [__file__]
+
 
 class TestInstanceRoundTrip:
     def test_shipped_files(self, instances_dir):
@@ -464,11 +476,6 @@ class TestPolicyFormat:
         '"leaf"',
         '{"kind": "branch"}',
         '{"kind": "decision", "variable": "x", "value": 0}',
-        '{"kind": "decision", "value": 0, "child": {"kind": "leaf"}}',
-        '{"kind": "chance", "children": [{"kind": "leaf"}]}',
-        '{"kind": "decision", "variable": "x", "value": true,'
-        ' "child": {"kind": "leaf"}}',
-        '{"kind": "chance", "variable": "s", "children": []}',
         '{"kind": "chance", "variable": "s"}',
         # refs: dangling, to an ancestor, not a non-negative int, with other keys
         '{"ref": 0}',
@@ -489,6 +496,23 @@ class TestPolicyFormat:
         # a bad ref is refused for the ref, not for a missing kind
         with pytest.raises(MalformedPolicyError, match="ref" if '"ref"' in doc else None):
             parse_policy(doc)
+
+    @pytest.mark.parametrize("doc", [
+        '{"kind": "decision", "value": 0, "child": {"kind": "leaf"}}',
+        '{"kind": "chance", "children": [{"kind": "leaf"}]}',
+        '{"kind": "decision", "variable": "x", "value": true,'
+        ' "child": {"kind": "leaf"}}',
+        '{"kind": "chance", "variable": "s", "children": []}',
+    ])
+    def test_the_policy_check_refuses_what_the_reader_maps(self, doc, instance_a, instances_dir,
+                                                            tmp_path, capsys):
+        # the reader builds nodes of these; the check of their values refuses them
+        with pytest.raises(MalformedPolicyError):
+            policy_satisfaction(instance_a, parse_policy(doc))
+        path = tmp_path / "p.json"
+        path.write_text(doc, encoding="utf-8")
+        assert main(["eval", str(instances_dir / "a.scsp"), "--policy", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_shared_policy_bytes_are_pinned(self):
         # non-leaf nodes are numbered in preorder of first occurrence:

@@ -526,6 +526,15 @@ class TestValuesAreCheckedNotConverted:
         with pytest.raises(InstanceValidationError, match="non-integer table value True"):
             build([x], [table_constraint(["x"], [[True]])])
 
+    def test_table_constraint_keeps_a_str_scope_whole(self):
+        # tuple("xs") would read its characters as the scope ("x", "s")
+        x, s = VariableSpec("x", "decision", (0, 1)), VariableSpec("s", "stochastic", (0, 1), (0.5, 0.5))
+        constraint = table_constraint("xs", [(0, 1)])
+        assert constraint.scope == "xs"
+        with pytest.raises(InstanceValidationError,
+                           match="^constraint 0: scope must be a sequence, got str$"):
+            build([x, s], [constraint])
+
 
 class TestObjectiveWarning:
     def test_warns_when_violation_can_beat_the_objective(self):

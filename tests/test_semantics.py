@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 import time
 from pathlib import Path
 
@@ -22,10 +23,12 @@ from stocs import (
     monte_carlo_policy_eval,
     oracle_max_satisfaction,
     parse_expression,
+    parse_policy,
     policy_expected_value,
     policy_satisfaction,
     scenario_probability,
     scenarios,
+    serialize_policy,
 )
 from stocs.errors import (
     MalformedPolicyError,
@@ -301,6 +304,116 @@ class TestInducedAssignment:
         with pytest.raises(MalformedPolicyError,
                            match=r"^expected a leaf at depth 2, got DecisionNode"):
             induced_assignment(instance_b, bad, {"s": 1})
+
+
+COIN_JSON = '{"kind": "chance", "variable": "s", "children": [{"kind": "leaf"}, {"kind": "leaf"}]}'
+COIN = ChanceNode("s", (Leaf(), Leaf()))
+
+
+def _decision_json(fields: str, child: str = COIN_JSON) -> str:
+    return f'{{"kind": "decision", {fields}"child": {child}}}'
+
+
+# each fault of a policy on instance a, as a file and as API nodes, and the one message for both
+POLICY_FAULTS = {
+    "bool": (_decision_json('"variable": "x", "value": true, '), DecisionNode("x", True, COIN),
+             r"^decision x=True not in domain \(0, 1\)$"),
+    "float": (_decision_json('"variable": "x", "value": 1.0, '), DecisionNode("x", 1.0, COIN),
+              r"^decision x=1.0 not in domain \(0, 1\)$"),
+    "out-of-domain": (_decision_json('"variable": "x", "value": 5, '), DecisionNode("x", 5, COIN),
+                      r"^decision x=5 not in domain \(0, 1\)$"),
+    "missing-variable": (_decision_json('"value": 0, '), DecisionNode(None, 0, COIN),
+                         "^expected a decision node for x at depth 0, got DecisionNode"
+                         r"\(variable=None, "),
+    "wrong-variable": (_decision_json('"variable": "y", "value": 0, '), DecisionNode("y", 0, COIN),
+                       "^expected a decision node for x at depth 0, got DecisionNode"
+                       r"\(variable='y', "),
+    "wrong-child-count": (
+        _decision_json('"variable": "x", "value": 0, ',
+                       '{"kind": "chance", "variable": "s", "children": [{"kind": "leaf"}]}'),
+        DecisionNode("x", 0, ChanceNode("s", (Leaf(),))),
+        "^chance node for s has 1 children, domain has 2$"),
+    "empty-children": (
+        _decision_json('"variable": "x", "value": 0, ',
+                       '{"kind": "chance", "variable": "s", "children": []}'),
+        DecisionNode("x", 0, ChanceNode("s", ())),
+        "^chance node for s has 0 children, domain has 2$"),
+    "leaf-too-early": (_decision_json('"variable": "x", "value": 0, ', '{"kind": "leaf"}'),
+                       DecisionNode("x", 0, Leaf()),
+                       r"^expected a chance node for s at depth 1, got Leaf\(\)$"),
+    "past-depth-n": (
+        _decision_json('"variable": "x", "value": 0, ',
+                       '{"kind": "chance", "variable": "s", "children": ['
+                       + _decision_json('"variable": "x", "value": 0, ', '{"kind": "leaf"}')
+                       + ', {"kind": "leaf"}]}'),
+        DecisionNode("x", 0, ChanceNode("s", (DecisionNode("x", 0, Leaf()), Leaf()))),
+        "^expected a leaf at depth 2, got DecisionNode"),
+}
+
+WALKERS = (policy_satisfaction, sampled, induced)
+
+
+def _refusal(walk, instance, policy):
+    """The class and message a walk raises for a policy, or None if it accepts it."""
+    try:
+        walk(instance, policy)
+    except MalformedPolicyError as e:
+        return type(e), str(e)
+    return None
+
+
+class TestOneCheckOneAnswer:
+    """_check_policy is the one check of a policy's values, for files and API nodes alike."""
+
+    @pytest.mark.parametrize("fault", POLICY_FAULTS)
+    def test_a_file_and_its_nodes_get_one_answer(self, fault, instance_a):
+        text, nodes, message = POLICY_FAULTS[fault]
+        parsed = parse_policy(text)
+        for walk in WALKERS:
+            answer = _refusal(walk, instance_a, nodes)
+            assert answer is not None and re.search(message, answer[1])
+            assert _refusal(walk, instance_a, parsed) == answer
+
+    @pytest.mark.parametrize("children, kind", [
+        (lambda: None, "NoneType"), (lambda: 2, "int"),
+        (lambda: (Leaf() for _ in range(2)), "generator"), (lambda: "ab", "str"),
+        (lambda: {0: Leaf(), 1: Leaf()}, "dict"),
+    ], ids=["none", "int", "generator", "str", "dict"])
+    def test_children_must_be_a_tuple_or_list(self, children, kind, instance_a):
+        for walk in WALKERS:
+            with pytest.raises(MalformedPolicyError,
+                               match=f"^chance node for s: children must be a tuple or list, got {kind}$"):
+                walk(instance_a, DecisionNode("x", 0, ChanceNode("s", children())))
+
+    def test_list_children_are_read_as_a_tuple(self, instance_a):
+        policy = DecisionNode("x", 0, ChanceNode("s", [Leaf(), Leaf()]))
+        assert [walk(instance_a, policy) for walk in WALKERS] == \
+            [walk(instance_a, rigid_a(0)) for walk in WALKERS]
+
+    def test_a_round_trip_keeps_the_verdict(self):
+        rng = random.Random(61)
+        verdicts = set()
+        for _ in range(200):
+            inst = random_instance(rng)
+            policy = random_policy(rng, inst, extra=(True, False, 1.0))
+            answer = _refusal(policy_satisfaction, inst, policy)
+            again = parse_policy(serialize_policy(policy))
+            assert _refusal(policy_satisfaction, inst, again) == answer
+            if answer is None:
+                assert again == policy
+            verdicts.add(answer is None)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, 0.0], ids=["true", "false", "1.0", "0.0"])
+    def test_assignment_and_scenario_values_are_ints(self, value, instance_a):
+        message = rf"^(x|s)={value!r} not in domain \(0, 1\)$"
+        for check in (lambda: check_assignment(instance_a, {"x": value, "s": 0}),
+                      lambda: check_assignment(instance_a, {"x": 0, "s": value}),
+                      lambda: scenario_probability(instance_a, {"s": value}),
+                      lambda: scenario_probability(instance_a, {"s": 0}, {"x": value}),
+                      lambda: induced_assignment(instance_a, rigid_a(0), {"s": value})):
+            with pytest.raises(OutOfDomainValueError, match=message):
+                check()
 
 
 class TestEnumeration:
