@@ -37,19 +37,23 @@ integer: x * 2**-53 < c exactly when x < ceil(c * 2**53), so bisecting
 x into thresholds ceil(c * 2**53) over the cumulative probabilities c
 finds the value the spec above names.
 
-The walk by draw stops after the first batch that completes the trie:
+The walk by draw stops at the end of the sample that completes the trie:
 every branch that owns a draw in [0, 2**53) is built at every built
-state. If every leaf reached has one outcome, each remaining sample ends
-in it, so the count is the full walk's; sure and hopeless policies cost
-one batch. Otherwise the rest of the stream is counted by draw class.
-The thresholds of the tables built at a variable's depth, the rows some
-draw reaches, cut [0, 2**53) into intervals, and all draws in one
-interval take one value at every state of that variable. bytes.translate
-maps each word's top byte to its interval; only a draw whose top byte
-spans a threshold is bisected. A Counter counts the samples' tuples of
-intervals, and each distinct tuple walks the trie once. A variable with
-more than 254 intervals, or under four remaining samples per possible
-tuple, keeps the walk by draw to the end.
+state. Completion is checked only where a branch is built, so a draw that
+follows a built branch does no extra work. If every leaf reached has one
+outcome, each remaining sample ends in it, so the count is the full
+walk's; sure and hopeless policies stop inside their first batch.
+Otherwise the rest of the stream, from the next sample on, is counted by
+draw class. The thresholds of the tables built at a variable's depth, the
+rows some draw reaches, cut [0, 2**53) into intervals, and all draws in
+one interval take one value at every state of that variable.
+bytes.translate maps each word's top byte to its interval; only a draw
+whose top byte spans a threshold is bisected. A sample's intervals pack
+into one mixed-radix integer, a lane of 1, 2 or 4 bytes, and a Counter
+counts those integers. One depth-first walk over the intervals' product
+then scores them, each prefix once. More than 254 intervals at one
+variable, more than 2**32 possible tuples, or under four remaining
+samples per possible tuple keep the walk by draw to the end.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from bisect import bisect_right
 from collections import Counter
 from functools import cache
 from itertools import accumulate
+from operator import length_hint
 
 from . import semantics
 from ._record import record
@@ -75,6 +80,7 @@ from .model import Instance, _check_number, _repr
 from .semantics import (
     PolicyNode,
     _check_depth,
+    _check_instance,
     _check_policy,
     _policy_value,
     _remember,
@@ -381,57 +387,86 @@ class _PathTrie:
 
         Every path passes one chance state per stochastic variable, so the
         draws form one flat stream and a sample ends every m-th draw. Its
-        batches hold whole samples. They are walked draw by draw until one
-        leaves no reachable branch to build. With one leaf outcome, the
-        remaining samples then count without being drawn: none could differ.
-        With both, and a class table for every position (``_classes``), the
-        rest of the stream is counted by draw class (``_count``).
+        batches hold whole samples. They are walked draw by draw
+        (``_walk_draws``) up to the end of the sample that leaves no
+        reachable branch to build. With one leaf outcome, the remaining
+        samples then count without being drawn: none could differ. With
+        both, and a class table for every position (``_classes``), the rest
+        of the stream, from the next sample on, is counted by draw class
+        (``_count``).
         """
         root_state, root_ok = self.root
         if root_state is None:  # no stochastic variable: every sample is alike
             return n if root_ok else 0
-        grow = self.grow
-        state = root_state
-        wins = used = 0
         m = len(self.instance.stochastic_indices)
+        left = n * m  # draws not mixed yet
+        wins = 0
         classes = None
         counts: Counter = Counter()
-        for count, z in _words(seed, n * m, m * max(1, _CHUNK // m)):
-            if classes:
-                self._count(counts, count, z, classes)
-                if len(counts) > semantics.CACHE_ENTRIES:  # memory stays bounded, whatever n is
-                    wins += self._score(counts, classes)
-                    counts.clear()
-                continue
-            # bits 64 to 96 of a lane are clear, so >> 11 keeps 53 clean bits;
-            # lanes are unpacked little-endian on every host
-            for x in struct.unpack("<" + "Q8x" * count, (z >> 11).to_bytes(16 * count, "little")):
-                i = bisect_right(state.cum, x)
-                branch = state.branches[i]
-                if branch is None:
-                    branch = grow(state, i)
-                state, ok = branch
-                if state is None:
-                    wins += ok
-                    state = root_state
-            used += count
-            if not self.open and classes is None:
+        for count, z in _words(seed, left, m * max(1, _CHUNK // m)):
+            left -= count
+            start = 0  # the batch's first draw to count
+            if not classes:
+                # bits 64 to 96 of a lane are clear, so >> 11 keeps 53 clean bits;
+                # lanes are unpacked little-endian on every host
+                draws = iter(struct.unpack("<" + "Q8x" * count,
+                                           (z >> 11).to_bytes(16 * count, "little")))
+                wins += self._walk_draws(draws)
+                if self.open or classes is not None:
+                    continue
+                rest = length_hint(draws)  # the batch's draws after the completing sample
+                samples = (left + rest) // m
                 if len(self.outcomes) == 1:
                     # every draw from here on follows built branches to this outcome
-                    return wins + (n - used // m) * next(iter(self.outcomes))
-                classes = self._classes(n - used // m)
+                    return wins + samples * next(iter(self.outcomes))
+                classes = self._classes(samples)
+                if not classes:
+                    wins += self._walk_draws(draws)
+                    continue
+                start = count - rest
+            self._count(counts, z.to_bytes(16 * count, "little")[16 * start:], classes)
+            if len(counts) > semantics.CACHE_ENTRIES:  # memory stays bounded, whatever n is
+                wins += self._score(counts, classes)
+                counts.clear()
         return wins + self._score(counts, classes)
 
-    def _classes(self, samples: int) -> list[tuple[bytes, list[int]]]:
+    def _walk_draws(self, draws) -> int:
+        """Satisfying samples among the whole samples ``draws`` yields,
+        walked draw by draw from the root. The walk stops at the end of the
+        sample that completes the trie and leaves its later draws in
+        ``draws``; completion is checked only where a branch is built."""
+        root_state = state = self.root[0]
+        grow = self.grow
+        wins = 0
+        for x in draws:
+            i = bisect_right(state.cum, x)
+            branch = state.branches[i]
+            if branch is None:
+                branch = grow(state, i)
+                if not self.open:  # the rest of this sample follows built branches
+                    state, ok = branch
+                    while state is not None:
+                        state, ok = state.branches[bisect_right(state.cum, next(draws))]
+                    return wins + ok
+            state, ok = branch
+            if state is None:
+                wins += ok
+                state = root_state
+        return wins
+
+    def _classes(self, samples: int) -> list[tuple[bytes, list[int], int]]:
         """Per stochastic position, a 256-entry ``bytes.translate`` table from a
         draw's top byte (``x >> 45``) to its interval among the thresholds of
-        the tables built at that depth, and the intervals' lower ends. On a
-        complete trie those are the tables of the rows some draw reaches. A
-        top byte whose draws span a threshold maps to ``_STRADDLE``.
+        the tables built at that depth, the intervals' lower ends, and the
+        position's radix in a tuple's index: the product of the earlier
+        positions' interval counts. On a complete trie the thresholds are
+        those of the rows some draw reaches. A top byte whose draws span a
+        threshold maps to ``_STRADDLE``.
 
-        Empty when some position has more than 254 intervals, or when
-        ``samples`` is under four per tuple of intervals: samples that seldom
-        repeat a tuple cost more to count than to walk."""
+        Empty when some position has more than 254 intervals, when the
+        tuples of intervals pass 2**32 (a 4-byte index), or when ``samples``
+        is under four per tuple: samples that seldom repeat a tuple cost
+        more to count than to walk."""
         stochastic = self.instance.stochastic_indices
         cuts: dict[int, set[int]] = {depth: set() for depth in stochastic}
         for (depth, _), cum in self.tables.items():
@@ -440,8 +475,9 @@ class _PathTrie:
         tuples = 1
         for depth in stochastic:
             bounds = sorted(cuts[depth])
+            radix = tuples
             tuples *= len(bounds) + 1
-            if len(bounds) > 253 or 4 * tuples > samples:
+            if len(bounds) > 253 or 4 * tuples > samples or tuples > 2 ** 32:
                 return []
             table = bytearray(256)
             for k, t in enumerate(bounds, 1):
@@ -449,25 +485,29 @@ class _PathTrie:
                 table[b:] = bytes([k]) * (256 - b)
                 if t & (2 ** 45 - 1):  # t lies inside top byte b's draws
                     table[b] = _STRADDLE
-            out.append((bytes(table), [0, *bounds]))
+            out.append((bytes(table), [0, *bounds], radix))
         return out
 
-    def _count(self, counts: Counter, count: int, z: int, classes: list) -> None:
-        """Add the interval tuples of one batch of ``count`` words (``z``, as
-        ``_words`` yields them) to ``counts``.
+    def _count(self, counts: Counter, words: bytes, classes: list) -> None:
+        """Add the tuple indices of the whole samples in ``words`` (16
+        little-endian bytes a word, as ``_words`` mixes them) to ``counts``.
 
-        The batch holds whole samples, so stochastic position j takes every
-        m-th word from the j-th. The top bytes of such a column map to
-        intervals through the position's class table; a draw whose top byte
-        spans a threshold is bisected whole. Samples whose draws fall in the
-        same intervals take the same values at every state, so each distinct
-        tuple of intervals is walked once (``_score``).
+        Stochastic position j takes every m-th word from the j-th. The top
+        bytes of such a column map to intervals through the position's class
+        table; a draw whose top byte spans a threshold is bisected whole.
+        Samples whose draws fall in the same intervals take the same values
+        at every state, so a sample counts as the index sum(k_j * radix_j)
+        of its intervals k_j. Each column, widened to one lane of 1, 2 or 4
+        bytes a sample, times its radix, adds into one integer: no lane
+        carries, since every index is below the tuple count.
         """
         m = len(classes)
-        words = z.to_bytes(16 * count, "little")
+        _, lows, radix = classes[-1]
+        tuples = radix * len(lows)
+        lane, code = (1, "B") if tuples <= 2 ** 8 else (2, "H") if tuples <= 2 ** 16 else (4, "I")
         tops = words[7::16]
-        columns = []
-        for j, (table, lows) in enumerate(classes):
+        index = 0
+        for j, (table, lows, radix) in enumerate(classes):
             column = tops[j::m].translate(table)
             k = column.find(_STRADDLE)
             if k >= 0:
@@ -477,18 +517,34 @@ class _PathTrie:
                     x = int.from_bytes(words[at:at + 8], "little") >> 11
                     column[k] = bisect_right(lows, x) - 1
                     k = column.find(_STRADDLE, k + 1)
-            columns.append(column)
-        counts.update(zip(*columns))
+            if lane > 1:
+                wide = bytearray(lane * len(column))
+                wide[::lane] = column
+                column = wide
+            index += int.from_bytes(column, "little") * radix
+        size = lane * (len(tops) // m)
+        counts.update(memoryview(index.to_bytes(size, sys.byteorder)).cast(code))
 
     def _score(self, counts: Counter, classes: list) -> int:
-        """Satisfying samples among ``counts`` of interval tuples, walking
-        each tuple once from the root."""
+        """Satisfying samples among ``counts`` of tuple indices, in one
+        depth-first walk over the product of the intervals, so each prefix
+        of a tuple is walked once. Below a failed constraint no tuple wins."""
+        if not counts:
+            return 0
+        get = counts.get
         wins = 0
-        for key, times in counts.items():
-            state = self.root[0]
-            for k, (_, lows) in zip(key, classes):
-                state, ok = state.branches[bisect_right(state.cum, lows[k])]
-            wins += ok * times
+        stack = [(self.root[0], 0, 0)]  # a state, its position and its prefix's index
+        while stack:
+            state, j, index = stack.pop()
+            _, lows, radix = classes[j]
+            for k, low in enumerate(lows):
+                child, ok = state.branches[bisect_right(state.cum, low)]
+                if not ok:
+                    continue
+                if child is None:
+                    wins += get(index + k * radix, 0)
+                else:
+                    stack.append((child, j + 1, index + k * radix))
         return wins
 
 
@@ -519,6 +575,7 @@ def monte_carlo_policy_eval(instance: Instance, policy: PolicyNode, n: int,
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise StocsError(f"seed {_repr(seed, StocsError, 'seed')} must be an integer")
     seed &= _MASK64
+    _check_instance(instance)  # the walk is not recursive: no depth limit
     _check_policy(instance, policy)
     wins = 0 if instance.constant_false else _PathTrie(instance, policy).wins(n, seed)
     estimate = wins / n

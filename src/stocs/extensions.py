@@ -121,8 +121,8 @@ def _value(t: float) -> float:
 
 def policy_expected_value(instance: Instance, policy: PolicyNode) -> float:
     """Expected objective value of a policy, violation_value on bad leaves."""
-    split = _split_objective(instance)
     _check_depth(instance)
+    split = _split_objective(instance)
     _check_policy(instance, policy)
     (point,) = _frontier(instance, split, lambda points, depth: points, policy)
     return _value(point[1])
@@ -262,8 +262,8 @@ def optimize_expected(instance: Instance) -> OptimizeResult:
     found first in domain order; elsewhere to a hull vertex. Also reports
     the winning policy's satisfaction probability.
     """
-    split = _split_objective(instance)
     _check_depth(instance)
+    split = _split_objective(instance)
     (point,) = _frontier(instance, split,
                          lambda points, depth: _hull(points, *split.slopes[depth]))
     return _result(instance, point)
@@ -276,10 +276,10 @@ def optimize_chance_constrained(instance: Instance, theta: float | None = None,
     Exact; ``cap`` bounds the points a frontier may keep, and
     FrontierCapExceededError reports a larger frontier.
     """
+    _check_depth(instance)
     threshold = instance.theta if theta is None else _check_theta(theta)
     split = _split_objective(instance)
     _check_cap(cap)
-    _check_depth(instance)
     points = _frontier(instance, split,
                        lambda points, depth: _pareto(points, split.slopes[depth][0], cap))
     feasible = [p for p in points if p[0] >= threshold - PROB_TOL]

@@ -40,7 +40,7 @@ import math
 import warnings
 
 from . import expr as _expr
-from .errors import FormatError, InstanceValidationError, MalformedPolicyError, StocsError
+from .errors import FormatError, MalformedPolicyError, StocsError
 from .model import (
     ConditionalTable,
     Constraint,
@@ -52,7 +52,15 @@ from .model import (
     _total,
     _validate,
 )
-from .semantics import LEAF, ChanceNode, DecisionNode, Leaf, PolicyNode
+from .semantics import (
+    LEAF,
+    ChanceNode,
+    DecisionNode,
+    Leaf,
+    PolicyNode,
+    _check_children,
+    _check_instance,
+)
 
 __all__ = [
     "FormatWarning",
@@ -241,8 +249,7 @@ def load_instance(path, renormalize: bool = False) -> Instance:
 
 def dump_instance(instance: Instance) -> str:
     """Serialize an instance; parse_instance inverts it."""
-    if not isinstance(instance, Instance):
-        raise InstanceValidationError(f"not an Instance: {type(instance).__name__}")
+    _check_instance(instance)
     doc: dict[str, object] = {}
     if instance.name:
         doc["name"] = instance.name
@@ -327,6 +334,7 @@ def serialize_policy(policy: PolicyNode) -> str:
             return write("}")
         if not isinstance(node, ChanceNode):
             raise MalformedPolicyError(f"not a policy node: {node!r}")
+        _check_children(node.variable, node.children)
         write(f'{{"kind":"chance","variable":{text(node.variable)},"children":[')
         for i, child in enumerate(node.children):
             if i:

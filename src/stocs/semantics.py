@@ -26,6 +26,7 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 from ._record import record
 from .errors import (
     InstanceTooDeepError,
+    InstanceValidationError,
     MalformedPolicyError,
     MissingAssignmentError,
     MissingParentValueError,
@@ -183,9 +184,7 @@ def _check_policy(instance: Instance, policy: PolicyNode) -> None:
             else:
                 if not isinstance(node, ChanceNode) or node.variable != var.name:
                     raise _misplaced(f"a chance node for {var.name} at depth {depth}", node)
-                if not isinstance(node.children, (tuple, list)):
-                    raise MalformedPolicyError(f"chance node for {var.name}: children must be a "
-                                               f"tuple or list, got {type(node.children).__name__}")
+                _check_children(var.name, node.children)
                 if len(node.children) != len(var.domain):
                     raise MalformedPolicyError(f"chance node for {var.name} has "
                                                f"{len(node.children)} children, "
@@ -197,6 +196,13 @@ def _check_policy(instance: Instance, policy: PolicyNode) -> None:
             raise _misplaced(f"a leaf at depth {instance.n}", node)
 
 
+def _check_children(name: str, children) -> None:
+    """Raise MalformedPolicyError unless a chance node's children are a tuple or list."""
+    if not isinstance(children, (tuple, list)):
+        raise MalformedPolicyError(f"chance node for {name}: children must be a "
+                                   f"tuple or list, got {type(children).__name__}")
+
+
 def _remember(memo: dict, key: tuple | None, result):
     """Store a subtree result under its key (None: not cached) while there is room."""
     if key is not None and len(memo) < CACHE_ENTRIES:
@@ -204,9 +210,17 @@ def _remember(memo: dict, key: tuple | None, result):
     return result
 
 
+def _check_instance(instance: Instance) -> None:
+    """Raise InstanceValidationError unless ``instance`` is an Instance."""
+    if not isinstance(instance, Instance):
+        raise InstanceValidationError(f"not an Instance: {type(instance).__name__}")
+
+
 def _check_depth(instance: Instance) -> None:
-    """Raise InstanceTooDeepError when a recursion taking one frame per
-    variable would pass the recursion limit (never raised here)."""
+    """Raise InstanceValidationError for a non-Instance, and
+    InstanceTooDeepError when a recursion taking one frame per variable
+    would pass the recursion limit (never raised here)."""
+    _check_instance(instance)
     frames = instance.n + _FRAME_MARGIN
     limit = sys.getrecursionlimit()
     if frames > limit:

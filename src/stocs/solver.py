@@ -318,6 +318,7 @@ def _run_max(instance: Instance, fc: bool, rules: PruneRules | None) -> Satisfac
 def _run_decide(instance: Instance, fc: bool, theta_override: float | None,
                 rules: PruneRules | None) -> DecideResult:
     rules = _check_rules(rules)
+    _check_depth(instance)
     theta = instance.theta if theta_override is None else _check_theta(theta_override)
     required = max(0.0, theta - PROB_TOL)
     if required <= 0.0:

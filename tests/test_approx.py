@@ -3,7 +3,9 @@ import random
 import struct
 import sys
 from bisect import bisect_right
+from collections import Counter
 from itertools import accumulate, islice
+from operator import length_hint
 
 import pytest
 
@@ -592,6 +594,23 @@ class TestSettledStop:
         got = monte_carlo_policy_eval(*_hopeless_case(), 10 ** 6, seed=1)
         assert (got.estimate, got.ci_low, chunks) == (0.0, 0.0, [CHUNK])
 
+    def test_a_sure_witness_stops_inside_its_batch(self, monkeypatch, instance_b):
+        # the walk stops at the end of the sample that builds the last branch
+        chunks = _count_chunks(monkeypatch)
+        left = []
+        walk = approx._PathTrie._walk_draws
+
+        def recording(trie, draws):
+            wins = walk(trie, draws)
+            left.append(length_hint(draws))  # the batch's draws not walked
+            return wins
+
+        monkeypatch.setattr(approx._PathTrie, "_walk_draws", recording)
+        n = 3 * CHUNK
+        assert (approx._PathTrie(instance_b, SURE_B).wins(n, 1)
+                == _reference_wins(instance_b, SURE_B, n, 1) == n)
+        assert chunks == [CHUNK] and len(left) == 1 and left[0] > CHUNK // 2
+
     def test_mixed_outcomes_draw_every_chunk(self, monkeypatch):
         chunks = _count_chunks(monkeypatch)
         inst, policy = _shared_case()
@@ -655,9 +674,9 @@ def _record_counted(monkeypatch):
     counted = []
     count = approx._PathTrie._count
 
-    def recording(trie, counts, words, z, classes):
-        counted.append(words)
-        return count(trie, counts, words, z, classes)
+    def recording(trie, counts, words, classes):
+        counted.append(len(words) // 16)
+        return count(trie, counts, words, classes)
 
     monkeypatch.setattr(approx._PathTrie, "_count", recording)
     return counted
@@ -715,7 +734,9 @@ class TestCountingPath:
         (0.1, 0.2, 0.3, 0.15, 0.25),
     ])
     def test_class_tables_pick_what_bisecting_picks(self, probs):
-        (table, lows), _ = _complete_trie(*_table_case(probs))._classes(10 ** 9)
+        (table, lows, radix), (_, t_lows, t_radix) = \
+            _complete_trie(*_table_case(probs))._classes(10 ** 9)
+        assert (radix, t_radix) == (1, len(lows)) and len(t_lows) == 2
         cum = approx._cum(probs)
         probes = {0, 2 ** 53 - 1}
         for t in cum:
@@ -743,12 +764,27 @@ class TestCountingPath:
             # the walk takes the first batches and the count the rest, in whole samples
             assert 0 < sum(counted) < n * m and all(c % m == 0 for c in counted)
 
+    @pytest.mark.parametrize("case", [lambda: _table_case(THIRDS), _cpt_case, _shared_case])
+    def test_counting_starts_at_the_sample_after_completion(self, monkeypatch, case):
+        # the first counted slice is the rest of the first batch, in whole samples
+        chunks = _count_chunks(monkeypatch)
+        counted = _record_counted(monkeypatch)
+        inst, policy = case()
+        m = len(inst.stochastic_indices)
+        for n, seed in ((3000, 3), (4001, MASK64)):
+            chunks.clear()
+            counted.clear()
+            trie = approx._PathTrie(inst, policy)
+            assert trie.wins(n, seed) == _reference_wins(inst, policy, n, seed)
+            assert 0 < counted[0] < chunks[0] and counted[0] % m == 0
+            assert counted[1:] == chunks[1:]
+
     def test_a_conditional_position_unites_its_rows(self, monkeypatch):
         counted = _record_counted(monkeypatch)
         inst, policy = _cpt_case()
         rows = inst.variables[2].cpt.rows.values()
         assert len({tuple(approx._cum(probs)) for probs in rows}) == 3
-        _, (_, lows) = _complete_trie(inst, policy)._classes(10 ** 9)
+        _, (_, lows, _) = _complete_trie(inst, policy)._classes(10 ** 9)
         assert len(lows) == 7  # six distinct thresholds below 2**53
         for n, seed in ((3000, 3), (5000, 2 ** 64 + 11)):
             counted.clear()
@@ -763,7 +799,7 @@ class TestCountingPath:
         trie = approx._PathTrie(inst, policy)
         assert trie.wins(4000, 7) == _reference_wins(inst, policy, 4000, 7)
         assert counted
-        (_, s1_lows), (_, s2_lows) = trie._classes(10 ** 9)
+        (_, s1_lows, _), (_, s2_lows, _) = trie._classes(10 ** 9)
         assert (len(s1_lows), len(s2_lows)) == (2, 5)
 
     def test_a_full_count_table_is_scored_and_emptied(self, monkeypatch):
@@ -792,7 +828,11 @@ class TestCountingPath:
         trie = approx._PathTrie(inst, policy)
         n = 140_000
         assert trie.wins(n, 7) == _reference_wins(inst, policy, n, 7)
-        assert bool(trie._classes(4 * 127 * 254)) == counts
+        classes = trie._classes(4 * 127 * 254)
+        assert bool(classes) == counts
+        if counts:  # 32,258 tuples: each sample's index takes a 2-byte lane
+            (_, lows, radix), = classes[1:]
+            assert radix * len(lows) == 127 * 254
         # the trie is complete with both outcomes: only the limit decides
         assert (trie.open, len(trie.outcomes), bool(counted)) == (0, 2, counts)
 
@@ -802,11 +842,36 @@ class TestCountingPath:
         inst, policy = _table_case((0.1, 0.2, 0.3, 0.05, 0.15, 0.1, 0.1))
         trie = _complete_trie(inst, policy)
         assert trie._classes(4 * 14) and not trie._classes(4 * 14 - 1)
-        for n, want in ((CHUNK // 2 + 55, False), (CHUNK // 2 + 56, True)):
+        # seed 1's stream completes the trie at its sample ``done``
+        counted.clear()
+        approx._PathTrie(inst, policy).wins(CHUNK, 1)
+        done = CHUNK - sum(counted) // 2
+        for n, want in ((done + 55, False), (done + 56, True)):
             counted.clear()
             trie = approx._PathTrie(inst, policy)
             assert trie.wins(n, 1) == _reference_wins(inst, policy, n, 1)
             assert (trie.open, bool(counted)) == (0, want)
+
+    def test_four_byte_lanes_count_what_the_walk_counts(self):
+        # 41 ** 3 = 68,921 tuples pass 2**16, so each sample's index takes a
+        # 4-byte lane; the thresholds k / 41 fall inside top bytes
+        values = tuple(range(41))
+        inst = make_instance([(f"s{j}", "s", values, (1 / 41,) * 41) for j in range(3)],
+                             [expr_constraint("s2 != 0")])
+        policy = ChanceNode("s0", (ChanceNode("s1", (ChanceNode("s2", (Leaf(),) * 41),) * 41),) * 41)
+        trie = _complete_trie(inst, policy)
+        # counting needs four samples per tuple, so the classes are built for
+        # a stream that long and applied to a short one
+        classes = trie._classes(4 * 41 ** 3)
+        assert [radix for _, _, radix in classes] == [1, 41, 41 ** 2]
+        assert all(approx._STRADDLE in table for table, _, _ in classes)
+        n = 1500
+        for seed in (5, MASK64):
+            counts = Counter()
+            for count, z in approx._words(seed, 3 * n, 3 * 200):
+                trie._count(counts, z.to_bytes(16 * count, "little"), classes)
+            assert sum(counts.values()) == n and max(counts) > 2 ** 16
+            assert trie._score(counts, classes) == _reference_wins(inst, policy, n, seed)
 
     @pytest.mark.parametrize("chunk", [1, 2, 7, None])
     def test_samples_past_a_whole_batch_match_the_per_sample_loop(self, monkeypatch, chunk):

@@ -13,24 +13,31 @@ from stocs import (
     DecisionNode,
     Leaf,
     Objective,
+    bt_max,
     check_assignment,
     enumerate_policies,
     expr_constraint,
+    fc_decide,
     first_policy,
     induced_assignment,
     is_satisfiable_oracle,
     load_instance,
     monte_carlo_policy_eval,
+    most_probable_scenario_policy,
+    optimize_chance_constrained,
+    optimize_expected,
     oracle_max_satisfaction,
     parse_expression,
     parse_policy,
     policy_expected_value,
     policy_satisfaction,
+    restricted_tree_bounds,
     scenario_probability,
     scenarios,
     serialize_policy,
 )
 from stocs.errors import (
+    InstanceValidationError,
     MalformedPolicyError,
     MissingAssignmentError,
     OracleCapExceededError,
@@ -380,9 +387,9 @@ class TestOneCheckOneAnswer:
         (lambda: {0: Leaf(), 1: Leaf()}, "dict"),
     ], ids=["none", "int", "generator", "str", "dict"])
     def test_children_must_be_a_tuple_or_list(self, children, kind, instance_a):
-        for walk in WALKERS:
-            with pytest.raises(MalformedPolicyError,
-                               match=f"^chance node for s: children must be a tuple or list, got {kind}$"):
+        message = f"^chance node for s: children must be a tuple or list, got {kind}$"
+        for walk in (*WALKERS, lambda _, policy: serialize_policy(policy)):
+            with pytest.raises(MalformedPolicyError, match=message):
                 walk(instance_a, DecisionNode("x", 0, ChanceNode("s", children())))
 
     def test_list_children_are_read_as_a_tuple(self, instance_a):
@@ -414,6 +421,24 @@ class TestOneCheckOneAnswer:
                       lambda: induced_assignment(instance_a, rigid_a(0), {"s": value})):
             with pytest.raises(OutOfDomainValueError, match=message):
                 check()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: monte_carlo_policy_eval("x", Leaf(), 10, 1),
+    lambda: restricted_tree_bounds("x", epsilon=0.1),
+    lambda: most_probable_scenario_policy("x"),
+    lambda: bt_max("x"),
+    lambda: fc_decide("x"),
+    lambda: policy_satisfaction("x", Leaf()),
+    lambda: policy_expected_value("x", Leaf()),
+    lambda: optimize_expected("x"),
+    lambda: optimize_chance_constrained("x", 0.5),
+], ids=["monte-carlo", "bounds", "heuristic", "bt-max", "fc-decide", "satisfaction",
+        "expected-value", "optimize-expected", "optimize-chance-constrained"])
+def test_a_non_instance_raises_a_typed_error(call):
+    # each entry checks its instance before it reads one
+    with pytest.raises(InstanceValidationError, match="^not an Instance: str$"):
+        call()
 
 
 class TestEnumeration:
