@@ -182,7 +182,10 @@ def restricted_tree_bounds(instance: Instance, epsilon: float | None = None,
             env[depth] = None
         return _remember(memo, key, (lb, ub + unexplored))
 
-    lb, ub = walk(0)
+    try:
+        lb, ub = walk(0)
+    finally:  # walk refers to itself: free the cycle, memo and all, with the call
+        del walk
     lb = min(1.0, max(0.0, lb))
     ub = min(1.0, max(lb, ub))
     return Interval(lb, ub)
@@ -219,10 +222,13 @@ def most_probable_scenario_policy(instance: Instance) -> HeuristicPolicy:
             env[depth] = None
         return False
 
-    if not solve(0):
-        raise NoHeuristicPolicyError(
-            "the most probable scenario admits no satisfying decisions"
-        )
+    try:
+        if not solve(0):
+            raise NoHeuristicPolicyError(
+                "the most probable scenario admits no satisfying decisions"
+            )
+    finally:  # solve refers to itself: free the cycle with the call
+        del solve
 
     policy = _rigid_policies(instance, env)[0]  # well formed, so scored without _check_policy
     return HeuristicPolicy(policy, _policy_value(instance, policy))

@@ -285,7 +285,10 @@ def _render(node: Expr, name_text: Callable[[str], str], python: bool) -> str:
             node = node.left
         return wrap(node, level) + "".join(reversed(tail))
 
-    return render(node)
+    try:
+        return render(node)
+    finally:  # render -> wrap -> render is a cycle: free it with the call
+        del render
 
 
 def format_expression(node: Expr) -> str:
@@ -359,16 +362,17 @@ def key_getters(n: int, index_of: dict[str, int], scopes: list, expressions: lis
     raw: list[set[int]] = [set() for _ in range(n)]
     sums: list[set[tuple[tuple[int, ...], tuple[int, ...]]]] = [set() for _ in range(n)]
 
-    def add(node: Expr, depths: range) -> None:
+    stack = list(expressions)  # (node, depths) still to key, in any order: keys are sets
+    while stack:
+        node, depths = stack.pop()
         signed = [(1, node.left), (-1, node.right)] if _level(node) == _LEVEL_CMP else [(1, node)]
         coefs, terms = _linear(index_of, *signed)
         if terms == [node]:  # not linear: key each operand
             spine, leftmost = _spine(node, (node.op,))
-            for operand in [getattr(node, "operand", leftmost)] + [p.right for p in spine]:
-                add(operand, depths)
-            return
-        for term in terms:
-            add(term, depths)
+            operands = [getattr(node, "operand", leftmost)] + [p.right for p in spine]
+            stack += [(operand, depths) for operand in operands]
+            continue
+        stack += [(term, depths) for term in terms]
         order = sorted(i for i, c in coefs.items() if c)
         for d in depths:
             k = bisect_left(order, d)  # the assigned variables
@@ -377,8 +381,6 @@ def key_getters(n: int, index_of: dict[str, int], scopes: list, expressions: lis
             elif k:
                 sums[d].add((tuple(order[:k]), tuple([coefs[i] for i in order[:k]])))
 
-    for node, depths in expressions:
-        add(node, depths)
     for positions, depths in scopes:
         for i in positions:
             for d in range(max(i + 1, depths.start), depths.stop):

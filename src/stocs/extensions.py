@@ -180,6 +180,8 @@ def _frontier(instance: Instance, split: _Split, prune, policy: PolicyNode | Non
         return walk(0, policy)
     except OverflowError:
         raise InstanceValidationError(_PAST_RANGE) from None
+    finally:  # walk refers to itself: free the cycle, memo and all, with the call
+        del walk
 
 
 def _hull(points: list, lo: float, hi: float) -> list:
@@ -252,7 +254,10 @@ def _result(instance: Instance, point: tuple) -> OptimizeResult:
         nodes[id(point)] = node
         return node
 
-    return OptimizeResult(build(0, point), _value(point[1]), point[0])
+    try:
+        return OptimizeResult(build(0, point), _value(point[1]), point[0])
+    finally:  # build refers to itself: free the cycle with the call
+        del build
 
 
 def optimize_expected(instance: Instance) -> OptimizeResult:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import warnings
 
 from . import expr as _expr
@@ -233,7 +234,12 @@ def parse_instance(text: str, renormalize: bool = False) -> Instance:
 
 
 def _read(path, error: type[StocsError]) -> str:
-    """The UTF-8 text of a file; other bytes raise ``error``."""
+    """The UTF-8 text of a file; other bytes, and a path that is not str,
+    bytes or os.PathLike, raise ``error``."""
+    try:
+        path = os.fspath(path)  # open() would read and close an int as a file descriptor
+    except TypeError as e:
+        raise error(str(e)) from None
     try:
         with open(path, "rb", buffering=0) as handle:
             text = handle.read().decode("utf-8")
@@ -342,7 +348,10 @@ def serialize_policy(policy: PolicyNode) -> str:
             encode(child)
         write("]}")
 
-    encode(policy)
+    try:
+        encode(policy)
+    finally:  # encode refers to itself: free the cycle with the call
+        del encode
     if failed:  # json's first error; a ValueError is an int past the digit limit
         raise (MalformedPolicyError("policy holds an integer too long to write")
                if isinstance(failed[0], ValueError) else failed[0]) from None
@@ -397,3 +406,5 @@ def parse_policy(text: str) -> PolicyNode:
         return decode(_load_json(text))
     except RecursionError:
         raise MalformedPolicyError("policy nests too deeply to read") from None
+    finally:  # decode refers to itself: free the cycle with the call
+        del decode

@@ -140,6 +140,7 @@ def scenario_probability(instance: Instance, scenario: Mapping[str, int],
     decision parents, from ``decisions``. Without tables this is the
     product of the outcome's independent probabilities.
     """
+    _check_instance(instance)
     env = _env(instance, {"stochastic": scenario, "decision": decisions or {}}, None)
     product = 1.0
     for i in instance.stochastic_indices:
@@ -159,6 +160,7 @@ def scenario_probability(instance: Instance, scenario: Mapping[str, int],
 
 def check_assignment(instance: Instance, assignment: Mapping[str, int]) -> bool:
     """True iff the complete assignment satisfies every constraint."""
+    _check_instance(instance)
     env = _env(instance, {"decision": assignment, "stochastic": assignment},
                lambda name: PartialAssignmentError(f"no value for variable {name}"))
     return not instance.constant_false and all(
@@ -268,7 +270,10 @@ def _policy_value(instance: Instance, policy: PolicyNode) -> float:
             env[depth] = None
         return _remember(memo, key, value)
 
-    return walk(0, policy)
+    try:
+        return walk(0, policy)
+    finally:  # walk refers to itself: free the cycle, memo and all, with the call
+        del walk
 
 
 def policy_satisfaction(instance: Instance, policy: PolicyNode) -> float:
@@ -336,21 +341,23 @@ def oracle_max_satisfaction(instance: Instance, cap: int = ORACLE_CAP) -> Satisf
 
 def is_satisfiable_oracle(instance: Instance, theta: float | None = None,
                           cap: int = ORACLE_CAP) -> bool:
+    _check_instance(instance)  # before theta is read; the enumeration checks the depth
     threshold = instance.theta if theta is None else _check_theta(theta)
     return oracle_max_satisfaction(instance, cap=cap).probability >= threshold - PROB_TOL
 
 
 def scenarios(instance: Instance) -> Iterator[dict[str, int]]:
     """All complete stochastic outcomes, in domain order per variable."""
+    _check_instance(instance)  # at the call, not at the first outcome
     names = [instance.variables[i].name for i in instance.stochastic_indices]
     domains = [instance.variables[i].domain for i in instance.stochastic_indices]
-    for combo in itertools.product(*domains):
-        yield dict(zip(names, combo))
+    return (dict(zip(names, combo)) for combo in itertools.product(*domains))
 
 
 def induced_assignment(instance: Instance, policy: PolicyNode,
                        scenario: Mapping[str, int]) -> dict[str, int]:
     """Complete assignment obtained by running the policy on a scenario."""
+    _check_instance(instance)
     _check_policy(instance, policy)
     env = _env(instance, {"stochastic": scenario}, _missing)
     node = policy
@@ -383,4 +390,5 @@ def _rigid_policies(instance: Instance,
 def first_policy(instance: Instance) -> PolicyNode:
     """The first policy in enumeration order: decision variables take their
     first domain value, and chance nodes repeat one subtree per value."""
+    _check_instance(instance)
     return _rigid_policies(instance)[0]

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import re
 import warnings
@@ -25,6 +26,7 @@ from stocs import (
     serialize_policy,
     validate_instance,
 )
+from stocs import formats
 from stocs.cli import main
 from stocs.expr import parse_expression
 from stocs.model import ConditionalTable, Constraint, Instance, Objective, VariableSpec
@@ -372,6 +374,21 @@ class TestEntryTypes:
     def test_bytes_that_are_not_utf8_are_no_json(self):
         with pytest.raises(FormatError, match="^not UTF-8 text"):
             parse_instance(b"\xff")
+
+    @pytest.mark.parametrize("read, error", [
+        (load_instance, FormatError),
+        (lambda path: formats._read(path, MalformedPolicyError), MalformedPolicyError),
+    ], ids=["instance", "policy"])
+    def test_a_file_reader_takes_no_descriptor(self, read, error):
+        r, w = os.pipe()
+        os.write(w, MINIMAL.encode())
+        os.close(w)  # a reader of r would find the text's end, not wait
+        for path in (r, True, None, 1.5, [str(r)]):
+            with pytest.raises(error, match="^expected str, bytes or os.PathLike object, not "):
+                read(path)
+        os.fstat(r)  # not closed
+        assert os.read(r, len(MINIMAL) + 1) == MINIMAL.encode()  # nor read
+        os.close(r)
 
     def test_dump_instance_refuses_what_is_no_instance(self):
         with pytest.raises(InstanceValidationError, match="^not an Instance: NoneType$"):

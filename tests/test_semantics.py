@@ -424,21 +424,30 @@ class TestOneCheckOneAnswer:
 
 
 @pytest.mark.parametrize("call", [
-    lambda: monte_carlo_policy_eval("x", Leaf(), 10, 1),
-    lambda: restricted_tree_bounds("x", epsilon=0.1),
-    lambda: most_probable_scenario_policy("x"),
-    lambda: bt_max("x"),
-    lambda: fc_decide("x"),
-    lambda: policy_satisfaction("x", Leaf()),
-    lambda: policy_expected_value("x", Leaf()),
-    lambda: optimize_expected("x"),
-    lambda: optimize_chance_constrained("x", 0.5),
+    lambda bad: monte_carlo_policy_eval(bad, Leaf(), 10, 1),
+    lambda bad: restricted_tree_bounds(bad, epsilon=0.1),
+    lambda bad: most_probable_scenario_policy(bad),
+    lambda bad: bt_max(bad),
+    lambda bad: fc_decide(bad),
+    lambda bad: policy_satisfaction(bad, Leaf()),
+    lambda bad: policy_expected_value(bad, Leaf()),
+    lambda bad: optimize_expected(bad),
+    lambda bad: optimize_chance_constrained(bad, 0.5),
+    lambda bad: first_policy(bad),
+    lambda bad: scenarios(bad),  # at the call, before the first outcome is asked for
+    lambda bad: check_assignment(bad, {}),
+    lambda bad: scenario_probability(bad, {}),
+    lambda bad: induced_assignment(bad, Leaf(), {}),
+    lambda bad: is_satisfiable_oracle(bad),
 ], ids=["monte-carlo", "bounds", "heuristic", "bt-max", "fc-decide", "satisfaction",
-        "expected-value", "optimize-expected", "optimize-chance-constrained"])
+        "expected-value", "optimize-expected", "optimize-chance-constrained",
+        "first-policy", "scenarios", "check-assignment", "scenario-probability",
+        "induced-assignment", "oracle-decide"])
 def test_a_non_instance_raises_a_typed_error(call):
     # each entry checks its instance before it reads one
-    with pytest.raises(InstanceValidationError, match="^not an Instance: str$"):
-        call()
+    for bad, name in (("x", "str"), (None, "NoneType")):
+        with pytest.raises(InstanceValidationError, match=f"^not an Instance: {name}$"):
+            call(bad)
 
 
 class TestEnumeration:
