@@ -26,6 +26,7 @@ import itertools
 import re
 from bisect import bisect_left
 from collections.abc import Callable
+from functools import cached_property
 from operator import itemgetter, mul
 
 from ._record import record
@@ -35,6 +36,7 @@ from .errors import (
     ExpressionSyntaxError,
     ExpressionTooDeepError,
     InstanceValidationError,
+    UnknownScopeVariableError,
 )
 
 __all__ = [
@@ -46,7 +48,58 @@ __all__ = [
 
 @record
 class Expr:
-    pass
+    """An expression node. Its facts below are pure functions of the tree,
+    and nodes are immutable, so each is computed on first use and kept on
+    the node, as ``Instance`` keeps its views; a failure is never kept.
+    Equal texts parse to one shared tree (parse_expression), so a model
+    family's instances share them."""
+
+    @cached_property
+    def _typed(self) -> tuple[tuple[str, ...], str]:
+        """infer_type's names, in first-occurrence order, and kind."""
+        names: dict = {}
+        kind = infer_type(self, names)
+        return tuple(names), kind
+
+    @cached_property
+    def _code(self) -> tuple[str, tuple]:
+        """compile_expression's source with a field ``{k}`` for the position
+        of names[k], and the names: one per occurrence, in rendering order."""
+        names: list = []
+
+        def field(name: str) -> str:
+            names.append(name)
+            return f"env[{{{len(names) - 1}}}]"
+
+        return "lambda env: " + _render(self, field, python=True), tuple(names)
+
+    @cached_property
+    def _sum(self) -> tuple[tuple[tuple[str, int], ...], tuple]:
+        """_form of the node alone, frozen: (name, coefficient) pairs and other terms."""
+        coefs, terms = _form((1, self))
+        return tuple(coefs.items()), tuple(terms)
+
+    @cached_property
+    def _keys(self) -> tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]:
+        """The linear forms whose assigned part keys a subtree (key_getters),
+        as (names, coefficients): of a linear node (``+``, ``-``, unary
+        minus, products with a literal; a comparison as left - right) the
+        sum of its variable terms, then the forms of its other terms; of
+        any other node, its operands' forms."""
+        forms = []
+        stack = [self]  # nodes still to key, in any order: keys are sets
+        while stack:
+            node = stack.pop()
+            cmp = _level(node) == _LEVEL_CMP
+            coefs, terms = _form(*([(1, node.left), (-1, node.right)] if cmp else [(1, node)]))
+            if len(terms) == 1 and terms[0] is node:  # not linear: key each operand
+                spine, leftmost = _spine(node, (node.op,))
+                stack += [getattr(node, "operand", leftmost)] + [p.right for p in spine]
+                continue
+            stack += terms
+            if coefs := {name: c for name, c in coefs.items() if c}:
+                forms.append((tuple(coefs), tuple(coefs.values())))
+        return tuple(forms)
 
 
 @record
@@ -158,10 +211,19 @@ class _Parser:
 def parse_expression(text: str) -> Expr:
     """Parse ``text`` into an expression tree.
 
-    Raises ExpressionSyntaxError (with a character offset) on malformed
-    input, including chained comparisons, and ExpressionTooDeepError when
-    parentheses nest past the interpreter's recursion limit.
+    Equal texts share one tree, for as long as a memo of the 1,024 most
+    recently parsed texts holds it. Raises ExpressionSyntaxError (with a
+    character offset) on malformed input, including chained comparisons,
+    ExpressionTooDeepError when parentheses nest past the interpreter's
+    recursion limit, and InstanceValidationError for a text that is no str.
     """
+    if not isinstance(text, str):  # before the memo hashes it
+        raise InstanceValidationError(f"expression text must be a str, got {type(text).__name__}")
+    return _parse(text)
+
+
+@functools.lru_cache(maxsize=1024)  # a failure raises, so it is never stored
+def _parse(text: str) -> Expr:
     parser = _Parser(text)
     try:
         node = parser.parse_binary(1)
@@ -173,14 +235,21 @@ def parse_expression(text: str) -> Expr:
 
 
 def _level(node: Expr) -> int:
-    """Precedence level of a node; TypeError for anything else."""
+    """Precedence level of a node; InstanceValidationError for anything else."""
     if isinstance(node, (IntLiteral, VariableRef)):
         return _LEVEL_ATOM
     if isinstance(node, Binary) and node.op in _BINARY_LEVEL:
         return _BINARY_LEVEL[node.op]
     if isinstance(node, Unary) and node.op in ("-", "not"):
         return _LEVEL_NEG if node.op == "-" else _LEVEL_NOT
-    raise TypeError(f"not an expression node: {node!r}")
+    raise _not_a_node(node)
+
+
+def _not_a_node(node) -> InstanceValidationError:
+    try:
+        return InstanceValidationError(f"not an expression node: {node!r}")
+    except ValueError:  # an int of more digits than Python converts to text
+        return InstanceValidationError("not an expression node: an integer too long to print")
 
 
 def _check_literal(value) -> None:  # a literal's digits go into generated code
@@ -208,6 +277,8 @@ def infer_type(node: Expr, names: dict | None = None) -> str:
     """
     if names is None:
         names = {}
+    elif not isinstance(names, dict):
+        raise InstanceValidationError(f"names must be a dict, got {type(names).__name__}")
     level = _level(node)
     if level == _LEVEL_ATOM:
         if isinstance(node, VariableRef):
@@ -307,12 +378,26 @@ def compile_expression(node: Expr, index_of: dict[str, int]) -> Callable:
     operands in a well-typed expression, so they return bools too. Equal
     sources share one pure function, compiled once while the memo holds it.
 
-    Raises ExpressionTooDeepError when the source nests too deeply for
-    Python's compiler.
+    The source is rendered once per node (Expr._code); each call fills in
+    the positions ``index_of`` gives. Raises ExpressionTooDeepError when the
+    source nests too deeply for Python's compiler, UnknownScopeVariableError
+    for a name ``index_of`` lacks, and InstanceValidationError for any other
+    fault of the arguments.
     """
+    if not isinstance(node, Expr):
+        raise _not_a_node(node)
     try:
-        return _compile_source("lambda env: " + _render(
-            node, lambda name: f"env[{index_of[name]}]", python=True))
+        template, names = node._code
+        try:
+            positions = [index_of[name] for name in names]
+        except KeyError as e:
+            raise UnknownScopeVariableError(f"unknown variable {e.args[0]!r}", e.args[0]) from None
+        except TypeError as e:  # index_of is no mapping, or a name is unhashable
+            raise InstanceValidationError(f"variable positions: {e}") from None
+        if not {*map(type, positions)} <= {int}:  # a position's text goes into generated code
+            bad = next(p for p in positions if type(p) is not int)
+            raise InstanceValidationError(f"variable positions: {bad!r} is not an int")
+        return _compile_source(template.format(*positions))
     except (SyntaxError, RecursionError, MemoryError) as e:
         raise ExpressionTooDeepError(f"expression nests too deeply to compile: {e}") from None
 
@@ -322,12 +407,12 @@ def _compile_source(source: str) -> Callable:
     return eval(compile(source, "<constraint>", "eval"), {"__builtins__": {}})
 
 
-def _linear(index_of: dict[str, int], *signed: tuple[int, Expr]) -> tuple[dict[int, int], list]:
+def _form(*signed: tuple[int, Expr]) -> tuple[dict[str, int], list]:
     """The sum of ``sign * node`` over the pairs ``signed`` as the
-    coefficient of each variable position and the list of its other terms:
+    coefficient of each variable name and the list of its other terms:
     ``+``, ``-``, unary minus and products with a literal side distribute,
     literals drop out, and any other node is one term."""
-    coefs: dict[int, int] = {}
+    coefs: dict[str, int] = {}
     terms = []
     stack = list(signed)
     while stack:
@@ -341,11 +426,17 @@ def _linear(index_of: dict[str, int], *signed: tuple[int, Expr]) -> tuple[dict[i
         elif isinstance(node, Binary) and node.op == "*" and isinstance(node.right, IntLiteral):
             stack.append((c * node.right.value, node.left))
         elif isinstance(node, VariableRef):
-            i = index_of[node.name]
-            coefs[i] = coefs.get(i, 0) + c
+            coefs[node.name] = coefs.get(node.name, 0) + c
         elif not isinstance(node, IntLiteral):
             terms.append(node)
     return coefs, terms
+
+
+def _linear(index_of: dict[str, int], node: Expr) -> tuple[dict[int, int], list]:
+    """_form of ``node`` by variable position: a fresh dict and list, which
+    the caller may edit without touching the node's memo."""
+    coefs, terms = node._sum
+    return {index_of[name]: c for name, c in coefs}, list(terms)
 
 
 def key_getters(n: int, index_of: dict[str, int], scopes: list, expressions: list) -> tuple:
@@ -353,33 +444,22 @@ def key_getters(n: int, index_of: dict[str, int], scopes: list, expressions: lis
 
     The key at depth d fixes all that the subtree below d reads of env[:d].
     At its depths each (positions, depths) of ``scopes`` adds the raw values
-    of its assigned positions, and each (node, depths) of ``expressions``:
-    for a linear node (``+``, ``-``, unary minus, products with a literal;
-    a comparison as left - right) the integer sum of its assigned variable
-    terms and the keys of its other terms; for any other, its operands'.
-    A getter is None where the key is the whole prefix (it never repeats).
+    of its assigned positions, and each (node, depths) of ``expressions``,
+    for each of its linear forms (Expr._keys), the integer sum of the
+    form's assigned variable terms. A getter is None where the key is the
+    whole prefix (it never repeats).
     """
     raw: list[set[int]] = [set() for _ in range(n)]
     sums: list[set[tuple[tuple[int, ...], tuple[int, ...]]]] = [set() for _ in range(n)]
-
-    stack = list(expressions)  # (node, depths) still to key, in any order: keys are sets
-    while stack:
-        node, depths = stack.pop()
-        signed = [(1, node.left), (-1, node.right)] if _level(node) == _LEVEL_CMP else [(1, node)]
-        coefs, terms = _linear(index_of, *signed)
-        if terms == [node]:  # not linear: key each operand
-            spine, leftmost = _spine(node, (node.op,))
-            operands = [getattr(node, "operand", leftmost)] + [p.right for p in spine]
-            stack += [(operand, depths) for operand in operands]
-            continue
-        stack += [(term, depths) for term in terms]
-        order = sorted(i for i, c in coefs.items() if c)
-        for d in depths:
-            k = bisect_left(order, d)  # the assigned variables
-            if k == 1:
-                raw[d].add(order[0])
-            elif k:
-                sums[d].add((tuple(order[:k]), tuple([coefs[i] for i in order[:k]])))
+    for node, depths in expressions:
+        for names, coefs in node._keys:
+            order, coefs = zip(*sorted(zip([index_of[name] for name in names], coefs)))
+            for d in depths:
+                k = bisect_left(order, d)  # the assigned variables
+                if k == 1:
+                    raw[d].add(order[0])
+                elif k:
+                    sums[d].add((order[:k], coefs[:k]))
 
     for positions, depths in scopes:
         for i in positions:
@@ -394,6 +474,7 @@ def key_getters(n: int, index_of: dict[str, int], scopes: list, expressions: lis
     return tuple(table)
 
 
+@functools.lru_cache(maxsize=1024)  # pure: equal forms share one getter
 def _sum_getter(positions: tuple[int, ...], coefs: tuple[int, ...]) -> Callable:
     get = itemgetter(*positions)
     return lambda env: sum(map(mul, coefs, get(env)))

@@ -90,7 +90,8 @@ def _split_objective(instance: Instance) -> _Split:
     so only a value that a walk reaches can raise."""
     if instance.objective is None:
         raise NoObjectiveError("instance has no objective")
-    coefs, terms = _expr._linear(instance.index_of, (1, instance.objective.expression))
+    # a copy of the tree's memo, which the loop below edits
+    coefs, terms = _expr._linear(instance.index_of, instance.objective.expression)
     gains, slopes = [], [(0.0, 0.0)]
     for d, var in enumerate(instance.variables):
         gain = {w: _as_float(coefs.get(d, 0) * w) for w in var.domain}

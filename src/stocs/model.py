@@ -106,7 +106,10 @@ class Objective:
 
 
 def table_constraint(scope: Sequence[str], tuples: Sequence[Sequence[int]]) -> Constraint:
-    return Constraint(scope, frozenset(map(tuple, tuples)))  # validation reads the scope
+    try:
+        return Constraint(scope, frozenset(map(tuple, tuples)))  # validation reads the scope
+    except TypeError as fault:  # tuples is no iterable of sequences of hashable values
+        raise InstanceValidationError(f"table constraint: {fault}") from None
 
 
 def expr_constraint(text_or_ast) -> Constraint:
@@ -448,23 +451,25 @@ def _validate_cpt(var: VariableSpec, variables: tuple[VariableSpec, ...],
 
 def _check_expression(node: _expr.Expr, index_of: dict[str, int],
                       label: str) -> tuple[tuple[str, ...], str]:
-    """variables_in and infer_type of an expression, from one walk; an unknown
-    name is reported before any fault the type check meets."""
-    names: dict = {}
+    """variables_in and infer_type of an expression, from the node's memo
+    (Expr._typed); an unknown name is reported before any fault the type
+    check meets."""
     try:
-        kind = _expr.infer_type(node, names)
+        if not isinstance(node, _expr.Expr):
+            raise _expr._not_a_node(node)
+        names, kind = node._typed
     except RecursionError:
         kind = ExpressionTooDeepError(f"{label}: expression nests too deeply to check")
     except StocsError as fault:  # raised below, after the names
         kind = type(fault)(f"{label}: {fault}")
-    except TypeError as fault:  # an object that is no expression node
+    except TypeError as fault:  # a name or operator that does not hash
         kind = InstanceValidationError(f"{label}: {fault}")
     for name in names if isinstance(kind, str) else _expr.variables_in(node):
         if name not in index_of:
             raise UnknownScopeVariableError(f"{label}: unknown variable {name!r}", name)
     if not isinstance(kind, str):
         raise kind
-    return tuple(names), kind
+    return names, kind
 
 
 def _validate_constraint(raw: Constraint, variables: tuple[VariableSpec, ...],

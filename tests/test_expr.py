@@ -1,5 +1,6 @@
 import json
 import operator
+import random
 import re
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gen import random_linear_instance
 from stocs.errors import (
     BadExpressionTypeError,
     ChainedComparisonError,
@@ -14,8 +16,25 @@ from stocs.errors import (
     ExpressionTooDeepError,
     InstanceValidationError,
     StocsError,
+    UnknownScopeVariableError,
 )
-from stocs import expr, parse_instance
+from stocs import (
+    Instance,
+    Objective,
+    bt_decide,
+    bt_max,
+    dump_instance,
+    expr,
+    expr_constraint,
+    fc_decide,
+    fc_max,
+    load_instance,
+    optimize_expected,
+    parse_instance,
+    serialize_policy,
+    table_constraint,
+    validate_instance,
+)
 from stocs.expr import (
     _BINARY_LEVEL,
     _LEVEL_NEG,
@@ -139,11 +158,11 @@ def test_readme_precedence_table_matches_the_operator_table():
 @pytest.mark.parametrize("node", [Binary("^", x("a"), x("b")), Unary("!", x("a")),
                                   Binary("+", x("a"), "b")],
                          ids=["binary", "unary", "operand"])
-def test_unknown_node_is_a_type_error(node):
+def test_unknown_node_is_a_validation_error(node):
     for reader in (format_expression, infer_type,
                    lambda n: interval_range(n, {"a": (0, 1)}),
                    lambda n: compile_expression(n, {"a": 0})):
-        with pytest.raises(TypeError, match="not an expression node"):
+        with pytest.raises(InstanceValidationError, match="not an expression node"):
             reader(node)
 
 
@@ -260,6 +279,120 @@ class TestCompileMemo:
         for k in range(bound + 5):
             compile_expression(Binary("=", x("a"), IntLiteral(k)), {"a": 0})
         assert expr._compile_source.cache_info().currsize == bound
+
+
+def _production(k: int, probabilities: tuple, theta: float) -> str:
+    """A production plan over k stages: the stock after stage t covers its demand."""
+    variables = []
+    for t in range(1, k + 1):
+        variables += [{"name": f"x{t}", "kind": "decision", "domain": [1, 2, 3]},
+                      {"name": f"s{t}", "kind": "stochastic", "domain": [1, 2, 3],
+                       "probabilities": list(probabilities)}]
+    texts = [" + ".join(f"x{i}" for i in range(1, t + 1)) + "".join(f" - s{i}" for i in range(1, t))
+             + f" >= s{t}" for t in range(1, k + 1)]
+    return json.dumps({"theta": theta, "variables": variables,
+                       "constraints": [{"type": "expr", "text": text} for text in texts]})
+
+
+def _fresh(node):
+    """An equal tree of new node objects, none of which holds a memo."""
+    if isinstance(node, Binary):
+        return Binary(node.op, _fresh(node.left), _fresh(node.right))
+    if isinstance(node, Unary):
+        return Unary(node.op, _fresh(node.operand))
+    return type(node)(*(getattr(node, f) for f in node.__match_args__))
+
+
+def _rebuilt(inst):
+    """The instance through the API, every expression a fresh tree."""
+    constraints = tuple(c if c.expression is None else expr_constraint(_fresh(c.expression))
+                        for c in inst.constraints)
+    objective = inst.objective and Objective(_fresh(inst.objective.expression),
+                                             inst.objective.violation_value)
+    return validate_instance(Instance(inst.variables, constraints, inst.theta, objective,
+                                      inst.name))
+
+
+def _outcomes(inst) -> list:
+    """Values, policy bytes and every counter of the four searches, and the
+    optimum of the objective if there is one."""
+    out = []
+    for run in (bt_max, fc_max, bt_decide, fc_decide):
+        result = run(inst)
+        value = result.probability if hasattr(result, "probability") \
+            else (result.satisfiable, result.maximum)
+        policy = None if result.policy is None else serialize_policy(result.policy)
+        out.append((value, policy, result.stats.as_dict()))
+    if inst.objective is not None:
+        best = optimize_expected(inst)
+        out.append((best.expected_value, best.satisfaction, serialize_policy(best.policy)))
+    return out
+
+
+class TestExpressionMemo:
+    def test_equal_texts_in_two_files_share_one_tree_and_function(self, tmp_path):
+        (tmp_path / "a.scsp").write_text(_production(2, (0.5, 0.25, 0.25), 0.5), encoding="utf-8")
+        (tmp_path / "b.scsp").write_text(_production(2, (0.125, 0.375, 0.5), 0.9), encoding="utf-8")
+        a, b = load_instance(tmp_path / "a.scsp"), load_instance(tmp_path / "b.scsp")
+        assert a.variables != b.variables
+        for c, d in zip(a.compiled, b.compiled, strict=True):
+            assert c.source.expression is d.source.expression
+            assert c.fn is d.fn
+
+    def test_a_parse_failure_is_raised_again_and_never_stored(self):
+        size = expr._parse.cache_info().currsize
+        faults = []
+        for _ in range(2):
+            with pytest.raises(ExpressionSyntaxError) as info:
+                parse_expression("x1 + * memo-miss")
+            faults.append((type(info.value), info.value.position))
+        assert faults[0] == faults[1] == (ExpressionSyntaxError, 5)
+        assert expr._parse.cache_info().currsize == size
+
+    def test_the_parse_memo_holds_at_most_its_bound(self):
+        bound = expr._parse.cache_info().maxsize
+        for k in range(bound + 5):
+            parse_expression(f"bound_{k} >= {k}")
+        assert expr._parse.cache_info().currsize == bound
+
+    def test_a_family_solves_alike_in_any_order_and_from_fresh_trees(self):
+        rng = random.Random(40)
+        texts = [dump_instance(random_linear_instance(rng)) for _ in range(12)]
+        texts += [_production(k, probabilities, theta) for k in (2, 3)
+                  for probabilities in ((0.5, 0.25, 0.25), (0.25, 0.5, 0.25))
+                  for theta in (0.3, 0.8)]
+        results = {}
+        for order in (texts, texts[::-1]):
+            expr._parse.cache_clear()
+            for text in order:
+                results.setdefault(text, []).append(_outcomes(parse_instance(text)))
+        for text, (forward, backward) in results.items():
+            assert forward == backward == _outcomes(_rebuilt(parse_instance(text)))
+
+
+class TestWrongArguments:
+    @pytest.mark.parametrize("call, error", [
+        (lambda: parse_expression(None), InstanceValidationError),
+        (lambda: parse_expression(["x"]), InstanceValidationError),  # not hashed by the memo
+        (lambda: expr_constraint(None), InstanceValidationError),
+        (lambda: infer_type(None), InstanceValidationError),
+        (lambda: infer_type(x("a"), 5), InstanceValidationError),
+        (lambda: format_expression(None), InstanceValidationError),
+        (lambda: compile_expression(None, {}), InstanceValidationError),
+        (lambda: compile_expression(10 ** 5000, {}), InstanceValidationError),  # no repr
+        (lambda: compile_expression(x("a"), None), InstanceValidationError),
+        (lambda: compile_expression(x("a"), {}), UnknownScopeVariableError),
+        (lambda: compile_expression(x("a"), {"a": "0"}), InstanceValidationError),
+        (lambda: compile_expression(x("a"), {"a": True}), InstanceValidationError),
+        (lambda: table_constraint(None, None), InstanceValidationError),
+        (lambda: table_constraint(["x"], 5), InstanceValidationError),
+    ], ids=["parse-none", "parse-list", "expr-constraint", "type-none", "type-names",
+            "format", "compile-none", "compile-big-int", "compile-positions", "compile-unknown",
+            "compile-text-position", "compile-bool-position", "table-none", "table-int"])
+    def test_is_a_typed_error(self, call, error):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
 
 
 # A tree-walking reference for the generated code: booleans count as 0/1 in

@@ -202,6 +202,29 @@ class TestOptimizeExpected:
             policy_expected_value(inst, DecisionNode("x", 1, Leaf()))
         assert policy_expected_value(inst, DecisionNode("x", 0, Leaf())) == 0.0
 
+    def test_the_split_edits_a_copy_of_the_expression_memo(self):
+        # x's gain is past the float range, so _split_objective moves x to the
+        # leaf terms: it edits the coefficients and terms _linear hands it
+        big = "1" + "0" * 400
+        inst = make_instance([("x", "d", (0, 1)), ("s", "s", (0, 1), (0.5, 0.5)),
+                              ("y", "d", (0, 1, 2))],
+                             [expr_constraint("x = 0"), expr_constraint(f"x * {big} + y - s >= 0")],
+                             objective=Objective(parse_expression(f"x * {big} + y - s"), -2.0))
+        envs = [list(env) for env in itertools.product((0, 1), (0, 1), (0, 1, 2))]
+
+        def keys():
+            return [[get and get(env) for get in inst.key_at] for env in envs]
+
+        def linear():  # copies, as later edits must not reach these
+            coefs, terms = expr._linear(inst.index_of, inst.objective.expression)
+            return dict(coefs), list(terms)
+
+        before, form = keys(), linear()
+        first = optimize_expected(inst)
+        assert first.expected_value == 1.5
+        assert (keys(), linear()) == (before, form)
+        assert optimize_expected(inst) == first
+
     def test_root_value_past_the_float_range_is_typed(self):
         # each term fits a float and the walk sums them to inf without an
         # OverflowError, so the root's check is what refuses it

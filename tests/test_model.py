@@ -275,6 +275,11 @@ class TestValidation:
          InstanceValidationError, "^constraint 0: not an expression node: 'x = 1'$"),
         ([X], [], Objective(Binary("+", VariableRef("x"), 3)),
          InstanceValidationError, "^objective: not an expression node: 3$"),
+        # an operator that does not hash; an unknown name is reported first
+        ([X], [Constraint(("x",), None, Binary(["="], VariableRef("x"), IntLiteral(1)))], None,
+         InstanceValidationError, r"^constraint 0: unhashable type: 'list'$"),
+        ([X], [Constraint(("x",), None, Binary(["="], VariableRef("x"), VariableRef("y")))], None,
+         UnknownScopeVariableError, r"^constraint 0: unknown variable 'y'$"),
         # records or fields of the wrong type, which only the API can build;
         # "junk" stands for a whole record that is no Instance
         ("junk", [], None,
@@ -314,11 +319,11 @@ class TestValidation:
             "table-and-expression", "neither", "empty-table-scope", "objective-unknown-variable",
             "big-domain-value", "big-table-value", "big-cpt-row", "list-name", "big-kind",
             "big-non-integer-domain-value", "list-scope-name", "list-cpt-parent", "big-cpt-child",
-            "expression-text", "objective-non-node", "no-instance", "no-variables",
-            "no-constraints", "variable-no-record", "constraint-no-record", "int-domain",
-            "no-domain", "int-probabilities", "no-table-scope", "untupled-allowed", "dict-cpt",
-            "list-cpt-rows", "int-cpt-row-key", "int-cpt-row-probabilities", "no-cpt-parents",
-            "objective-no-record"])
+            "expression-text", "objective-non-node", "unhashable-op", "unhashable-op-unknown-name",
+            "no-instance", "no-variables", "no-constraints", "variable-no-record",
+            "constraint-no-record", "int-domain", "no-domain", "int-probabilities",
+            "no-table-scope", "untupled-allowed", "dict-cpt", "list-cpt-rows", "int-cpt-row-key",
+            "int-cpt-row-probabilities", "no-cpt-parents", "objective-no-record"])
     def test_typed_errors(self, variables, constraints, objective, error, message):
         raw = "junk" if variables == "junk" else Instance(variables, constraints, 0.5, objective)
         with pytest.raises(error, match=message):
